@@ -30,13 +30,11 @@ def main() -> None:
     family = random_linear_family(args.dim, args.n, rng)
     state = evaluate(family, np.zeros(args.n))
     slds, fisher, _ = sld_analysis(state)
-    config = MinimizeConfig(
-        strategy=args.strategy, w=np.eye(args.n), max_iters=args.iters, seed=args.seed
-    )
+    config = MinimizeConfig(strategy=args.strategy, w=np.eye(args.n), max_iters=args.iters)
     result = minimize_bound(state, slds, fisher, config)
     print(f"strategy        : {result.strategy}")
     print(f"start objective : {result.trace[0]:.10f}")
-    print(f"best objective  : {result.value:.10f}  (valid lower bound on nu Tr[Cov])")
+    print(f"best objective  : {result.value:.10f}  (upper estimate of the minimum, not certified)")
     print(f"iterations      : {result.iterations}, converged = {result.converged}")
     marks = [0, len(result.trace) // 4, len(result.trace) // 2, -1]
     print("trace           :", ", ".join(f"{result.trace[i]:.6f}" for i in marks))

@@ -67,20 +67,21 @@ def pure_state_bound(state: EvaluatedState, fisher: FisherData) -> float:
     return n - f_of_n(n) * float(np.sum(ftil * ftil))
 
 
+def _pair_bound(tm: TradeoffMatrix, n: int, kind: str) -> float:
+    _check_kind(tm, kind)
+    _check_n(tm, n)
+    m = tm.per_copy
+    return n - pair_coefficient(n) * float(np.sum(m * m))
+
+
 def cp_bound(c: TradeoffMatrix, n: int) -> float:
     """Gamma_p <= n - ||C_p/p||_F^2 / (4(n-1))."""
-    _check_kind(c, "C")
-    _check_n(c, n)
-    m = c.per_copy
-    return n - pair_coefficient(n) * float(np.sum(m * m))
+    return _pair_bound(c, n, "C")
 
 
 def tp_bound(t: TradeoffMatrix, n: int) -> float:
     """Gamma_p <= n - ||T_p/p||_F^2 / (4(n-1))."""
-    _check_kind(t, "T")
-    _check_n(t, n)
-    m = t.per_copy
-    return n - pair_coefficient(n) * float(np.sum(m * m))
+    return _pair_bound(t, n, "T")
 
 
 def fbar_bound(

@@ -19,14 +19,14 @@ import io
 import json
 import os
 import sys
+from typing import Iterable
 
 import numpy as np
 
 from . import checks as checks_mod
-from .bounds import BoundReport
+from .bounds import BoundEntry, BoundReport
 from .errors import QmetroError
 from .linalg import DEFAULT_DIM_CAP
-from .logderiv import sld_analysis, tilde_fisher_im
 from .report import ALL_BOUNDS, ReportConfig, build_report
 from .scenarios import build_scenario, parse_scenario
 from .states import evaluate, family_from_dict, family_to_dict
@@ -84,9 +84,9 @@ def _meta_str(meta: dict) -> str:
     return json.dumps(clean, sort_keys=True, separators=(",", ":"))
 
 
-def _report_rows(scenario: str, delta: float, report: BoundReport) -> list[dict]:
+def _report_rows(scenario: str, delta: float, entries: Iterable[BoundEntry]) -> list[dict]:
     rows = []
-    for e in report.entries:
+    for e in entries:
         p_str = "" if e.p is None else str(e.p)
         rows.append(
             {
@@ -203,7 +203,7 @@ def cmd_bounds(args) -> int:
     config = _report_config(args, cfg, p_list, bounds)
     state = evaluate(family, x0)
     report = build_report(state, config)
-    rows = _report_rows(label, delta, report)
+    rows = _report_rows(label, delta, report.entries)
     if bool(_merged(args, cfg, "cov_transforms", False)):
         rows.extend(_cov_transform_rows(label, delta, report, config.nu))
     rows = _sort_rows(rows)
@@ -255,6 +255,12 @@ def cmd_sweep(args) -> int:
         deltas = [float(_merged(args, cfg, "delta", 0.0))]
     if len(deltas) == 1 and len(p_list) == 1:
         raise _ConfigError("sweep needs a delta sweep or more than one p")
+    # Reference line: every report carries the Gamma_inf sandwich
+    # n^2 / (n + ||F~_Im||_1) <= Gamma_inf <= n - ||F~_Im||_F^2 / (4(n-1)).
+    # It closes at n exactly when F~_Im = 0, the weak commutative
+    # condition, and the line is then the QCRB/Holevo value n instead.
+    report_bounds = bounds if "lower" in bounds else bounds + ("lower",)
+    config = _report_config(args, cfg, p_list, report_bounds)
     rows = []
     for delta in deltas:
         try:
@@ -263,38 +269,14 @@ def cmd_sweep(args) -> int:
         except QmetroError as exc:
             raise _ConfigError(str(exc)) from exc
         state = evaluate(family, np.zeros(family.n))
-        config = _report_config(args, cfg, p_list, bounds)
         report = build_report(state, config)
-        rows.extend(_report_rows(spec.label, delta, report))
-        # Reference line: the QCRB/Holevo value n where the weak
-        # commutative condition holds, else the Gamma_inf sandwich.
-        _, fisher, tilde = sld_analysis(state)
-        n = fisher.n
-        from .bounds import gamma_inf_lower, gamma_inf_upper, saturation_check
-        from .tensor import limit_fim
-
-        weak = saturation_check(
-            limit_fim(state, tilde), tilde_fisher_im(fisher)
-        ).weak_commutative
-        if weak:
-            ref_entries = [("qcrb_holevo", float(n), "reference")]
-        else:
-            ref_entries = [
-                ("gamma_inf_lower", gamma_inf_lower(fisher, n), "lower"),
-                ("gamma_inf_upper", gamma_inf_upper(fisher, n), "upper"),
-            ]
-        for name, value, kind in ref_entries:
-            rows.append(
-                {
-                    "scenario": spec.label,
-                    "delta": _fmt_value(delta),
-                    "p": "inf" if name.startswith("gamma_inf") else "",
-                    "bound_name": name,
-                    "value": _fmt_value(value),
-                    "tightest": "false",
-                    "meta": _meta_str({"kind": kind}),
-                }
-            )
+        entries = list(report.entries)
+        lower = next(e.value for e in entries if e.name == "gamma_inf_lower")
+        if report.n - lower <= 1e-8:  # n - lower ~ ||F~_Im||_1; saturation_check's tol
+            if "lower" not in bounds:
+                entries = [e for e in entries if e.p != "inf"]
+            entries.append(BoundEntry("qcrb_holevo", float(report.n), "reference", None))
+        rows.extend(_report_rows(spec.label, delta, entries))
     rows = _sort_rows(rows)
     _write_rows(rows, _merged(args, cfg, "output"), _merged(args, cfg, "format", "csv"))
     return 0

@@ -222,15 +222,18 @@ def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = DEFAULT_DIM_CAP) -> np.nda
     return np.kron(a, b)
 
 
+def check_power_dim(d: int, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> None:
+    """Raise DimensionOverflow when a p-fold tensor power of C^d exceeds the cap."""
+    if d**p > dim_cap:
+        raise DimensionOverflow(f"{d}^{p} = {d**p} exceeds dimension cap {dim_cap}")
+
+
 def kron_power(m: np.ndarray, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     """p-fold Kronecker power of ``m``."""
     if p < 1:
         raise DimMismatch(f"kron power needs p >= 1, got {p}")
     m = as_matrix(m)
-    if m.shape[0] ** p > dim_cap or m.shape[1] ** p > dim_cap:
-        raise DimensionOverflow(
-            f"{m.shape[0]}^{p} exceeds dimension cap {dim_cap}"
-        )
+    check_power_dim(max(m.shape), p, dim_cap)
     out = m
     for _ in range(p - 1):
         out = np.kron(out, m)

@@ -213,7 +213,6 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
             strategy="holevo",
             w=config.weight if config.weight is not None else fisher.f_q,
             max_iters=config.variational_iters,
-            seed=config.seed,
         )
         res = minimize_bound(state, slds, fisher, cfg)
         entries.append(

@@ -1,14 +1,16 @@
 """Collective operators on tensor powers and the p-local tradeoff matrices.
 
-Builds rho^(x)p together with the collective logarithmic derivatives
-L_jp = sum_r I^(x)(r-1) (x) L_j (x) I^(x)(p-r) and computes the tradeoff
-matrices C_p, C_p^RLD, T_p (exact enumeration or Monte Carlo) and the
-basis-dependent commutator aggregate F-bar_Im.
-
-Large operators are materialized lazily; the C_p entries use the exact
-identity  sqrt(rho^(x)p) [A_p, B_p] sqrt(rho^(x)p)
-          = sum_r rho^(x)(r-1) (x) (sqrt(rho) [A,B] sqrt(rho)) (x) rho^(x)(p-r)
-so only one d^p-dimensional matrix lives at a time.
+Every collective operator here has the form
+    site_sum(A, w, p) = sum_r w^(x)r (x) A (x) w^(x)(p-r-1),
+built densely by :func:`site_sum`.  With w = I it is the collective
+logarithmic derivative L_jp (used by C_p^RLD and F-bar); with w = rho it
+is the sandwiched collective commutator of C_p, by the exact identity
+    sqrt(rho^(x)p) [A_p, B_p] sqrt(rho^(x)p)
+        = site_sum(sqrt(rho) [A, B] sqrt(rho), rho, p),
+which holds because operators on distinct factors commute.  Tensor
+powers themselves come from ``linalg.kron_power``; both refuse d^p
+beyond the dimension cap.  The module computes C_p, C_p^RLD, T_p (exact
+enumeration or Monte Carlo) and the basis-dependent aggregate F-bar_Im.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    DimensionOverflow,
     EnumerationOverflow,
     IncompleteBasis,
     KindMismatch,
@@ -109,63 +110,31 @@ class UBasis:
 # --- collective operators ----------------------------------------------------
 
 
-def embed_site(op: np.ndarray, site: int, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """I^(x)(site) (x) op (x) I^(x)(p-site-1), 0-indexed site."""
-    d = op.shape[0]
-    if d**p > dim_cap:
-        raise DimensionOverflow(f"{d}^{p} exceeds dimension cap {dim_cap}")
-    left = np.eye(d**site, dtype=np.complex128)
-    right = np.eye(d ** (p - site - 1), dtype=np.complex128)
-    return np.kron(np.kron(left, op), right)
-
-
-def embedded_sum(op: np.ndarray, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """sum_r I (x) .. (x) op (x) .. (x) I over all p sites."""
-    return sum(embed_site(op, r, p, dim_cap) for r in range(p))
-
-
-def _weighted_site_sum(
-    site_op: np.ndarray, weight: np.ndarray, p: int, dim_cap: int
+def site_sum(
+    site_op: np.ndarray, weight: np.ndarray, p: int, dim_cap: int = DEFAULT_DIM_CAP
 ) -> np.ndarray:
-    """sum_r weight^(x)(r-1) (x) site_op (x) weight^(x)(p-r)."""
-    d = site_op.shape[0]
-    if d**p > dim_cap:
-        raise DimensionOverflow(f"{d}^{p} exceeds dimension cap {dim_cap}")
-    powers = [np.eye(1, dtype=np.complex128)]
+    """sum_r weight^(x)r (x) site_op (x) weight^(x)(p-r-1) over the p sites.
+
+    Built by the recursion S <- S (x) w + w^(x)k (x) A, so at most two
+    d^p x d^p matrices are alive at once.
+    """
+    linalg.check_power_dim(site_op.shape[0], p, dim_cap)
+    out = np.asarray(site_op, dtype=np.complex128)
+    power = np.eye(1, dtype=np.complex128)
     for _ in range(p - 1):
-        powers.append(np.kron(powers[-1], weight))
-    out = np.zeros((d**p, d**p), dtype=np.complex128)
-    for r in range(p):
-        out += np.kron(np.kron(powers[r], site_op), powers[p - 1 - r])
+        power = np.kron(power, weight)
+        out = np.kron(out, weight)
+        out += np.kron(power, site_op)
     return out
 
 
-def apply_kron_power(a: np.ndarray, p: int, vec: np.ndarray) -> np.ndarray:
-    """(a^(x)p) vec without materializing the d^p x d^p matrix."""
-    d = a.shape[0]
-    t = np.asarray(vec, dtype=np.complex128).reshape((d,) * p)
-    for axis in range(p):
-        t = np.moveaxis(np.tensordot(a, t, axes=([1], [axis])), 0, axis)
-    return t.reshape(-1)
-
-
-def apply_embedded_sum(a: np.ndarray, p: int, vec: np.ndarray) -> np.ndarray:
-    """(sum_r a^(r)) vec without materializing the collective operator."""
-    d = a.shape[0]
-    t = np.asarray(vec, dtype=np.complex128).reshape((d,) * p)
-    out = np.zeros_like(t)
-    for axis in range(p):
-        out += np.moveaxis(np.tensordot(a, t, axes=([1], [axis])), 0, axis)
-    return out.reshape(-1)
-
-
-@dataclass
+@dataclass(frozen=True)
 class CollectiveOperators:
     """rho^(x)p with the collective operators of one derivative kind.
 
     ``base_ops`` are the single-copy operators the collective ones are
-    built from; ``rho_p``, ``sqrt_rho_p`` and ``ops`` materialize lazily
-    (a d^p x d^p complex matrix each, so mind the dimension cap).
+    built from.  ``rho_p``, ``sqrt_rho_p`` and ``ops`` build a d^p x d^p
+    complex matrix each on every access, under the dimension cap.
     """
 
     p: int
@@ -175,9 +144,6 @@ class CollectiveOperators:
     base_sqrt_rho: np.ndarray
     base_ops: tuple[np.ndarray, ...]
     dim_cap: int = DEFAULT_DIM_CAP
-    _rho_p: np.ndarray | None = field(default=None, repr=False)
-    _sqrt_rho_p: np.ndarray | None = field(default=None, repr=False)
-    _ops: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
     @property
     def d(self) -> int:
@@ -193,24 +159,20 @@ class CollectiveOperators:
 
     @property
     def rho_p(self) -> np.ndarray:
-        if self._rho_p is None:
-            self._rho_p = linalg.kron_power(self.base_rho, self.p, self.dim_cap)
-        return self._rho_p
+        return linalg.kron_power(self.base_rho, self.p, self.dim_cap)
 
     @property
     def sqrt_rho_p(self) -> np.ndarray:
         # sqrt(rho^(x)p) = sqrt(rho)^(x)p
-        if self._sqrt_rho_p is None:
-            self._sqrt_rho_p = linalg.kron_power(self.base_sqrt_rho, self.p, self.dim_cap)
-        return self._sqrt_rho_p
+        return linalg.kron_power(self.base_sqrt_rho, self.p, self.dim_cap)
+
+    def collective(self, op: np.ndarray) -> np.ndarray:
+        """sum_r I^(x)r (x) op (x) I^(x)(p-r-1)."""
+        return site_sum(op, np.eye(self.d, dtype=np.complex128), self.p, self.dim_cap)
 
     @property
     def ops(self) -> tuple[np.ndarray, ...]:
-        if self._ops is None:
-            self._ops = tuple(
-                embedded_sum(op, self.p, self.dim_cap) for op in self.base_ops
-            )
-        return self._ops
+        return tuple(self.collective(op) for op in self.base_ops)
 
 
 def build_collective(
@@ -229,10 +191,7 @@ def build_collective(
     """
     if p < 1:
         raise KindMismatch(f"copies count must be >= 1, got {p}")
-    if state.dim**p > dim_cap:
-        raise DimensionOverflow(
-            f"{state.dim}^{p} = {state.dim ** p} exceeds dimension cap {dim_cap}"
-        )
+    linalg.check_power_dim(state.dim, p, dim_cap)
     return CollectiveOperators(
         p=p,
         kind=kind,
@@ -296,22 +255,23 @@ def _require(coll: CollectiveOperators, kind: str, tilded: bool) -> None:
         )
 
 
-def compute_cp(coll: CollectiveOperators) -> TradeoffMatrix:
-    """(C_p)_{jk} = 1/2 ||sqrt(rho_p) [L~_jp, L~_kp] sqrt(rho_p)||_1.
+def _sandwiched_commutator(coll: CollectiveOperators, j: int, k: int) -> np.ndarray:
+    """sqrt(rho_p) [L_jp, L_kp] sqrt(rho_p), as a site sum weighted by rho."""
+    s = coll.base_sqrt_rho
+    site = s @ linalg.commutator(coll.base_ops[j], coll.base_ops[k]) @ s
+    return site_sum(site, coll.base_rho, coll.p, coll.dim_cap)
 
-    Uses the single-site decomposition of the sandwiched collective
-    commutator, which is exact because operators on distinct factors
-    commute.
-    """
+
+def compute_cp(coll: CollectiveOperators) -> TradeoffMatrix:
+    """(C_p)_{jk} = 1/2 ||sqrt(rho_p) [L~_jp, L~_kp] sqrt(rho_p)||_1."""
     _require(coll, "sld", tilded=True)
     n = coll.n
-    s = coll.base_sqrt_rho
     entries = np.zeros((n, n))
     for j in range(n):
         for k in range(j + 1, n):
-            site = s @ linalg.commutator(coll.base_ops[j], coll.base_ops[k]) @ s
-            big = _weighted_site_sum(site, coll.base_rho, coll.p, coll.dim_cap)
-            entries[j, k] = entries[k, j] = 0.5 * linalg.trace_norm(big)
+            entries[j, k] = entries[k, j] = 0.5 * linalg.trace_norm(
+                _sandwiched_commutator(coll, j, k)
+            )
     return TradeoffMatrix(kind="C", p=coll.p, entries=entries, meta={"tilded": True})
 
 
@@ -319,19 +279,21 @@ def compute_cp_rld(coll: CollectiveOperators) -> TradeoffMatrix:
     """(C_p^RLD)_{jk} = min{1/2 ||sqrt(rho_p)(L~_jp L~_kp+ - L~_kp L~_jp+)sqrt(rho_p)||_1, 2p}.
 
     The RLD product difference does not reduce to single sites, so the
-    collective operators are materialized.
+    collective operators L~_jp are built in full.  With X_j = sqrt(rho_p) L~_jp
+    the sandwiched difference is P - P+ for P = X_j X_k+.
     """
     _require(coll, "rld", tilded=True)
     n = coll.n
     s = coll.sqrt_rho_p
-    ops = coll.ops
+    xs = [s @ coll.collective(op) for op in coll.base_ops]
+    del s  # free d^p x d^p before the pair products
     cap = 2.0 * coll.p
     entries = np.zeros((n, n))
     for j in range(n):
         for k in range(j + 1, n):
-            q = ops[j] @ dagger(ops[k]) - ops[k] @ dagger(ops[j])
-            raw = 0.5 * linalg.trace_norm(s @ q @ s)
-            entries[j, k] = entries[k, j] = min(raw, cap)
+            prod = xs[j] @ dagger(xs[k])
+            prod -= dagger(prod)
+            entries[j, k] = entries[k, j] = min(0.5 * linalg.trace_norm(prod), cap)
     return TradeoffMatrix(kind="C_RLD", p=coll.p, entries=entries, meta={"tilded": True})
 
 
@@ -457,19 +419,17 @@ def limit_fim(state: EvaluatedState, tilde_ops: Sequence[np.ndarray]) -> Tradeof
 # --- F-bar aggregates ----------------------------------------------------------
 
 
-def _fu_imag_parts(coll: CollectiveOperators, basis: UBasis) -> list[np.ndarray]:
-    """Imaginary parts of (F_{u_q})_{jk} = <u_q| sqrt(rho_p) L_jp L_kp sqrt(rho_p) |u_q>."""
-    n = coll.n
-    out = []
-    for q in range(basis.count):
-        w = apply_kron_power(coll.base_sqrt_rho, coll.p, basis.vectors[q])
-        cols = np.stack(
-            [apply_embedded_sum(op, coll.p, w) for op in coll.base_ops], axis=1
-        )
-        f_u = dagger(cols) @ cols  # (j,k) entry = <w|L_j L_k|w>
-        assert f_u.shape == (n, n)
-        out.append(np.imag(f_u))
-    return out
+def _fu_imag_parts(coll: CollectiveOperators, basis: UBasis) -> np.ndarray:
+    """Im (F_{u_q})_{jk} = Im <u_q| sqrt(rho_p) L_jp L_kp sqrt(rho_p) |u_q>.
+
+    Returns shape (count, n, n).  Works on the whole basis block
+    W = sqrt(rho_p) U at once, building one collective L_jp at a time.
+    """
+    w = coll.sqrt_rho_p @ basis.vectors.T
+    cols = np.empty((coll.n,) + w.shape, dtype=np.complex128)
+    for j, op in enumerate(coll.base_ops):
+        cols[j] = coll.collective(op) @ w
+    return np.imag(np.einsum("jaq,kaq->qjk", np.conj(cols), cols))
 
 
 def state_eigenbasis(coll: CollectiveOperators) -> UBasis:
@@ -482,14 +442,12 @@ def state_eigenbasis(coll: CollectiveOperators) -> UBasis:
 def _commutator_eigenbasis(coll: CollectiveOperators, j: int, k: int) -> tuple[UBasis, np.ndarray]:
     """Eigenbasis of sqrt(rho_p)[L_jp, L_kp]sqrt(rho_p) and the alignment
     values a_q = (1/2i) <u_q| . |u_q> (half the imaginary eigenvalues)."""
-    s = coll.base_sqrt_rho
-    site = s @ linalg.commutator(coll.base_ops[j], coll.base_ops[k]) @ s
-    big = _weighted_site_sum(site, coll.base_rho, coll.p, coll.dim_cap)
-    es = linalg.eigh(-1j * big)  # big = i H with H Hermitian
+    es = linalg.eigh(-1j * _sandwiched_commutator(coll, j, k))  # the commutator is i H
     return UBasis.from_columns(es.vectors), es.values / 2.0
 
 
 def _signs_from_values(values: np.ndarray) -> np.ndarray:
+    """+1 (as is) or -1 (transposed) per alignment value; ties take +1."""
     return np.where(values < -SIGN_TIE_ATOL, -1.0, 1.0)
 
 
@@ -537,8 +495,7 @@ def compute_fbar_im(
         basis.check_complete()
         imags = _fu_imag_parts(coll, basis)
         if isinstance(signs, AlignEntry):
-            vals = np.array([im[signs.j, signs.k] for im in imags])
-            sign_arr = _signs_from_values(vals)
+            sign_arr = _signs_from_values(imags[:, signs.j, signs.k])
             strategy = f"align_entry({signs.j},{signs.k})"
         elif isinstance(signs, OptimizeNorm):
             if basis.count > signs.max_vectors:
@@ -553,12 +510,11 @@ def compute_fbar_im(
                 sandwich = qfim_inv_sqrt(fisher)
             best = None
             best_norm = -1.0
+            flip_bits = np.arange(basis.count - 1)
             for bits in range(2 ** (basis.count - 1)):
                 cand = np.ones(basis.count)
-                for q in range(1, basis.count):
-                    if (bits >> (q - 1)) & 1:
-                        cand[q] = -1.0
-                agg = sum(s * im for s, im in zip(cand, imags))
+                cand[1:] -= 2.0 * ((bits >> flip_bits) & 1)
+                agg = np.tensordot(cand, imags, axes=1)
                 scored = agg if sandwich is None else sandwich @ agg @ sandwich
                 norm = float(np.linalg.norm(scored))
                 if norm > best_norm + 1e-15:
@@ -569,7 +525,7 @@ def compute_fbar_im(
         else:
             sign_arr = _resolve_signs(signs, basis.count)
             strategy = "explicit"
-    fbar_im = sum(s * im for s, im in zip(sign_arr, imags))
+    fbar_im = np.tensordot(sign_arr, imags, axes=1)
     fbar_im = (fbar_im - fbar_im.T) / 2.0  # exact skew symmetry
     return TradeoffMatrix(
         kind="FBAR_IM",

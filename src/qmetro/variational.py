@@ -8,8 +8,9 @@ parameters, aligning transposes in the eigenbasis of
 sqrt(rho)[X_1,X_2]sqrt(rho) recovers the Nagaoka functional.
 
 The minimizer is a projected subgradient descent over the affine set of
-locally unbiased operator tuples; any feasible iterate already certifies
-a valid bound, so early stopping is safe.
+locally unbiased operator tuples.  A feasible iterate X gives f(X) >= C,
+an upper estimate of the minimum C of the functional, not a certified
+lower bound on nu Tr[W Cov]; only the minimum itself is one.
 """
 
 from __future__ import annotations
@@ -30,7 +31,17 @@ from .errors import (
 from .linalg import dagger, hermitian_part
 from .logderiv import DerivativeSet, FisherData
 from .states import EvaluatedState
-from .tensor import AS_IS, TRANSPOSED, AlignEntry, Signs, UBasis, _resolve_signs
+from .tensor import (
+    AS_IS,
+    TRANSPOSED,
+    AlignEntry,
+    Signs,
+    UBasis,
+    _commutator_eigenbasis,
+    _resolve_signs,
+    _signs_from_values,
+    build_collective,
+)
 
 #: Residual required of the affine projection onto the unbiasedness set.
 PROJECTION_ATOL = 1e-10
@@ -251,9 +262,10 @@ def evaluate_general_bound(
 ) -> float:
     """Tr[W Abar_Re] + ||sqrt(W) Abar_Im sqrt(W)||_1 for a basis/sign choice.
 
-    Any feasible ``x_set`` makes this a valid lower bound on
-    nu Tr[W Cov].  With all signs as-is the value is the Holevo
-    functional (and is then basis-independent).
+    The functional evaluated at a feasible ``x_set``; its minimum over
+    feasible sets, not the value at any one set, bounds nu Tr[W Cov]
+    from below.  With all signs as-is the value is the Holevo functional
+    (and is then basis-independent).
     """
     ops = x_set.ops if isinstance(x_set, LocallyUnbiasedSet) else tuple(x_set)
     n = len(ops)
@@ -266,7 +278,7 @@ def evaluate_general_bound(
     a_list = [a_u_matrix(state, ops, basis.vectors[q]) for q in range(basis.count)]
     if isinstance(signs, AlignEntry):
         vals = np.array([np.imag(a[signs.j, signs.k]) for a in a_list])
-        sign_arr = np.where(vals < -1e-12, -1.0, 1.0)
+        sign_arr = _signs_from_values(vals)
     else:
         sign_arr = _resolve_signs(signs, basis.count)
     a_re = sum(np.real(a) for a in a_list)
@@ -283,16 +295,14 @@ def nagaoka_alignment(
 
     Feeding the result to evaluate_general_bound yields the Nagaoka
     functional Tr(rho X_1^2) + Tr(rho X_2^2) + ||sqrt(rho)[X_1,X_2]sqrt(rho)||_1
-    at W = I.  Two-parameter sets only.
+    at W = I.  Two-parameter sets only.  This is the p = 1 case of the
+    F-bar commutator eigenbasis with the same sign rule.
     """
     if len(ops) != 2:
         raise InvalidN(f"Nagaoka alignment is a two-parameter construction, got n={len(ops)}")
-    s = state.sqrt_rho
-    comm = s @ linalg.commutator(ops[0], ops[1]) @ s
-    es = linalg.eigh(-1j * comm)
-    basis = UBasis.from_columns(es.vectors)
-    signs = [AS_IS if v / 2.0 >= -1e-12 else TRANSPOSED for v in es.values]
-    return basis, signs
+    coll = build_collective(state, ops, 1, tilded=False)
+    basis, values = _commutator_eigenbasis(coll, 0, 1)
+    return basis, [AS_IS if s > 0 else TRANSPOSED for s in _signs_from_values(values)]
 
 
 # --- objectives and the projected subgradient minimizer ---------------------------
@@ -377,7 +387,6 @@ class MinimizeConfig:
     step: float = 0.1  # diminishing step c / sqrt(t)
     tol: float = 1e-7  # relative improvement threshold for convergence
     patience: int = 100  # iterations without improvement before stopping
-    seed: int = 0  # reserved for derived-seed multistarts
 
 
 @dataclass(frozen=True)
@@ -399,9 +408,10 @@ def minimize_bound(
     """Minimize the chosen bound functional over locally unbiased sets.
 
     Starts from the canonical X_j = sum_k (F_Q^-1)_{jk} L_k (feasible by
-    construction) and keeps every iterate feasible, so the best value
-    seen is always a valid bound; non-convergence is reported via the
-    flag, never as an error.
+    construction) and keeps every iterate feasible.  The best value seen
+    is an upper estimate of the minimum, not a certified lower bound on
+    nu Tr[W Cov]; non-convergence is reported via the flag, never as an
+    error.
     """
     cfg = config or MinimizeConfig()
     n = fisher.n

@@ -204,6 +204,18 @@ class TestSweep:
         assert "gamma_inf_lower" in names and "gamma_inf_upper" in names
         assert "qcrb_holevo" not in names
 
+    def test_each_row_once_with_lower(self, tmp_path):
+        # The Gamma_inf sandwich requested via "lower" is also the sweep's
+        # reference line; it must be written once per delta, not twice.
+        out = tmp_path / "s.csv"
+        assert run_cli(
+            ["sweep", "--preset", "qubit3", "--delta", "0.5", "--p", "1-2",
+             "--bounds", "cp,lower", "--output", str(out)]
+        ) == 0
+        keys = [(r["delta"], r["p"], r["bound_name"]) for r in read_rows(out)]
+        assert len(keys) == len(set(keys))
+        assert {k[2] for k in keys} == {"cp", "gamma_inf_lower", "gamma_inf_upper"}
+
     def test_mc_sweep_reproducible(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from qmetro.errors import (
     KindMismatch,
 )
 from qmetro.logderiv import compute_rld, compute_rld_fisher, reparametrize, sld_analysis
-from qmetro.random_instances import random_linear_family
+from qmetro.random_instances import haar_unitary, random_linear_family
 from qmetro.scenarios import SIGMA1, SIGMA2, SIGMA3, build_scenario, parse_scenario
 from qmetro.states import EvaluatedState, StateFamily, evaluate
 from qmetro.tensor import (
@@ -70,6 +71,29 @@ class TestBuildCollective:
         st = qubit_state(0.0)
         with pytest.raises(DimensionOverflow):
             build_collective(st, [SIGMA1], 6, dim_cap=32)
+
+
+def literal_site_sum(a, w, p):
+    """Dense oracle: the Kronecker sum of embeddings w^(x)r (x) a (x) w^(x)(p-r-1)."""
+    total = 0
+    for r in range(p):
+        total = total + functools.reduce(np.kron, [w] * r + [a] + [w] * (p - r - 1))
+    return total
+
+
+class TestSiteSum:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_matches_literal_kronecker_sum(self, d, p):
+        rng = np.random.default_rng(100 * d + p)
+        st = evaluate(random_linear_family(d, 2, rng), np.zeros(2))
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for w in (st.rho, np.eye(d)):
+            assert np.allclose(tensor.site_sum(a, w, p), literal_site_sum(a, w, p), atol=1e-13)
+
+    def test_dimension_cap(self):
+        with pytest.raises(DimensionOverflow):
+            tensor.site_sum(np.eye(2), np.eye(2), 6, dim_cap=32)
 
 
 class TestComputeCp:
@@ -344,6 +368,26 @@ class TestFbar:
             for (j, k) in ((0, 1), (0, 2), (1, 2)):
                 fb = compute_fbar_im(coll, basis, AlignEntry(j, k))
                 assert fb.entries[j, k] == pytest.approx(tp.entries[j, k], abs=1e-9)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_align_entry_haar_basis_matches_per_vector_sum(self, qubit_state, p):
+        # Oracle: sum_q s_q Im <u_q|S L_j L_k S|u_q> vector by vector from
+        # the materialized collective operators, s_q aligning entry (j, k).
+        st = qubit_state(0.3)
+        _, _, tilde = sld_analysis(st)
+        coll = build_collective(st, tilde, p)
+        u = haar_unitary(coll.dim, np.random.default_rng(70 + p))
+        s, ops = coll.sqrt_rho_p, coll.ops
+        for j, k in ((0, 1), (0, 2), (1, 2)):
+            fb = compute_fbar_im(coll, UBasis.from_columns(u), AlignEntry(j, k))
+            expected = np.zeros((3, 3))
+            for q in range(coll.dim):
+                w = s @ u[:, q]
+                im = np.imag([[np.vdot(w, ops[a] @ ops[b] @ w) for b in range(3)]
+                              for a in range(3)])
+                expected += (-1.0 if im[j, k] < -1e-12 else 1.0) * im
+            assert np.allclose(fb.entries, expected, atol=1e-10)
+            assert fb.entries[j, k] >= -1e-12
 
 
 class TestProperties:
