@@ -73,7 +73,7 @@ def _qutrit_state(preset: str) -> tuple[EvaluatedState, scenarios.ScenarioSpec]:
 
 
 def _bounds_at(state: EvaluatedState, p: int) -> tuple[float, float, float]:
-    """(cp, tp, fbar) bounds via the dense pipeline."""
+    """(cp, tp, fbar) bounds via the library pipeline."""
     _, fisher, tilde = sld_analysis(state)
     n = fisher.n
     coll = build_collective(state, tilde, p)
@@ -106,7 +106,7 @@ def check_02_qubit_p2() -> CheckResult:
 
 
 def check_03_qubit_np_sequence() -> CheckResult:
-    """Dense cp bound equals 3 - (3/4)(N_p/p)^2 for p = 1..10, non-decreasing, < 3."""
+    """Block-engine cp bound equals 3 - (3/4)(N_p/p)^2 for p = 1..10, non-decreasing, < 3."""
     tol = 1e-9
     state = _qubit_state(0.0)
     _, fisher, tilde = sld_analysis(state)
@@ -133,7 +133,7 @@ _QUTRIT_VALUES = {
 
 
 def check_04_qutrit_cp_values() -> CheckResult:
-    """Closed-form qutrit cp bounds, cross-validated densely for p <= 3."""
+    """Closed-form qutrit cp bounds, cross-validated against the block engine for p <= 3."""
     tol = 1e-9
     cross_tol = 1e-8
     devs = []
@@ -145,12 +145,12 @@ def check_04_qutrit_cp_values() -> CheckResult:
         for p, expect in values.items():
             closed = scenarios.qutrit_cp_closed(spec, p)
             devs.append(abs(gb.cp_bound(closed, n) - float(expect)))
-            dense = compute_cp(build_collective(state, tilde, p))
-            cross.append(float(np.max(np.abs(closed.entries - dense.entries))))
+            blocks = compute_cp(build_collective(state, tilde, p))
+            cross.append(float(np.max(np.abs(closed.entries - blocks.entries))))
     ok_cross = max(cross) <= cross_tol
     res = _result(
         "04-qutrit-cp-values", devs, tol,
-        extra=f"dense cross-val max {max(cross):.3e} (tol {cross_tol:.1e})",
+        extra=f"block cross-val max {max(cross):.3e} (tol {cross_tol:.1e})",
     )
     return CheckResult(res.name, res.passed and ok_cross, res.detail)
 

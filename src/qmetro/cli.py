@@ -322,7 +322,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nu", type=int, help="repetition count carried as metadata")
     p.add_argument("--seed", type=int, help="seed for Monte Carlo entries")
     p.add_argument("--mc-samples", dest="mc_samples", type=int, help="Monte Carlo sample count")
-    p.add_argument("--max-dim", dest="max_dim", type=int, help="cap on d^p (env QMETRO_MAX_DIM)")
+    p.add_argument(
+        "--max-dim",
+        dest="max_dim",
+        type=int,
+        help="cap on the largest matrix built: d^p on dense paths, the largest "
+        "irrep block on the block path (env QMETRO_MAX_DIM)",
+    )
     p.add_argument("--enum-cap", dest="enum_cap", type=int, help="cap on exact T_p enumeration")
     p.add_argument("--output", help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")

@@ -29,7 +29,8 @@ class DimMismatch(QmetroError):
 
 
 class DimensionOverflow(QmetroError):
-    """A Kronecker/tensor-power dimension exceeds the configured cap."""
+    """A matrix to be built (Kronecker product, tensor power or irrep
+    block) exceeds the configured dimension cap."""
 
 
 class InvalidState(QmetroError):

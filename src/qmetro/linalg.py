@@ -21,9 +21,9 @@ from .errors import (
     SingularWhenFullRankRequired,
 )
 
-#: Largest allowed dimension of any Kronecker product result.  Bounds the
-#: memory used by tensor powers rho^(x)p; overridable per call (the CLI maps
-#: QMETRO_MAX_DIM onto this).
+#: Largest allowed dimension of any matrix built: a Kronecker product or
+#: tensor power rho^(x)p here, an irrep block in ``tensor``.  Overridable
+#: per call (the CLI maps QMETRO_MAX_DIM onto this).
 DEFAULT_DIM_CAP = 16384
 
 #: Per-entry absolute tolerance for Hermitian-symmetry checks.

@@ -2,9 +2,9 @@
 qutrit with Gell-Mann generators, plus their closed-form combinatorics.
 
 The closed forms (binomial for the qubit, trinomial for the qutrit) give
-exact per-copy tradeoff values at delta = 0 for any p, which the dense
-tensor path must reproduce within its dimension cap; they double as
-regression fixtures and as CLI presets.
+exact per-copy tradeoff values at delta = 0 for any p, which the
+irrep-block engine of :mod:`qmetro.tensor` must reproduce; they double
+as regression fixtures and as CLI presets.
 """
 
 from __future__ import annotations

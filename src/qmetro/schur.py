@@ -1,0 +1,136 @@
+"""Schur–Weyl decomposition of (C^d)^(x)p into Gelfand–Tsetlin irrep blocks.
+
+    (C^d)^(x)p = (+)_lambda  V_lambda (x) P_lambda
+
+over the partitions lambda of p with at most d rows.  gl(d) acts on
+V_lambda (dimension dim_lambda, Weyl's formula) and S_p on P_lambda
+(dimension m_lambda, the hook-length formula).  So every collective
+operator pi(A) = sum_r A^(r) acts as pi_lambda(A) (x) I_{m_lambda}, and
+every tensor power g^(x)p as Pi_lambda(g) (x) I_{m_lambda}.
+
+In the orthonormal Gelfand–Tsetlin (GT) basis of V_lambda the matrices
+pi_lambda(E_ab) of the matrix units are real, and Pi_lambda(D) of a
+diagonal D is diagonal with entries prod_i D_i^{w_i}, where w is the
+weight of the basis pattern.  Formulas: Molev, "Gelfand–Tsetlin bases
+for classical Lie algebras", arXiv:math/0211289, section 2.3.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+Pattern = tuple[tuple[int, ...], ...]  # rows of lengths 1, 2, ..., d
+
+
+def partitions(p: int, d: int) -> list[tuple[int, ...]]:
+    """Partitions of p with at most d rows, padded with zeros to length d."""
+
+    def parts(total: int, rows: int, largest: int):
+        if rows == 0:
+            if total == 0:
+                yield ()
+            return
+        for head in range(min(total, largest), -1, -1):
+            for tail in parts(total - head, rows - 1, head):
+                yield (head,) + tail
+
+    return list(parts(p, d, p))
+
+
+def multiplicity(shape: tuple[int, ...]) -> int:
+    """m_lambda = p! / prod(hook lengths), the dimension of the S_p irrep."""
+    cols = [sum(1 for r in shape if r > c) for c in range(shape[0])]
+    hooks = 1
+    for i, row in enumerate(shape):
+        for c in range(row):
+            hooks *= (row - c - 1) + (cols[c] - i - 1) + 1
+    return math.factorial(sum(shape)) // hooks
+
+
+def irrep_dim(shape: tuple[int, ...]) -> int:
+    """dim_lambda = prod_{i<j} (lambda_i - lambda_j + j - i) / (j - i) (Weyl)."""
+    num = den = 1
+    for i, j in itertools.combinations(range(len(shape)), 2):
+        num *= shape[i] - shape[j] + j - i
+        den *= j - i
+    return num // den
+
+
+def gt_patterns(shape: tuple[int, ...]) -> list[Pattern]:
+    """GT patterns with top row ``shape``: row k-1 interlaces row k,
+    lambda_{k,i} >= lambda_{k-1,i} >= lambda_{k,i+1}."""
+
+    def below(row: tuple[int, ...]):
+        ranges = [range(row[i + 1], row[i] + 1) for i in range(len(row) - 1)]
+        return itertools.product(*ranges)
+
+    def patterns(row: tuple[int, ...]):
+        if len(row) == 1:
+            yield (row,)
+            return
+        for lower in below(row):
+            for rest in patterns(lower):
+                yield rest + (row,)
+
+    return list(patterns(tuple(shape)))
+
+
+def gt_basis(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and the real orthonormal pi_lambda(E_ab) of one irrep.
+
+    Returns ``(weights, gens)``: ``weights[q, a]`` is the E_aa eigenvalue
+    of basis pattern q, and ``gens[a, b]`` is the dim x dim matrix of
+    pi_lambda(E_ab).  E_{k,k+1} comes from the square-root GT formula,
+    E_{k+1,k} is its transpose, and |a - b| > 1 follows by commutators
+    E_ab = [E_{a,b-1}, E_{b-1,b}].
+    """
+    d = len(shape)
+    pats = gt_patterns(shape)
+    index = {pat: q for q, pat in enumerate(pats)}
+    dim = len(pats)
+    sums = np.array([[0] + [sum(row) for row in pat] for pat in pats])
+    weights = np.diff(sums, axis=1).astype(float)
+    gens = np.zeros((d, d, dim, dim))
+    for a in range(d):
+        gens[a, a] = np.diag(weights[:, a])
+    for q, pat in enumerate(pats):
+        # l_{k,i} = lambda_{k,i} - i + 1 (1-based i); rows are 0-based here.
+        ls = [[lam - i for i, lam in enumerate(row)] for row in pat]
+        for k in range(d - 1):  # E_{k,k+1} raises row k (length k + 1)
+            row, upper = ls[k], ls[k + 1]
+            lower = ls[k - 1] if k > 0 else []
+            for i, l_ki in enumerate(row):
+                raised = pat[k][:i] + (pat[k][i] + 1,) + pat[k][i + 1:]
+                target = index.get(pat[:k] + (raised,) + pat[k + 1:])
+                if target is None:
+                    continue
+                num = math.prod(l_ki - l for l in upper) * math.prod(l_ki - l + 1 for l in lower)
+                den = math.prod(
+                    (l_ki - l) * (l_ki - l + 1) for m, l in enumerate(row) if m != i
+                )
+                gens[k, k + 1, target, q] = math.sqrt(-num / den)
+    for gap in range(2, d):
+        for a in range(d - gap):
+            b = a + gap
+            x, y = gens[a, b - 1], gens[b - 1, b]
+            gens[a, b] = x @ y - y @ x
+    for a, b in itertools.combinations(range(d), 2):
+        gens[b, a] = gens[a, b].T
+    return weights, gens
+
+
+def log_diag_power(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """log of the diagonal of Pi_lambda(diag(values)), prod_i values_i^{w_i}.
+
+    Computed in log space so large p neither under- nor overflows; a zero
+    value raised to a positive power gives -inf (a zero entry), never
+    0 * log 0.
+    """
+    values = np.asarray(values, dtype=float)
+    zero = values <= 0.0
+    out = weights @ np.log(np.where(zero, 1.0, values))
+    out[np.any(weights[:, zero] > 0, axis=1)] = -np.inf
+    return out

@@ -1,28 +1,42 @@
 """Collective operators on tensor powers and the p-local tradeoff matrices.
 
-Every collective operator here has the form
-    site_sum(A, w, p) = sum_r w^(x)r (x) A (x) w^(x)(p-r-1),
-built densely by :func:`site_sum`.  With w = I it is the collective
-logarithmic derivative L_jp (used by C_p^RLD and F-bar); with w = rho it
-is the sandwiched collective commutator of C_p, by the exact identity
-    sqrt(rho^(x)p) [A_p, B_p] sqrt(rho^(x)p)
-        = site_sum(sqrt(rho) [A, B] sqrt(rho), rho, p),
-which holds because operators on distinct factors commute.  Tensor
-powers themselves come from ``linalg.kron_power``; both refuse d^p
-beyond the dimension cap.  The module computes C_p, C_p^RLD, T_p (exact
-enumeration or Monte Carlo) and the basis-dependent aggregate F-bar_Im.
+Every collective quantity here is permutation-invariant on (C^d)^(x)p, so
+it splits into Schur–Weyl irrep blocks (see :mod:`qmetro.schur`):
+
+    (C^d)^(x)p = (+)_lambda V_lambda (x) P_lambda,
+    pi(A) = sum_r A^(r) -> pi_lambda(A) (x) I_{m_lambda}.
+
+In the eigenbasis of rho = U D U+, sqrt(rho)^(x)p is the diagonal
+Pi_lambda(sqrt D) on each block.  :func:`build_collective` therefore
+stores one :class:`IrrepBlock` per partition lambda of p with at most d
+rows: sqrt(m_lambda) Pi_lambda(sqrt D) (formed in log space) and
+pi_lambda(U+ L_j U) for each operator.  C_p, C_p^RLD and AutoAlign
+F-bar_Im are sums over these blocks, whose dimensions grow polynomially
+in p.  A trace norm over the m_lambda copies of a block is m_lambda times
+the block's, which the sqrt(m_lambda) factor on both sides supplies.
+
+The dense d^p path remains for a user-supplied basis of (C^d)^(x)p
+(explicit signs, AlignEntry, OptimizeNorm) and for the eigenbasis of
+rho^(x)p: ``CollectiveOperators.rho_p``, ``sqrt_rho_p`` and
+``collective`` build d^p x d^p matrices, the last by :func:`site_sum`.
+One dimension cap bounds the largest matrix actually built: d^p on the
+dense path, the largest block dimension on the block path.  The module
+also computes T_p (exact enumeration or Monte Carlo) and the
+p -> infinity limit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from . import linalg
+from . import linalg, schur
 from .errors import (
+    DimensionOverflow,
     EnumerationOverflow,
     IncompleteBasis,
     KindMismatch,
@@ -37,8 +51,9 @@ DEFAULT_ENUM_CAP = 2_000_000
 #: Exhaustive transpose optimization only below this basis size (2^(k-1) combos).
 OPTIMIZE_MAX_VECTORS = 12
 
-#: Sign tie-break width: alignment values inside +-this take "as is".
-SIGN_TIE_ATOL = 1e-12
+#: Relative sign tie-break width: alignment values within this fraction of
+#: the largest |value| among those compared take "as is".
+SIGN_TIE_RTOL = 1e-12
 
 
 # --- sign-choice selectors ---------------------------------------------------
@@ -49,8 +64,9 @@ TRANSPOSED = "transposed"
 
 @dataclass(frozen=True)
 class AutoAlign:
-    """Use the eigenbasis of sqrt(rho_p)[L_jp, L_kp]sqrt(rho_p) and align
-    transposes so entry (j, k) of the result equals the C_p entry."""
+    """Use the eigenbasis of sqrt(rho_p)[L_jp, L_kp]sqrt(rho_p), taken
+    block by block, and align transposes so entry (j, k) of the result
+    equals the C_p entry."""
 
     j: int
     k: int
@@ -129,12 +145,26 @@ def site_sum(
 
 
 @dataclass(frozen=True)
+class IrrepBlock:
+    """The collective operators on one Schur–Weyl block lambda.
+
+    ``sqrt_weight`` is the diagonal of sqrt(m_lambda) Pi_lambda(sqrt D) in
+    the Gelfand–Tsetlin basis, ``ops[j]`` is pi_lambda(U+ L_j U), with
+    rho = U D U+.
+    """
+
+    sqrt_weight: np.ndarray  # shape (dim,)
+    ops: np.ndarray  # shape (n, dim, dim)
+
+
+@dataclass(frozen=True)
 class CollectiveOperators:
     """rho^(x)p with the collective operators of one derivative kind.
 
-    ``base_ops`` are the single-copy operators the collective ones are
-    built from.  ``rho_p``, ``sqrt_rho_p`` and ``ops`` build a d^p x d^p
-    complex matrix each on every access, under the dimension cap.
+    ``blocks`` hold the operators on the irrep blocks, the form every
+    tradeoff matrix reads.  ``base_ops`` are the single-copy operators;
+    ``rho_p``, ``sqrt_rho_p`` and ``ops`` build a d^p x d^p complex matrix
+    each on every access, under the dimension cap, for the dense paths.
     """
 
     p: int
@@ -143,6 +173,7 @@ class CollectiveOperators:
     base_rho: np.ndarray
     base_sqrt_rho: np.ndarray
     base_ops: tuple[np.ndarray, ...]
+    blocks: tuple[IrrepBlock, ...]
     dim_cap: int = DEFAULT_DIM_CAP
 
     @property
@@ -183,22 +214,40 @@ def build_collective(
     tilded: bool = True,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> CollectiveOperators:
-    """Collective operators for ``p`` copies of ``state``.
+    """Collective operators for ``p`` copies of ``state``, on irrep blocks.
 
     ``ops`` are the single-copy logarithmic derivatives (tilde ones for
-    the tradeoff matrices).  Raises DimensionOverflow when d^p exceeds
-    the cap.
+    the tradeoff matrices).  Raises DimensionOverflow, before building
+    anything, when the largest irrep block exceeds the cap.
     """
     if p < 1:
         raise KindMismatch(f"copies count must be >= 1, got {p}")
-    linalg.check_power_dim(state.dim, p, dim_cap)
+    shapes = schur.partitions(p, state.dim)
+    largest = max(schur.irrep_dim(shape) for shape in shapes)
+    if largest > dim_cap:
+        raise DimensionOverflow(
+            f"largest irrep block at p={p} has dimension {largest}, above cap {dim_cap}"
+        )
+    base_ops = tuple(np.asarray(o, dtype=np.complex128) for o in ops)
+    vecs = state.eigen.vectors
+    rotated = dagger(vecs) @ np.array(base_ops) @ vecs
+    values = state.eigen.values
+    sqrt_d = np.sqrt(np.where(values > state.rank_tol, values, 0.0))  # as state.sqrt_rho
+    blocks = []
+    for shape in shapes:
+        weights, gens = schur.gt_basis(shape)
+        log_w = 0.5 * math.log(schur.multiplicity(shape)) + schur.log_diag_power(weights, sqrt_d)
+        blocks.append(
+            IrrepBlock(sqrt_weight=np.exp(log_w), ops=np.tensordot(rotated, gens, 2))
+        )
     return CollectiveOperators(
         p=p,
         kind=kind,
         tilded=tilded,
         base_rho=state.rho,
         base_sqrt_rho=state.sqrt_rho,
-        base_ops=tuple(np.asarray(o, dtype=np.complex128) for o in ops),
+        base_ops=base_ops,
+        blocks=tuple(blocks),
         dim_cap=dim_cap,
     )
 
@@ -255,45 +304,40 @@ def _require(coll: CollectiveOperators, kind: str, tilded: bool) -> None:
         )
 
 
-def _sandwiched_commutator(coll: CollectiveOperators, j: int, k: int) -> np.ndarray:
-    """sqrt(rho_p) [L_jp, L_kp] sqrt(rho_p), as a site sum weighted by rho."""
-    s = coll.base_sqrt_rho
-    site = s @ linalg.commutator(coll.base_ops[j], coll.base_ops[k]) @ s
-    return site_sum(site, coll.base_rho, coll.p, coll.dim_cap)
+def _block_commutator(block: IrrepBlock, j: int, k: int) -> np.ndarray:
+    """sqrt(m) Pi(sqrt D) [pi(L_j), pi(L_k)] Pi(sqrt D) sqrt(m) on one block."""
+    x, s = block.ops, block.sqrt_weight
+    return s[:, None] * (x[j] @ x[k] - x[k] @ x[j]) * s
 
 
 def compute_cp(coll: CollectiveOperators) -> TradeoffMatrix:
-    """(C_p)_{jk} = 1/2 ||sqrt(rho_p) [L~_jp, L~_kp] sqrt(rho_p)||_1."""
+    """(C_p)_{jk} = 1/2 ||sqrt(rho_p) [L~_jp, L~_kp] sqrt(rho_p)||_1,
+    summed over the irrep blocks with their multiplicities."""
     _require(coll, "sld", tilded=True)
-    n = coll.n
-    entries = np.zeros((n, n))
-    for j in range(n):
-        for k in range(j + 1, n):
-            entries[j, k] = entries[k, j] = 0.5 * linalg.trace_norm(
-                _sandwiched_commutator(coll, j, k)
-            )
-    return TradeoffMatrix(kind="C", p=coll.p, entries=entries, meta={"tilded": True})
+    entries = np.zeros((coll.n, coll.n))
+    for block in coll.blocks:
+        for j, k in itertools.combinations(range(coll.n), 2):
+            entries[j, k] += 0.5 * linalg.trace_norm(_block_commutator(block, j, k))
+    return TradeoffMatrix(
+        kind="C", p=coll.p, entries=entries + entries.T, meta={"tilded": True}
+    )
 
 
 def compute_cp_rld(coll: CollectiveOperators) -> TradeoffMatrix:
     """(C_p^RLD)_{jk} = min{1/2 ||sqrt(rho_p)(L~_jp L~_kp+ - L~_kp L~_jp+)sqrt(rho_p)||_1, 2p}.
 
-    The RLD product difference does not reduce to single sites, so the
-    collective operators L~_jp are built in full.  With X_j = sqrt(rho_p) L~_jp
-    the sandwiched difference is P - P+ for P = X_j X_k+.
+    On each block, with X_j = Pi(sqrt D) pi(L~_j), the sandwiched
+    difference is P - P+ for P = X_j X_k+.
     """
     _require(coll, "rld", tilded=True)
-    n = coll.n
-    s = coll.sqrt_rho_p
-    xs = [s @ coll.collective(op) for op in coll.base_ops]
-    del s  # free d^p x d^p before the pair products
-    cap = 2.0 * coll.p
-    entries = np.zeros((n, n))
-    for j in range(n):
-        for k in range(j + 1, n):
+    entries = np.zeros((coll.n, coll.n))
+    for block in coll.blocks:
+        xs = block.sqrt_weight[:, None] * block.ops
+        for j, k in itertools.combinations(range(coll.n), 2):
             prod = xs[j] @ dagger(xs[k])
             prod -= dagger(prod)
-            entries[j, k] = entries[k, j] = min(0.5 * linalg.trace_norm(prod), cap)
+            entries[j, k] += 0.5 * linalg.trace_norm(prod)
+    entries = np.minimum(entries + entries.T, 2.0 * coll.p)
     return TradeoffMatrix(kind="C_RLD", p=coll.p, entries=entries, meta={"tilded": True})
 
 
@@ -439,16 +483,35 @@ def state_eigenbasis(coll: CollectiveOperators) -> UBasis:
     return UBasis.from_columns(es.vectors)
 
 
-def _commutator_eigenbasis(coll: CollectiveOperators, j: int, k: int) -> tuple[UBasis, np.ndarray]:
-    """Eigenbasis of sqrt(rho_p)[L_jp, L_kp]sqrt(rho_p) and the alignment
-    values a_q = (1/2i) <u_q| . |u_q> (half the imaginary eigenvalues)."""
-    es = linalg.eigh(-1j * _sandwiched_commutator(coll, j, k))  # the commutator is i H
-    return UBasis.from_columns(es.vectors), es.values / 2.0
-
-
 def _signs_from_values(values: np.ndarray) -> np.ndarray:
-    """+1 (as is) or -1 (transposed) per alignment value; ties take +1."""
-    return np.where(values < -SIGN_TIE_ATOL, -1.0, 1.0)
+    """+1 (as is) or -1 (transposed) per alignment value; ties take +1.
+
+    A value is a tie when its size is within SIGN_TIE_RTOL of the largest
+    |value| given, so the rule does not depend on the overall scale.
+    """
+    values = np.asarray(values, dtype=float)
+    tol = SIGN_TIE_RTOL * float(np.max(np.abs(values), initial=0.0))
+    return np.where(values < -tol, -1.0, 1.0)
+
+
+def _auto_align(coll: CollectiveOperators, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_q s_q Im F_{u_q} over the eigenbasis of each block's sandwiched
+    commutator, and the signs s_q, one per block eigenvector.
+
+    The alignment values a_q = (1/2i) <u_q| . |u_q> are half the imaginary
+    eigenvalues; ties are judged within each block.  The sqrt(m) factors
+    of the block weight count each vector m_lambda times.
+    """
+    total = np.zeros((coll.n, coll.n), dtype=np.complex128)
+    signs = []
+    for block in coll.blocks:
+        values, vectors = np.linalg.eigh(-1j * _block_commutator(block, j, k))
+        sign = _signs_from_values(values / 2.0)
+        cols = block.ops @ (block.sqrt_weight[:, None] * vectors)
+        flat = cols.reshape(coll.n, -1)
+        total += np.conj(flat) @ (cols * sign).reshape(coll.n, -1).T
+        signs.append(sign)
+    return np.imag(total), np.concatenate(signs)
 
 
 def _resolve_signs(signs: Signs, count: int) -> np.ndarray:
@@ -477,18 +540,18 @@ def compute_fbar_im(
     Transposing a Hermitian F_{u_q} flips its imaginary part, so a sign
     choice acts as +-1 on Im F_{u_q}.  ``signs`` may be an explicit
     per-vector selection, AlignEntry(j,k) (align within ``basis``),
-    AutoAlign(j,k) (switch to the commutator eigenbasis; the (j,k) entry
-    then reproduces the C_p entry), or OptimizeNorm() (exhaustive
-    Frobenius-norm maximization, small bases only).
+    AutoAlign(j,k) (switch to the commutator eigenbasis of each irrep
+    block; the (j,k) entry then reproduces the C_p entry, and
+    ``meta["signs"]`` has one sign per block eigenvector), or
+    OptimizeNorm() (exhaustive Frobenius-norm maximization, small bases
+    only).  All but AutoAlign work on the dense d^p basis.
 
     For collectives built from un-tilded operators pass ``fisher`` so the
     norm optimization targets ||F_Q^(-1/2) . F_Q^(-1/2)||_F.
     """
     if isinstance(signs, AutoAlign):
-        basis, align_vals = _commutator_eigenbasis(coll, signs.j, signs.k)
-        sign_arr = _signs_from_values(align_vals)
+        fbar_im, sign_arr = _auto_align(coll, signs.j, signs.k)
         strategy = f"auto_align({signs.j},{signs.k})"
-        imags = _fu_imag_parts(coll, basis)
     else:
         if basis is None:
             basis = UBasis.computational(coll.dim)
@@ -525,7 +588,7 @@ def compute_fbar_im(
         else:
             sign_arr = _resolve_signs(signs, basis.count)
             strategy = "explicit"
-    fbar_im = np.tensordot(sign_arr, imags, axes=1)
+        fbar_im = np.tensordot(sign_arr, imags, axes=1)
     fbar_im = (fbar_im - fbar_im.T) / 2.0  # exact skew symmetry
     return TradeoffMatrix(
         kind="FBAR_IM",

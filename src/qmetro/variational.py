@@ -37,10 +37,8 @@ from .tensor import (
     AlignEntry,
     Signs,
     UBasis,
-    _commutator_eigenbasis,
     _resolve_signs,
     _signs_from_values,
-    build_collective,
 )
 
 #: Residual required of the affine projection onto the unbiasedness set.
@@ -300,9 +298,10 @@ def nagaoka_alignment(
     """
     if len(ops) != 2:
         raise InvalidN(f"Nagaoka alignment is a two-parameter construction, got n={len(ops)}")
-    coll = build_collective(state, ops, 1, tilded=False)
-    basis, values = _commutator_eigenbasis(coll, 0, 1)
-    return basis, [AS_IS if s > 0 else TRANSPOSED for s in _signs_from_values(values)]
+    s = state.sqrt_rho
+    es = linalg.eigh(-1j * s @ linalg.commutator(ops[0], ops[1]) @ s)  # the commutator is i H
+    signs = _signs_from_values(es.values / 2.0)
+    return UBasis.from_columns(es.vectors), [AS_IS if v > 0 else TRANSPOSED for v in signs]
 
 
 # --- objectives and the projected subgradient minimizer ---------------------------

@@ -150,9 +150,15 @@ class TestBounds:
         assert float(read_rows(out2)[0]["value"]) == pytest.approx(45 / 16, abs=1e-9)
 
     def test_max_dim_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QMETRO_MAX_DIM", "4")
+        monkeypatch.setenv("QMETRO_MAX_DIM", "3")
         code = run_cli(["bounds", "--preset", "qubit3", "--p", "3", "--bounds", "cp"])
-        assert code == 2  # computation refused beyond the cap
+        assert code == 2  # the p = 3 spin-3/2 block has dimension 4 > cap
+
+    def test_large_p_on_blocks(self, tmp_path):
+        # 2^100 is far beyond the cap; the largest irrep block has dimension 101.
+        code = run_cli(["bounds", "--preset", "qubit3", "--p", "100",
+                        "--bounds", "cp,rld_cp,fbar", "--output", str(tmp_path / "r.csv")])
+        assert code == 0
 
     def test_cov_transforms(self, tmp_path):
         out = tmp_path / "r.csv"

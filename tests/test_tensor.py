@@ -1,18 +1,20 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from qmetro import linalg, tensor
+from qmetro import linalg, scenarios, schur, tensor
 from qmetro.errors import (
     DimensionOverflow,
     EnumerationOverflow,
     IncompleteBasis,
     KindMismatch,
 )
+from qmetro.linalg import dagger
 from qmetro.logderiv import compute_rld, compute_rld_fisher, reparametrize, sld_analysis
 from qmetro.random_instances import haar_unitary, random_linear_family
 from qmetro.scenarios import SIGMA1, SIGMA2, SIGMA3, build_scenario, parse_scenario
@@ -69,8 +71,12 @@ class TestBuildCollective:
 
     def test_dimension_cap(self, qubit_state):
         st = qubit_state(0.0)
+        # The largest block at p = 6 is the spin-3 irrep of dimension 7.
         with pytest.raises(DimensionOverflow):
-            build_collective(st, [SIGMA1], 6, dim_cap=32)
+            build_collective(st, [SIGMA1], 6, dim_cap=6)
+        coll = build_collective(st, [SIGMA1], 6, dim_cap=32)
+        with pytest.raises(DimensionOverflow):
+            coll.rho_p  # 2^6 = 64 > 32
 
 
 def literal_site_sum(a, w, p):
@@ -94,6 +100,147 @@ class TestSiteSum:
     def test_dimension_cap(self):
         with pytest.raises(DimensionOverflow):
             tensor.site_sum(np.eye(2), np.eye(2), 6, dim_cap=32)
+
+
+def dense_pair_norms(st, ops, p, rld=False):
+    """Dense oracle: 1/2 ||S [L_j, L_k] S||_1, or with ``rld`` the unclipped
+    1/2 ||S (L_j L_k+ - L_k L_j+) S||_1, from d^p x d^p matrices."""
+    s = linalg.kron_power(st.sqrt_rho, p)
+    big = [literal_site_sum(op, np.eye(st.dim), p) for op in ops]
+    out = np.zeros((len(ops), len(ops)))
+    for j, k in itertools.combinations(range(len(ops)), 2):
+        if rld:
+            m = big[j] @ dagger(big[k]) - big[k] @ dagger(big[j])
+        else:
+            m = big[j] @ big[k] - big[k] @ big[j]
+        out[j, k] = out[k, j] = 0.5 * linalg.trace_norm(s @ m @ s)
+    return out
+
+
+def dense_auto_align(st, ops, p, j, k):
+    """Dense oracle for AutoAlign(j, k) F-bar_Im: sign-aligned Im F_u over
+    the eigenbasis of S [L_j, L_k] S; ties within 1e-12 of the largest
+    |alignment value| take "as is"."""
+    s = linalg.kron_power(st.sqrt_rho, p)
+    big = [literal_site_sum(op, np.eye(st.dim), p) for op in ops]
+    vals, vecs = np.linalg.eigh(-1j * s @ (big[j] @ big[k] - big[k] @ big[j]) @ s)
+    a = vals / 2.0
+    signs = np.where(a < -1e-12 * np.max(np.abs(a)), -1.0, 1.0)
+    cols = np.array([op @ s @ vecs for op in big])  # L_x S u_q, L_x Hermitian
+    im = np.imag(np.einsum("xiq,q,yiq->xy", np.conj(cols), signs, cols))
+    return (im - im.T) / 2.0
+
+
+def _block_case(name):
+    if name == "qubit3":
+        fam = build_scenario(parse_scenario("qubit3", delta=0.5))
+    elif name == "qutrit8":
+        fam = build_scenario(parse_scenario("qutrit8", delta=0.1))
+    else:
+        d = int(name[1:])
+        fam = random_linear_family(d, 3, np.random.default_rng(500 + d))
+    return evaluate(fam, np.zeros(fam.n))
+
+
+_BLOCK_CASES = [
+    (name, p)
+    for name, d in (("d2", 2), ("d3", 3), ("d4", 4), ("qubit3", 2), ("qutrit8", 3))
+    for p in range(1, 9)
+    if d**p <= 256
+]
+
+
+def _scale_tol(ref):
+    return 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def _assert_matches_dense(st, tilde, rld_ops, p):
+    coll = build_collective(st, tilde, p)
+    ref = dense_pair_norms(st, tilde, p)
+    assert np.allclose(compute_cp(coll).entries, ref, rtol=0, atol=_scale_tol(ref))
+    for j, k in itertools.combinations(range(len(tilde)), 2):
+        ref = dense_auto_align(st, tilde, p, j, k)
+        got = compute_fbar_im(coll, None, AutoAlign(j, k)).entries
+        assert np.allclose(got, ref, rtol=0, atol=_scale_tol(ref))
+    ref = np.minimum(dense_pair_norms(st, rld_ops, p, rld=True), 2.0 * p)
+    got = compute_cp_rld(build_collective(st, rld_ops, p, kind="rld")).entries
+    assert np.allclose(got, ref, rtol=0, atol=_scale_tol(ref))
+
+
+class TestSchur:
+    @pytest.mark.parametrize("shape", [(3, 1, 0), (2, 1, 1), (4, 2, 1, 0)])
+    def test_gl_commutation_relations(self, shape):
+        # [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb
+        _, e = schur.gt_basis(shape)
+        assert e.shape[2] == schur.irrep_dim(shape)
+        for a, b, c, d in itertools.product(range(len(shape)), repeat=4):
+            lhs = e[a, b] @ e[c, d] - e[c, d] @ e[a, b]
+            rhs = (b == c) * e[a, d] - (d == a) * e[c, b]
+            assert np.allclose(lhs, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_blocks_fill_the_tensor_power(self, d):
+        for p in range(1, 9):
+            shapes = schur.partitions(p, d)
+            assert sum(schur.multiplicity(s) * schur.irrep_dim(s) for s in shapes) == d**p
+
+    def test_zero_value_gives_zero_weight(self):
+        weights, _ = schur.gt_basis((2, 1))
+        log_w = schur.log_diag_power(weights, np.array([1.0, 0.0]))
+        assert not np.any(np.isnan(log_w))
+        assert np.array_equal(np.exp(log_w), np.where(weights[:, 1] > 0, 0.0, 1.0))
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("name, p", _BLOCK_CASES)
+    def test_matches_dense_reference(self, name, p):
+        st = _block_case(name)
+        _, fisher, tilde = sld_analysis(st)
+        rlds = compute_rld(st)
+        rld_tilde = reparametrize(rlds, compute_rld_fisher(st, rlds, fisher))
+        _assert_matches_dense(st, tilde, rld_tilde, p)
+
+    @pytest.mark.parametrize("p", [1, 3, 5])
+    def test_rank_deficient_state(self, p):
+        # A zero eigenvalue of rho must give zero block weight, not NaN.
+        # The RLD does not exist for this pure family (the derivatives
+        # leak outside range(rho)), so C_p^RLD is checked on complex
+        # operators of the same state.
+        fam = StateFamily.linear(np.diag([1.0, 0.0]), [SIGMA1 / 2, SIGMA2 / 2])
+        st = evaluate(fam, np.zeros(2))
+        _, _, tilde = sld_analysis(st)
+        rng = np.random.default_rng(11)
+        rld_ops = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2)]
+        _assert_matches_dense(st, tilde, rld_ops, p)
+
+    @pytest.mark.parametrize("p", [20, 50, 100])
+    def test_qubit_closed_form(self, qubit_state, p):
+        st = qubit_state(0.0)
+        _, _, tilde = sld_analysis(st)
+        cp = compute_cp(build_collective(st, tilde, p))
+        assert np.allclose(cp.entries, scenarios.qubit_cp_closed(p).entries, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("p", [10, 15])
+    def test_qutrit_closed_form(self, qutrit_state, p):
+        st, spec = qutrit_state("qutrit:1,2,5")
+        _, _, tilde = sld_analysis(st)
+        cp = compute_cp(build_collective(st, tilde, p))
+        closed = scenarios.qutrit_cp_closed(spec, p)
+        assert np.allclose(cp.entries, closed.entries, rtol=0, atol=1e-10)
+
+    def test_auto_align_reproduces_cp_entry_at_large_p(self, qubit_state):
+        st = qubit_state(0.5)
+        _, _, tilde = sld_analysis(st)
+        coll = build_collective(st, tilde, 40)
+        cp = compute_cp(coll).entries[0, 1]
+        fb = compute_fbar_im(coll, None, AutoAlign(0, 1)).entries[0, 1]
+        assert fb == pytest.approx(cp, rel=1e-10)
+
+    def test_sign_ties_are_relative(self):
+        vals = np.array([1.0, -0.5, -1e-13, 0.0, 2e-13])
+        expect = np.array([1.0, -1.0, 1.0, 1.0, 1.0])
+        for scale in (1.0, 1e-15, 1e15):
+            assert np.array_equal(tensor._signs_from_values(scale * vals), expect)
 
 
 class TestComputeCp:
