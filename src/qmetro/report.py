@@ -37,6 +37,7 @@ from .tensor import (
     compute_fbar_im,
     compute_tp_exact,
     compute_tp_monte_carlo,
+    dense_collective,
     limit_fim,
 )
 from .variational import MinimizeConfig, minimize_bound
@@ -65,7 +66,7 @@ class ReportConfig:
     dim_cap: int = DEFAULT_DIM_CAP
     enum_cap: int = DEFAULT_ENUM_CAP
     weight: np.ndarray | None = None  # variational weight; default F_Q
-    variational_iters: int = 2000
+    variational_iters: int = 2000  # cap on the Holevo solver's Newton steps
     meta: dict = field(default_factory=dict)
 
 
@@ -74,9 +75,11 @@ def best_fbar(state, tilde_ops, fisher, p, dim_cap=DEFAULT_DIM_CAP) -> TradeoffM
     computational basis while 2^(d^p) stays enumerable, otherwise the best
     per-pair commutator eigenbasis (each candidate is still a single
     basis/sign choice, so the f(n) coefficient applies)."""
-    coll = build_collective(state, tilde_ops, p, kind="sld", tilded=True, dim_cap=dim_cap)
-    if coll.dim <= OPTIMIZE_MAX_VECTORS:
-        return compute_fbar_im(coll, UBasis.computational(coll.dim), OptimizeNorm())
+    dim = state.dim**p
+    if dim <= OPTIMIZE_MAX_VECTORS:
+        coll = dense_collective(state, tilde_ops, p, dim_cap=dim_cap)
+        return compute_fbar_im(coll, UBasis.computational(dim), OptimizeNorm())
+    coll = build_collective(state, tilde_ops, p, dim_cap=dim_cap)
     n = len(tilde_ops)
     best = None
     best_norm = -1.0
@@ -218,14 +221,16 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
         entries.append(
             gb.BoundEntry(
                 "variational",
-                res.value,
+                res.lower,
                 "reference",
                 None,
                 meta={
                     "target": "nu_tr_w_cov_lower",
                     "strategy": res.strategy,
                     "converged": res.converged,
-                    "certified": False,
+                    "certified": True,
+                    "upper": res.value,
+                    "gap": res.gap,
                 },
             )
         )

@@ -18,7 +18,8 @@ the block's, which the sqrt(m_lambda) factor on both sides supplies.
 The dense d^p path remains for a user-supplied basis of (C^d)^(x)p
 (explicit signs, AlignEntry, OptimizeNorm) and for the eigenbasis of
 rho^(x)p: ``CollectiveOperators.rho_p``, ``sqrt_rho_p`` and
-``collective`` build d^p x d^p matrices, the last by :func:`site_sum`.
+``collective`` build d^p x d^p matrices, the last by :func:`site_sum`,
+and :func:`dense_collective` serves them without building any block.
 One dimension cap bounds the largest matrix actually built: d^p on the
 dense path, the largest block dimension on the block path.  The module
 also computes T_p (exact enumeration or Monte Carlo) and the
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -206,6 +207,31 @@ class CollectiveOperators:
         return tuple(self.collective(op) for op in self.base_ops)
 
 
+def dense_collective(
+    state: EvaluatedState,
+    ops: Sequence[np.ndarray],
+    p: int,
+    kind: str = "sld",
+    tilded: bool = True,
+    dim_cap: int = DEFAULT_DIM_CAP,
+) -> CollectiveOperators:
+    """Collective operators for ``p`` copies of ``state`` without irrep
+    blocks: enough for the dense paths that read a supplied d^p basis
+    (explicit, AlignEntry and OptimizeNorm F-bar, ``state_eigenbasis``)."""
+    if p < 1:
+        raise KindMismatch(f"copies count must be >= 1, got {p}")
+    return CollectiveOperators(
+        p=p,
+        kind=kind,
+        tilded=tilded,
+        base_rho=state.rho,
+        base_sqrt_rho=state.sqrt_rho,
+        base_ops=tuple(np.asarray(o, dtype=np.complex128) for o in ops),
+        blocks=(),
+        dim_cap=dim_cap,
+    )
+
+
 def build_collective(
     state: EvaluatedState,
     ops: Sequence[np.ndarray],
@@ -220,17 +246,15 @@ def build_collective(
     the tradeoff matrices).  Raises DimensionOverflow, before building
     anything, when the largest irrep block exceeds the cap.
     """
-    if p < 1:
-        raise KindMismatch(f"copies count must be >= 1, got {p}")
+    coll = dense_collective(state, ops, p, kind, tilded, dim_cap)
     shapes = schur.partitions(p, state.dim)
     largest = max(schur.irrep_dim(shape) for shape in shapes)
     if largest > dim_cap:
         raise DimensionOverflow(
             f"largest irrep block at p={p} has dimension {largest}, above cap {dim_cap}"
         )
-    base_ops = tuple(np.asarray(o, dtype=np.complex128) for o in ops)
     vecs = state.eigen.vectors
-    rotated = dagger(vecs) @ np.array(base_ops) @ vecs
+    rotated = dagger(vecs) @ np.array(coll.base_ops) @ vecs
     values = state.eigen.values
     sqrt_d = np.sqrt(np.where(values > state.rank_tol, values, 0.0))  # as state.sqrt_rho
     blocks = []
@@ -240,16 +264,7 @@ def build_collective(
         blocks.append(
             IrrepBlock(sqrt_weight=np.exp(log_w), ops=np.tensordot(rotated, gens, 2))
         )
-    return CollectiveOperators(
-        p=p,
-        kind=kind,
-        tilded=tilded,
-        base_rho=state.rho,
-        base_sqrt_rho=state.sqrt_rho,
-        base_ops=base_ops,
-        blocks=tuple(blocks),
-        dim_cap=dim_cap,
-    )
+    return replace(coll, blocks=tuple(blocks))
 
 
 # --- tradeoff matrices --------------------------------------------------------

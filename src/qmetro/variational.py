@@ -7,10 +7,19 @@ Keeping every A_u as-is recovers the Holevo functional; for two
 parameters, aligning transposes in the eigenbasis of
 sqrt(rho)[X_1,X_2]sqrt(rho) recovers the Nagaoka functional.
 
-The minimizer is a projected subgradient descent over the affine set of
-locally unbiased operator tuples.  A feasible iterate X gives f(X) >= C,
-an upper estimate of the minimum C of the functional, not a certified
-lower bound on nu Tr[W Cov]; only the minimum itself is one.
+The Holevo minimum C_H is found as a minimax.  Its functional is
+f(X) = max_U Tr[W Re Z] - Tr(U^T sqrt(W) Im Z sqrt(W)) over real
+antisymmetric U with ||U|| <= 1, Z_jk = Tr(rho X_j X_k), so
+C_H = max_U h(U) where h(U), the minimum over X of a quadratic form, is
+one KKT solve.  Each h(U) is a certified lower bound on C_H and hence on
+nu Tr[W Cov]; the minimizing X*(U) is feasible, so f(X*(U)) >= C_H is an
+upper estimate.  A damped Newton ascent on h with a log-det barrier on
+||U|| < 1 closes the interval [h, f].
+
+The Nagaoka functional is minimized by projected subgradient descent.  A
+feasible iterate X gives f(X) >= C, an upper estimate of the minimum C,
+not a certified lower bound on nu Tr[W Cov]; only the minimum itself is
+one.
 """
 
 from __future__ import annotations
@@ -304,7 +313,7 @@ def nagaoka_alignment(
     return UBasis.from_columns(es.vectors), [AS_IS if v > 0 else TRANSPOSED for v in signs]
 
 
-# --- objectives and the projected subgradient minimizer ---------------------------
+# --- objectives -------------------------------------------------------------------
 
 
 def holevo_objective(
@@ -331,6 +340,241 @@ def nagaoka_objective(
     return float(np.sum(w_mat * np.real(z))) + kappa * t
 
 
+@dataclass(frozen=True)
+class MinimizeConfig:
+    """Settings for ``minimize_bound``.
+
+    ``max_iters`` caps the Newton steps of the Holevo solver and the
+    subgradient iterations of the Nagaoka descent; ``step``, ``tol`` and
+    ``patience`` tune the Nagaoka descent only.
+    """
+
+    strategy: str = "holevo"  # "holevo" | "nagaoka"
+    w: np.ndarray | None = None
+    max_iters: int = 5000
+    step: float = 0.1  # diminishing step c / sqrt(t)
+    tol: float = 1e-7  # relative improvement threshold for convergence
+    patience: int = 100  # iterations without improvement before stopping
+
+
+@dataclass(frozen=True)
+class MinimizeResult:
+    value: float  # best functional value f at a feasible X: an upper estimate of the minimum
+    ops: tuple[np.ndarray, ...]
+    trace: tuple[float, ...]  # best f seen, per iteration (non-increasing)
+    converged: bool
+    iterations: int
+    strategy: str
+    lower: float | None = None  # certified lower bound on the minimum (Holevo only)
+    gap: float | None = None  # value - lower
+
+
+# --- the Holevo bound as a minimax over U -----------------------------------------
+
+#: The Holevo solver stops once (f - h) <= HOLEVO_RTOL * f.
+HOLEVO_RTOL = 1e-10
+#: A point counts only when its KKT residual, relative to
+#: ||M|| ||sol|| + ||rhs||, is below this (a stable solve leaves ~1e-16).
+KKT_RTOL = 1e-10
+_EPS = float(np.finfo(float).eps)
+
+
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal basis, Tr(B_a B_b) = delta_ab, of the d x d Hermitian
+    matrices, stacked with shape (d^2, d, d)."""
+    out = np.zeros((d * d, d, d), dtype=np.complex128)
+    r = 1.0 / math.sqrt(2.0)
+    a = d
+    for k in range(d):
+        out[k, k, k] = 1.0
+        for l in range(k + 1, d):
+            out[a, k, l] = out[a, l, k] = r
+            out[a + 1, k, l], out[a + 1, l, k] = -1j * r, 1j * r
+            a += 2
+    return out
+
+
+def _antisymmetric_basis(n: int) -> np.ndarray:
+    """E_a = e_j e_k^T - e_k e_j^T for j < k, stacked (n(n-1)/2, n, n)."""
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    out = np.zeros((len(pairs), n, n))
+    for a, (j, k) in enumerate(pairs):
+        out[a, j, k], out[a, k, j] = 1.0, -1.0
+    return out
+
+
+@dataclass(frozen=True)
+class _HolevoPoint:
+    """One evaluation of the inner minimum at U = sum_a u_a E_a."""
+
+    u: np.ndarray
+    h: float  # x*^T K(U) x*, the value the Newton ascent follows
+    err: float  # error allowance of h: its rounding level plus the residual's effect
+    counts: bool  # the KKT residual is small enough for h - err and f(X*) to count
+    f: float  # the Holevo functional at X*(U)
+    x: np.ndarray  # (n, d^2) coordinates of X*(U)
+    grad: np.ndarray  # dh/du
+    hess: np.ndarray  # d2h/du2
+
+
+class _HolevoProblem:
+    """The inner minimum h(U) = min_x x^T K(U) x over (I_n (x) F) x = b.
+
+    X_j = sum_a x_ja B_a in the ``_hermitian_basis``, G_ab = Tr(rho B_a B_b),
+    the rows of F are Tr(rho B_a) and Tr(d_k rho B_a), and for
+    U = sum_a u_a E_a, K(U) = W (x) Re G - (sqrt(W) U sqrt(W)) (x) Im G.
+    """
+
+    def __init__(self, state: EvaluatedState, w_mat: np.ndarray):
+        frame, _ = _constraint_frame(state)  # raises DegenerateConstraints
+        n, d = state.n, state.dim
+        self.n, self.nd = n, n * d * d
+        self.basis = _hermitian_basis(d)
+        rho_b = np.einsum("ij,ajk->aik", state.rho, self.basis)
+        self.g = np.einsum("aik,bki->ab", rho_b, self.basis)
+        self.w = w_mat
+        self.sqrt_w = np.real(linalg.sqrt_psd(w_mat))
+        self.e = _antisymmetric_basis(n)
+        self.v = np.einsum("ij,ajk,kl->ail", self.sqrt_w, self.e, self.sqrt_w)
+        f_mat = np.real(np.einsum("rij,aji->ra", np.array(frame), self.basis))
+        a_mat = np.kron(np.eye(n), f_mat)
+        size = self.nd + a_mat.shape[0]
+        self.kkt = np.zeros((size, size))
+        self.kkt[: self.nd, self.nd :] = a_mat.T
+        self.kkt[self.nd :, : self.nd] = a_mat
+        self.k0 = np.kron(w_mat, np.real(self.g))
+        self.rhs = np.zeros(size)
+        self.rhs[self.nd :] = np.eye(n + 1)[1:].reshape(-1)  # b_j = e_(j+1)
+
+    def point(self, u: np.ndarray) -> _HolevoPoint:
+        nd = self.nd
+        vu = np.tensordot(u, self.v, 1)
+        k = self.k0 - np.kron(vu, np.imag(self.g))
+        kkt = self.kkt.copy()
+        kkt[:nd, :nd] = k
+        # Least squares through the pseudo-inverse, as K is singular for a
+        # rank-deficient rho.  One refinement step wins back the accuracy
+        # an ill-conditioned K costs; the same matrix gives the Hessian.
+        pinv = np.linalg.pinv(kkt, hermitian=True)
+        sol = pinv[:, nd:] @ self.rhs[nd:]
+        sol = sol + pinv @ (self.rhs - kkt @ sol)
+        resid = float(np.linalg.norm(kkt @ sol - self.rhs))
+        sol_norm = float(np.linalg.norm(sol))
+        x = sol[:nd].reshape(self.n, -1)
+        z = x @ self.g @ x.T
+        re_term = float(np.sum(self.w * np.real(z)))
+        h = re_term - float(np.sum(vu * np.imag(z)))
+        counts = resid <= KKT_RTOL * (np.linalg.norm(kkt) * sol_norm + np.linalg.norm(self.rhs))
+        # Rounding in x^T K x is of order eps |x|^T |K| |x|; the residual
+        # moves it by at most ||sol|| ||resid|| to first order.
+        xa = np.abs(sol[:nd])
+        err = nd * _EPS * float(xa @ np.abs(k) @ xa) + sol_norm * resid
+        # ||A||_1 of the real antisymmetric A from the Hermitian iA, also
+        # when A is tiny (linalg.trace_norm treats |A| < 1e-12 as Hermitian).
+        im_w = 1j * (self.sqrt_w @ np.imag(z) @ self.sqrt_w)
+        f = re_term + float(np.sum(np.abs(np.linalg.eigvalsh(im_w))))
+        grad = -np.einsum("ajk,jk->a", self.v, np.imag(z))
+        # d2h/du_a du_b = -2 (K_a x)^T P (K_b x), P the x-block of the KKT inverse.
+        kx = -np.einsum("ajk,kb->ajb", self.v, x @ np.imag(self.g).T).reshape(len(u), nd)
+        hess = -2.0 * kx @ (pinv[:nd, :nd] @ kx.T)
+        return _HolevoPoint(u, h, err, counts, f, x, grad, (hess + hess.T) / 2.0)
+
+
+def _log_det_barrier(e: np.ndarray, u: np.ndarray):
+    """log det(I - U^T U) with its gradient and Hessian in u; None when ||U|| >= 1."""
+    uu = np.tensordot(u, e, 1)
+    n_mat = np.eye(uu.shape[0]) + uu @ uu  # I - U^T U, as U^T = -U
+    vals = np.linalg.eigvalsh(n_mat)
+    if float(np.min(vals)) <= 0.0:
+        return None
+    n_inv = np.linalg.inv(n_mat)
+    grad = -2.0 * np.einsum("aij,ij->a", e, uu @ n_inv)
+    # Along E_a, E_b: -2 Tr(N^-1 E_b^T E_a) - 2 Tr(N^-1 (E_b^T U + U^T E_b) N^-1 U^T E_a).
+    et = np.swapaxes(e, 1, 2)
+    t1 = np.einsum("bij,aji->ab", n_inv @ et, e)
+    t2 = np.einsum("bij,aji->ab", n_inv @ (et @ uu + uu.T @ e), n_inv @ uu.T @ e)
+    hess = -2.0 * (t1 + t2)
+    return float(np.sum(np.log(vals))), grad, (hess + hess.T) / 2.0
+
+
+def _newton_step(pt: _HolevoPoint, barrier, mu: float) -> tuple[np.ndarray, float]:
+    """Newton step for h + mu log det(I - U^T U) and its squared decrement."""
+    g = pt.grad + mu * barrier[1]
+    step = np.linalg.lstsq(-(pt.hess + mu * barrier[2]), g, rcond=None)[0]
+    return step, float(g @ step)
+
+
+def _line_search(prob: _HolevoProblem, pt: _HolevoPoint, barrier, mu, step, dec):
+    """Backtrack until U stays inside ||U|| < 1 and the barrier objective
+    rises by a quarter of the predicted gain, up to the rounding level of
+    h; None when no step does."""
+    phi = pt.h + mu * barrier[0]
+    t = 1.0
+    for _ in range(30):
+        u = pt.u + t * step
+        trial_barrier = _log_det_barrier(prob.e, u)
+        if trial_barrier is not None:
+            trial = prob.point(u)
+            gain = trial.h + mu * trial_barrier[0] - phi
+            if gain >= 0.25 * t * dec - (pt.err + trial.err):
+                return trial, trial_barrier
+        t *= 0.5
+    return None
+
+
+def _holevo_newton(state: EvaluatedState, w_mat: np.ndarray, max_steps: int) -> MinimizeResult:
+    """max_U h(U) by damped Newton on h + mu log det(I - U^T U), mu -> 0.
+
+    Every point gives a certified h(U) <= C_H and a feasible X*(U) with
+    f(X*(U)) >= C_H.  The loop stops when the best pair is within
+    HOLEVO_RTOL, when the barrier weight has reached its floor at a
+    central point, or when no step raises the barrier objective.
+    """
+    prob = _HolevoProblem(state, w_mat)
+    pt = prob.point(np.zeros(len(prob.e)))  # X*(0) is the canonical start
+    barrier = _log_det_barrier(prob.e, pt.u)
+    # The barrier moves h by about mu times its parameter 2n; the floor
+    # keeps that far below the stopping gap.
+    mu = 0.1 * pt.h / (2 * prob.n)
+    mu_min = 1e-6 * HOLEVO_RTOL * pt.h
+    best_f, best_x, lower = math.inf, pt.x, -math.inf
+    trace = []
+    steps = 0
+    while True:
+        if pt.counts:
+            lower = max(lower, pt.h - pt.err)
+            if pt.f < best_f:
+                best_f, best_x = pt.f, pt.x
+        trace.append(best_f)
+        converged = best_f - lower <= HOLEVO_RTOL * best_f
+        if converged or steps == max_steps:
+            break
+        steps += 1
+        step, dec = _newton_step(pt, barrier, mu)
+        if dec <= mu:  # near the central point of this mu: lower mu
+            if mu == mu_min:
+                break
+            mu = max(0.1 * mu, mu_min)
+            step, dec = _newton_step(pt, barrier, mu)
+        moved = _line_search(prob, pt, barrier, mu, step, dec)
+        if moved is None:
+            break
+        pt, barrier = moved
+    return MinimizeResult(
+        value=best_f,
+        ops=tuple(np.tensordot(best_x, prob.basis, 1)),
+        trace=tuple(trace),
+        converged=converged,
+        iterations=steps,
+        strategy="holevo",
+        lower=lower,
+        gap=best_f - lower,
+    )
+
+
+# --- the Nagaoka projected subgradient minimizer ----------------------------------
+
+
 def _real_term_gradient(
     state: EvaluatedState, ops: Sequence[np.ndarray], w_mat: np.ndarray
 ) -> list[np.ndarray]:
@@ -340,24 +584,6 @@ def _real_term_gradient(
     return [
         hermitian_part(sum(w_mat[l, k] * sym[k] for k in range(n))) for l in range(n)
     ]
-
-
-def _holevo_subgradient(
-    state: EvaluatedState, ops: Sequence[np.ndarray], w_mat: np.ndarray
-) -> list[np.ndarray]:
-    n = len(ops)
-    rho = state.rho
-    grads = _real_term_gradient(state, ops, w_mat)
-    z = z_matrix(state, ops)
-    sqrt_w = linalg.sqrt_psd(w_mat)
-    m = sqrt_w @ np.imag(z) @ sqrt_w
-    u_m, _, vt_m = np.linalg.svd(m)
-    q = sqrt_w @ (u_m @ vt_m) @ sqrt_w
-    half_comms = [hermitian_part(linalg.commutator(x, rho) / (2.0j)) for x in ops]
-    for l in range(n):
-        extra = sum((q[l, k] - q[k, l]) * half_comms[k] for k in range(n))
-        grads[l] = grads[l] + hermitian_part(extra)
-    return grads
 
 
 def _nagaoka_subgradient(
@@ -376,56 +602,14 @@ def _nagaoka_subgradient(
     return grads
 
 
-@dataclass(frozen=True)
-class MinimizeConfig:
-    """Settings for the projected subgradient descent."""
-
-    strategy: str = "holevo"  # "holevo" | "nagaoka"
-    w: np.ndarray | None = None
-    max_iters: int = 5000
-    step: float = 0.1  # diminishing step c / sqrt(t)
-    tol: float = 1e-7  # relative improvement threshold for convergence
-    patience: int = 100  # iterations without improvement before stopping
-
-
-@dataclass(frozen=True)
-class MinimizeResult:
-    value: float
-    ops: tuple[np.ndarray, ...]
-    trace: tuple[float, ...]  # best objective seen, per iteration (non-increasing)
-    converged: bool
-    iterations: int
-    strategy: str
-
-
-def minimize_bound(
+def _nagaoka_descent(
     state: EvaluatedState,
-    slds: DerivativeSet,
-    fisher: FisherData,
-    config: MinimizeConfig | None = None,
+    start: Sequence[np.ndarray],
+    w_mat: np.ndarray,
+    cfg: MinimizeConfig,
 ) -> MinimizeResult:
-    """Minimize the chosen bound functional over locally unbiased sets.
-
-    Starts from the canonical X_j = sum_k (F_Q^-1)_{jk} L_k (feasible by
-    construction) and keeps every iterate feasible.  The best value seen
-    is an upper estimate of the minimum, not a certified lower bound on
-    nu Tr[W Cov]; non-convergence is reported via the flag, never as an
-    error.
-    """
-    cfg = config or MinimizeConfig()
-    n = fisher.n
-    w_mat = _check_weight(cfg.w, n)
-    if cfg.strategy == "holevo":
-        objective, subgradient = holevo_objective, _holevo_subgradient
-    elif cfg.strategy == "nagaoka":
-        if n != 2:
-            raise InvalidN("the Nagaoka strategy is defined for n = 2")
-        objective, subgradient = nagaoka_objective, _nagaoka_subgradient
-    else:
-        raise InvalidN(f"unknown strategy {cfg.strategy!r}")
-
-    current = list(canonical_unbiased(slds, fisher).ops)
-    best_val = objective(state, current, w_mat)
+    current = list(start)
+    best_val = nagaoka_objective(state, current, w_mat)
     best_ops = [x.copy() for x in current]
     trace = [best_val]
     stall = 0
@@ -433,7 +617,7 @@ def minimize_bound(
     iterations = 0
     for t in range(1, cfg.max_iters + 1):
         iterations = t
-        grads = subgradient(state, current, w_mat)
+        grads = _nagaoka_subgradient(state, current, w_mat)
         gnorm = math.sqrt(sum(float(np.sum(np.abs(g) ** 2)) for g in grads))
         if gnorm < 1e-14:
             converged = True
@@ -442,7 +626,7 @@ def minimize_bound(
         alpha = cfg.step / math.sqrt(t)
         stepped = [x - alpha * g / gnorm for x, g in zip(current, grads)]
         current = list(project_unbiased(stepped, state).ops)
-        val = objective(state, current, w_mat)
+        val = nagaoka_objective(state, current, w_mat)
         if val < best_val - cfg.tol * max(1.0, abs(best_val)):
             best_val = val
             best_ops = [x.copy() for x in current]
@@ -462,5 +646,36 @@ def minimize_bound(
         trace=tuple(trace),
         converged=converged,
         iterations=iterations,
-        strategy=cfg.strategy,
+        strategy="nagaoka",
     )
+
+
+# --- entry point --------------------------------------------------------------------
+
+
+def minimize_bound(
+    state: EvaluatedState,
+    slds: DerivativeSet,
+    fisher: FisherData,
+    config: MinimizeConfig | None = None,
+) -> MinimizeResult:
+    """Minimize the chosen bound functional over locally unbiased sets.
+
+    Both strategies start from the canonical X_j = sum_k (F_Q^-1)_{jk} L_k
+    and return a feasible X with its value f, an upper estimate of the
+    minimum.  The Holevo strategy also returns ``lower``, a certified
+    lower bound on the minimum C_H and hence on nu Tr[W Cov], and
+    converges when ``gap`` = f - lower <= HOLEVO_RTOL f.  The Nagaoka
+    strategy is a projected subgradient descent and certifies nothing.
+    Non-convergence is reported via the flag, never as an error.
+    """
+    cfg = config or MinimizeConfig()
+    n = fisher.n
+    w_mat = _check_weight(cfg.w, n)
+    if cfg.strategy == "holevo":
+        return _holevo_newton(state, w_mat, cfg.max_iters)
+    if cfg.strategy == "nagaoka":
+        if n != 2:
+            raise InvalidN("the Nagaoka strategy is defined for n = 2")
+        return _nagaoka_descent(state, canonical_unbiased(slds, fisher).ops, w_mat, cfg)
+    raise InvalidN(f"unknown strategy {cfg.strategy!r}")

@@ -49,6 +49,11 @@ class TestBuildReport:
         var = [e for e in report.entries if e.name == "variational"][0]
         assert var.kind == "reference"
         assert var.value <= 2 * 3 + 1e-9  # canonical start is <= 2n, descent only helps
+        # the value is the certified lower end of the solver's interval
+        assert var.meta["certified"] is True
+        assert var.meta["converged"] is True
+        assert var.value <= var.meta["upper"] <= var.value + 1e-8 * var.value
+        assert var.meta["gap"] == var.meta["upper"] - var.value
         report.validate()
 
     def test_rld_entries(self, qutrit_state):

@@ -5,13 +5,14 @@ import pytest
 
 from qmetro import linalg, variational
 from qmetro.errors import DegenerateConstraints, InvalidN, InvalidState, InvalidWeight
-from qmetro.logderiv import sld_analysis
+from qmetro.logderiv import compute_rld, compute_rld_fisher, sld_analysis
 from qmetro.random_instances import (
     haar_unitary,
     random_linear_family,
     random_measurement,
+    random_traceless_hermitian,
 )
-from qmetro.scenarios import SIGMA1, SIGMA2, SIGMA3
+from qmetro.scenarios import SIGMA1, SIGMA2, SIGMA3, build_scenario, parse_scenario
 from qmetro.states import EvaluatedState, StateFamily, evaluate
 from qmetro.variational import (
     LocalMeasurement,
@@ -307,6 +308,119 @@ class TestMinimize:
             st, slds, fisher, MinimizeConfig(strategy="holevo", max_iters=600)
         )
         assert res.value >= holevo.value - 1e-9
+
+
+class TestHolevoSolver:
+    """The certified interval [lower, value] of the Holevo strategy."""
+
+    @staticmethod
+    def _solve(st, w=None):
+        slds, fisher, _ = sld_analysis(st)
+        w = fisher.f_q if w is None else w
+        return minimize_bound(st, slds, fisher, MinimizeConfig(w=w)), slds, fisher
+
+    @pytest.mark.parametrize("preset", ["qubit3", "qutrit8"])
+    @pytest.mark.parametrize("delta", [0.3, 0.5])
+    def test_d_invariant_models_reach_rld_bound(self, preset, delta):
+        # Full (D-invariant) models: the Holevo bound is the RLD bound
+        # C_R = Tr(W Re F_R^-1) + ||sqrt(W) Im F_R^-1 sqrt(W)||_1.
+        fam = build_scenario(parse_scenario(preset, delta=delta))
+        st = evaluate(fam, np.zeros(fam.n))
+        res, _, fisher = self._solve(st)
+        f_rld = compute_rld_fisher(st, compute_rld(st), fisher).f_rld
+        f_inv = np.linalg.inv(f_rld)
+        sqrt_w = linalg.sqrt_psd(fisher.f_q)
+        c_r = float(np.sum(fisher.f_q * np.real(f_inv))) + linalg.trace_norm(
+            sqrt_w @ np.imag(f_inv) @ sqrt_w
+        )
+        assert res.converged
+        assert abs(res.lower - c_r) <= 1e-8 * c_r
+        assert abs(res.value - c_r) <= 1e-8 * c_r
+
+    def test_random_families_certified(self):
+        rng = np.random.default_rng(137)
+        for d in range(2, 6):
+            for n in range(2, min(5, d * d - 1) + 1):
+                st = _random_state(rng, d=d, n=n)
+                for use_fq in (True, False):
+                    slds, fisher, _ = sld_analysis(st)
+                    w = fisher.f_q if use_fq else np.eye(n)
+                    res = minimize_bound(st, slds, fisher, MinimizeConfig(w=w))
+                    assert res.lower <= res.value
+                    assert res.value - res.lower <= 1e-8 * res.value
+                    assert res.gap == res.value - res.lower
+                    sld_bound = float(np.sum(w * np.linalg.inv(fisher.f_q)))
+                    assert res.lower >= sld_bound - 1e-12
+                    start = holevo_objective(st, canonical_unbiased(slds, fisher).ops, w)
+                    assert res.value <= start * (1 + 1e-12)
+                    traces, unbias = variational.constraint_witnesses(res.ops, st)
+                    assert np.max(np.abs(traces)) <= 1e-9
+                    assert np.max(np.abs(unbias)) <= 1e-9
+                    assert holevo_objective(st, res.ops, w) == pytest.approx(
+                        res.value, rel=1e-10
+                    )
+
+    def test_subgradient_regression(self):
+        # The former projected subgradient loop stopped at 2.2202 here.
+        st = evaluate(random_linear_family(2, 2, np.random.default_rng(5)), np.zeros(2))
+        res, _, _ = self._solve(st)
+        assert res.converged
+        assert res.value <= 2.1074
+        assert res.lower <= res.value
+
+    def test_pure_state(self):
+        # rho = |0><0| with derivatives sigma_1/2, sigma_2/2: K is singular,
+        # the KKT system is solved by least squares, and C_H = 2n at W = F_Q.
+        fam = StateFamily.linear(np.diag([1.0, 0.0]).astype(complex), [SIGMA1 / 2, SIGMA2 / 2])
+        res, _, _ = self._solve(evaluate(fam, np.zeros(2)))
+        assert res.converged
+        assert abs(res.lower - 4.0) <= 1e-9
+        assert abs(res.value - 4.0) <= 1e-9
+
+    def test_nearly_singular_state_keeps_interval(self):
+        # One eigenvalue of rho at 1e-9 makes F_Q of order 1e9: the rounding
+        # allowance of h keeps the interval valid but wider than the tolerance.
+        rng = np.random.default_rng(3)
+        gens = [random_traceless_hermitian(3, rng) for _ in range(2)]
+        st = EvaluatedState.from_matrices(np.diag([0.6, 0.4 - 1e-9, 1e-9]), gens)
+        res, _, _ = self._solve(st)
+        assert not res.converged
+        assert res.lower <= res.value
+        assert res.gap <= 1e-5 * res.value
+        assert res.iterations < 100
+        traces, unbias = variational.constraint_witnesses(res.ops, st)
+        assert np.max(np.abs(traces)) <= 1e-9
+        assert np.max(np.abs(unbias)) <= 1e-9
+
+    def test_derivatives_match_finite_differences(self):
+        # The Newton ascent reads dh/du and d2h/du2 off the KKT solve and
+        # the barrier's derivatives in closed form.
+        rng = np.random.default_rng(139)
+        st = _random_state(rng, d=3, n=3)
+        _, fisher, _ = sld_analysis(st)
+        prob = variational._HolevoProblem(st, fisher.f_q)
+        u = 0.2 * rng.standard_normal(3)
+        pt = prob.point(u)
+        barrier = variational._log_det_barrier(prob.e, u)
+        eps = 1e-6
+        for a, step in enumerate(np.eye(3) * eps):
+            hi, lo = prob.point(u + step), prob.point(u - step)
+            assert (hi.h - lo.h) / (2 * eps) == pytest.approx(pt.grad[a], abs=1e-7)
+            assert np.allclose((hi.grad - lo.grad) / (2 * eps), pt.hess[a], atol=1e-7)
+            b_hi = variational._log_det_barrier(prob.e, u + step)
+            b_lo = variational._log_det_barrier(prob.e, u - step)
+            assert (b_hi[0] - b_lo[0]) / (2 * eps) == pytest.approx(barrier[1][a], abs=1e-7)
+            assert np.allclose((b_hi[1] - b_lo[1]) / (2 * eps), barrier[2][a], atol=1e-7)
+        assert variational._log_det_barrier(prob.e, np.array([1.0, 0.0, 0.0])) is None
+
+    def test_degenerate_constraints(self):
+        # Tr(d_1 rho X) and Tr(d_2 rho X) cannot both be prescribed when the
+        # derivatives coincide; the solver refuses the frame.
+        good = EvaluatedState.from_matrices(np.eye(2) / 2, [SIGMA1 / 2, SIGMA2 / 2])
+        slds, fisher, _ = sld_analysis(good)
+        bad = EvaluatedState.from_matrices(np.eye(2) / 2, [SIGMA1 / 2, SIGMA1 / 2])
+        with pytest.raises(DegenerateConstraints):
+            minimize_bound(bad, slds, fisher)
 
 
 class TestCovariances:
