@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -348,7 +349,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it holds no state
+    between ``parse_args`` calls and its defaults read no environment."""
     parser = _Parser(prog="qmetro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -149,17 +149,20 @@ def trace_norm(m: np.ndarray) -> float:
 
     Hermitian and skew-Hermitian inputs take an eigenvalue fast path
     (singular values are |eigenvalues| there); the general case uses a
-    full SVD.  The contract is identical on all paths.
+    full SVD.  The contract is identical on all paths.  Symmetry is
+    judged relative to the largest entry, HERMITIAN_ATOL * max|m|, so a
+    tiny skew-Hermitian matrix is not mistaken for a Hermitian one.
     """
     a = as_matrix(m)
     if a.size == 0:
         return 0.0
     if a.shape[0] == a.shape[1]:
+        tol = HERMITIAN_ATOL * np.max(np.abs(a))
         dev_h = np.max(np.abs(a - dagger(a)))
-        if dev_h <= HERMITIAN_ATOL:
+        if dev_h <= tol:
             return float(np.sum(np.abs(np.linalg.eigvalsh(hermitian_part(a)))))
         dev_s = np.max(np.abs(a + dagger(a)))
-        if dev_s <= HERMITIAN_ATOL:
+        if dev_s <= tol:
             return float(np.sum(np.abs(np.linalg.eigvalsh(hermitian_part(1j * a)))))
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 

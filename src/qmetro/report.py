@@ -93,6 +93,11 @@ def best_fbar(state, tilde_ops, fisher, p, dim_cap=DEFAULT_DIM_CAP) -> TradeoffM
     return best
 
 
+def _stderr_max(tp: TradeoffMatrix) -> float:
+    """Largest per-entry standard error of a Monte Carlo T_p."""
+    return float(np.max(tp.meta["stderr"]))
+
+
 def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
     """Compute every requested bound for every p in the config."""
     which = tuple(config.bounds)
@@ -119,6 +124,7 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
         if "tp" in which:
             try:
                 tp = compute_tp_exact(state, tilde, p, enum_cap=config.enum_cap)
+                meta = {"method": "exact"}
             except EnumerationOverflow:
                 warnings.warn(
                     f"exact T_{p} enumeration exceeds cap; switching to Monte Carlo",
@@ -127,11 +133,9 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
                 tp = compute_tp_monte_carlo(
                     state, tilde, p, config.mc_samples, config.seed
                 )
-            entries.append(
-                gb.BoundEntry(
-                    "tp", gb.tp_bound(tp, n), "upper", p, meta={"method": tp.meta["method"]}
-                )
-            )
+                meta = {"method": "monte_carlo", "fallback": "enum_cap",
+                        "stderr_max": _stderr_max(tp)}
+            entries.append(gb.BoundEntry("tp", gb.tp_bound(tp, n), "upper", p, meta=meta))
         if "tp_mc" in which:
             tp = compute_tp_monte_carlo(state, tilde, p, config.mc_samples, config.seed)
             entries.append(
@@ -140,7 +144,8 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
                     gb.tp_bound(tp, n),
                     "upper",
                     p,
-                    meta={"samples": config.mc_samples, "seed": config.seed},
+                    meta={"samples": config.mc_samples, "seed": config.seed,
+                          "stderr_max": _stderr_max(tp)},
                 )
             )
         if "fbar" in which:

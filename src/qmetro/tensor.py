@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -356,28 +356,53 @@ def compute_cp_rld(coll: CollectiveOperators) -> TradeoffMatrix:
     return TradeoffMatrix(kind="C_RLD", p=coll.p, entries=entries, meta={"tilded": True})
 
 
-def _diag_commutator_elements(
-    state: EvaluatedState, tilde_ops: Sequence[np.ndarray], j: int, k: int
-) -> np.ndarray:
-    """c_i = <Psi_i|[L~_j, L~_k]|Psi_i> on the support (purely imaginary)."""
-    comm = linalg.commutator(tilde_ops[j], tilde_ops[k])
-    vecs = state.support_vectors
-    vals = np.einsum("ai,ab,bi->i", np.conj(vecs), comm, vecs)
-    return np.imag(vals)
+def _pair_commutator_table(state: EvaluatedState, tilde_ops: Sequence[np.ndarray]) -> np.ndarray:
+    """c[i, q] = Im <Psi_i|[L~_j, L~_k]|Psi_i> on the support, for every
+    pair q = (j, k), j < k, in ``itertools.combinations`` order.
+
+    With G_jk = <Psi_i|L~_j L~_k|Psi_i> for Hermitian L~, the commutator's
+    diagonal is G_jk - G_kj = 2i Im G_jk, so one product of the columns
+    L~_j Psi_i gives every pair.
+    """
+    cols = np.array(tilde_ops) @ state.support_vectors  # (n, d, m)
+    gram = np.einsum("jai,kai->ijk", np.conj(cols), cols)
+    j, k = np.triu_indices(len(tilde_ops), 1)
+    return 2.0 * np.imag(gram[:, j, k])
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All occupation vectors of ``parts`` nonnegative ints summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _pair_matrix(n: int, values: np.ndarray) -> np.ndarray:
+    """Symmetric n x n matrix with zero diagonal from per-pair values."""
+    out = np.zeros((n, n))
+    out[np.triu_indices(n, 1)] = values
+    return out + out.T
 
 
 def composition_count(total: int, parts: int) -> int:
     return math.comb(total + parts - 1, parts - 1)
+
+
+def compositions(total: int, parts: int) -> np.ndarray:
+    """All occupation vectors of ``parts`` nonnegative ints summing to
+    ``total``, one per row, in lexicographic order.
+
+    Stars and bars: each choice of ``parts - 1`` bar positions among
+    ``total + parts - 1`` slots is one vector, and
+    ``itertools.combinations`` yields the choices in the same order.
+    """
+    count = composition_count(total, parts)
+    slots = total + parts - 1
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
+        dtype=np.int64,
+        count=count * (parts - 1),
+    ).reshape(count, parts - 1)
+    edges = np.empty((count, parts + 1), dtype=np.int64)
+    edges[:, 0] = -1
+    edges[:, 1:-1] = bars
+    edges[:, -1] = slots
+    occupations = np.diff(edges, axis=1)
+    occupations -= 1
+    return occupations
 
 
 def compute_tp_exact(
@@ -391,7 +416,9 @@ def compute_tp_exact(
     (T_p)_{jk} = 1/2 sum_k multinomial(p; k) prod_i lambda_i^{k_i}
                  |sum_i k_i <Psi_i|[L~_j, L~_k]|Psi_i>|,
     exact to floating precision (no sampling).  Multinomial weights are
-    accumulated in log space.
+    accumulated in log space.  The count is checked against ``enum_cap``
+    before anything is allocated; the pairs then share one occupation
+    array and one commutator table, read one pair at a time.
     """
     m = state.support_rank
     count = composition_count(p, m)
@@ -399,35 +426,23 @@ def compute_tp_exact(
         raise EnumerationOverflow(
             f"{count} occupation vectors exceed enumeration cap {enum_cap}"
         )
-    lam = state.support_values
-    log_lam = np.log(lam)
-    n = len(tilde_ops)
-    cvals = [
-        [_diag_commutator_elements(state, tilde_ops, j, k) for k in range(n)]
-        for j in range(n)
-    ]
-    occupations = np.array(list(_compositions(p, m)), dtype=np.int64)
+    table = _pair_commutator_table(state, tilde_ops)
+    occupations = compositions(p, m)
     log_fact = np.array([math.lgamma(i + 1) for i in range(p + 1)])
     log_w = (
         log_fact[p]
         - np.sum(log_fact[occupations], axis=1)
-        + occupations.astype(float) @ log_lam
+        + occupations @ np.log(state.support_values)
     )
     weights = np.exp(log_w)
     occupations = occupations.astype(float)
-    entries = np.zeros((n, n))
-    for j in range(n):
-        for k in range(j + 1, n):
-            vals = np.abs(occupations @ cvals[j][k])
-            entries[j, k] = entries[k, j] = 0.5 * float(weights @ vals)
+    pairs = [0.5 * float(weights @ np.abs(occupations @ c)) for c in table.T]
     return TradeoffMatrix(
-        kind="T", p=p, entries=entries, meta={"tilded": True, "method": "exact"}
+        kind="T",
+        p=p,
+        entries=_pair_matrix(len(tilde_ops), pairs),
+        meta={"tilded": True, "method": "exact"},
     )
-
-
-def derive_seed(seed: int, j: int, k: int) -> np.random.Generator:
-    """Independent stream per (j, k) entry so parallel and serial runs agree."""
-    return np.random.default_rng(np.random.SeedSequence((int(seed), int(j), int(k))))
 
 
 def compute_tp_monte_carlo(
@@ -437,30 +452,36 @@ def compute_tp_monte_carlo(
     samples: int,
     seed: int,
 ) -> TradeoffMatrix:
-    """Monte Carlo T_p: sample mean of |sum_r c_{v_r}| over iid eigenvector
-    draws, with a per-entry standard error reported in ``meta``."""
+    """Monte Carlo T_p: sample mean of 1/2 |sum_r c_{v_r}| over iid
+    eigenvector draws v_1..v_p, with a per-entry standard error in
+    ``meta["stderr"]``.
+
+    One call draws one ``multinomial(p, lambda, size=samples)`` matrix of
+    occupation vectors from ``default_rng(seed)`` and every entry reads
+    it, so each entry is an unbiased mean with its own standard error
+    (entries are correlated with each other).  The same seed gives the
+    same matrix.
+    """
     if samples < 1:
         raise EnumerationOverflow(f"samples must be >= 1, got {samples}")
     lam = state.support_values
-    probs = lam / float(np.sum(lam))
+    counts = np.random.default_rng(seed).multinomial(p, lam / float(np.sum(lam)), size=samples)
+    counts = counts.astype(float)
+    table = _pair_commutator_table(state, tilde_ops)
+    means = np.empty(table.shape[1])
+    errs = np.zeros(table.shape[1])
+    for q, c in enumerate(table.T):
+        vals = 0.5 * np.abs(counts @ c)
+        means[q] = np.mean(vals)
+        if samples > 1:
+            errs[q] = np.std(vals, ddof=1) / math.sqrt(samples)
     n = len(tilde_ops)
-    entries = np.zeros((n, n))
-    stderr = np.zeros((n, n))
-    for j in range(n):
-        for k in range(j + 1, n):
-            c = _diag_commutator_elements(state, tilde_ops, j, k)
-            rng = derive_seed(seed, j, k)
-            counts = rng.multinomial(p, probs, size=samples)
-            vals = 0.5 * np.abs(counts @ c)
-            entries[j, k] = entries[k, j] = float(np.mean(vals))
-            se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-            stderr[j, k] = stderr[k, j] = se
     return TradeoffMatrix(
         kind="T",
         p=p,
-        entries=entries,
+        entries=_pair_matrix(n, means),
         meta={"tilded": True, "method": "monte_carlo", "samples": samples, "seed": seed,
-              "stderr": stderr},
+              "stderr": _pair_matrix(n, errs)},
     )
 
 

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from qmetro.cli import main
+import qmetro
+from qmetro.cli import main, make_parser
 from qmetro.scenarios import build_scenario, parse_scenario
 from qmetro.states import save_family
 
@@ -93,6 +97,46 @@ class TestBounds:
         run_cli(args + ["--output", str(a)])
         run_cli(args + ["--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
+        stderrs = []
+        for row in read_rows(a):
+            meta = json.loads(row["meta"])
+            if row["bound_name"] == "tp_mc":
+                assert set(meta) == {"kind", "samples", "seed", "stderr_max"}
+                assert isinstance(meta["stderr_max"], float)
+                stderrs.append(meta["stderr_max"])
+            else:
+                assert meta == {"kind": "upper"}
+        # at p = 1 every draw of the qubit's |c| is the same; at p = 2 not
+        assert stderrs[0] == 0.0 < stderrs[1]
+
+    def test_parser_reuse_matches_fresh_process(self, tmp_path, capfd):
+        # One process builds the parser once; a failed parse, a seeded call
+        # and an unseeded call after it must each behave as in a new process.
+        calls = [
+            ["bounds", "--preset", "qubit3", "--nu", "x"],
+            ["bounds", "--preset", "qubit3", "--p", "2", "--bounds", "cp,tp"],
+            ["bounds", "--preset", "qubit3", "--delta", "0.3", "--p", "3",
+             "--bounds", "tp_mc", "--mc-samples", "200", "--seed", "5"],
+            ["bounds", "--preset", "qubit3", "--delta", "0.3", "--p", "3",
+             "--bounds", "tp_mc", "--mc-samples", "200"],
+        ]
+        src = os.path.dirname(os.path.dirname(qmetro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        codes, outputs = [], []
+        for argv in calls:
+            code = run_cli(argv)
+            out, err = capfd.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-c", "import sys, qmetro.cli; sys.exit(qmetro.cli.main())",
+                 *argv],
+                capture_output=True, text=True, env=env, cwd=tmp_path,
+            )
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+            codes.append(code)
+            outputs.append(out)
+        assert codes == [1, 0, 0, 0]
+        assert make_parser() is make_parser()
+        assert outputs[2] != outputs[3]  # --seed 5 did not stick
 
     def test_bad_config_exit_1(self, capsys):
         assert run_cli(["bounds", "--preset", "nosuch", "--p", "1"]) == 1

@@ -95,6 +95,20 @@ class TestTraceNorm:
         # Oracle: M = i sigma_2 has M+ M = I, singular values (1, 1).
         assert linalg.trace_norm(1j * SIGMA2) == pytest.approx(2.0, abs=1e-12)
 
+    def test_tiny_skew_hermitian(self):
+        # Every entry is below the absolute Hermitian tolerance, so only a
+        # relative test keeps this off the Hermitian path (which gives 0).
+        m = np.array([[0.0, 3e-13], [-3e-13, 0.0]])
+        svd = float(np.sum(np.linalg.svd(m, compute_uv=False)))
+        assert svd == pytest.approx(6e-13, rel=1e-12, abs=0.0)
+        assert linalg.trace_norm(m) == pytest.approx(svd, rel=1e-12, abs=0.0)
+
+    def test_tiny_hermitian(self):
+        rng = np.random.default_rng(23)
+        h = 1e-13 * linalg.hermitian_part(complex_matrix(4, rng))
+        svd = float(np.sum(np.linalg.svd(h, compute_uv=False)))
+        assert linalg.trace_norm(h) == pytest.approx(svd, rel=1e-12, abs=0.0)
+
     def test_non_square(self):
         m = np.array([[3.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
         # Oracle: singular values of this 2x3 matrix are (4, 3).

@@ -32,6 +32,12 @@ class TestBuildReport:
         entry = report.entries[0]
         assert entry.meta["method"] == "monte_carlo"
         assert entry.value <= 2.0
+        # the row says why it is sampled and how uncertain it is
+        assert entry.meta["fallback"] == "enum_cap"
+        assert type(entry.meta["stderr_max"]) is float
+        assert entry.meta["stderr_max"] > 0.0
+        exact = build_report(st, ReportConfig(bounds=("tp",), p_list=(3,)))
+        assert exact.entries[0].meta == {"method": "exact"}
 
     def test_lower_refs_and_variational(self, qubit_state):
         st = qubit_state(0.5)

@@ -345,6 +345,33 @@ class TestComputeCpRld:
         assert c2.entries[0, 1] <= 4.0 + 1e-12
 
 
+def recursive_compositions(total, parts):
+    """All occupation vectors of ``parts`` nonnegative ints summing to
+    ``total``, by recursion on the first part (lexicographic order)."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in recursive_compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def literal_tp_pair(st, ops, p, j, k):
+    """(T_p)_jk from its definition: the dense commutator's diagonal on the
+    support and exact multinomial weights over every occupation vector."""
+    vecs = st.support_vectors
+    comm = ops[j] @ ops[k] - ops[k] @ ops[j]
+    c = np.imag(np.einsum("ai,ab,bi->i", np.conj(vecs), comm, vecs))
+    lam = st.support_values
+    total = 0.0
+    for occ in recursive_compositions(p, len(lam)):
+        coeff = math.factorial(p)
+        for k_i in occ:
+            coeff //= math.factorial(k_i)
+        total += coeff * float(np.prod(lam ** np.array(occ))) * abs(float(np.dot(occ, c)))
+    return 0.5 * total
+
+
 class TestComputeTp:
     def test_qubit_t1(self, qubit_state):
         for delta in (0.0, 0.5):
@@ -377,6 +404,39 @@ class TestComputeTp:
         _, _, tilde = sld_analysis(st)
         with pytest.raises(EnumerationOverflow):
             compute_tp_exact(st, tilde, 3000, enum_cap=1000)
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_compositions_match_recursive_oracle(self, parts):
+        for total in range(13):
+            got = tensor.compositions(total, parts)
+            expected = np.array(list(recursive_compositions(total, parts)), dtype=np.int64)
+            assert got.shape == (tensor.composition_count(total, parts), parts)
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_exact_matches_literal_pair_sum(self, d):
+        rng = np.random.default_rng(400 + d)
+        for n in (2, 3):
+            st = evaluate(random_linear_family(d, n, rng), np.zeros(n))
+            _, _, tilde = sld_analysis(st)
+            for p in (1, 2, 4, 7):
+                tp = compute_tp_exact(st, tilde, p)
+                for j, k in itertools.combinations(range(n), 2):
+                    ref = literal_tp_pair(st, tilde, p, j, k)
+                    assert tp.entries[j, k] == pytest.approx(ref, rel=1e-13, abs=0.0)
+                    assert tp.entries[k, j] == tp.entries[j, k]
+
+    def test_monte_carlo_shared_draw_within_six_stderr(self):
+        fam = build_scenario(parse_scenario("qutrit8", delta=0.3))
+        st = evaluate(fam, np.zeros(fam.n))
+        _, _, tilde = sld_analysis(st)
+        exact = compute_tp_exact(st, tilde, 10)
+        mc = compute_tp_monte_carlo(st, tilde, 10, samples=20_000, seed=2024)
+        se = mc.meta["stderr"]
+        for j, k in itertools.combinations(range(8), 2):
+            assert abs(mc.entries[j, k] - exact.entries[j, k]) <= 6.0 * se[j, k] + 1e-12
+        assert np.array_equal(mc.entries, mc.entries.T)
+        assert np.array_equal(se, se.T)
 
     def test_monte_carlo_pure_state_exact(self):
         ket = np.array([1.0, 0.0])
