@@ -307,7 +307,7 @@ def check_09_variational_reductions() -> CheckResult:
         fam = random_linear_family(d, n, rng)
         state = evaluate(fam, np.zeros(n))
         slds, fisher, _ = sld_analysis(state)
-        x_set = variational.canonical_unbiased(slds, fisher)
+        x_set = variational.canonical_unbiased(state, slds, fisher)
         w = np.eye(n)
         via_basis = variational.evaluate_general_bound(x_set, state, w=w)
         z = variational.z_matrix(state, x_set.ops)
@@ -324,7 +324,7 @@ def check_09_variational_reductions() -> CheckResult:
         fam = random_linear_family(d, n, rng)
         state = evaluate(fam, np.zeros(n))
         slds, fisher, _ = sld_analysis(state)
-        x_set = variational.canonical_unbiased(slds, fisher)
+        x_set = variational.canonical_unbiased(state, slds, fisher)
         obj = variational.holevo_objective(state, x_set.ops, fisher.f_q)
         start_dev = max(start_dev, obj - 2 * n)
     passed = holevo_dev <= 1e-10 and nagaoka_dev <= 1e-9 and start_dev <= 1e-9

@@ -8,6 +8,7 @@ metadata to serialize deterministic CSV/JSON tables.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -27,17 +28,16 @@ from .states import EvaluatedState
 from .tensor import (
     DEFAULT_ENUM_CAP,
     OPTIMIZE_MAX_VECTORS,
-    AutoAlign,
     OptimizeNorm,
     TradeoffMatrix,
     UBasis,
+    auto_align_fbar,
     build_collective,
     compute_cp,
     compute_cp_rld,
     compute_fbar_im,
     compute_tp_exact,
     compute_tp_monte_carlo,
-    dense_collective,
     limit_fim,
 )
 from .variational import MinimizeConfig, minimize_bound
@@ -75,21 +75,17 @@ def best_fbar(state, tilde_ops, fisher, p, dim_cap=DEFAULT_DIM_CAP) -> TradeoffM
     computational basis while 2^(d^p) stays enumerable, otherwise the best
     per-pair commutator eigenbasis (each candidate is still a single
     basis/sign choice, so the f(n) coefficient applies)."""
-    dim = state.dim**p
-    if dim <= OPTIMIZE_MAX_VECTORS:
-        coll = dense_collective(state, tilde_ops, p, dim_cap=dim_cap)
-        return compute_fbar_im(coll, UBasis.computational(dim), OptimizeNorm())
     coll = build_collective(state, tilde_ops, p, dim_cap=dim_cap)
-    n = len(tilde_ops)
+    if coll.dim <= OPTIMIZE_MAX_VECTORS:
+        return compute_fbar_im(coll, UBasis.computational(coll.dim), OptimizeNorm())
     best = None
     best_norm = -1.0
-    for j in range(n):
-        for k in range(j + 1, n):
-            cand = compute_fbar_im(coll, None, AutoAlign(j, k))
-            norm = float(np.linalg.norm(cand.entries))
-            if norm > best_norm + 1e-15:
-                best_norm = norm
-                best = cand
+    pairs = list(itertools.combinations(range(coll.n), 2))
+    for cand in auto_align_fbar(coll, pairs):
+        norm = float(np.linalg.norm(cand.entries))
+        if norm > best_norm + 1e-15:
+            best_norm = norm
+            best = cand
     return best
 
 
@@ -247,9 +243,14 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
 
 
 def _mark_tightest(entries, p_list):
+    """Flag the smallest upper bound per p.  Monte Carlo T_p rows (``tp_mc``
+    and the ``tp`` fallback) are estimates, not bounds, and do not compete."""
     out = list(entries)
     for p in p_list:
-        candidates = [(i, e) for i, e in enumerate(out) if e.kind == "upper" and e.p == p]
+        candidates = [
+            (i, e) for i, e in enumerate(out) if e.kind == "upper" and e.p == p
+            and e.name != "tp_mc" and e.meta.get("method") != "monte_carlo"
+        ]
         if candidates:
             i_best = min(candidates, key=lambda t: t[1].value)[0]
             out[i_best] = replace(out[i_best], tightest=True)

@@ -7,19 +7,21 @@ it splits into Schur–Weyl irrep blocks (see :mod:`qmetro.schur`):
     pi(A) = sum_r A^(r) -> pi_lambda(A) (x) I_{m_lambda}.
 
 In the eigenbasis of rho = U D U+, sqrt(rho)^(x)p is the diagonal
-Pi_lambda(sqrt D) on each block.  :func:`build_collective` therefore
-stores one :class:`IrrepBlock` per partition lambda of p with at most d
-rows: sqrt(m_lambda) Pi_lambda(sqrt D) (formed in log space) and
-pi_lambda(U+ L_j U) for each operator.  C_p, C_p^RLD and AutoAlign
+Pi_lambda(sqrt D) on each block.  :meth:`CollectiveOperators.blocks`
+yields one partition lambda of p with at most d rows at a time:
+sqrt(m_lambda) Pi_lambda(sqrt D) (formed in log space) and the map
+A -> pi_lambda(U+ A U) of single-copy operators, so only the largest
+block bounds the memory.  C_p, C_p^RLD and AutoAlign
 F-bar_Im are sums over these blocks, whose dimensions grow polynomially
-in p.  A trace norm over the m_lambda copies of a block is m_lambda times
-the block's, which the sqrt(m_lambda) factor on both sides supplies.
+in p; C_p reads pi_lambda([A, B]) = [pi_lambda(A), pi_lambda(B)] and
+forms no block products.  A trace norm over the m_lambda copies of a
+block is m_lambda times the block's, which the sqrt(m_lambda) factor on
+both sides supplies.
 
 The dense d^p path remains for a user-supplied basis of (C^d)^(x)p
 (explicit signs, AlignEntry, OptimizeNorm) and for the eigenbasis of
 rho^(x)p: ``CollectiveOperators.rho_p``, ``sqrt_rho_p`` and
-``collective`` build d^p x d^p matrices, the last by :func:`site_sum`,
-and :func:`dense_collective` serves them without building any block.
+``collective`` build d^p x d^p matrices, the last by :func:`site_sum`.
 One dimension cap bounds the largest matrix actually built: d^p on the
 dense path, the largest block dimension on the block path.  The module
 also computes T_p (exact enumeration or Monte Carlo) and the
@@ -28,10 +30,11 @@ p -> infinity limit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -146,40 +149,25 @@ def site_sum(
 
 
 @dataclass(frozen=True)
-class IrrepBlock:
-    """The collective operators on one Schur–Weyl block lambda.
-
-    ``sqrt_weight`` is the diagonal of sqrt(m_lambda) Pi_lambda(sqrt D) in
-    the Gelfand–Tsetlin basis, ``ops[j]`` is pi_lambda(U+ L_j U), with
-    rho = U D U+.
-    """
-
-    sqrt_weight: np.ndarray  # shape (dim,)
-    ops: np.ndarray  # shape (n, dim, dim)
-
-
-@dataclass(frozen=True)
 class CollectiveOperators:
     """rho^(x)p with the collective operators of one derivative kind.
 
-    ``blocks`` hold the operators on the irrep blocks, the form every
-    tradeoff matrix reads.  ``base_ops`` are the single-copy operators;
-    ``rho_p``, ``sqrt_rho_p`` and ``ops`` build a d^p x d^p complex matrix
-    each on every access, under the dimension cap, for the dense paths.
+    Holds the single-copy ``state`` and ``base_ops`` only.  :meth:`blocks`
+    streams the irrep blocks that every tradeoff matrix reads; ``rho_p``,
+    ``sqrt_rho_p`` and ``ops`` build a d^p x d^p complex matrix each on
+    every access, under the dimension cap, for the dense paths.
     """
 
     p: int
     kind: str  # "sld" | "rld"
     tilded: bool
-    base_rho: np.ndarray
-    base_sqrt_rho: np.ndarray
+    state: EvaluatedState
     base_ops: tuple[np.ndarray, ...]
-    blocks: tuple[IrrepBlock, ...]
     dim_cap: int = DEFAULT_DIM_CAP
 
     @property
     def d(self) -> int:
-        return self.base_rho.shape[0]
+        return self.state.dim
 
     @property
     def dim(self) -> int:
@@ -191,12 +179,12 @@ class CollectiveOperators:
 
     @property
     def rho_p(self) -> np.ndarray:
-        return linalg.kron_power(self.base_rho, self.p, self.dim_cap)
+        return linalg.kron_power(self.state.rho, self.p, self.dim_cap)
 
     @property
     def sqrt_rho_p(self) -> np.ndarray:
         # sqrt(rho^(x)p) = sqrt(rho)^(x)p
-        return linalg.kron_power(self.base_sqrt_rho, self.p, self.dim_cap)
+        return linalg.kron_power(self.state.sqrt_rho, self.p, self.dim_cap)
 
     def collective(self, op: np.ndarray) -> np.ndarray:
         """sum_r I^(x)r (x) op (x) I^(x)(p-r-1)."""
@@ -206,30 +194,23 @@ class CollectiveOperators:
     def ops(self) -> tuple[np.ndarray, ...]:
         return tuple(self.collective(op) for op in self.base_ops)
 
+    def blocks(self) -> Iterator[tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]:
+        """Yield ``(sqrt_weight, pi)`` per irrep block lambda, one at a time:
+        the diagonal of sqrt(m_lambda) Pi_lambda(sqrt D) in the Gelfand–Tsetlin
+        basis, and pi(A) = pi_lambda(U+ A U) for a single-copy operator or a
+        stack of them, with rho = U D U+."""
+        vecs = self.state.eigen.vectors
+        values = self.state.eigen.values
+        sqrt_d = np.sqrt(np.where(values > self.state.rank_tol, values, 0.0))  # as sqrt_rho
+        for shape in schur.partitions(self.p, self.d):
+            weights, gens = schur.gt_basis(shape)
+            log_w = 0.5 * math.log(schur.multiplicity(shape)) + schur.log_diag_power(weights, sqrt_d)
+            # complex once per block, so pi(A) costs no conversion per call
+            yield np.exp(log_w), functools.partial(_block_image, vecs, gens.astype(np.complex128))
 
-def dense_collective(
-    state: EvaluatedState,
-    ops: Sequence[np.ndarray],
-    p: int,
-    kind: str = "sld",
-    tilded: bool = True,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> CollectiveOperators:
-    """Collective operators for ``p`` copies of ``state`` without irrep
-    blocks: enough for the dense paths that read a supplied d^p basis
-    (explicit, AlignEntry and OptimizeNorm F-bar, ``state_eigenbasis``)."""
-    if p < 1:
-        raise KindMismatch(f"copies count must be >= 1, got {p}")
-    return CollectiveOperators(
-        p=p,
-        kind=kind,
-        tilded=tilded,
-        base_rho=state.rho,
-        base_sqrt_rho=state.sqrt_rho,
-        base_ops=tuple(np.asarray(o, dtype=np.complex128) for o in ops),
-        blocks=(),
-        dim_cap=dim_cap,
-    )
+
+def _block_image(vecs: np.ndarray, gens: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    return np.tensordot(dagger(vecs) @ ops @ vecs, gens, 2)
 
 
 def build_collective(
@@ -240,31 +221,27 @@ def build_collective(
     tilded: bool = True,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> CollectiveOperators:
-    """Collective operators for ``p`` copies of ``state``, on irrep blocks.
+    """Collective operators for ``p`` copies of ``state``.
 
     ``ops`` are the single-copy logarithmic derivatives (tilde ones for
-    the tradeoff matrices).  Raises DimensionOverflow, before building
-    anything, when the largest irrep block exceeds the cap.
+    the tradeoff matrices).  Builds no block; raises KindMismatch for
+    p < 1 and DimensionOverflow when the largest block exceeds the cap.
     """
-    coll = dense_collective(state, ops, p, kind, tilded, dim_cap)
-    shapes = schur.partitions(p, state.dim)
-    largest = max(schur.irrep_dim(shape) for shape in shapes)
+    if p < 1:
+        raise KindMismatch(f"copies count must be >= 1, got {p}")
+    largest = max(schur.irrep_dim(shape) for shape in schur.partitions(p, state.dim))
     if largest > dim_cap:
         raise DimensionOverflow(
             f"largest irrep block at p={p} has dimension {largest}, above cap {dim_cap}"
         )
-    vecs = state.eigen.vectors
-    rotated = dagger(vecs) @ np.array(coll.base_ops) @ vecs
-    values = state.eigen.values
-    sqrt_d = np.sqrt(np.where(values > state.rank_tol, values, 0.0))  # as state.sqrt_rho
-    blocks = []
-    for shape in shapes:
-        weights, gens = schur.gt_basis(shape)
-        log_w = 0.5 * math.log(schur.multiplicity(shape)) + schur.log_diag_power(weights, sqrt_d)
-        blocks.append(
-            IrrepBlock(sqrt_weight=np.exp(log_w), ops=np.tensordot(rotated, gens, 2))
-        )
-    return replace(coll, blocks=tuple(blocks))
+    return CollectiveOperators(
+        p=p,
+        kind=kind,
+        tilded=tilded,
+        state=state,
+        base_ops=tuple(np.asarray(o, dtype=np.complex128) for o in ops),
+        dim_cap=dim_cap,
+    )
 
 
 # --- tradeoff matrices --------------------------------------------------------
@@ -319,22 +296,23 @@ def _require(coll: CollectiveOperators, kind: str, tilded: bool) -> None:
         )
 
 
-def _block_commutator(block: IrrepBlock, j: int, k: int) -> np.ndarray:
-    """sqrt(m) Pi(sqrt D) [pi(L_j), pi(L_k)] Pi(sqrt D) sqrt(m) on one block."""
-    x, s = block.ops, block.sqrt_weight
-    return s[:, None] * (x[j] @ x[k] - x[k] @ x[j]) * s
-
-
 def compute_cp(coll: CollectiveOperators) -> TradeoffMatrix:
     """(C_p)_{jk} = 1/2 ||sqrt(rho_p) [L~_jp, L~_kp] sqrt(rho_p)||_1,
-    summed over the irrep blocks with their multiplicities."""
+    summed over the irrep blocks with their multiplicities.
+
+    Each block reads pi_lambda(i [L~_j, L~_k]), Hermitian, for n pairs at
+    a time: no more block matrices than C_p^RLD holds, whatever n(n-1)/2 is.
+    """
     _require(coll, "sld", tilded=True)
-    entries = np.zeros((coll.n, coll.n))
-    for block in coll.blocks:
-        for j, k in itertools.combinations(range(coll.n), 2):
-            entries[j, k] += 0.5 * linalg.trace_norm(_block_commutator(block, j, k))
+    pairs = itertools.combinations(coll.base_ops, 2)
+    comms = [1j * linalg.commutator(a, b) for a, b in pairs]
+    values = np.zeros(len(comms))
+    for s, pi in coll.blocks():
+        for start in range(0, len(comms), coll.n):
+            for q, img in enumerate(pi(comms[start : start + coll.n]), start):
+                values[q] += 0.5 * linalg.trace_norm(s[:, None] * img * s)
     return TradeoffMatrix(
-        kind="C", p=coll.p, entries=entries + entries.T, meta={"tilded": True}
+        kind="C", p=coll.p, entries=_pair_matrix(coll.n, values), meta={"tilded": True}
     )
 
 
@@ -346,8 +324,8 @@ def compute_cp_rld(coll: CollectiveOperators) -> TradeoffMatrix:
     """
     _require(coll, "rld", tilded=True)
     entries = np.zeros((coll.n, coll.n))
-    for block in coll.blocks:
-        xs = block.sqrt_weight[:, None] * block.ops
+    for s, pi in coll.blocks():
+        xs = s[:, None] * pi(coll.base_ops)
         for j, k in itertools.combinations(range(coll.n), 2):
             prod = xs[j] @ dagger(xs[k])
             prod -= dagger(prod)
@@ -486,14 +464,16 @@ def compute_tp_monte_carlo(
 
 
 def limit_fim(state: EvaluatedState, tilde_ops: Sequence[np.ndarray]) -> TradeoffMatrix:
-    """Entrywise p -> infinity limit of C_p/p: 1/2 |Tr(rho [L~_j, L~_k])|."""
-    n = len(tilde_ops)
-    entries = np.zeros((n, n))
-    for j in range(n):
-        for k in range(j + 1, n):
-            val = complex(np.trace(state.rho @ linalg.commutator(tilde_ops[j], tilde_ops[k])))
-            entries[j, k] = entries[k, j] = 0.5 * abs(val)
-    return TradeoffMatrix(kind="LIMIT", p=1, entries=entries, meta={"tilded": True})
+    """Entrywise p -> infinity limit of C_p/p: 1/2 |Tr(rho [L~_j, L~_k])|.
+
+    For Hermitian L~ this is |Im Tr(rho L~_j L~_k)|, the eigenvalue-weighted
+    sum of the commutator table's diagonals.
+    """
+    table = _pair_commutator_table(state, tilde_ops)
+    values = 0.5 * np.abs(state.support_values @ table)
+    return TradeoffMatrix(
+        kind="LIMIT", p=1, entries=_pair_matrix(len(tilde_ops), values), meta={"tilded": True}
+    )
 
 
 # --- F-bar aggregates ----------------------------------------------------------
@@ -530,24 +510,50 @@ def _signs_from_values(values: np.ndarray) -> np.ndarray:
     return np.where(values < -tol, -1.0, 1.0)
 
 
-def _auto_align(coll: CollectiveOperators, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """sum_q s_q Im F_{u_q} over the eigenbasis of each block's sandwiched
-    commutator, and the signs s_q, one per block eigenvector.
+def _fbar_matrix(
+    coll: CollectiveOperators, fbar_im: np.ndarray, sign_arr: np.ndarray, strategy: str
+) -> TradeoffMatrix:
+    fbar_im = (fbar_im - fbar_im.T) / 2.0  # exact skew symmetry
+    return TradeoffMatrix(
+        kind="FBAR_IM",
+        p=coll.p,
+        entries=fbar_im,
+        meta={
+            "tilded": coll.tilded,
+            "strategy": strategy,
+            "signs": tuple(AS_IS if s > 0 else TRANSPOSED for s in sign_arr),
+        },
+    )
 
-    The alignment values a_q = (1/2i) <u_q| . |u_q> are half the imaginary
+
+def auto_align_fbar(
+    coll: CollectiveOperators, pairs: Sequence[tuple[int, int]]
+) -> list[TradeoffMatrix]:
+    """``compute_fbar_im(coll, None, AutoAlign(j, k))`` for each pair,
+    from one pass over the irrep blocks.
+
+    Per pair: sum_q s_q Im F_{u_q} over the eigenbasis of each block's
+    sandwiched commutator, with one sign s_q per block eigenvector.  The
+    alignment values a_q = (1/2i) <u_q| . |u_q> are half the imaginary
     eigenvalues; ties are judged within each block.  The sqrt(m) factors
     of the block weight count each vector m_lambda times.
     """
-    total = np.zeros((coll.n, coll.n), dtype=np.complex128)
-    signs = []
-    for block in coll.blocks:
-        values, vectors = np.linalg.eigh(-1j * _block_commutator(block, j, k))
-        sign = _signs_from_values(values / 2.0)
-        cols = block.ops @ (block.sqrt_weight[:, None] * vectors)
-        flat = cols.reshape(coll.n, -1)
-        total += np.conj(flat) @ (cols * sign).reshape(coll.n, -1).T
-        signs.append(sign)
-    return np.imag(total), np.concatenate(signs)
+    totals = np.zeros((len(pairs), coll.n, coll.n), dtype=np.complex128)
+    signs: list[list[np.ndarray]] = [[] for _ in pairs]
+    for s, pi in coll.blocks():
+        x = pi(coll.base_ops)
+        for q, (j, k) in enumerate(pairs):
+            sandwich = s[:, None] * (x[j] @ x[k] - x[k] @ x[j]) * s
+            values, vectors = np.linalg.eigh(-1j * sandwich)
+            sign = _signs_from_values(values / 2.0)
+            cols = x @ (s[:, None] * vectors)
+            flat = cols.reshape(coll.n, -1)
+            totals[q] += np.conj(flat) @ (cols * sign).reshape(coll.n, -1).T
+            signs[q].append(sign)
+    return [
+        _fbar_matrix(coll, np.imag(total), np.concatenate(sign), f"auto_align({j},{k})")
+        for (j, k), total, sign in zip(pairs, totals, signs)
+    ]
 
 
 def _resolve_signs(signs: Signs, count: int) -> np.ndarray:
@@ -586,53 +592,40 @@ def compute_fbar_im(
     norm optimization targets ||F_Q^(-1/2) . F_Q^(-1/2)||_F.
     """
     if isinstance(signs, AutoAlign):
-        fbar_im, sign_arr = _auto_align(coll, signs.j, signs.k)
-        strategy = f"auto_align({signs.j},{signs.k})"
+        return auto_align_fbar(coll, [(signs.j, signs.k)])[0]
+    if basis is None:
+        basis = UBasis.computational(coll.dim)
+    basis.check_complete()
+    imags = _fu_imag_parts(coll, basis)
+    if isinstance(signs, AlignEntry):
+        sign_arr = _signs_from_values(imags[:, signs.j, signs.k])
+        strategy = f"align_entry({signs.j},{signs.k})"
+    elif isinstance(signs, OptimizeNorm):
+        if basis.count > signs.max_vectors:
+            raise KindMismatch(
+                f"exhaustive optimization limited to {signs.max_vectors} vectors, "
+                f"basis has {basis.count}"
+            )
+        sandwich = None
+        if not coll.tilded:
+            if fisher is None:
+                raise KindMismatch("un-tilded collective needs fisher for optimization")
+            sandwich = qfim_inv_sqrt(fisher)
+        best = None
+        best_norm = -1.0
+        flip_bits = np.arange(basis.count - 1)
+        for bits in range(2 ** (basis.count - 1)):
+            cand = np.ones(basis.count)
+            cand[1:] -= 2.0 * ((bits >> flip_bits) & 1)
+            agg = np.tensordot(cand, imags, axes=1)
+            scored = agg if sandwich is None else sandwich @ agg @ sandwich
+            norm = float(np.linalg.norm(scored))
+            if norm > best_norm + 1e-15:
+                best_norm = norm
+                best = cand
+        sign_arr = best
+        strategy = "optimize_norm"
     else:
-        if basis is None:
-            basis = UBasis.computational(coll.dim)
-        basis.check_complete()
-        imags = _fu_imag_parts(coll, basis)
-        if isinstance(signs, AlignEntry):
-            sign_arr = _signs_from_values(imags[:, signs.j, signs.k])
-            strategy = f"align_entry({signs.j},{signs.k})"
-        elif isinstance(signs, OptimizeNorm):
-            if basis.count > signs.max_vectors:
-                raise KindMismatch(
-                    f"exhaustive optimization limited to {signs.max_vectors} vectors, "
-                    f"basis has {basis.count}"
-                )
-            sandwich = None
-            if not coll.tilded:
-                if fisher is None:
-                    raise KindMismatch("un-tilded collective needs fisher for optimization")
-                sandwich = qfim_inv_sqrt(fisher)
-            best = None
-            best_norm = -1.0
-            flip_bits = np.arange(basis.count - 1)
-            for bits in range(2 ** (basis.count - 1)):
-                cand = np.ones(basis.count)
-                cand[1:] -= 2.0 * ((bits >> flip_bits) & 1)
-                agg = np.tensordot(cand, imags, axes=1)
-                scored = agg if sandwich is None else sandwich @ agg @ sandwich
-                norm = float(np.linalg.norm(scored))
-                if norm > best_norm + 1e-15:
-                    best_norm = norm
-                    best = cand
-            sign_arr = best
-            strategy = "optimize_norm"
-        else:
-            sign_arr = _resolve_signs(signs, basis.count)
-            strategy = "explicit"
-        fbar_im = np.tensordot(sign_arr, imags, axes=1)
-    fbar_im = (fbar_im - fbar_im.T) / 2.0  # exact skew symmetry
-    return TradeoffMatrix(
-        kind="FBAR_IM",
-        p=coll.p,
-        entries=fbar_im,
-        meta={
-            "tilded": coll.tilded,
-            "strategy": strategy,
-            "signs": tuple(AS_IS if s > 0 else TRANSPOSED for s in sign_arr),
-        },
-    )
+        sign_arr = _resolve_signs(signs, basis.count)
+        strategy = "explicit"
+    return _fbar_matrix(coll, np.tensordot(sign_arr, imags, axes=1), sign_arr, strategy)

@@ -171,14 +171,15 @@ def project_unbiased(
     return LocallyUnbiasedSet(ops=tuple(ops), trace_residuals=traces, unbias_residual=unbias)
 
 
-def canonical_unbiased(slds: DerivativeSet, fisher: FisherData) -> LocallyUnbiasedSet:
-    """The canonical feasible tuple X_j = sum_k (F_Q^-1)_{jk} L_k."""
+def canonical_unbiased(
+    state: EvaluatedState, slds: DerivativeSet, fisher: FisherData
+) -> LocallyUnbiasedSet:
+    """The canonical feasible tuple X_j = sum_k (F_Q^-1)_{jk} L_k, projected
+    onto the constraints, which it misses by up to 1e-7 for near-singular rho."""
     n = fisher.n
     finv = np.linalg.inv(fisher.f_q)
-    ops = tuple(
-        hermitian_part(sum(finv[j, k] * slds.ops[k] for k in range(n))) for j in range(n)
-    )
-    return LocallyUnbiasedSet(ops=ops)
+    ops = [sum(finv[j, k] * slds.ops[k] for k in range(n)) for j in range(n)]
+    return project_unbiased(ops, state)
 
 
 def z_matrix(state: EvaluatedState, ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -677,5 +678,5 @@ def minimize_bound(
     if cfg.strategy == "nagaoka":
         if n != 2:
             raise InvalidN("the Nagaoka strategy is defined for n = 2")
-        return _nagaoka_descent(state, canonical_unbiased(slds, fisher).ops, w_mat, cfg)
+        return _nagaoka_descent(state, canonical_unbiased(state, slds, fisher).ops, w_mat, cfg)
     raise InvalidN(f"unknown strategy {cfg.strategy!r}")

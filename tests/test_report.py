@@ -6,7 +6,13 @@ import pytest
 from qmetro import bounds as gb
 from qmetro.errors import RldUndefined
 from qmetro.logderiv import sld_analysis
-from qmetro.report import ReportConfig, best_fbar, build_report, saturation_flags
+from qmetro.report import (
+    ReportConfig,
+    _mark_tightest,
+    best_fbar,
+    build_report,
+    saturation_flags,
+)
 from qmetro.scenarios import SIGMA1, SIGMA2
 from qmetro.states import StateFamily, evaluate
 
@@ -84,6 +90,19 @@ class TestBuildReport:
         vals = {(e.name, e.p): e.value for e in report.entries}
         # p-independent: same value replicated per p
         assert vals[("pure", 1)] == vals[("pure", 3)]
+
+    def test_monte_carlo_rows_never_tightest(self):
+        # A sampled T_p below the exact one is noise, not a tighter bound.
+        entries = [
+            gb.BoundEntry("cp", 2.5, "upper", 5),
+            gb.BoundEntry("tp", 2.3, "upper", 5, meta={"method": "exact"}),
+            gb.BoundEntry("tp_mc", 2.2, "upper", 5),
+            gb.BoundEntry("tp", 2.1, "upper", 7, meta={"method": "monte_carlo"}),
+            gb.BoundEntry("cp", 2.4, "upper", 7),
+        ]
+        marked = _mark_tightest(entries, (5, 7))
+        tight = [(e.name, e.p) for e in marked if e.tightest]
+        assert tight == [("tp", 5), ("cp", 7)]
 
     def test_unknown_bound_rejected(self, qubit_state):
         with pytest.raises(ValueError):

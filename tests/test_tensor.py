@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qmetro.tensor import (
     AutoAlign,
     OptimizeNorm,
     UBasis,
+    auto_align_fbar,
     build_collective,
     compute_cp,
     compute_cp_rld,
@@ -77,6 +79,50 @@ class TestBuildCollective:
         coll = build_collective(st, [SIGMA1], 6, dim_cap=32)
         with pytest.raises(DimensionOverflow):
             coll.rho_p  # 2^6 = 64 > 32
+
+    def test_builds_no_blocks(self, qutrit_state):
+        # The irrep blocks at p = 12 would take about 16 MB if stored.
+        st, _ = qutrit_state("qutrit8")
+        _, _, tilde = sld_analysis(st)
+        tracemalloc.start()
+        try:
+            build_collective(st, tilde, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cp_streams_blocks(self, qubit_state):
+        # Storing every block costs 16 n sum_lambda dim_lambda^2 bytes
+        # (about 63 MiB here); streaming keeps one block alive at a time.
+        st = qubit_state(0.5)
+        _, _, tilde = sld_analysis(st)
+        p = 200
+        stored = 16 * len(tilde) * sum(
+            schur.irrep_dim(shape) ** 2 for shape in schur.partitions(p, st.dim)
+        )
+        tracemalloc.start()
+        try:
+            compute_cp(build_collective(st, tilde, p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stored / 4
+
+    def test_cp_working_set_independent_of_pairs(self, qutrit_state):
+        # qutrit8 has 28 pairs; C_p holds the d^2 generators, n pair images
+        # and trace-norm temporaries of the largest block, not one per pair.
+        st, _ = qutrit_state("qutrit8")
+        _, _, tilde = sld_analysis(st)
+        p = 12
+        largest = max(schur.irrep_dim(shape) for shape in schur.partitions(p, st.dim))
+        tracemalloc.start()
+        try:
+            compute_cp(build_collective(st, tilde, p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 16 * largest**2
 
 
 def literal_site_sum(a, w, p):
@@ -235,6 +281,19 @@ class TestBlockEngine:
         cp = compute_cp(coll).entries[0, 1]
         fb = compute_fbar_im(coll, None, AutoAlign(0, 1)).entries[0, 1]
         assert fb == pytest.approx(cp, rel=1e-10)
+
+    @pytest.mark.parametrize("name, p", [("qubit3", 5), ("qutrit8", 3), ("d4", 2)])
+    def test_candidates_match_single_pairs(self, name, p):
+        st = _block_case(name)
+        _, _, tilde = sld_analysis(st)
+        coll = build_collective(st, tilde, p)
+        pairs = list(itertools.combinations(range(len(tilde)), 2))
+        cands = auto_align_fbar(coll, pairs)
+        assert len(cands) == len(pairs)
+        for (j, k), cand in zip(pairs, cands):
+            single = compute_fbar_im(coll, None, AutoAlign(j, k))
+            assert np.array_equal(cand.entries, single.entries)
+            assert cand.meta == single.meta
 
     def test_sign_ties_are_relative(self):
         vals = np.array([1.0, -0.5, -1e-13, 0.0, 2e-13])
@@ -490,6 +549,18 @@ class TestLimit:
         lim = limit_fim(st, tilde)
         # [diag, sigma_1-like] has zero diagonal, so the trace vanishes.
         assert np.max(np.abs(lim.entries)) <= 1e-12
+
+    def test_random_matches_dense_commutators(self):
+        for seed in range(5):
+            rng = np.random.default_rng(90 + seed)
+            fam = random_linear_family(int(rng.integers(2, 5)), 3, rng)
+            st = evaluate(fam, np.zeros(3))
+            _, _, tilde = sld_analysis(st)
+            ref = np.zeros((3, 3))
+            for j, k in itertools.combinations(range(3), 2):
+                val = np.trace(st.rho @ linalg.commutator(tilde[j], tilde[k]))
+                ref[j, k] = ref[k, j] = 0.5 * abs(val)
+            assert np.allclose(limit_fim(st, tilde).entries, ref, rtol=0, atol=1e-12)
 
 
 class TestFbar:

@@ -94,7 +94,7 @@ class TestProjectUnbiased:
         rng = np.random.default_rng(59)
         st = _random_state(rng, d=3, n=2)
         slds, fisher, _ = sld_analysis(st)
-        x_set = canonical_unbiased(slds, fisher)
+        x_set = canonical_unbiased(st, slds, fisher)
         projected = project_unbiased(x_set.ops, st)
         for a, b in zip(projected.ops, x_set.ops):
             assert np.max(np.abs(a - b)) <= 1e-12
@@ -121,10 +121,23 @@ class TestProjectUnbiased:
         for _ in range(5):
             st = _random_state(rng)
             slds, fisher, _ = sld_analysis(st)
-            x_set = canonical_unbiased(slds, fisher)
+            x_set = canonical_unbiased(st, slds, fisher)
             traces, unbias = variational.constraint_witnesses(x_set.ops, st)
             assert np.max(np.abs(traces)) <= 1e-9
             assert np.max(np.abs(unbias)) <= 1e-9
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-10])
+    def test_canonical_choice_near_singular(self, eps):
+        # F_Q^-1 L alone misses Tr(d_k rho X_j) = delta_kj by up to 1.5e-7
+        # here; the projection restores it to rounding.
+        rng = np.random.default_rng(3)
+        gens = [random_traceless_hermitian(3, rng) for _ in range(2)]
+        st = evaluate(StateFamily.linear(np.diag([0.6, 0.4 - eps, eps]), gens), np.zeros(2))
+        slds, fisher, _ = sld_analysis(st)
+        x_set = canonical_unbiased(st, slds, fisher)
+        traces, unbias = variational.constraint_witnesses(x_set.ops, st)
+        assert np.max(np.abs(traces)) <= 1e-12
+        assert np.max(np.abs(unbias)) <= 1e-12
 
     def test_degenerate_constraints(self):
         st = EvaluatedState.from_matrices(np.eye(2) / 2, [SIGMA1 / 2, SIGMA1 / 2])
@@ -138,7 +151,7 @@ class TestGeneralBound:
         for _ in range(5):
             st = _random_state(rng)
             slds, fisher, _ = sld_analysis(st)
-            x_set = canonical_unbiased(slds, fisher)
+            x_set = canonical_unbiased(st, slds, fisher)
             w = np.eye(fisher.n)
             via = evaluate_general_bound(x_set, st, w=w)
             z = z_matrix(st, x_set.ops)
@@ -149,7 +162,7 @@ class TestGeneralBound:
         rng = np.random.default_rng(73)
         st = _random_state(rng, d=3, n=2)
         slds, fisher, _ = sld_analysis(st)
-        x_set = canonical_unbiased(slds, fisher)
+        x_set = canonical_unbiased(st, slds, fisher)
         v1 = evaluate_general_bound(x_set, st)
         u = haar_unitary(3, rng)
         basis = variational.UBasis.from_columns(u)
@@ -160,7 +173,7 @@ class TestGeneralBound:
         rng = np.random.default_rng(79)
         st = _random_state(rng, d=2, n=2)
         slds, fisher, _ = sld_analysis(st)
-        x_set = canonical_unbiased(slds, fisher)
+        x_set = canonical_unbiased(st, slds, fisher)
         basis, signs = nagaoka_alignment(st, x_set.ops)
         value = evaluate_general_bound(x_set, st, basis, signs)
         s = st.sqrt_rho
@@ -176,7 +189,7 @@ class TestGeneralBound:
         for _ in range(10):
             st = _random_state(rng, n=2)
             slds, fisher, _ = sld_analysis(st)
-            x_set = canonical_unbiased(slds, fisher)
+            x_set = canonical_unbiased(st, slds, fisher)
             holevo = evaluate_general_bound(x_set, st)
             basis, signs = nagaoka_alignment(st, x_set.ops)
             nagaoka = evaluate_general_bound(x_set, st, basis, signs)
@@ -210,7 +223,7 @@ class TestGeneralBound:
         rng = np.random.default_rng(97)
         st = _random_state(rng, d=2, n=2)
         slds, fisher, _ = sld_analysis(st)
-        x_set = canonical_unbiased(slds, fisher)
+        x_set = canonical_unbiased(st, slds, fisher)
         with pytest.raises(InvalidWeight):
             evaluate_general_bound(x_set, st, w=-np.eye(2))
 
@@ -221,7 +234,7 @@ class TestPairMatrices:
         for _ in range(5):
             st = _random_state(rng)
             slds, fisher, _ = sld_analysis(st)
-            x_set = canonical_unbiased(slds, fisher)
+            x_set = canonical_unbiased(st, slds, fisher)
             n = fisher.n
             basis = haar_unitary(st.dim, rng)
             b_sum = np.zeros((n, n), dtype=complex)
@@ -252,7 +265,7 @@ class TestMinimize:
         for _ in range(10):
             st = _random_state(rng)
             slds, fisher, _ = sld_analysis(st)
-            x_set = canonical_unbiased(slds, fisher)
+            x_set = canonical_unbiased(st, slds, fisher)
             assert holevo_objective(st, x_set.ops, fisher.f_q) <= 2 * fisher.n + 1e-9
 
     def test_descent_and_feasibility(self):
@@ -268,7 +281,7 @@ class TestMinimize:
         traces, unbias = variational.constraint_witnesses(res.ops, st)
         assert np.max(np.abs(traces)) <= 1e-9
         assert np.max(np.abs(unbias)) <= 1e-9
-        start = holevo_objective(st, canonical_unbiased(slds, fisher).ops, np.eye(2))
+        start = holevo_objective(st, canonical_unbiased(st, slds, fisher).ops, np.eye(2))
         assert res.value <= start + 1e-12
 
     def test_nagaoka_strategy_above_holevo(self):
@@ -351,7 +364,7 @@ class TestHolevoSolver:
                     assert res.gap == res.value - res.lower
                     sld_bound = float(np.sum(w * np.linalg.inv(fisher.f_q)))
                     assert res.lower >= sld_bound - 1e-12
-                    start = holevo_objective(st, canonical_unbiased(slds, fisher).ops, w)
+                    start = holevo_objective(st, canonical_unbiased(st, slds, fisher).ops, w)
                     assert res.value <= start * (1 + 1e-12)
                     traces, unbias = variational.constraint_witnesses(res.ops, st)
                     assert np.max(np.abs(traces)) <= 1e-9
