@@ -18,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 from typing import Iterable
@@ -47,13 +48,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_p_list(text: str) -> tuple[int, ...]:
     out: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if "-" in part[1:]:
+                lo, hi = (int(v) for v in part.split("-", 1))
+                if hi < lo:
+                    raise ValueError(f"reversed range {part!r}")
+                out.extend(range(lo, hi + 1))
+            else:
+                out.append(int(part))
+    except ValueError as exc:
+        raise _ConfigError(f"invalid p list {text!r}: {exc}") from exc
     if not out or any(p < 1 for p in out):
         raise _ConfigError(f"invalid p list {text!r}: need integers >= 1")
     return tuple(out)
@@ -67,6 +73,8 @@ def _parse_sweep(text: str) -> np.ndarray:
         raise _ConfigError(f"bad sweep spec {text!r}, expected start:stop:steps") from exc
     if grid.size < 2:
         raise _ConfigError("sweep needs at least 2 steps")
+    if not np.all(np.isfinite(grid)):
+        raise _ConfigError(f"bad sweep spec {text!r}: bounds must be finite")
     return grid
 
 
@@ -155,10 +163,27 @@ def _merged(args: argparse.Namespace, cfg: dict, key: str, default=None):
     return default
 
 
+def _number(args, cfg, key: str, kind: type, default, minimum=None):
+    """A numeric setting from the flags, the config file or the default,
+    converted by ``kind`` (int or float); a value that does not convert,
+    is not finite or is below ``minimum`` is a configuration error."""
+    raw = _merged(args, cfg, key, default)
+    try:
+        value = kind(str(raw))  # str() makes int() refuse 2.5 and True
+    except ValueError as exc:
+        raise _ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                           f"got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise _ConfigError(f"{key} must be finite, got {raw!r}")
+    if minimum is not None and value < minimum:
+        raise _ConfigError(f"{key} must be >= {minimum}, got {value}")
+    return value
+
+
 def _resolve_family(args, cfg):
     preset = _merged(args, cfg, "preset")
     input_path = _merged(args, cfg, "input")
-    delta = float(_merged(args, cfg, "delta", 0.0))
+    delta = _number(args, cfg, "delta", float, 0.0)
     if (preset is None) == (input_path is None):
         raise _ConfigError("exactly one of --preset or --input is required")
     if preset is not None:
@@ -180,16 +205,15 @@ def _resolve_family(args, cfg):
 
 
 def _report_config(args, cfg, p_list, bounds) -> ReportConfig:
-    env_cap = os.environ.get("QMETRO_MAX_DIM")
-    dim_cap = int(_merged(args, cfg, "max_dim", int(env_cap) if env_cap else DEFAULT_DIM_CAP))
+    env_cap = os.environ.get("QMETRO_MAX_DIM") or DEFAULT_DIM_CAP
     return ReportConfig(
         bounds=bounds,
         p_list=p_list,
-        nu=int(_merged(args, cfg, "nu", 1)),
-        seed=int(_merged(args, cfg, "seed", 0)),
-        mc_samples=int(_merged(args, cfg, "mc_samples", 100_000)),
-        dim_cap=dim_cap,
-        enum_cap=int(_merged(args, cfg, "enum_cap", DEFAULT_ENUM_CAP)),
+        nu=_number(args, cfg, "nu", int, 1, minimum=1),
+        seed=_number(args, cfg, "seed", int, 0, minimum=0),
+        mc_samples=_number(args, cfg, "mc_samples", int, 100_000, minimum=1),
+        dim_cap=_number(args, cfg, "max_dim", int, env_cap, minimum=1),
+        enum_cap=_number(args, cfg, "enum_cap", int, DEFAULT_ENUM_CAP),
     )
 
 
@@ -253,7 +277,7 @@ def cmd_sweep(args) -> int:
     if delta_sweep is not None:
         deltas = [float(d) for d in _parse_sweep(str(delta_sweep))]
     else:
-        deltas = [float(_merged(args, cfg, "delta", 0.0))]
+        deltas = [_number(args, cfg, "delta", float, 0.0)]
     if len(deltas) == 1 and len(p_list) == 1:
         raise _ConfigError("sweep needs a delta sweep or more than one p")
     # Reference line: every report carries the Gamma_inf sandwich
@@ -301,7 +325,7 @@ def cmd_export_scenario(args) -> int:
     preset = _merged(args, cfg, "preset")
     if preset is None:
         raise _ConfigError("export-scenario requires --preset")
-    delta = float(_merged(args, cfg, "delta", 0.0))
+    delta = _number(args, cfg, "delta", float, 0.0)
     spec = parse_scenario(preset, delta=delta)
     family = build_scenario(spec)
     payload = json.dumps(family_to_dict(family), indent=2, sort_keys=True) + "\n"

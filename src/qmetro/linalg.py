@@ -61,13 +61,6 @@ def check_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     return a
 
 
-def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return bool(np.max(np.abs(a - dagger(a))) <= atol) if a.size else True
-
-
 def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 

@@ -38,7 +38,6 @@ from .tensor import (
     compute_fbar_im,
     compute_tp_exact,
     compute_tp_monte_carlo,
-    limit_fim,
 )
 from .variational import MinimizeConfig, minimize_bound
 
@@ -262,8 +261,3 @@ def saturation_flags(state: EvaluatedState, p: int = 1, dim_cap: int = DEFAULT_D
     _, fisher, tilde = sld_analysis(state)
     coll = build_collective(state, tilde, p, dim_cap=dim_cap)
     return gb.saturation_check(compute_cp(coll), tilde_fisher_im(fisher))
-
-
-def limit_matrix(state: EvaluatedState) -> TradeoffMatrix:
-    _, _, tilde = sld_analysis(state)
-    return limit_fim(state, tilde)

@@ -7,19 +7,17 @@ Keeping every A_u as-is recovers the Holevo functional; for two
 parameters, aligning transposes in the eigenbasis of
 sqrt(rho)[X_1,X_2]sqrt(rho) recovers the Nagaoka functional.
 
-The Holevo minimum C_H is found as a minimax.  Its functional is
-f(X) = max_U Tr[W Re Z] - Tr(U^T sqrt(W) Im Z sqrt(W)) over real
-antisymmetric U with ||U|| <= 1, Z_jk = Tr(rho X_j X_k), so
-C_H = max_U h(U) where h(U), the minimum over X of a quadratic form, is
-one KKT solve.  Each h(U) is a certified lower bound on C_H and hence on
-nu Tr[W Cov]; the minimizing X*(U) is feasible, so f(X*(U)) >= C_H is an
-upper estimate.  A damped Newton ascent on h with a log-det barrier on
-||U|| < 1 closes the interval [h, f].
-
-The Nagaoka functional is minimized by projected subgradient descent.  A
-feasible iterate X gives f(X) >= C, an upper estimate of the minimum C,
-not a certified lower bound on nu Tr[W Cov]; only the minimum itself is
-one.
+Both minima are found as a minimax.  Each functional is
+f(X) = Tr[W Re Z] + max_M (a term linear in M and quadratic in X) over a
+dual matrix M with ||M|| <= 1, Z_jk = Tr(rho X_j X_k): a real
+antisymmetric n x n M for Holevo, whose term is -Tr(M^T sqrt(W) Im Z sqrt(W)),
+and a Hermitian d x d M for Nagaoka (n = 2), whose term is
+kappa Im Tr(sqrt(rho) M sqrt(rho) X_1 X_2), kappa = 2 sqrt(det W).  So the
+minimum C = max_M h(M), where h(M), the minimum over X of a quadratic
+form, is one KKT solve.  Each h(M) is a certified lower bound on C and
+hence on nu Tr[W Cov]; the minimizing X*(M) is feasible, so f(X*(M)) >= C
+is an upper estimate.  One damped Newton ascent on h with a log-det
+barrier on ||M|| < 1 closes the interval [h, f] for either functional.
 """
 
 from __future__ import annotations
@@ -343,19 +341,13 @@ def nagaoka_objective(
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """Settings for ``minimize_bound``.
+    """Settings for ``minimize_bound``: the functional (``"holevo"`` or,
+    for two parameters, ``"nagaoka"``), the weight W (default I) and the
+    cap on Newton steps."""
 
-    ``max_iters`` caps the Newton steps of the Holevo solver and the
-    subgradient iterations of the Nagaoka descent; ``step``, ``tol`` and
-    ``patience`` tune the Nagaoka descent only.
-    """
-
-    strategy: str = "holevo"  # "holevo" | "nagaoka"
+    strategy: str = "holevo"
     w: np.ndarray | None = None
     max_iters: int = 5000
-    step: float = 0.1  # diminishing step c / sqrt(t)
-    tol: float = 1e-7  # relative improvement threshold for convergence
-    patience: int = 100  # iterations without improvement before stopping
 
 
 @dataclass(frozen=True)
@@ -366,14 +358,14 @@ class MinimizeResult:
     converged: bool
     iterations: int
     strategy: str
-    lower: float | None = None  # certified lower bound on the minimum (Holevo only)
-    gap: float | None = None  # value - lower
+    lower: float  # certified lower bound on the minimum
+    gap: float  # value - lower
 
 
-# --- the Holevo bound as a minimax over U -----------------------------------------
+# --- both bounds as a minimax over a dual matrix M, ||M|| <= 1 ---------------------
 
-#: The Holevo solver stops once (f - h) <= HOLEVO_RTOL * f.
-HOLEVO_RTOL = 1e-10
+#: The Newton solver stops once (f - h) <= MINIMAX_RTOL * f.
+MINIMAX_RTOL = 1e-10
 #: A point counts only when its KKT residual, relative to
 #: ||M|| ||sol|| + ||rhs||, is below this (a stable solve leaves ~1e-16).
 KKT_RTOL = 1e-10
@@ -405,28 +397,39 @@ def _antisymmetric_basis(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _HolevoPoint:
-    """One evaluation of the inner minimum at U = sum_a u_a E_a."""
+class _MinimaxPoint:
+    """One evaluation of the inner minimum at M = sum_a y_a E_a."""
 
-    u: np.ndarray
-    h: float  # x*^T K(U) x*, the value the Newton ascent follows
+    y: np.ndarray
+    h: float  # x*^T K(y) x*, the value the Newton ascent follows
     err: float  # error allowance of h: its rounding level plus the residual's effect
     counts: bool  # the KKT residual is small enough for h - err and f(X*) to count
-    f: float  # the Holevo functional at X*(U)
-    x: np.ndarray  # (n, d^2) coordinates of X*(U)
-    grad: np.ndarray  # dh/du
-    hess: np.ndarray  # d2h/du2
+    f: float  # the bound functional at X*(y)
+    x: np.ndarray  # (n, d^2) coordinates of X*(y)
+    grad: np.ndarray  # dh/dy
+    hess: np.ndarray  # d2h/dy2
 
 
-class _HolevoProblem:
-    """The inner minimum h(U) = min_x x^T K(U) x over (I_n (x) F) x = b.
+class _MinimaxProblem:
+    """The inner minimum h(y) = min_x x^T K(y) x over (I_n (x) F) x = b.
 
     X_j = sum_a x_ja B_a in the ``_hermitian_basis``, G_ab = Tr(rho B_a B_b),
-    the rows of F are Tr(rho B_a) and Tr(d_k rho B_a), and for
-    U = sum_a u_a E_a, K(U) = W (x) Re G - (sqrt(W) U sqrt(W)) (x) Im G.
+    the rows of F are Tr(rho B_a) and Tr(d_k rho B_a), and
+    K(y) = W (x) Re G - sum_a y_a D_a.  The dual directions D_a pair with
+    a basis E_a of the dual matrices M = sum_a y_a E_a, ||M|| <= 1:
+
+    - Holevo: E_a real antisymmetric n x n, D_a = (sqrt(W) E_a sqrt(W)) (x) Im G,
+      as max_U -Tr(U^T A) = ||A||_1 for the antisymmetric A = sqrt(W) Im Z sqrt(W);
+    - Nagaoka (n = 2): E_b = B_b, D_b = (kappa/2) J (x) Im G^(b) with
+      G^(b)_ac = Tr(sqrt(rho) B_b sqrt(rho) B_a B_c), J = [[0, 1], [-1, 0]] and
+      kappa = 2 sqrt(det W), as max_H Im Tr(sqrt(rho) H sqrt(rho) X_1 X_2) is
+      ||sqrt(rho)[X_1, X_2]sqrt(rho)||_1 / 2 over Hermitian H, ||H|| <= 1.
+
+    In both, the second term of f is max_M sum_a y_a x^T D_a x, the trace
+    norm of sum_a (x^T D_a x) E_a / Tr(E_a^+ E_a).
     """
 
-    def __init__(self, state: EvaluatedState, w_mat: np.ndarray):
+    def __init__(self, state: EvaluatedState, w_mat: np.ndarray, strategy: str):
         frame, _ = _constraint_frame(state)  # raises DegenerateConstraints
         n, d = state.n, state.dim
         self.n, self.nd = n, n * d * d
@@ -434,9 +437,20 @@ class _HolevoProblem:
         rho_b = np.einsum("ij,ajk->aik", state.rho, self.basis)
         self.g = np.einsum("aik,bki->ab", rho_b, self.basis)
         self.w = w_mat
-        self.sqrt_w = np.real(linalg.sqrt_psd(w_mat))
-        self.e = _antisymmetric_basis(n)
-        self.v = np.einsum("ij,ajk,kl->ail", self.sqrt_w, self.e, self.sqrt_w)
+        if strategy == "holevo":
+            sqrt_w = np.real(linalg.sqrt_psd(w_mat))
+            self.e, self.e_norm = _antisymmetric_basis(n), 2.0
+            v = np.einsum("ij,ajk,kl->ail", sqrt_w, self.e, sqrt_w)
+            d_ab = np.einsum("ajk,bc->ajbkc", v, np.imag(self.g))
+        else:
+            self.e, self.e_norm = self.basis, 1.0
+            s = state.sqrt_rho
+            g_b = np.einsum("bki,aij,cjk->bac", s @ self.basis @ s, self.basis, self.basis,
+                            optimize=True)
+            kappa = 2.0 * math.sqrt(max(float(np.linalg.det(w_mat)), 0.0))
+            j_mat = np.array([[0.0, 1.0], [-1.0, 0.0]])
+            d_ab = 0.5 * kappa * np.einsum("jk,bac->bjakc", j_mat, np.imag(g_b))
+        self.d = d_ab.reshape(-1, self.nd, self.nd)  # the stack of D_a
         f_mat = np.real(np.einsum("rij,aji->ra", np.array(frame), self.basis))
         a_mat = np.kron(np.eye(n), f_mat)
         size = self.nd + a_mat.shape[0]
@@ -447,10 +461,9 @@ class _HolevoProblem:
         self.rhs = np.zeros(size)
         self.rhs[self.nd :] = np.eye(n + 1)[1:].reshape(-1)  # b_j = e_(j+1)
 
-    def point(self, u: np.ndarray) -> _HolevoPoint:
+    def point(self, y: np.ndarray) -> _MinimaxPoint:
         nd = self.nd
-        vu = np.tensordot(u, self.v, 1)
-        k = self.k0 - np.kron(vu, np.imag(self.g))
+        k = self.k0 - np.tensordot(y, self.d, 1)
         kkt = self.kkt.copy()
         kkt[:nd, :nd] = k
         # Least squares through the pseudo-inverse, as K is singular for a
@@ -461,61 +474,70 @@ class _HolevoProblem:
         sol = sol + pinv @ (self.rhs - kkt @ sol)
         resid = float(np.linalg.norm(kkt @ sol - self.rhs))
         sol_norm = float(np.linalg.norm(sol))
-        x = sol[:nd].reshape(self.n, -1)
-        z = x @ self.g @ x.T
-        re_term = float(np.sum(self.w * np.real(z)))
-        h = re_term - float(np.sum(vu * np.imag(z)))
+        x = sol[:nd]
+        dx = self.d @ x  # D_a x
+        grad = -(dx @ x)  # dh/dy_a = -x^T D_a x
+        xs = x.reshape(self.n, -1)
+        re_term = float(np.sum(self.w * np.real(xs @ self.g @ xs.T)))
+        h = re_term + float(y @ grad)
         counts = resid <= KKT_RTOL * (np.linalg.norm(kkt) * sol_norm + np.linalg.norm(self.rhs))
         # Rounding in x^T K x is of order eps |x|^T |K| |x|; the residual
         # moves it by at most ||sol|| ||resid|| to first order.
-        xa = np.abs(sol[:nd])
+        xa = np.abs(x)
         err = nd * _EPS * float(xa @ np.abs(k) @ xa) + sol_norm * resid
-        # ||A||_1 of the real antisymmetric A from the Hermitian iA, also
-        # when A is tiny (linalg.trace_norm treats |A| < 1e-12 as Hermitian).
-        im_w = 1j * (self.sqrt_w @ np.imag(z) @ self.sqrt_w)
-        f = re_term + float(np.sum(np.abs(np.linalg.eigvalsh(im_w))))
-        grad = -np.einsum("ajk,jk->a", self.v, np.imag(z))
-        # d2h/du_a du_b = -2 (K_a x)^T P (K_b x), P the x-block of the KKT inverse.
-        kx = -np.einsum("ajk,kb->ajb", self.v, x @ np.imag(self.g).T).reshape(len(u), nd)
-        hess = -2.0 * kx @ (pinv[:nd, :nd] @ kx.T)
-        return _HolevoPoint(u, h, err, counts, f, x, grad, (hess + hess.T) / 2.0)
+        # The trace norm by SVD, exact also for tiny antisymmetric matrices
+        # (linalg.trace_norm treats |A| < 1e-12 as Hermitian).
+        dual = np.tensordot(-grad, self.e, 1)
+        f = re_term + float(np.sum(np.linalg.svd(dual, compute_uv=False))) / self.e_norm
+        # d2h/dy_a dy_b = -2 (D_a x)^T P (D_b x), P the x-block of the KKT inverse.
+        hess = -2.0 * dx @ (pinv[:nd, :nd] @ dx.T)
+        return _MinimaxPoint(y, h, err, counts, f, xs, grad, (hess + hess.T) / 2.0)
 
 
-def _log_det_barrier(e: np.ndarray, u: np.ndarray):
-    """log det(I - U^T U) with its gradient and Hessian in u; None when ||U|| >= 1."""
-    uu = np.tensordot(u, e, 1)
-    n_mat = np.eye(uu.shape[0]) + uu @ uu  # I - U^T U, as U^T = -U
+def _log_det_barrier(e: np.ndarray, y: np.ndarray):
+    """log det(I - M^+ M), M = sum_a y_a E_a, with its gradient and Hessian
+    in y; None when ||M|| >= 1."""
+    m = np.tensordot(y, e, 1)
+    m_dag, e_dag = dagger(m), dagger(e)
+    n_mat = np.eye(m.shape[0]) - m_dag @ m
     vals = np.linalg.eigvalsh(n_mat)
     if float(np.min(vals)) <= 0.0:
         return None
     n_inv = np.linalg.inv(n_mat)
-    grad = -2.0 * np.einsum("aij,ij->a", e, uu @ n_inv)
-    # Along E_a, E_b: -2 Tr(N^-1 E_b^T E_a) - 2 Tr(N^-1 (E_b^T U + U^T E_b) N^-1 U^T E_a).
-    et = np.swapaxes(e, 1, 2)
-    t1 = np.einsum("bij,aji->ab", n_inv @ et, e)
-    t2 = np.einsum("bij,aji->ab", n_inv @ (et @ uu + uu.T @ e), n_inv @ uu.T @ e)
-    hess = -2.0 * (t1 + t2)
+    grad = -2.0 * np.real(np.einsum("aij,ji->a", e, n_inv @ m_dag))
+    # Along E_a, E_b: -2 Re Tr(N^-1 E_b^+ E_a) - 2 Re Tr(N^-1 (E_b^+ M + M^+ E_b) N^-1 M^+ E_a).
+    t1 = np.einsum("bij,aji->ab", n_inv @ e_dag, e)
+    t2 = np.einsum("bij,aji->ab", n_inv @ (e_dag @ m + m_dag @ e), n_inv @ m_dag @ e)
+    hess = -2.0 * np.real(t1 + t2)
     return float(np.sum(np.log(vals))), grad, (hess + hess.T) / 2.0
 
 
-def _newton_step(pt: _HolevoPoint, barrier, mu: float) -> tuple[np.ndarray, float]:
-    """Newton step for h + mu log det(I - U^T U) and its squared decrement."""
+def _newton_step(pt: _MinimaxPoint, barrier, mu: float) -> tuple[np.ndarray, float, float]:
+    """Newton step for h + mu log det(I - M^+ M), its squared decrement,
+    and the squared gradient norm in the barrier's local norm over mu.
+
+    The last measures centrality: a point with barrier parameter nu and
+    that norm at most mu has f - h <= mu (2 nu + 2 sqrt(nu)).  The
+    decrement cannot stand in for it, because it also counts the
+    curvature of h, which grows without bound where K(y) turns singular
+    at the optimum (the Nagaoka minimum of some d >= 3 families)."""
     g = pt.grad + mu * barrier[1]
     step = np.linalg.lstsq(-(pt.hess + mu * barrier[2]), g, rcond=None)[0]
-    return step, float(g @ step)
+    cen = float(g @ np.linalg.lstsq(-barrier[2], g, rcond=None)[0]) / mu
+    return step, float(g @ step), cen
 
 
-def _line_search(prob: _HolevoProblem, pt: _HolevoPoint, barrier, mu, step, dec):
-    """Backtrack until U stays inside ||U|| < 1 and the barrier objective
+def _line_search(prob: _MinimaxProblem, pt: _MinimaxPoint, barrier, mu, step, dec):
+    """Backtrack until M stays inside ||M|| < 1 and the barrier objective
     rises by a quarter of the predicted gain, up to the rounding level of
     h; None when no step does."""
     phi = pt.h + mu * barrier[0]
     t = 1.0
     for _ in range(30):
-        u = pt.u + t * step
-        trial_barrier = _log_det_barrier(prob.e, u)
+        y = pt.y + t * step
+        trial_barrier = _log_det_barrier(prob.e, y)
         if trial_barrier is not None:
-            trial = prob.point(u)
+            trial = prob.point(y)
             gain = trial.h + mu * trial_barrier[0] - phi
             if gain >= 0.25 * t * dec - (pt.err + trial.err):
                 return trial, trial_barrier
@@ -523,21 +545,24 @@ def _line_search(prob: _HolevoProblem, pt: _HolevoPoint, barrier, mu, step, dec)
     return None
 
 
-def _holevo_newton(state: EvaluatedState, w_mat: np.ndarray, max_steps: int) -> MinimizeResult:
-    """max_U h(U) by damped Newton on h + mu log det(I - U^T U), mu -> 0.
+def _minimax_newton(
+    state: EvaluatedState, w_mat: np.ndarray, strategy: str, max_steps: int
+) -> MinimizeResult:
+    """max_y h(y) by damped Newton on h + mu log det(I - M^+ M), mu -> 0.
 
-    Every point gives a certified h(U) <= C_H and a feasible X*(U) with
-    f(X*(U)) >= C_H.  The loop stops when the best pair is within
-    HOLEVO_RTOL, when the barrier weight has reached its floor at a
-    central point, or when no step raises the barrier objective.
+    Every point gives a certified h(y) below the minimum C and a feasible
+    X*(y) with f(X*(y)) >= C.  The loop stops when the best pair is within
+    MINIMAX_RTOL, when the barrier weight has reached its floor at a
+    central point or with no gain left above the rounding level of h, or
+    when no step raises the barrier objective.
     """
-    prob = _HolevoProblem(state, w_mat)
+    prob = _MinimaxProblem(state, w_mat, strategy)
     pt = prob.point(np.zeros(len(prob.e)))  # X*(0) is the canonical start
-    barrier = _log_det_barrier(prob.e, pt.u)
-    # The barrier moves h by about mu times its parameter 2n; the floor
-    # keeps that far below the stopping gap.
-    mu = 0.1 * pt.h / (2 * prob.n)
-    mu_min = 1e-6 * HOLEVO_RTOL * pt.h
+    barrier = _log_det_barrier(prob.e, pt.y)
+    # The barrier moves h by about mu times its parameter, twice the side
+    # of M; the floor keeps that far below the stopping gap.
+    mu = 0.1 * pt.h / (2 * prob.e.shape[1])
+    mu_min = 1e-6 * MINIMAX_RTOL * pt.h
     best_f, best_x, lower = math.inf, pt.x, -math.inf
     trace = []
     steps = 0
@@ -547,16 +572,18 @@ def _holevo_newton(state: EvaluatedState, w_mat: np.ndarray, max_steps: int) -> 
             if pt.f < best_f:
                 best_f, best_x = pt.f, pt.x
         trace.append(best_f)
-        converged = best_f - lower <= HOLEVO_RTOL * best_f
+        converged = best_f - lower <= MINIMAX_RTOL * best_f
         if converged or steps == max_steps:
             break
         steps += 1
-        step, dec = _newton_step(pt, barrier, mu)
-        if dec <= mu:  # near the central point of this mu: lower mu
+        step, dec, cen = _newton_step(pt, barrier, mu)
+        # Near the central point of this mu, or no gain left above the
+        # rounding level of h: lower mu.
+        if cen <= mu or dec <= pt.err:
             if mu == mu_min:
                 break
             mu = max(0.1 * mu, mu_min)
-            step, dec = _newton_step(pt, barrier, mu)
+            step, dec, cen = _newton_step(pt, barrier, mu)
         moved = _line_search(prob, pt, barrier, mu, step, dec)
         if moved is None:
             break
@@ -567,87 +594,9 @@ def _holevo_newton(state: EvaluatedState, w_mat: np.ndarray, max_steps: int) -> 
         trace=tuple(trace),
         converged=converged,
         iterations=steps,
-        strategy="holevo",
+        strategy=strategy,
         lower=lower,
         gap=best_f - lower,
-    )
-
-
-# --- the Nagaoka projected subgradient minimizer ----------------------------------
-
-
-def _real_term_gradient(
-    state: EvaluatedState, ops: Sequence[np.ndarray], w_mat: np.ndarray
-) -> list[np.ndarray]:
-    n = len(ops)
-    rho = state.rho
-    sym = [ops[k] @ rho + rho @ ops[k] for k in range(n)]
-    return [
-        hermitian_part(sum(w_mat[l, k] * sym[k] for k in range(n))) for l in range(n)
-    ]
-
-
-def _nagaoka_subgradient(
-    state: EvaluatedState, ops: Sequence[np.ndarray], w_mat: np.ndarray
-) -> list[np.ndarray]:
-    grads = _real_term_gradient(state, ops, w_mat)
-    s = state.sqrt_rho
-    k_mat = s @ linalg.commutator(ops[0], ops[1]) @ s
-    u_m, _, vt_m = np.linalg.svd(k_mat)
-    r = s @ dagger(u_m @ vt_m) @ s
-    sqrt_w = linalg.sqrt_psd(w_mat)
-    j_mat = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    kappa = linalg.trace_norm(sqrt_w @ j_mat @ sqrt_w)
-    grads[0] = grads[0] + (kappa / 2.0) * hermitian_part(ops[1] @ r - r @ ops[1])
-    grads[1] = grads[1] + (kappa / 2.0) * hermitian_part(r @ ops[0] - ops[0] @ r)
-    return grads
-
-
-def _nagaoka_descent(
-    state: EvaluatedState,
-    start: Sequence[np.ndarray],
-    w_mat: np.ndarray,
-    cfg: MinimizeConfig,
-) -> MinimizeResult:
-    current = list(start)
-    best_val = nagaoka_objective(state, current, w_mat)
-    best_ops = [x.copy() for x in current]
-    trace = [best_val]
-    stall = 0
-    converged = False
-    iterations = 0
-    for t in range(1, cfg.max_iters + 1):
-        iterations = t
-        grads = _nagaoka_subgradient(state, current, w_mat)
-        gnorm = math.sqrt(sum(float(np.sum(np.abs(g) ** 2)) for g in grads))
-        if gnorm < 1e-14:
-            converged = True
-            trace.append(best_val)
-            break
-        alpha = cfg.step / math.sqrt(t)
-        stepped = [x - alpha * g / gnorm for x, g in zip(current, grads)]
-        current = list(project_unbiased(stepped, state).ops)
-        val = nagaoka_objective(state, current, w_mat)
-        if val < best_val - cfg.tol * max(1.0, abs(best_val)):
-            best_val = val
-            best_ops = [x.copy() for x in current]
-            stall = 0
-        else:
-            if val < best_val:
-                best_val = val
-                best_ops = [x.copy() for x in current]
-            stall += 1
-        trace.append(best_val)
-        if stall >= cfg.patience:
-            converged = True
-            break
-    return MinimizeResult(
-        value=best_val,
-        ops=tuple(best_ops),
-        trace=tuple(trace),
-        converged=converged,
-        iterations=iterations,
-        strategy="nagaoka",
     )
 
 
@@ -662,21 +611,19 @@ def minimize_bound(
 ) -> MinimizeResult:
     """Minimize the chosen bound functional over locally unbiased sets.
 
-    Both strategies start from the canonical X_j = sum_k (F_Q^-1)_{jk} L_k
-    and return a feasible X with its value f, an upper estimate of the
-    minimum.  The Holevo strategy also returns ``lower``, a certified
-    lower bound on the minimum C_H and hence on nu Tr[W Cov], and
-    converges when ``gap`` = f - lower <= HOLEVO_RTOL f.  The Nagaoka
-    strategy is a projected subgradient descent and certifies nothing.
-    Non-convergence is reported via the flag, never as an error.
+    Both strategies run the same Newton solver from the canonical
+    X_j = sum_k (F_Q^-1)_{jk} L_k and return a feasible X with its value
+    f, an upper estimate of the minimum, and ``lower``, a certified lower
+    bound on the minimum (C_H for Holevo, the Nagaoka bound for n = 2) and
+    hence on nu Tr[W Cov].  They converge when ``gap`` = f - lower
+    <= MINIMAX_RTOL f.  Non-convergence is reported via the flag, never
+    as an error.
     """
     cfg = config or MinimizeConfig()
     n = fisher.n
     w_mat = _check_weight(cfg.w, n)
-    if cfg.strategy == "holevo":
-        return _holevo_newton(state, w_mat, cfg.max_iters)
-    if cfg.strategy == "nagaoka":
-        if n != 2:
-            raise InvalidN("the Nagaoka strategy is defined for n = 2")
-        return _nagaoka_descent(state, canonical_unbiased(state, slds, fisher).ops, w_mat, cfg)
-    raise InvalidN(f"unknown strategy {cfg.strategy!r}")
+    if cfg.strategy not in ("holevo", "nagaoka"):
+        raise InvalidN(f"unknown strategy {cfg.strategy!r}")
+    if cfg.strategy == "nagaoka" and n != 2:
+        raise InvalidN("the Nagaoka strategy is defined for n = 2")
+    return _minimax_newton(state, w_mat, cfg.strategy, cfg.max_iters)

@@ -144,6 +144,37 @@ class TestBounds:
         assert run_cli(["bounds", "--preset", "qubit3", "--bounds", "bogus"]) == 1
         assert run_cli(["bounds", "--p", "1"]) == 1  # neither preset nor input
 
+    @pytest.mark.parametrize("p_list", ["x", "1,3-1", "2-a"])
+    def test_bad_p_list_exit_1(self, p_list, capsys):
+        code = run_cli(["bounds", "--preset", "qubit3", "--p", p_list, "--error-json"])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["exit_code"] == 1 and "invalid p list" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [({"nu": "abc"}, "nu must be an integer"), ({"nu": 2.5}, "nu must be an integer"),
+         ({"seed": -1}, "seed must be >= 0"), ({"delta": "x"}, "delta must be a number"),
+         ({"mc_samples": "many"}, "mc_samples must be an integer"),
+         ({"delta": "nan"}, "delta must be finite"),
+         ({"mc_samples": 0}, "mc_samples must be >= 1"), ({"max_dim": -5}, "max_dim must be >= 1")],
+    )
+    def test_bad_config_values_exit_1(self, tmp_path, capsys, cfg, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(cfg, preset="qubit3")))
+        assert run_cli(["bounds", "--config", str(path), "--bounds", "tp_mc"]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_nu_below_one_exit_1(self, capsys):
+        code = run_cli(["bounds", "--preset", "qubit3", "--nu", "0", "--cov-transforms"])
+        assert code == 1
+        assert "nu must be >= 1" in capsys.readouterr().err
+
+    def test_bad_max_dim_env_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setenv("QMETRO_MAX_DIM", "lots")
+        assert run_cli(["bounds", "--preset", "qubit3", "--bounds", "cp"]) == 1
+        assert "max_dim must be an integer" in capsys.readouterr().err
+
     def test_computation_error_exit_2(self, tmp_path, capsys):
         # A pure state has no RLD: requesting the RLD bound is a
         # computation error, reported as exit code 2.
@@ -274,6 +305,11 @@ class TestSweep:
         run_cli(args + ["--output", str(a)])
         run_cli(args + ["--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sweep_grid_must_be_finite(self, capsys):
+        code = run_cli(["sweep", "--preset", "qubit3", "--delta-sweep", "nan:0.5:3"])
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
 
     def test_sweep_needs_grid(self):
         assert run_cli(["sweep", "--preset", "qubit3", "--p", "1"]) == 1

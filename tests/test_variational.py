@@ -298,6 +298,12 @@ class TestMinimize:
         nagaoka_val = nagaoka_objective(st, res.ops, np.eye(2))
         assert nagaoka_val >= holevo_val - 1e-9
         assert res.value == pytest.approx(nagaoka_val, abs=1e-12)
+        # The certified intervals: C_H <= C_N, so the Nagaoka interval sits
+        # above the Holevo one.
+        holevo = minimize_bound(st, slds, fisher, MinimizeConfig(w=np.eye(2)))
+        assert res.converged
+        assert holevo.lower <= res.lower <= res.value
+        assert res.gap == res.value - res.lower
 
     def test_nagaoka_needs_two_params(self):
         rng = np.random.default_rng(113)
@@ -321,6 +327,51 @@ class TestMinimize:
             st, slds, fisher, MinimizeConfig(strategy="holevo", max_iters=600)
         )
         assert res.value >= holevo.value - 1e-9
+        # Certified: C_H = 2 here, and the Nagaoka interval holds 1 + 1 + 2.
+        assert res.converged and holevo.converged
+        assert res.lower >= holevo.lower
+        assert res.lower <= 4.0 * (1 + 1e-9) and res.value >= 4.0 * (1 - 1e-9)
+
+    @pytest.mark.parametrize("use_fq", [True, False])
+    def test_nagaoka_qubit_closed_form(self, use_fq):
+        # For two-parameter qubit families the Nagaoka bound is
+        # Tr(W F_Q^-1) + 2 sqrt(det(W F_Q^-1)), and the certified interval
+        # must contain it.
+        rng = np.random.default_rng(149)
+        fams = [StateFamily.linear(np.diag([0.7, 0.3]), [SIGMA1 / 2, SIGMA3 / 2])]
+        fams += [random_linear_family(2, 2, rng) for _ in range(3)]
+        for fam in fams:
+            st = evaluate(fam, np.zeros(2))
+            slds, fisher, _ = sld_analysis(st)
+            w = fisher.f_q if use_fq else np.eye(2)
+            wf = w @ np.linalg.inv(fisher.f_q)
+            closed = float(np.trace(wf)) + 2.0 * np.sqrt(np.linalg.det(wf))
+            res = minimize_bound(st, slds, fisher, MinimizeConfig(strategy="nagaoka", w=w))
+            assert res.converged
+            assert res.lower <= closed * (1 + 1e-9)
+            assert res.value >= closed * (1 - 1e-9)
+
+    def test_nagaoka_random_families_certified(self):
+        rng = np.random.default_rng(151)
+        for d in (2, 3, 4, 5):
+            for _ in range(3):
+                st = _random_state(rng, d=d, n=2)
+                slds, fisher, _ = sld_analysis(st)
+                for w in (fisher.f_q, np.eye(2)):
+                    cfg = MinimizeConfig(strategy="nagaoka", w=w)
+                    res = minimize_bound(st, slds, fisher, cfg)
+                    assert res.lower <= res.value
+                    assert res.gap <= 1e-8 * res.value
+                    holevo = minimize_bound(st, slds, fisher, MinimizeConfig(w=w))
+                    assert res.lower >= holevo.lower
+                    start = nagaoka_objective(st, canonical_unbiased(st, slds, fisher).ops, w)
+                    assert res.value <= start * (1 + 1e-12)
+                    assert nagaoka_objective(st, res.ops, w) == pytest.approx(
+                        res.value, rel=1e-10
+                    )
+                    traces, unbias = variational.constraint_witnesses(res.ops, st)
+                    assert np.max(np.abs(traces)) <= 1e-9
+                    assert np.max(np.abs(unbias)) <= 1e-9
 
 
 class TestHolevoSolver:
@@ -405,18 +456,21 @@ class TestHolevoSolver:
         assert np.max(np.abs(traces)) <= 1e-9
         assert np.max(np.abs(unbias)) <= 1e-9
 
-    def test_derivatives_match_finite_differences(self):
+    @pytest.mark.parametrize("strategy, n, scale", [("holevo", 3, 0.2), ("nagaoka", 2, 0.1)])
+    def test_derivatives_match_finite_differences(self, strategy, n, scale):
         # The Newton ascent reads dh/du and d2h/du2 off the KKT solve and
-        # the barrier's derivatives in closed form.
+        # the barrier's derivatives in closed form: over real antisymmetric
+        # U for Holevo, over the complex Hermitian basis for Nagaoka.
         rng = np.random.default_rng(139)
-        st = _random_state(rng, d=3, n=3)
+        st = _random_state(rng, d=3, n=n)
         _, fisher, _ = sld_analysis(st)
-        prob = variational._HolevoProblem(st, fisher.f_q)
-        u = 0.2 * rng.standard_normal(3)
+        prob = variational._MinimaxProblem(st, fisher.f_q, strategy)
+        m = len(prob.e)
+        u = scale * rng.standard_normal(m)
         pt = prob.point(u)
         barrier = variational._log_det_barrier(prob.e, u)
         eps = 1e-6
-        for a, step in enumerate(np.eye(3) * eps):
+        for a, step in enumerate(np.eye(m) * eps):
             hi, lo = prob.point(u + step), prob.point(u - step)
             assert (hi.h - lo.h) / (2 * eps) == pytest.approx(pt.grad[a], abs=1e-7)
             assert np.allclose((hi.grad - lo.grad) / (2 * eps), pt.hess[a], atol=1e-7)
@@ -424,7 +478,7 @@ class TestHolevoSolver:
             b_lo = variational._log_det_barrier(prob.e, u - step)
             assert (b_hi[0] - b_lo[0]) / (2 * eps) == pytest.approx(barrier[1][a], abs=1e-7)
             assert np.allclose((b_hi[1] - b_lo[1]) / (2 * eps), barrier[2][a], atol=1e-7)
-        assert variational._log_det_barrier(prob.e, np.array([1.0, 0.0, 0.0])) is None
+        assert variational._log_det_barrier(prob.e, np.eye(m)[0]) is None
 
     def test_degenerate_constraints(self):
         # Tr(d_1 rho X) and Tr(d_2 rho X) cannot both be prescribed when the
