@@ -38,6 +38,7 @@ from .tensor import (
     compute_fbar_im,
     compute_tp_exact,
     compute_tp_monte_carlo,
+    first_best,
 )
 from .variational import MinimizeConfig, minimize_bound
 
@@ -73,19 +74,14 @@ def best_fbar(state, tilde_ops, fisher, p, dim_cap=DEFAULT_DIM_CAP) -> TradeoffM
     """Default F-bar strategy: exhaustive transpose optimization over the
     computational basis while 2^(d^p) stays enumerable, otherwise the best
     per-pair commutator eigenbasis (each candidate is still a single
-    basis/sign choice, so the f(n) coefficient applies)."""
+    basis/sign choice, so the f(n) coefficient applies).  Norms within
+    SIGN_TIE_RTOL of the largest are ties, won by the first pair."""
     coll = build_collective(state, tilde_ops, p, dim_cap=dim_cap)
     if coll.dim <= OPTIMIZE_MAX_VECTORS:
         return compute_fbar_im(coll, UBasis.computational(coll.dim), OptimizeNorm())
-    best = None
-    best_norm = -1.0
     pairs = list(itertools.combinations(range(coll.n), 2))
-    for cand in auto_align_fbar(coll, pairs):
-        norm = float(np.linalg.norm(cand.entries))
-        if norm > best_norm + 1e-15:
-            best_norm = norm
-            best = cand
-    return best
+    cands = auto_align_fbar(coll, pairs)
+    return cands[first_best([np.linalg.norm(c.entries) for c in cands])]
 
 
 def _stderr_max(tp: TradeoffMatrix) -> float:

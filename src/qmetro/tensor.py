@@ -55,8 +55,9 @@ DEFAULT_ENUM_CAP = 2_000_000
 #: Exhaustive transpose optimization only below this basis size (2^(k-1) combos).
 OPTIMIZE_MAX_VECTORS = 12
 
-#: Relative sign tie-break width: alignment values within this fraction of
-#: the largest |value| among those compared take "as is".
+#: Relative tie width: alignment values within this fraction of the largest
+#: |value| among those compared take "as is", and F-bar candidates whose
+#: norms are within it of the largest count as tied (the first wins).
 SIGN_TIE_RTOL = 1e-12
 
 
@@ -89,7 +90,7 @@ class AlignEntry:
 class OptimizeNorm:
     """Exhaustively maximize the Frobenius norm of the imaginary aggregate
     over all 2^k transpose patterns (global flips are redundant, so 2^(k-1)
-    are enumerated)."""
+    are scored, all at once as one quadratic form; ties keep the first)."""
 
     max_vectors: int = OPTIMIZE_MAX_VECTORS
 
@@ -206,7 +207,8 @@ class CollectiveOperators:
             weights, gens = schur.gt_basis(shape)
             log_w = 0.5 * math.log(schur.multiplicity(shape)) + schur.log_diag_power(weights, sqrt_d)
             # complex once per block, so pi(A) costs no conversion per call
-            yield np.exp(log_w), functools.partial(_block_image, vecs, gens.astype(np.complex128))
+            gens = gens.astype(np.complex128)
+            yield np.exp(log_w), functools.partial(_block_image, vecs, gens)
 
 
 def _block_image(vecs: np.ndarray, gens: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -296,21 +298,29 @@ def _require(coll: CollectiveOperators, kind: str, tilded: bool) -> None:
         )
 
 
+def _chunks(count: int, size: int) -> list[slice]:
+    """Consecutive slices of at most ``size`` items covering ``range(count)``."""
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
 def compute_cp(coll: CollectiveOperators) -> TradeoffMatrix:
     """(C_p)_{jk} = 1/2 ||sqrt(rho_p) [L~_jp, L~_kp] sqrt(rho_p)||_1,
     summed over the irrep blocks with their multiplicities.
 
     Each block reads pi_lambda(i [L~_j, L~_k]), Hermitian, for n pairs at
-    a time: no more block matrices than C_p^RLD holds, whatever n(n-1)/2 is.
+    a time, with one stacked trace-norm call per chunk: no more block
+    matrices than C_p^RLD holds, whatever n(n-1)/2 is.
     """
     _require(coll, "sld", tilded=True)
     pairs = itertools.combinations(coll.base_ops, 2)
     comms = [1j * linalg.commutator(a, b) for a, b in pairs]
     values = np.zeros(len(comms))
     for s, pi in coll.blocks():
-        for start in range(0, len(comms), coll.n):
-            for q, img in enumerate(pi(comms[start : start + coll.n]), start):
-                values[q] += 0.5 * linalg.trace_norm(s[:, None] * img * s)
+        for chunk in _chunks(len(comms), coll.n):
+            img = pi(comms[chunk])
+            img *= s[:, None]
+            img *= s
+            values[chunk] += 0.5 * linalg.trace_norms(img)
     return TradeoffMatrix(
         kind="C", p=coll.p, entries=_pair_matrix(coll.n, values), meta={"tilded": True}
     )
@@ -323,14 +333,15 @@ def compute_cp_rld(coll: CollectiveOperators) -> TradeoffMatrix:
     difference is P - P+ for P = X_j X_k+.
     """
     _require(coll, "rld", tilded=True)
-    entries = np.zeros((coll.n, coll.n))
+    j, k = np.triu_indices(coll.n, 1)
+    values = np.zeros(len(j))
     for s, pi in coll.blocks():
         xs = s[:, None] * pi(coll.base_ops)
-        for j, k in itertools.combinations(range(coll.n), 2):
-            prod = xs[j] @ dagger(xs[k])
+        for chunk in _chunks(len(j), coll.n):
+            prod = xs[j[chunk]] @ dagger(xs[k[chunk]])
             prod -= dagger(prod)
-            entries[j, k] += 0.5 * linalg.trace_norm(prod)
-    entries = np.minimum(entries + entries.T, 2.0 * coll.p)
+            values[chunk] += 0.5 * linalg.trace_norms(prod)
+    entries = np.minimum(_pair_matrix(coll.n, values), 2.0 * coll.p)
     return TradeoffMatrix(kind="C_RLD", p=coll.p, entries=entries, meta={"tilded": True})
 
 
@@ -510,6 +521,32 @@ def _signs_from_values(values: np.ndarray) -> np.ndarray:
     return np.where(values < -tol, -1.0, 1.0)
 
 
+def first_best(values: np.ndarray) -> int:
+    """Index of the first value within SIGN_TIE_RTOL of the largest, so
+    exact ties go to the earliest candidate whatever the overall scale."""
+    values = np.asarray(values, dtype=float)
+    return int(np.argmax(values >= (1.0 - SIGN_TIE_RTOL) * np.max(values)))
+
+
+def _optimize_norm_signs(imags: np.ndarray, sandwich: np.ndarray | None) -> np.ndarray:
+    """The transpose pattern s (s_0 = +1) maximizing ||sum_q s_q A_q||_F,
+    A_q = S Im F_{u_q} S with S = ``sandwich`` or I.
+
+    ||sum_q s_q A_q||_F^2 = s^T G s with G_qr = <A_q, A_r>_F, so one
+    k x k Gram matrix scores all 2^(k-1) patterns at once, enumerated
+    with bit q of the pattern index flipping vector q + 1.
+    """
+    count = len(imags)
+    scored = imags if sandwich is None else sandwich @ imags @ sandwich
+    flat = scored.reshape(count, -1)
+    gram = flat @ flat.T
+    bits = (np.arange(2 ** (count - 1))[:, None] >> np.arange(count - 1)) & 1
+    patterns = np.ones((len(bits), count))
+    patterns[:, 1:] -= 2.0 * bits
+    squares = np.sum((patterns @ gram) * patterns, axis=1)
+    return patterns[first_best(np.sqrt(np.maximum(squares, 0.0)))]
+
+
 def _fbar_matrix(
     coll: CollectiveOperators, fbar_im: np.ndarray, sign_arr: np.ndarray, strategy: str
 ) -> TradeoffMatrix:
@@ -524,6 +561,39 @@ def _fbar_matrix(
             "signs": tuple(AS_IS if s > 0 else TRANSPOSED for s in sign_arr),
         },
     )
+
+
+def _align_chunk(
+    x: np.ndarray,
+    s: np.ndarray,
+    pairs: Sequence[tuple[int, int]],
+    totals: np.ndarray,
+    signs: Sequence[list[np.ndarray]],
+) -> None:
+    """Add one block's share of each pair's aligned aggregate to ``totals``
+    and append its signs, from one stacked eigensolve of the pairs'
+    sandwiched commutators.  x = pi_lambda(L~), s the block weight; the
+    locals die on return, before the next chunk or block allocates."""
+    sandwich = np.empty((len(pairs),) + x.shape[1:], dtype=np.complex128)
+    for q, (j, k) in enumerate(pairs):
+        np.matmul(x[j], x[k], out=sandwich[q])
+        sandwich[q] -= x[k] @ x[j]
+    sandwich *= s[:, None]
+    sandwich *= s
+    sandwich *= -1j
+    values, vectors = np.linalg.eigh(sandwich)
+    del sandwich  # before the column buffers
+    cols = np.empty_like(x)
+    signed = np.empty_like(x)
+    flat = cols.reshape(len(x), -1)
+    for total, sign_list, vals, vecs in zip(totals, signs, values, vectors):
+        sign = _signs_from_values(vals / 2.0)
+        vecs *= s[:, None]
+        np.matmul(x, vecs, out=cols)
+        np.multiply(cols, sign, out=signed)
+        np.conj(cols, out=cols)
+        total += flat @ signed.reshape(len(x), -1).T
+        sign_list.append(sign)
 
 
 def auto_align_fbar(
@@ -542,14 +612,8 @@ def auto_align_fbar(
     signs: list[list[np.ndarray]] = [[] for _ in pairs]
     for s, pi in coll.blocks():
         x = pi(coll.base_ops)
-        for q, (j, k) in enumerate(pairs):
-            sandwich = s[:, None] * (x[j] @ x[k] - x[k] @ x[j]) * s
-            values, vectors = np.linalg.eigh(-1j * sandwich)
-            sign = _signs_from_values(values / 2.0)
-            cols = x @ (s[:, None] * vectors)
-            flat = cols.reshape(coll.n, -1)
-            totals[q] += np.conj(flat) @ (cols * sign).reshape(coll.n, -1).T
-            signs[q].append(sign)
+        for chunk in _chunks(len(pairs), coll.n):
+            _align_chunk(x, s, pairs[chunk], totals[chunk], signs[chunk])
     return [
         _fbar_matrix(coll, np.imag(total), np.concatenate(sign), f"auto_align({j},{k})")
         for (j, k), total, sign in zip(pairs, totals, signs)
@@ -611,19 +675,7 @@ def compute_fbar_im(
             if fisher is None:
                 raise KindMismatch("un-tilded collective needs fisher for optimization")
             sandwich = qfim_inv_sqrt(fisher)
-        best = None
-        best_norm = -1.0
-        flip_bits = np.arange(basis.count - 1)
-        for bits in range(2 ** (basis.count - 1)):
-            cand = np.ones(basis.count)
-            cand[1:] -= 2.0 * ((bits >> flip_bits) & 1)
-            agg = np.tensordot(cand, imags, axes=1)
-            scored = agg if sandwich is None else sandwich @ agg @ sandwich
-            norm = float(np.linalg.norm(scored))
-            if norm > best_norm + 1e-15:
-                best_norm = norm
-                best = cand
-        sign_arr = best
+        sign_arr = _optimize_norm_signs(imags, sandwich)
         strategy = "optimize_norm"
     else:
         sign_arr = _resolve_signs(signs, basis.count)

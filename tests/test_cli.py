@@ -246,6 +246,30 @@ class TestBounds:
         assert float(rows["nu_fq_cov_from_cp"]["value"]) == pytest.approx(4.0, abs=1e-10)
 
 
+REGRESSION = os.path.join(os.path.dirname(__file__), "data", "bounds_regression.json")
+
+
+def _regression_cases():
+    with open(REGRESSION) as fh:
+        return json.load(fh)["cases"]
+
+
+class TestBoundsRegression:
+    """Small-p ``bounds`` rows against values recorded from the CLI at
+    commit f5ec208 (per-matrix trace norms, eigensolves and pattern loop)."""
+
+    @pytest.mark.parametrize("case", _regression_cases(), ids=lambda c: c["args"][2])
+    def test_same_rows(self, tmp_path, case):
+        out = tmp_path / "r.json"
+        assert run_cli(case["args"] + ["--format", "json", "--output", str(out)]) == 0
+        rows = json.loads(out.read_text())
+        assert len(rows) == len(case["rows"])
+        for got, want in zip(rows, case["rows"]):
+            for key in ("scenario", "delta", "p", "bound_name", "tightest", "meta"):
+                assert got[key] == want[key], (key, want)
+            assert float(got["value"]) == pytest.approx(float(want["value"]), rel=1e-12, abs=0.0)
+
+
 class TestSweep:
     def test_p_sweep_monotone(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -15,6 +15,7 @@ from qmetro.report import (
 )
 from qmetro.scenarios import SIGMA1, SIGMA2
 from qmetro.states import StateFamily, evaluate
+from qmetro.tensor import TradeoffMatrix
 
 
 class TestBuildReport:
@@ -121,6 +122,23 @@ class TestFbarStrategy:
         assert val <= 3.0 + 1e-12
         # at delta = 0 the aligned entry equals the C_p entry N_p = 3/2
         assert abs(fb.entries[0, 1]) == pytest.approx(1.5, abs=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_candidate_ties_are_relative(self, qubit_state, monkeypatch, scale):
+        # The second candidate's norm is 1e-14 relative above the first: a
+        # tie at both scales, so the first is kept (an absolute 1e-15
+        # margin would keep the second at 1e6 only).
+        base = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        other = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+
+        def tied(coll, pairs):
+            return [TradeoffMatrix("FBAR_IM", coll.p, scale * m, {"strategy": name})
+                    for m, name in ((base, "first"), ((1 + 1e-14) * other, "second"))]
+
+        monkeypatch.setattr("qmetro.report.auto_align_fbar", tied)
+        st = qubit_state(0.0)
+        _, fisher, tilde = sld_analysis(st)
+        assert best_fbar(st, tilde, fisher, 4).meta["strategy"] == "first"
 
 
 class TestSaturationFlags:

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qmetro import bounds as gb
 from qmetro import linalg, scenarios, schur, tensor
 from qmetro.errors import (
     DimensionOverflow,
@@ -16,7 +17,13 @@ from qmetro.errors import (
     KindMismatch,
 )
 from qmetro.linalg import dagger
-from qmetro.logderiv import compute_rld, compute_rld_fisher, reparametrize, sld_analysis
+from qmetro.logderiv import (
+    compute_rld,
+    compute_rld_fisher,
+    qfim_inv_sqrt,
+    reparametrize,
+    sld_analysis,
+)
 from qmetro.random_instances import haar_unitary, random_linear_family
 from qmetro.scenarios import SIGMA1, SIGMA2, SIGMA3, build_scenario, parse_scenario
 from qmetro.states import EvaluatedState, StateFamily, evaluate
@@ -123,6 +130,26 @@ class TestBuildCollective:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 16 * largest**2
+
+    def test_auto_align_working_set(self, qutrit_state):
+        # All 28 qutrit8 pairs, stacked n at a time: the generators, the
+        # operator images, one chunk of eigenvectors and two column
+        # buffers of the largest block, about 42 matrices, not a copy per
+        # pair.  The unstacked loop peaked at 48.2; keeping the chunk's
+        # sandwiches alive past the eigensolve, or the real generators
+        # beside the complex ones, reads 49.7 or 46.2.
+        st, _ = qutrit_state("qutrit8")
+        _, _, tilde = sld_analysis(st)
+        p = 12
+        largest = max(schur.irrep_dim(shape) for shape in schur.partitions(p, st.dim))
+        pairs = list(itertools.combinations(range(len(tilde)), 2))
+        tracemalloc.start()
+        try:
+            auto_align_fbar(build_collective(st, tilde, p), pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 45 * 16 * largest**2
 
 
 def literal_site_sum(a, w, p):
@@ -284,6 +311,7 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("name, p", [("qubit3", 5), ("qutrit8", 3), ("d4", 2)])
     def test_candidates_match_single_pairs(self, name, p):
+        # qutrit8's 28 pairs run in stacked chunks of 8, 8, 8 and 4.
         st = _block_case(name)
         _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, p)
@@ -666,6 +694,72 @@ class TestFbar:
                 expected += (-1.0 if im[j, k] < -1e-12 else 1.0) * im
             assert np.allclose(fb.entries, expected, atol=1e-10)
             assert fb.entries[j, k] >= -1e-12
+
+
+def optimize_norm_loop(coll, basis, fisher=None):
+    """Oracle: one tensordot and one norm per transpose pattern, keeping
+    a pattern only when it beats the best so far by 1e-15."""
+    imags = tensor._fu_imag_parts(coll, basis)
+    sandwich = None if coll.tilded else qfim_inv_sqrt(fisher)
+    best, best_norm = None, -1.0
+    flip_bits = np.arange(basis.count - 1)
+    for bits in range(2 ** (basis.count - 1)):
+        cand = np.ones(basis.count)
+        cand[1:] -= 2.0 * ((bits >> flip_bits) & 1)
+        agg = np.tensordot(cand, imags, axes=1)
+        scored = agg if sandwich is None else sandwich @ agg @ sandwich
+        norm = float(np.linalg.norm(scored))
+        if norm > best_norm + 1e-15:
+            best, best_norm = cand, norm
+    return best, best_norm
+
+
+def skew_unit(n, a, b):
+    m = np.zeros((n, n))
+    m[a, b], m[b, a] = 1.0, -1.0
+    return m
+
+
+class TestOptimizeNorm:
+    @pytest.mark.parametrize("tilded", [True, False])
+    @pytest.mark.parametrize("count", range(2, 13))
+    def test_matches_pattern_loop(self, count, tilded):
+        # A Parseval frame of ``count`` vectors (rows of the first dim
+        # columns of a Haar unitary) on d^p = 2, 3 or 4 dimensions.
+        rng = np.random.default_rng(900 + 2 * count + tilded)
+        d, p = [(2, 1), (3, 1), (2, 2)][count % 3] if count >= 4 else (2, 1)
+        st = evaluate(random_linear_family(d, 3, rng), np.zeros(3))
+        slds, fisher, tilde = sld_analysis(st)
+        coll = build_collective(st, tilde if tilded else slds.ops, p, tilded=tilded)
+        basis = UBasis(vectors=haar_unitary(count, rng)[:, : d**p].copy())
+        fb = compute_fbar_im(coll, basis, OptimizeNorm(), fisher=fisher)
+        signs, norm = optimize_norm_loop(coll, basis, fisher)
+        oracle = compute_fbar_im(coll, basis, list(signs))
+        w = np.eye(3) if tilded else qfim_inv_sqrt(fisher)
+        scored = w @ fb.entries @ w
+        assert np.linalg.norm(scored) == pytest.approx(norm, rel=1e-12, abs=0.0)
+        assert gb.fbar_bound(fb, fisher, 3) == pytest.approx(
+            gb.fbar_bound(oracle, fisher, 3), rel=1e-12, abs=0.0
+        )
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_ties_take_the_first_pattern_at_any_scale(self, scale):
+        # Disjoint supports: every pattern has the same norm exactly.
+        exact = np.array([skew_unit(3, 0, 1), 0.1 * skew_unit(3, 0, 2), 0.3 * skew_unit(3, 1, 2)])
+        assert list(tensor._optimize_norm_signs(scale * exact, None)) == [1.0, 1.0, 1.0]
+        # (+, -) beats (+, +) by 1e-14 relative: a tie at every scale, where
+        # an absolute 1e-15 margin takes (+, -) at 1e6 and (+, +) at 1e-6.
+        near = np.array([skew_unit(3, 0, 1), skew_unit(3, 0, 2) - 1e-14 * skew_unit(3, 0, 1)])
+        assert list(tensor._optimize_norm_signs(scale * near, None)) == [1.0, 1.0]
+        # A real gap is not a tie.
+        gap = np.array([skew_unit(3, 0, 1), skew_unit(3, 0, 2) - 1e-9 * skew_unit(3, 0, 1)])
+        assert list(tensor._optimize_norm_signs(scale * gap, None)) == [1.0, -1.0]
+
+    def test_first_best_is_relative(self):
+        for scale in (1e-6, 1.0, 1e6):
+            assert tensor.first_best(scale * np.array([1.0, 1.0 + 1e-14, 0.5])) == 0
+            assert tensor.first_best(scale * np.array([0.5, 1.0, 1.0 + 1e-9])) == 2
+        assert tensor.first_best(np.zeros(3)) == 0
 
 
 class TestProperties:
