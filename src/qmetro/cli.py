@@ -351,8 +351,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--max-dim",
         dest="max_dim",
         type=int,
-        help="cap on the largest matrix built: d^p on dense paths, the largest "
-        "irrep block on the block path (env QMETRO_MAX_DIM)",
+        help="cap on the dimension of the largest irrep block (env QMETRO_MAX_DIM)",
     )
     p.add_argument("--enum-cap", dest="enum_cap", type=int, help="cap on exact T_p enumeration")
     p.add_argument("--output", help="output file (default: stdout)")

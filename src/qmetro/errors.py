@@ -29,8 +29,8 @@ class DimMismatch(QmetroError):
 
 
 class DimensionOverflow(QmetroError):
-    """A matrix to be built (Kronecker product, tensor power or irrep
-    block) exceeds the configured dimension cap."""
+    """An irrep block to be built exceeds the configured dimension cap, or
+    a Kronecker power exceeds the cap of ``linalg.kron_power``."""
 
 
 class InvalidState(QmetroError):

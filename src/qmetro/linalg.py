@@ -21,9 +21,9 @@ from .errors import (
     SingularWhenFullRankRequired,
 )
 
-#: Largest allowed dimension of any matrix built: a Kronecker product or
-#: tensor power rho^(x)p here, an irrep block in ``tensor``.  Overridable
-#: per call (the CLI maps QMETRO_MAX_DIM onto this).
+#: Largest allowed dimension of a Kronecker power here and of an irrep
+#: block in ``tensor``.  Overridable per call (the CLI maps QMETRO_MAX_DIM
+#: onto the block cap).
 DEFAULT_DIM_CAP = 16384
 
 #: Per-entry absolute tolerance for Hermitian-symmetry checks.
@@ -242,29 +242,14 @@ def pinv_psd(m: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
     return hermitian_part(es.apply_function(lambda _: out))
 
 
-def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """Kronecker product with a configurable output-dimension cap."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > dim_cap:
-        raise DimensionOverflow(f"kron result {rows}x{cols} exceeds cap {dim_cap}")
-    return np.kron(a, b)
-
-
-def check_power_dim(d: int, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> None:
-    """Raise DimensionOverflow when a p-fold tensor power of C^d exceeds the cap."""
-    if d**p > dim_cap:
-        raise DimensionOverflow(f"{d}^{p} = {d**p} exceeds dimension cap {dim_cap}")
-
-
 def kron_power(m: np.ndarray, p: int, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     """p-fold Kronecker power of ``m``."""
     if p < 1:
         raise DimMismatch(f"kron power needs p >= 1, got {p}")
     m = as_matrix(m)
-    check_power_dim(max(m.shape), p, dim_cap)
+    d = max(m.shape)
+    if d**p > dim_cap:
+        raise DimensionOverflow(f"{d}^{p} = {d**p} exceeds dimension cap {dim_cap}")
     out = m
     for _ in range(p - 1):
         out = np.kron(out, m)

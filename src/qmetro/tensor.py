@@ -16,16 +16,13 @@ F-bar_Im are sums over these blocks, whose dimensions grow polynomially
 in p; C_p reads pi_lambda([A, B]) = [pi_lambda(A), pi_lambda(B)] and
 forms no block products.  A trace norm over the m_lambda copies of a
 block is m_lambda times the block's, which the sqrt(m_lambda) factor on
-both sides supplies.
+both sides supplies.  The dimension cap bounds the largest block.
 
-The dense d^p path remains for a user-supplied basis of (C^d)^(x)p
-(explicit signs, AlignEntry, OptimizeNorm) and for the eigenbasis of
-rho^(x)p: ``CollectiveOperators.rho_p``, ``sqrt_rho_p`` and
-``collective`` build d^p x d^p matrices, the last by :func:`site_sum`.
-One dimension cap bounds the largest matrix actually built: d^p on the
-dense path, the largest block dimension on the block path.  The module
-also computes T_p (exact enumeration or Monte Carlo) and the
-p -> infinity limit.
+F-bar over a user-supplied basis of (C^d)^(x)p (explicit signs,
+AlignEntry, OptimizeNorm) applies sqrt(rho) and each L_j to the basis
+one site at a time, so no collective operator is built as a d^p x d^p
+matrix there either.  The module also computes T_p (exact enumeration
+or Monte Carlo) and the p -> infinity limit.
 """
 
 from __future__ import annotations
@@ -40,6 +37,7 @@ import numpy as np
 
 from . import linalg, schur
 from .errors import (
+    DimMismatch,
     DimensionOverflow,
     EnumerationOverflow,
     IncompleteBasis,
@@ -131,32 +129,12 @@ class UBasis:
 # --- collective operators ----------------------------------------------------
 
 
-def site_sum(
-    site_op: np.ndarray, weight: np.ndarray, p: int, dim_cap: int = DEFAULT_DIM_CAP
-) -> np.ndarray:
-    """sum_r weight^(x)r (x) site_op (x) weight^(x)(p-r-1) over the p sites.
-
-    Built by the recursion S <- S (x) w + w^(x)k (x) A, so at most two
-    d^p x d^p matrices are alive at once.
-    """
-    linalg.check_power_dim(site_op.shape[0], p, dim_cap)
-    out = np.asarray(site_op, dtype=np.complex128)
-    power = np.eye(1, dtype=np.complex128)
-    for _ in range(p - 1):
-        power = np.kron(power, weight)
-        out = np.kron(out, weight)
-        out += np.kron(power, site_op)
-    return out
-
-
 @dataclass(frozen=True)
 class CollectiveOperators:
     """rho^(x)p with the collective operators of one derivative kind.
 
     Holds the single-copy ``state`` and ``base_ops`` only.  :meth:`blocks`
-    streams the irrep blocks that every tradeoff matrix reads; ``rho_p``,
-    ``sqrt_rho_p`` and ``ops`` build a d^p x d^p complex matrix each on
-    every access, under the dimension cap, for the dense paths.
+    streams the irrep blocks that the block-path tradeoff matrices read.
     """
 
     p: int
@@ -164,7 +142,6 @@ class CollectiveOperators:
     tilded: bool
     state: EvaluatedState
     base_ops: tuple[np.ndarray, ...]
-    dim_cap: int = DEFAULT_DIM_CAP
 
     @property
     def d(self) -> int:
@@ -177,23 +154,6 @@ class CollectiveOperators:
     @property
     def n(self) -> int:
         return len(self.base_ops)
-
-    @property
-    def rho_p(self) -> np.ndarray:
-        return linalg.kron_power(self.state.rho, self.p, self.dim_cap)
-
-    @property
-    def sqrt_rho_p(self) -> np.ndarray:
-        # sqrt(rho^(x)p) = sqrt(rho)^(x)p
-        return linalg.kron_power(self.state.sqrt_rho, self.p, self.dim_cap)
-
-    def collective(self, op: np.ndarray) -> np.ndarray:
-        """sum_r I^(x)r (x) op (x) I^(x)(p-r-1)."""
-        return site_sum(op, np.eye(self.d, dtype=np.complex128), self.p, self.dim_cap)
-
-    @property
-    def ops(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.collective(op) for op in self.base_ops)
 
     def blocks(self) -> Iterator[tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]:
         """Yield ``(sqrt_weight, pi)`` per irrep block lambda, one at a time:
@@ -242,7 +202,6 @@ def build_collective(
         tilded=tilded,
         state=state,
         base_ops=tuple(np.asarray(o, dtype=np.complex128) for o in ops),
-        dim_cap=dim_cap,
     )
 
 
@@ -493,21 +452,27 @@ def limit_fim(state: EvaluatedState, tilde_ops: Sequence[np.ndarray]) -> Tradeof
 def _fu_imag_parts(coll: CollectiveOperators, basis: UBasis) -> np.ndarray:
     """Im (F_{u_q})_{jk} = Im <u_q| sqrt(rho_p) L_jp L_kp sqrt(rho_p) |u_q>.
 
-    Returns shape (count, n, n).  Works on the whole basis block
-    W = sqrt(rho_p) U at once, building one collective L_jp at a time.
+    Returns shape (count, n, n).  The basis is read as a (d^p, count)
+    matrix w whose row index runs over the p sites, so a single-copy
+    operator acts on site r as one product with ``w.reshape(d**r, d, -1)``:
+    sqrt(rho_p) w = sqrt(rho)^(x)p w is p such products, and
+    L_jp w = sum_r L_j^(r) w takes all n operators per site at once.
     """
-    w = coll.sqrt_rho_p @ basis.vectors.T
-    cols = np.empty((coll.n,) + w.shape, dtype=np.complex128)
-    for j, op in enumerate(coll.base_ops):
-        cols[j] = coll.collective(op) @ w
+    d = coll.d
+    w = basis.vectors.T
+    for r in range(coll.p):
+        w = (coll.state.sqrt_rho @ w.reshape(d**r, d, -1)).reshape(w.shape)
+    ops = np.array(coll.base_ops)[:, None]  # (n, 1, d, d), broadcast over d**r
+    cols = np.zeros((coll.n,) + w.shape, dtype=np.complex128)
+    for r in range(coll.p):
+        cols += (ops @ w.reshape(d**r, d, -1)).reshape(cols.shape)
     return np.imag(np.einsum("jaq,kaq->qjk", np.conj(cols), cols))
 
 
 def state_eigenbasis(coll: CollectiveOperators) -> UBasis:
-    """Eigenbasis of rho^(x)p, the choice that turns the aligned F-bar
-    entries into the T_p diagonal surrogate."""
-    es = linalg.eigh(coll.rho_p)
-    return UBasis.from_columns(es.vectors)
+    """Eigenbasis U^(x)p of rho^(x)p, rho = U D U+, the choice that turns
+    the aligned F-bar entries into the T_p diagonal surrogate."""
+    return UBasis.from_columns(linalg.kron_power(coll.state.eigen.vectors, coll.p))
 
 
 def _signs_from_values(values: np.ndarray) -> np.ndarray:
@@ -650,15 +615,20 @@ def compute_fbar_im(
     block; the (j,k) entry then reproduces the C_p entry, and
     ``meta["signs"]`` has one sign per block eigenvector), or
     OptimizeNorm() (exhaustive Frobenius-norm maximization, small bases
-    only).  All but AutoAlign work on the dense d^p basis.
+    only).  All but AutoAlign read a basis of (C^d)^(x)p, the computational
+    one by default; its vectors must have d^p entries (DimMismatch).
 
     For collectives built from un-tilded operators pass ``fisher`` so the
     norm optimization targets ||F_Q^(-1/2) . F_Q^(-1/2)||_F.
     """
     if isinstance(signs, AutoAlign):
         return auto_align_fbar(coll, [(signs.j, signs.k)])[0]
-    if basis is None:
-        basis = UBasis.computational(coll.dim)
+    if basis is None:  # I_d^(x)p, refused by kron_power's cap before it is built
+        basis = UBasis(vectors=linalg.kron_power(np.eye(coll.d), coll.p))
+    if basis.dim != coll.dim:
+        raise DimMismatch(
+            f"basis vectors have {basis.dim} entries, {coll.d}^{coll.p} = {coll.dim} expected"
+        )
     basis.check_complete()
     imags = _fu_imag_parts(coll, basis)
     if isinstance(signs, AlignEntry):

@@ -41,11 +41,11 @@ from .states import EvaluatedState
 from .tensor import (
     AS_IS,
     TRANSPOSED,
-    AlignEntry,
     Signs,
     UBasis,
-    _resolve_signs,
     _signs_from_values,
+    build_collective,
+    compute_fbar_im,
 )
 
 #: Residual required of the affine projection onto the unbiasedness set.
@@ -272,24 +272,19 @@ def evaluate_general_bound(
     feasible sets, not the value at any one set, bounds nu Tr[W Cov]
     from below.  With all signs as-is the value is the Holevo functional
     (and is then basis-independent).
+
+    Abar_Re = Re Z(X) for any resolution of the identity, and Abar_Im is
+    the p = 1 F-bar aggregate of the X_j from :func:`compute_fbar_im` over
+    ``basis`` (computational by default) with ``signs`` an explicit
+    selection or AlignEntry(j, k).
     """
     ops = x_set.ops if isinstance(x_set, LocallyUnbiasedSet) else tuple(x_set)
-    n = len(ops)
-    w_mat = _check_weight(w, n)
-    if basis is None:
-        basis = UBasis.computational(state.dim)
-    basis.check_complete()
+    w_mat = _check_weight(w, len(ops))
     if signs is None:
-        signs = [AS_IS] * basis.count
-    a_list = [a_u_matrix(state, ops, basis.vectors[q]) for q in range(basis.count)]
-    if isinstance(signs, AlignEntry):
-        vals = np.array([np.imag(a[signs.j, signs.k]) for a in a_list])
-        sign_arr = _signs_from_values(vals)
-    else:
-        sign_arr = _resolve_signs(signs, basis.count)
-    a_re = sum(np.real(a) for a in a_list)
-    a_im = sum(s * np.imag(a) for s, a in zip(sign_arr, a_list))
-    a_im = (a_im - a_im.T) / 2.0
+        signs = [AS_IS] * (state.dim if basis is None else basis.count)
+    coll = build_collective(state, ops, 1, tilded=False)
+    a_im = compute_fbar_im(coll, basis, signs).entries
+    a_re = np.real(z_matrix(state, ops))
     sqrt_w = linalg.sqrt_psd(w_mat)
     return float(np.sum(w_mat * a_re)) + linalg.trace_norm(sqrt_w @ a_im @ sqrt_w)
 

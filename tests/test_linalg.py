@@ -230,23 +230,12 @@ class TestPsdFunctions:
 
 class TestKron:
     def test_identity(self):
-        assert np.allclose(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_sigma3_identity(self):
-        assert np.allclose(
-            linalg.kron(SIGMA3, np.eye(2)), np.diag([1.0, 1.0, -1.0, -1.0])
-        )
-
-    def test_collective_x_spectrum(self):
-        # Oracle: direct 4x4 eigendecomposition of sigma_1 (x) I + I (x) sigma_1.
-        m = linalg.kron(SIGMA1, np.eye(2)) + linalg.kron(np.eye(2), SIGMA1)
-        assert np.allclose(np.linalg.eigvalsh(m), [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
+        assert np.array_equal(linalg.kron_power(np.eye(2), 3), np.eye(8))
 
     def test_overflow(self):
         with pytest.raises(DimensionOverflow):
-            linalg.kron(np.eye(8), np.eye(8), dim_cap=32)
-        with pytest.raises(DimensionOverflow):
             linalg.kron_power(np.eye(2), 6, dim_cap=32)
+        assert linalg.kron_power(np.eye(2), 5, dim_cap=32).shape == (32, 32)
 
     def test_kron_power(self):
         assert np.allclose(linalg.kron_power(SIGMA3, 2), np.diag([1.0, -1.0, -1.0, 1.0]))

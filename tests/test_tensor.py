@@ -11,6 +11,7 @@ import pytest
 from qmetro import bounds as gb
 from qmetro import linalg, scenarios, schur, tensor
 from qmetro.errors import (
+    DimMismatch,
     DimensionOverflow,
     EnumerationOverflow,
     IncompleteBasis,
@@ -45,47 +46,59 @@ from qmetro.tensor import (
 
 class TestBuildCollective:
     def test_p1_identity_embedding(self, qubit_state):
+        # At p = 1 the single block is the single copy in the eigenbasis of
+        # rho: S pi(A) S has the spectrum of sqrt(rho) A sqrt(rho).
         st = qubit_state(0.2)
         _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, 1)
-        assert np.allclose(coll.rho_p, st.rho)
-        for a, b in zip(coll.ops, tilde):
+        for a, b in zip(coll.base_ops, tilde):
             assert np.allclose(a, b)
+        [(s, pi)] = list(coll.blocks())
+        for op in tilde:
+            block = s[:, None] * pi(op) * s
+            direct = st.sqrt_rho @ op @ st.sqrt_rho
+            assert np.allclose(np.linalg.eigvalsh(block), np.linalg.eigvalsh(direct), atol=1e-12)
 
     def test_p2_sigma3_sum(self, qubit_state):
+        # sigma_3 summed over two sites has spectrum {2, 0, 0, -2}: the
+        # triplet block carries {2, 0, -2}, the singlet {0}.
         st = qubit_state(0.0)
         coll = build_collective(st, [SIGMA3], 2)
-        assert np.allclose(coll.ops[0], np.diag([2.0, 0.0, 0.0, -2.0]))
+        spectrum = []
+        for shape, (_, pi) in zip(schur.partitions(2, 2), coll.blocks()):
+            spectrum += list(np.linalg.eigvalsh(pi(SIGMA3))) * schur.multiplicity(shape)
+        assert np.allclose(sorted(spectrum), [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
     def test_collective_qfim_scales(self, qubit_state):
-        # Oracle: QFIM of rho^(x)2 from the collective SLDs by the direct
-        # trace formula equals 2 F_Q.
+        # Oracle: the QFIM of rho^(x)p from the collective SLDs, read block
+        # by block as sum_lambda Re Tr(S^2 pi(L_j) pi(L_k)), equals p F_Q.
         st = qubit_state(0.0)
         slds, fisher, _ = sld_analysis(st)
-        coll = build_collective(st, slds.ops, 2)
-        rho2 = coll.rho_p
-        f2 = np.zeros((3, 3))
-        for j in range(3):
-            for k in range(3):
-                f2[j, k] = 0.5 * np.real(
-                    np.trace(rho2 @ (coll.ops[j] @ coll.ops[k] + coll.ops[k] @ coll.ops[j]))
-                )
-        assert np.allclose(f2, 2.0 * fisher.f_q, atol=1e-10)
+        for p in (2, 3):
+            fp = np.zeros((3, 3))
+            for s, pi in build_collective(st, slds.ops, p).blocks():
+                x = pi(slds.ops)
+                fp += np.real(np.einsum("i,jil,kli->jk", s**2, x, x))
+            assert np.allclose(fp, p * fisher.f_q, atol=1e-10)
 
     def test_sqrt_rho_p(self, qubit_state):
+        # The block weights are sqrt(rho^(x)p) in its eigenbasis: squared and
+        # counted m_lambda times, they are the products of p eigenvalues.
         st = qubit_state(0.4)
         coll = build_collective(st, [SIGMA1], 3)
-        direct = linalg.sqrt_psd(coll.rho_p)
-        assert np.allclose(coll.sqrt_rho_p, direct, atol=1e-10)
+        squares = []
+        for shape, (s, _) in zip(schur.partitions(3, 2), coll.blocks()):
+            m = schur.multiplicity(shape)
+            squares += list(s**2 / m) * m
+        direct = np.real(np.diag(linalg.kron_power(np.diag(st.eigen.values), 3)))
+        assert np.allclose(sorted(squares), sorted(direct), atol=1e-12)
 
     def test_dimension_cap(self, qubit_state):
         st = qubit_state(0.0)
         # The largest block at p = 6 is the spin-3 irrep of dimension 7.
         with pytest.raises(DimensionOverflow):
             build_collective(st, [SIGMA1], 6, dim_cap=6)
-        coll = build_collective(st, [SIGMA1], 6, dim_cap=32)
-        with pytest.raises(DimensionOverflow):
-            coll.rho_p  # 2^6 = 64 > 32
+        build_collective(st, [SIGMA1], 6, dim_cap=7)
 
     def test_builds_no_blocks(self, qutrit_state):
         # The irrep blocks at p = 12 would take about 16 MB if stored.
@@ -160,19 +173,64 @@ def literal_site_sum(a, w, p):
     return total
 
 
-class TestSiteSum:
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("p", [1, 2, 3, 4])
-    def test_matches_literal_kronecker_sum(self, d, p):
-        rng = np.random.default_rng(100 * d + p)
-        st = evaluate(random_linear_family(d, 2, rng), np.zeros(2))
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        for w in (st.rho, np.eye(d)):
-            assert np.allclose(tensor.site_sum(a, w, p), literal_site_sum(a, w, p), atol=1e-13)
+def dense_fu_imag_parts(st, ops, p, vectors):
+    """Dense oracle: Im <u_q|S L_jp L_kp S|u_q> per row u_q of ``vectors``,
+    from S = sqrt(rho)^(x)p and the literal Kronecker sums L_jp."""
+    w = linalg.kron_power(st.sqrt_rho, p) @ vectors.T
+    cols = np.array([literal_site_sum(op, np.eye(st.dim), p) @ w for op in ops])
+    return np.imag(np.einsum("jaq,kaq->qjk", np.conj(cols), cols))
 
-    def test_dimension_cap(self):
+
+def _dense_aggregate(parts, signs):
+    agg = np.tensordot(signs, parts, axes=1)
+    return (agg - agg.T) / 2.0
+
+
+_SITE_CASES = [(p, d) for d in (2, 3, 4) for p in range(1, 9) if d**p <= 256]
+
+
+class TestSiteSum:
+    """The supplied-basis F-bar applies sqrt(rho) and each L_j one site at
+    a time; the oracle builds the d^p x d^p Kronecker sums."""
+
+    @pytest.mark.parametrize("p, d", _SITE_CASES)
+    def test_matches_literal_kronecker_sum(self, p, d):
+        rng = np.random.default_rng(100 * d + p)
+        st = evaluate(random_linear_family(d, 3, rng), np.zeros(3))
+        slds, fisher, tilde = sld_analysis(st)
+        basis = UBasis.from_columns(haar_unitary(d**p, rng))
+        for tilded, ops in ((True, tilde), (False, slds.ops)):
+            coll = build_collective(st, ops, p, tilded=tilded)
+            parts = dense_fu_imag_parts(st, ops, p, basis.vectors)
+            tol = 1e-12 * float(np.max(np.abs(parts)))
+            assert np.allclose(tensor._fu_imag_parts(coll, basis), parts, rtol=0, atol=tol)
+            explicit = rng.choice([-1.0, 1.0], size=basis.count)
+            strategies = [(list(explicit), explicit)]
+            for j, k in ((0, 1), (1, 2)):
+                a = parts[:, j, k]
+                aligned = np.where(a < -1e-12 * np.max(np.abs(a)), -1.0, 1.0)
+                strategies.append((AlignEntry(j, k), aligned))
+            if basis.count <= tensor.OPTIMIZE_MAX_VECTORS:
+                # every pattern with s_0 = +1, scored as OptimizeNorm scores them
+                sandwich = np.eye(3) if tilded else qfim_inv_sqrt(fisher)
+                patterns = [np.array((1.0,) + rest)
+                            for rest in itertools.product((1.0, -1.0), repeat=basis.count - 1)]
+                norms = [np.linalg.norm(sandwich @ _dense_aggregate(parts, s) @ sandwich)
+                         for s in patterns]
+                strategies.append((OptimizeNorm(), patterns[int(np.argmax(norms))]))
+            for signs, expected in strategies:
+                fb = compute_fbar_im(coll, basis, signs, fisher=fisher)
+                got = np.array([1.0 if s == tensor.AS_IS else -1.0 for s in fb.meta["signs"]])
+                assert np.array_equal(got, expected)
+                ref = _dense_aggregate(parts, expected)
+                assert np.allclose(fb.entries, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_dimension_cap(self, qubit_state):
+        # 2^15 computational vectors exceed the Kronecker-power cap, while
+        # the largest block (16 rows) passes the block cap.
+        coll = build_collective(qubit_state(0.0), [SIGMA1], 15)
         with pytest.raises(DimensionOverflow):
-            tensor.site_sum(np.eye(2), np.eye(2), 6, dim_cap=32)
+            compute_fbar_im(coll, None, AlignEntry(0, 0))
 
 
 def dense_pair_norms(st, ops, p, rld=False):
@@ -354,18 +412,18 @@ class TestComputeCp:
         assert np.allclose(cp.entries, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-10)
 
     def test_matches_literal_collective_route(self, qubit_state):
-        # Dual route: the site-decomposed fast path must equal the literal
+        # Dual route: the block path must equal the literal
         # sqrt(rho_p) [L_jp, L_kp] sqrt(rho_p) computed with materialized
         # collective operators and a full SVD.
         st = qubit_state(0.35)
         _, _, tilde = sld_analysis(st)
         for p in (1, 2, 3):
-            coll = build_collective(st, tilde, p)
-            fast = compute_cp(coll)
-            s = coll.sqrt_rho_p
+            fast = compute_cp(build_collective(st, tilde, p))
+            s = linalg.kron_power(st.sqrt_rho, p)
+            ops = [literal_site_sum(op, np.eye(2), p) for op in tilde]
             for j in range(3):
                 for k in range(j + 1, 3):
-                    m = s @ (coll.ops[j] @ coll.ops[k] - coll.ops[k] @ coll.ops[j]) @ s
+                    m = s @ (ops[j] @ ops[k] - ops[k] @ ops[j]) @ s
                     literal = 0.5 * float(np.sum(np.linalg.svd(m, compute_uv=False)))
                     assert fast.entries[j, k] == pytest.approx(literal, abs=1e-9)
 
@@ -675,6 +733,30 @@ class TestFbar:
                 fb = compute_fbar_im(coll, basis, AlignEntry(j, k))
                 assert fb.entries[j, k] == pytest.approx(tp.entries[j, k], abs=1e-9)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_state_eigenbasis_reproduces_tp_entry_random(self, d):
+        # Random families have non-diagonal rho, so U^(x)p is a rotated
+        # product basis.
+        rng = np.random.default_rng(40 + d)
+        for _ in range(3):
+            st = evaluate(random_linear_family(d, 3, rng), np.zeros(3))
+            _, _, tilde = sld_analysis(st)
+            for p in (1, 2, 3):
+                coll = build_collective(st, tilde, p)
+                basis = tensor.state_eigenbasis(coll)
+                tp = compute_tp_exact(st, tilde, p).entries
+                for j, k in itertools.combinations(range(3), 2):
+                    fb = compute_fbar_im(coll, basis, AlignEntry(j, k))
+                    assert fb.entries[j, k] == pytest.approx(tp[j, k], rel=1e-12, abs=0.0)
+
+    def test_wrong_size_basis(self, qubit_state):
+        # Eight vectors of C^8 at qubit p = 2: d^p = 4 entries are needed.
+        st = qubit_state(0.3)
+        _, _, tilde = sld_analysis(st)
+        coll = build_collective(st, tilde, 2)
+        with pytest.raises(DimMismatch):
+            compute_fbar_im(coll, UBasis.computational(8), ["asis"] * 8)
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_align_entry_haar_basis_matches_per_vector_sum(self, qubit_state, p):
         # Oracle: sum_q s_q Im <u_q|S L_j L_k S|u_q> vector by vector from
@@ -683,7 +765,8 @@ class TestFbar:
         _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, p)
         u = haar_unitary(coll.dim, np.random.default_rng(70 + p))
-        s, ops = coll.sqrt_rho_p, coll.ops
+        s = linalg.kron_power(st.sqrt_rho, p)
+        ops = [literal_site_sum(op, np.eye(2), p) for op in tilde]
         for j, k in ((0, 1), (0, 2), (1, 2)):
             fb = compute_fbar_im(coll, UBasis.from_columns(u), AlignEntry(j, k))
             expected = np.zeros((3, 3))

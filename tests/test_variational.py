@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from qmetro import linalg, variational
-from qmetro.errors import DegenerateConstraints, InvalidN, InvalidState, InvalidWeight
+from qmetro.errors import (
+    DegenerateConstraints,
+    DimMismatch,
+    InvalidN,
+    InvalidState,
+    InvalidWeight,
+)
 from qmetro.logderiv import compute_rld, compute_rld_fisher, sld_analysis
 from qmetro.random_instances import (
     haar_unitary,
@@ -14,6 +20,7 @@ from qmetro.random_instances import (
 )
 from qmetro.scenarios import SIGMA1, SIGMA2, SIGMA3, build_scenario, parse_scenario
 from qmetro.states import EvaluatedState, StateFamily, evaluate
+from qmetro.tensor import AlignEntry, UBasis
 from qmetro.variational import (
     LocalMeasurement,
     MinimizeConfig,
@@ -145,7 +152,49 @@ class TestProjectUnbiased:
             project_unbiased([np.zeros((2, 2))] * 2, st)
 
 
+def general_bound_loop(ops, st, basis, signs, w):
+    """Oracle: A_u vector by vector, with AlignEntry signs from Im (A_u)_jk
+    (values within 1e-12 of the largest |value| take as is)."""
+    a_list = [variational.a_u_matrix(st, ops, u) for u in basis.vectors]
+    if isinstance(signs, AlignEntry):
+        vals = np.array([np.imag(a[signs.j, signs.k]) for a in a_list])
+        sign_arr = np.where(vals < -1e-12 * np.max(np.abs(vals)), -1.0, 1.0)
+    else:
+        sign_arr = [1.0 if s == "asis" else -1.0 for s in signs]
+    a_re = sum(np.real(a) for a in a_list)
+    a_im = sum(s * np.imag(a) for s, a in zip(sign_arr, a_list))
+    a_im = (a_im - a_im.T) / 2.0
+    sqrt_w = linalg.sqrt_psd(w)
+    return float(np.sum(w * a_re)) + linalg.trace_norm(sqrt_w @ a_im @ sqrt_w)
+
+
 class TestGeneralBound:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_per_vector_loop(self, d):
+        rng = np.random.default_rng(60 + d)
+        for n in (2, 3, 2, 3):
+            st = _random_state(rng, d=d, n=n)
+            slds, fisher, _ = sld_analysis(st)
+            ops = canonical_unbiased(st, slds, fisher).ops
+            g = rng.standard_normal((n, n))
+            w = g @ g.T + 0.1 * np.eye(n)
+            haar = UBasis.from_columns(haar_unitary(d, rng))
+            cases = [(haar, AlignEntry(0, 1)), (haar, AlignEntry(n - 1, 0))]
+            if n == 2:
+                cases.append(nagaoka_alignment(st, ops))
+            for basis, signs in cases:
+                got = evaluate_general_bound(ops, st, basis, signs, w=w)
+                ref = general_bound_loop(ops, st, basis, signs, w)
+                assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_wrong_size_basis(self):
+        rng = np.random.default_rng(67)
+        st = _random_state(rng, d=2, n=2)
+        slds, fisher, _ = sld_analysis(st)
+        x_set = canonical_unbiased(st, slds, fisher)
+        with pytest.raises(DimMismatch):
+            evaluate_general_bound(x_set, st, UBasis.computational(4), ["asis"] * 4)
+
     def test_asis_equals_holevo_functional(self):
         rng = np.random.default_rng(71)
         for _ in range(5):
