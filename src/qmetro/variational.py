@@ -13,11 +13,14 @@ dual matrix M with ||M|| <= 1, Z_jk = Tr(rho X_j X_k): a real
 antisymmetric n x n M for Holevo, whose term is -Tr(M^T sqrt(W) Im Z sqrt(W)),
 and a Hermitian d x d M for Nagaoka (n = 2), whose term is
 kappa Im Tr(sqrt(rho) M sqrt(rho) X_1 X_2), kappa = 2 sqrt(det W).  So the
-minimum C = max_M h(M), where h(M), the minimum over X of a quadratic
-form, is one KKT solve.  Each h(M) is a certified lower bound on C and
-hence on nu Tr[W Cov]; the minimizing X*(M) is feasible, so f(X*(M)) >= C
-is an upper estimate.  One damped Newton ascent on h with a log-det
-barrier on ||M|| < 1 closes the interval [h, f] for either functional.
+minimum C = max_M h(M), where h(M) is the minimum over X of a quadratic
+form under the unbiasedness constraints.  The constraints do not depend
+on M, so they are solved once, and each h(M) is one eigendecomposition
+of the form restricted to their null space.  Each h(M) is a certified
+lower bound on C and hence on nu Tr[W Cov]; the minimizing X*(M) is
+feasible, so f(X*(M)) >= C is an upper estimate.  One damped Newton
+ascent on h with a log-det barrier on ||M|| < 1 closes the interval
+[h, f] for either functional.
 """
 
 from __future__ import annotations
@@ -422,6 +425,11 @@ class _MinimaxProblem:
 
     In both, the second term of f is max_M sum_a y_a x^T D_a x, the trace
     norm of sum_a (x^T D_a x) E_a / Tr(E_a^+ E_a).
+
+    The constraints do not depend on y, so they are solved once: with the
+    SVD of F, which has full row rank n + 1, x = x0 + N z for the
+    minimal-norm solution x0 and the orthonormal null basis N = I_n (x) N_F,
+    of n (d^2 - n - 1) columns.  Each point then minimizes over z alone.
     """
 
     def __init__(self, state: EvaluatedState, w_mat: np.ndarray, strategy: str):
@@ -430,13 +438,12 @@ class _MinimaxProblem:
         self.n, self.nd = n, n * d * d
         self.basis = _hermitian_basis(d)
         rho_b = np.einsum("ij,ajk->aik", state.rho, self.basis)
-        self.g = np.einsum("aik,bki->ab", rho_b, self.basis)
-        self.w = w_mat
+        g = np.einsum("aik,bki->ab", rho_b, self.basis)
         if strategy == "holevo":
             sqrt_w = np.real(linalg.sqrt_psd(w_mat))
             self.e, self.e_norm = _antisymmetric_basis(n), 2.0
             v = np.einsum("ij,ajk,kl->ail", sqrt_w, self.e, sqrt_w)
-            d_ab = np.einsum("ajk,bc->ajbkc", v, np.imag(self.g))
+            d_ab = np.einsum("ajk,bc->ajbkc", v, np.imag(g))
         else:
             self.e, self.e_norm = self.basis, 1.0
             s = state.sqrt_rho
@@ -446,59 +453,81 @@ class _MinimaxProblem:
             j_mat = np.array([[0.0, 1.0], [-1.0, 0.0]])
             d_ab = 0.5 * kappa * np.einsum("jk,bac->bjakc", j_mat, np.imag(g_b))
         self.d = d_ab.reshape(-1, self.nd, self.nd)  # the stack of D_a
+        self.k0 = np.kron(w_mat, np.real(g))
         f_mat = np.real(np.einsum("rij,aji->ra", np.array(frame), self.basis))
-        a_mat = np.kron(np.eye(n), f_mat)
-        size = self.nd + a_mat.shape[0]
-        self.kkt = np.zeros((size, size))
-        self.kkt[: self.nd, self.nd :] = a_mat.T
-        self.kkt[self.nd :, : self.nd] = a_mat
-        self.k0 = np.kron(w_mat, np.real(self.g))
-        self.rhs = np.zeros(size)
-        self.rhs[self.nd :] = np.eye(n + 1)[1:].reshape(-1)  # b_j = e_(j+1)
+        u, sv, vt = np.linalg.svd(f_mat)
+        self.f_plus = (vt[: n + 1].T / sv) @ u.T
+        self.null = np.kron(np.eye(n), vt[n + 1 :].T)
+        targets = np.eye(n + 1)[1:]  # b_j = e_(j+1)
+        self.x0 = self.f_plus[:, 1:].T.reshape(-1)
+        # The constraint residual of x0 is the one every X*(y) inherits
+        # (F N_F vanishes to rounding); it joins the stationarity residual
+        # in each point's residual test and error allowance.
+        self.con_resid = float(np.linalg.norm(self.x0.reshape(n, -1) @ f_mat.T - targets))
+        self.a_norm_sq = n * float(np.sum(f_mat**2))
+        self.b_norm = math.sqrt(n)
 
     def point(self, y: np.ndarray) -> _MinimaxPoint:
-        nd = self.nd
-        k = self.k0 - np.tensordot(y, self.d, 1)
-        kkt = self.kkt.copy()
-        kkt[:nd, :nd] = k
-        # Least squares through the pseudo-inverse, as K is singular for a
-        # rank-deficient rho.  One refinement step wins back the accuracy
-        # an ill-conditioned K costs; the same matrix gives the Hessian.
-        pinv = np.linalg.pinv(kkt, hermitian=True)
-        sol = pinv[:, nd:] @ self.rhs[nd:]
-        sol = sol + pinv @ (self.rhs - kkt @ sol)
-        resid = float(np.linalg.norm(kkt @ sol - self.rhs))
-        sol_norm = float(np.linalg.norm(sol))
-        x = sol[:nd]
+        k = self.k0 - _combine(y, self.d)
+        kn = k @ self.null
+        k_r = self.null.T @ kn
+        rhs = -(kn.T @ self.x0)
+        # Least squares through the pseudo-inverse, as K_r is singular for
+        # a rank-deficient rho, with numpy's pinv cutoff.  One refinement
+        # step wins back the accuracy an ill-conditioned K_r costs; the
+        # same eigendecomposition gives the Hessian.
+        vals, vecs = np.linalg.eigh(k_r)
+        keep = np.abs(vals) > 1e-15 * np.max(np.abs(vals), initial=0.0)
+        inv = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
+        k_inv = (vecs * inv) @ vecs.T
+        z = k_inv @ rhs
+        z = z + k_inv @ (rhs - k_r @ z)
+        x = self.x0 + self.null @ z
+        kx = k @ x
+        # The residual of the bordered system [[K, A^T], [A, 0]] at (x, lam)
+        # with the least-squares multiplier lam: its first block is N^T K x
+        # after lam is taken off, its second the constraint residual of x0.
+        lam = kx.reshape(self.n, -1) @ self.f_plus
+        resid = math.hypot(float(np.linalg.norm(k_r @ z - rhs)), self.con_resid)
+        sol_norm = math.hypot(float(np.linalg.norm(x)), float(np.linalg.norm(lam)))
         dx = self.d @ x  # D_a x
         grad = -(dx @ x)  # dh/dy_a = -x^T D_a x
-        xs = x.reshape(self.n, -1)
-        re_term = float(np.sum(self.w * np.real(xs @ self.g @ xs.T)))
-        h = re_term + float(y @ grad)
-        counts = resid <= KKT_RTOL * (np.linalg.norm(kkt) * sol_norm + np.linalg.norm(self.rhs))
+        h = float(x @ kx)
+        re_term = h - float(y @ grad)  # x^T (W (x) Re G) x = Tr(W Re Z)
+        kkt_norm = math.sqrt(float(k.ravel() @ k.ravel()) + 2.0 * self.a_norm_sq)
+        counts = resid <= KKT_RTOL * (kkt_norm * sol_norm + self.b_norm)
         # Rounding in x^T K x is of order eps |x|^T |K| |x|; the residual
         # moves it by at most ||sol|| ||resid|| to first order.
         xa = np.abs(x)
-        err = nd * _EPS * float(xa @ np.abs(k) @ xa) + sol_norm * resid
+        err = self.nd * _EPS * float(xa @ np.abs(k) @ xa) + sol_norm * resid
         # The trace norm by SVD, exact also for tiny antisymmetric matrices
         # (linalg.trace_norm treats |A| < 1e-12 as Hermitian).
-        dual = np.tensordot(-grad, self.e, 1)
+        dual = _combine(-grad, self.e)
         f = re_term + float(np.sum(np.linalg.svd(dual, compute_uv=False))) / self.e_norm
-        # d2h/dy_a dy_b = -2 (D_a x)^T P (D_b x), P the x-block of the KKT inverse.
-        hess = -2.0 * dx @ (pinv[:nd, :nd] @ dx.T)
-        return _MinimaxPoint(y, h, err, counts, f, xs, grad, (hess + hess.T) / 2.0)
+        # d2h/dy_a dy_b = -2 (N^T D_a x)^T K_r^+ (N^T D_b x).
+        dxn = dx @ self.null
+        hess = -2.0 * dxn @ k_inv @ dxn.T
+        return _MinimaxPoint(
+            y, h, err, counts, f, x.reshape(self.n, -1), grad, (hess + hess.T) / 2.0
+        )
+
+
+def _combine(y: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_a y_a S_a over a stack of matrices, as one matrix-vector product
+    on the flattened stack."""
+    return (y @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
 
 
 def _log_det_barrier(e: np.ndarray, y: np.ndarray):
     """log det(I - M^+ M), M = sum_a y_a E_a, with its gradient and Hessian
     in y; None when ||M|| >= 1."""
-    m = np.tensordot(y, e, 1)
+    m = _combine(y, e)
     m_dag, e_dag = dagger(m), dagger(e)
-    n_mat = np.eye(m.shape[0]) - m_dag @ m
-    vals = np.linalg.eigvalsh(n_mat)
-    if float(np.min(vals)) <= 0.0:
+    # One eigendecomposition gives the feasibility test, the log-det and N^-1.
+    vals, vecs = np.linalg.eigh(np.eye(m.shape[0]) - m_dag @ m)
+    if float(vals[0]) <= 0.0:
         return None
-    n_inv = np.linalg.inv(n_mat)
+    n_inv = (vecs / vals) @ dagger(vecs)
     grad = -2.0 * np.real(np.einsum("aij,ji->a", e, n_inv @ m_dag))
     # Along E_a, E_b: -2 Re Tr(N^-1 E_b^+ E_a) - 2 Re Tr(N^-1 (E_b^+ M + M^+ E_b) N^-1 M^+ E_a).
     t1 = np.einsum("bij,aji->ab", n_inv @ e_dag, e)
@@ -617,6 +646,10 @@ def minimize_bound(
     cfg = config or MinimizeConfig()
     n = fisher.n
     w_mat = _check_weight(cfg.w, n)
+    # A nonzero PSD W gives h(0) >= Tr(W F_Q^-1) > 0, which sets the
+    # barrier weight; at W = 0 every functional is 0 and the solver has no scale.
+    if float(np.max(np.linalg.eigvalsh(w_mat))) <= 0.0:
+        raise InvalidWeight("minimize_bound needs a nonzero weight matrix")
     if cfg.strategy not in ("holevo", "nagaoka"):
         raise InvalidN(f"unknown strategy {cfg.strategy!r}")
     if cfg.strategy == "nagaoka" and n != 2:

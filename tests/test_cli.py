@@ -349,6 +349,19 @@ class TestCheckCommand:
     def test_unknown_tag(self):
         assert run_cli(["check", "--only", "bogus"]) == 1
 
+    def test_python_m_qmetro(self, tmp_path):
+        # ``python -m qmetro`` runs the CLI from a checkout without the
+        # runpy warning that ``python -m qmetro.cli`` prints.
+        src = os.path.dirname(os.path.dirname(qmetro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmetro", "check", "--only", "paper-values"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "5/5 criteria passed" in proc.stdout
+
     def test_corrupted_criterion_fails_by_name(self, capsys, monkeypatch):
         # Breaking one tolerance must surface as a named FAIL line and a
         # nonzero exit, not a silent pass.

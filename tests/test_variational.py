@@ -354,6 +354,18 @@ class TestMinimize:
         assert holevo.lower <= res.lower <= res.value
         assert res.gap == res.value - res.lower
 
+    def test_zero_weight_refused(self):
+        # W = 0 leaves the solver without a scale (its barrier weight is a
+        # fraction of h(0) = 0); the general bound still evaluates to 0.
+        rng = np.random.default_rng(97)
+        st = _random_state(rng, d=2, n=2)
+        slds, fisher, _ = sld_analysis(st)
+        for strategy in ("holevo", "nagaoka"):
+            with pytest.raises(InvalidWeight):
+                minimize_bound(st, slds, fisher, MinimizeConfig(strategy, w=np.zeros((2, 2))))
+        x_set = canonical_unbiased(st, slds, fisher)
+        assert evaluate_general_bound(x_set, st, w=np.zeros((2, 2))) == 0.0
+
     def test_nagaoka_needs_two_params(self):
         rng = np.random.default_rng(113)
         st = _random_state(rng, d=2, n=3)
@@ -483,7 +495,7 @@ class TestHolevoSolver:
 
     def test_pure_state(self):
         # rho = |0><0| with derivatives sigma_1/2, sigma_2/2: K is singular,
-        # the KKT system is solved by least squares, and C_H = 2n at W = F_Q.
+        # the reduced system is solved by least squares, and C_H = 2n at W = F_Q.
         fam = StateFamily.linear(np.diag([1.0, 0.0]).astype(complex), [SIGMA1 / 2, SIGMA2 / 2])
         res, _, _ = self._solve(evaluate(fam, np.zeros(2)))
         assert res.converged
@@ -528,6 +540,74 @@ class TestHolevoSolver:
             assert (b_hi[0] - b_lo[0]) / (2 * eps) == pytest.approx(barrier[1][a], abs=1e-7)
             assert np.allclose((b_hi[1] - b_lo[1]) / (2 * eps), barrier[2][a], atol=1e-7)
         assert variational._log_det_barrier(prob.e, np.eye(m)[0]) is None
+
+    def test_derivatives_empty_null_space(self):
+        # d = 2, n = 3: the n + 1 constraints per X_j leave no freedom in
+        # d^2 = 4 coordinates, so X*(u) is fixed, h is linear in u and the
+        # Hessian is the zero matrix off a 0 x 0 reduced system.
+        rng = np.random.default_rng(139)
+        st = _random_state(rng, d=2, n=3)
+        _, fisher, _ = sld_analysis(st)
+        prob = variational._MinimaxProblem(st, fisher.f_q, "holevo")
+        assert prob.null.shape == (prob.nd, 0)
+        m = len(prob.e)
+        u = 0.2 * rng.standard_normal(m)
+        pt = prob.point(u)
+        assert pt.counts
+        assert pt.hess.shape == (m, m) and not np.any(pt.hess)
+        eps = 1e-6
+        for a, step in enumerate(np.eye(m) * eps):
+            hi, lo = prob.point(u + step), prob.point(u - step)
+            assert (hi.h - lo.h) / (2 * eps) == pytest.approx(pt.grad[a], abs=1e-7)
+            assert np.allclose(hi.grad, pt.grad, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "case", ["holevo-d3-n2", "holevo-d4-n3", "nagaoka-d3-n2", "pure-state", "holevo-d2-n3"]
+    )
+    def test_point_matches_bordered_kkt(self, case):
+        # Oracle: the bordered system [[K, A^T], [A, 0]] [x; lam] = [0; b],
+        # A = I_n (x) F, solved by least squares.  Its x-block of the inverse
+        # applied to D_b x gives the Hessian -2 (D_a x)^T P (D_b x).
+        rng = np.random.default_rng(163)
+        if case == "pure-state":
+            strategy = "holevo"
+            fam = StateFamily.linear(
+                np.diag([1.0, 0.0]).astype(complex), [SIGMA1 / 2, SIGMA2 / 2]
+            )
+            st = evaluate(fam, np.zeros(2))
+        else:
+            strategy, d, n = case.split("-")
+            st = _random_state(rng, d=int(d[1:]), n=int(n[1:]))
+        _, fisher, _ = sld_analysis(st)
+        prob = variational._MinimaxProblem(st, fisher.f_q, strategy)
+        n, nd, m = st.n, prob.nd, len(prob.e)
+        frame = np.array([st.rho] + list(st.derivs))
+        f_mat = np.real(np.einsum("rij,aji->ra", frame, prob.basis))
+        a_mat = np.kron(np.eye(n), f_mat)
+        zeros = np.zeros((len(a_mat), len(a_mat)))
+        rhs = np.concatenate([np.zeros(nd), np.eye(n + 1)[1:].ravel()])
+        for _ in range(3):
+            y = rng.standard_normal(m)
+            dual = np.tensordot(y, prob.e, 1)
+            y *= 0.6 / np.linalg.norm(dual, 2)  # ||M|| = 0.6
+            k = prob.k0 - np.tensordot(y, prob.d, 1)
+            kkt = np.block([[k, a_mat.T], [a_mat, zeros]])
+            x = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:nd]
+            dx = prob.d @ x
+            border = np.vstack([dx.T, np.zeros((len(a_mat), m))])
+            p_dx = np.linalg.lstsq(kkt, border, rcond=None)[0][:nd]
+            h, grad, hess = float(x @ k @ x), -(dx @ x), -2.0 * dx @ p_dx
+            pt = prob.point(y)
+            assert pt.counts
+            assert pt.h == pytest.approx(h, rel=1e-12)
+            assert np.allclose(pt.x.ravel(), x, rtol=0.0, atol=1e-12 * np.linalg.norm(x))
+            assert np.allclose(pt.grad, grad, rtol=0.0, atol=1e-12 * np.linalg.norm(grad))
+            scale = max(np.linalg.norm(hess), 1.0)
+            assert np.allclose(pt.hess, hess, rtol=0.0, atol=1e-12 * scale)
+            ops = np.tensordot(pt.x, prob.basis, 1)
+            traces, unbias = variational.constraint_witnesses(ops, st)
+            assert np.max(np.abs(traces)) <= 1e-12
+            assert np.max(np.abs(unbias)) <= 1e-12
 
     def test_degenerate_constraints(self):
         # Tr(d_1 rho X) and Tr(d_2 rho X) cannot both be prescribed when the
