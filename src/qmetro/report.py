@@ -32,9 +32,9 @@ from .tensor import (
     TradeoffMatrix,
     UBasis,
     auto_align_fbar,
+    block_pass,
     build_collective,
     compute_cp,
-    compute_cp_rld,
     compute_fbar_im,
     compute_tp_exact,
     compute_tp_monte_carlo,
@@ -79,8 +79,10 @@ def best_fbar(state, tilde_ops, fisher, p, dim_cap=DEFAULT_DIM_CAP) -> TradeoffM
     coll = build_collective(state, tilde_ops, p, dim_cap=dim_cap)
     if coll.dim <= OPTIMIZE_MAX_VECTORS:
         return compute_fbar_im(coll, UBasis.computational(coll.dim), OptimizeNorm())
-    pairs = list(itertools.combinations(range(coll.n), 2))
-    cands = auto_align_fbar(coll, pairs)
+    return _best_candidate(auto_align_fbar(coll, list(itertools.combinations(range(coll.n), 2))))
+
+
+def _best_candidate(cands: list[TradeoffMatrix]) -> TradeoffMatrix:
     return cands[first_best([np.linalg.norm(c.entries) for c in cands])]
 
 
@@ -107,11 +109,19 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
         rld_tilde = reparametrize(rlds, rld_fisher)
 
     for p in config.p_list:
-        if "cp" in which:
-            coll = build_collective(state, tilde, p, dim_cap=config.dim_cap)
-            entries.append(
-                gb.BoundEntry("cp", gb.cp_bound(compute_cp(coll), n), "upper", p)
+        # One walk over the irrep blocks at p serves cp, rld_cp and, above
+        # best_fbar's exhaustive range, the AutoAlign fbar candidates.
+        auto_align = "fbar" in which and state.dim**p > OPTIMIZE_MAX_VECTORS
+        if "cp" in which or "rld_cp" in which or auto_align:
+            blocks = block_pass(
+                build_collective(state, tilde, p, dim_cap=config.dim_cap),
+                build_collective(state, rld_tilde, p, kind="rld", dim_cap=config.dim_cap)
+                if "rld_cp" in which else None,
+                cp="cp" in which,
+                pairs=list(itertools.combinations(range(n), 2)) if auto_align else (),
             )
+        if "cp" in which:
+            entries.append(gb.BoundEntry("cp", gb.cp_bound(blocks.cp, n), "upper", p))
         if "tp" in which:
             try:
                 tp = compute_tp_exact(state, tilde, p, enum_cap=config.enum_cap)
@@ -140,7 +150,10 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
                 )
             )
         if "fbar" in which:
-            fbar = best_fbar(state, tilde, fisher, p, dim_cap=config.dim_cap)
+            if auto_align:
+                fbar = _best_candidate(blocks.candidates)
+            else:
+                fbar = best_fbar(state, tilde, fisher, p, dim_cap=config.dim_cap)
             entries.append(
                 gb.BoundEntry(
                     "fbar",
@@ -151,12 +164,9 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
                 )
             )
         if "rld_cp" in which:
-            coll = build_collective(
-                state, rld_tilde, p, kind="rld", tilded=True, dim_cap=config.dim_cap
-            )
             entries.append(
                 gb.BoundEntry(
-                    "rld_cp", gb.rld_cp_bound(compute_cp_rld(coll), rld_fisher, n), "upper", p
+                    "rld_cp", gb.rld_cp_bound(blocks.cp_rld, rld_fisher, n), "upper", p
                 )
             )
         if "rld" in which:

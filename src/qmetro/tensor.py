@@ -13,10 +13,14 @@ sqrt(m_lambda) Pi_lambda(sqrt D) (formed in log space) and the map
 A -> pi_lambda(U+ A U) of single-copy operators, so only the largest
 block bounds the memory.  C_p, C_p^RLD and AutoAlign
 F-bar_Im are sums over these blocks, whose dimensions grow polynomially
-in p; C_p reads pi_lambda([A, B]) = [pi_lambda(A), pi_lambda(B)] and
-forms no block products.  A trace norm over the m_lambda copies of a
-block is m_lambda times the block's, which the sqrt(m_lambda) factor on
-both sides supplies.  The dimension cap bounds the largest block.
+in p, and :func:`block_pass` serves all three from one walk per p.  Each
+pair's image H_q = S pi_lambda(-i [L~_j, L~_k]) S comes from one
+tensordot of the single-copy commutators (pi_lambda([A, B]) =
+[pi_lambda(A), pi_lambda(B)]), and one eigendecomposition of it gives
+both the C_p entry and the AutoAlign(j, k) candidate; LAPACK calls stack
+about STACK_BYTES of block matrices.  A trace norm over the m_lambda
+copies of a block is m_lambda times the block's, which the sqrt(m_lambda)
+factor on both sides supplies.  The dimension cap bounds the largest block.
 
 F-bar over a user-supplied basis of (C^d)^(x)p (explicit signs,
 AlignEntry, OptimizeNorm) applies sqrt(rho) and each L_j to the basis
@@ -257,51 +261,183 @@ def _require(coll: CollectiveOperators, kind: str, tilded: bool) -> None:
         )
 
 
-def _chunks(count: int, size: int) -> list[slice]:
-    """Consecutive slices of at most ``size`` items covering ``range(count)``."""
+#: Bytes of block matrices per stacked LAPACK call: a small block takes
+#: every pair in one call, the largest blocks one or a few pairs at a time.
+STACK_BYTES = 256 << 10
+
+
+def _stacks(count: int, dim: int) -> list[slice]:
+    """Consecutive slices covering ``range(count)``, each about STACK_BYTES
+    of complex dim x dim matrices and at least one."""
+    size = max(1, STACK_BYTES // (16 * dim * dim))
     return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def _check_pair(j: int, k: int, n: int) -> None:
+    if not (0 <= j < n and 0 <= k < n) or j == k:
+        raise KindMismatch(f"pair ({j}, {k}) needs two distinct indices in [0, {n})")
+
+
+def _sandwich(img: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """S img S in place for the block weight diagonal S."""
+    img *= s[:, None]
+    img *= s
+    return img
+
+
+def _half_trace_norms(herm: np.ndarray) -> np.ndarray:
+    """1/2 ||A||_1 of each Hermitian matrix of a stack (LAPACK reads one
+    triangle)."""
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
+
+
+def _align_block(
+    h: np.ndarray,
+    cand: np.ndarray,
+    orient: np.ndarray,
+    totals: np.ndarray,
+    signs: Sequence[list[np.ndarray]],
+) -> np.ndarray:
+    """Add one block's share of each candidate's F-bar_Im to ``totals``
+    and append its signs, from stacked eigensolves of the pair images
+    ``h``; returns each candidate's 1/2 ||H_q||_1.  The locals die on
+    return, before the next block is built."""
+    flat = h.reshape(len(h), -1).view(np.float64)
+    norms = np.empty(len(cand))
+    for st in _stacks(len(cand), h.shape[-1]):
+        stack = h[cand[st]]
+        stack *= orient[st]
+        vals, vecs = np.linalg.eigh(stack)
+        del stack
+        sgn = np.array([_signs_from_values(lam / 2.0) for lam in vals])
+        rows = (vecs * sgn[:, None, :]) @ dagger(vecs)  # V sgn V+ per candidate
+        del vecs
+        rows = rows.reshape(len(rows), -1).view(np.float64)
+        for total, sign_list, sign, row in zip(totals[st], signs[st], sgn, rows):
+            total += flat @ row  # Re <H_q', V sgn V+> for every pair q'
+            sign_list.append(sign)
+        norms[st] = 0.5 * np.sum(np.abs(vals), axis=-1)
+    return norms
+
+
+def _rld_block(
+    xs: np.ndarray, s: np.ndarray, j_idx: np.ndarray, k_idx: np.ndarray
+) -> np.ndarray:
+    """1/2 ||P - P+||_1 per pair, P = X_j X_k+ with X = S ``xs``; ``xs``
+    (the block images of the RLDs) is weighted in place."""
+    xs *= s[:, None]
+    out = np.empty(len(j_idx))
+    for st in _stacks(len(j_idx), len(s)):
+        prod = xs[j_idx[st]] @ dagger(xs[k_idx[st]])
+        prod -= dagger(prod)
+        prod *= 1j  # i (P - P+), Hermitian
+        out[st] = _half_trace_norms(prod)
+    return out
+
+
+@dataclass(frozen=True)
+class BlockPass:
+    """What one walk over the irrep blocks at p gives; a consumer that was
+    not asked for is None (no candidates)."""
+
+    cp: TradeoffMatrix | None
+    cp_rld: TradeoffMatrix | None
+    candidates: list[TradeoffMatrix]
+
+
+def block_pass(
+    coll: CollectiveOperators,
+    rld: CollectiveOperators | None = None,
+    cp: bool = False,
+    pairs: Sequence[tuple[int, int]] = (),
+) -> BlockPass:
+    """C_p, C_p^RLD and AutoAlign F-bar_Im candidates from one walk over
+    the irrep blocks of rho^(x)p, so each block is built once.
+
+    ``coll`` supplies the blocks.  C_p (``cp``, tilded SLD ``coll``) and
+    the AutoAlign(j, k) candidate of each of ``pairs`` read its operators;
+    C_p^RLD reads those of ``rld`` (tilded RLD, same state and p).  On a
+    block with weight S, pair q = (j, k), j < k, has the Hermitian image
+    H_q = S pi_lambda(-i [L~_j, L~_k]) S, all pairs from one tensordot of
+    the single-copy commutators, and with H_q = V Lambda V+
+
+        (C_p)_q = 1/2 sum_lambda sum_i |Lambda_i|,
+        AutoAlign(q): F-bar_Im[q'] = 1/2 sum_lambda Re <H_q', V sgn(Lambda) V+>,
+
+    because Im <u|S L_j L_k S|u> = 1/2 <u|H_(j,k)|u> for every vector u.
+    So one eigh per candidate gives both; the signs take the tie rule on
+    the alignment values Lambda/2, and a pair given as (k, j) takes the
+    eigenbasis of -H_q.  C_p of a pair no candidate covers reads eigvalsh.
+    C_p^RLD takes P = X_j X_k+ with X_j = S pi_lambda(L~_j) and clips
+    1/2 sum_lambda ||P - P+||_1 at 2p.  Each LAPACK call stacks about
+    STACK_BYTES of matrices; a block's stacks die before the next block
+    is built.
+    """
+    if cp:
+        _require(coll, "sld", tilded=True)
+    if rld is not None:
+        _require(rld, "rld", tilded=True)
+        if rld.state is not coll.state or rld.p != coll.p:
+            raise KindMismatch("the RLD collective must share the state and p of the blocks")
+    n = coll.n
+    for j, k in pairs:
+        _check_pair(j, k, n)
+    pj, pk = np.array(pairs, dtype=int).reshape(-1, 2).T
+    lo, hi = np.minimum(pj, pk), np.maximum(pj, pk)
+    cand = lo * (2 * n - lo - 1) // 2 + hi - lo - 1  # the combinations index
+    orient = np.where(pj < pk, 1.0, -1.0)[:, None, None]
+    j_idx, k_idx = np.triu_indices(n, 1)
+    covered = np.zeros(len(j_idx), dtype=bool)
+    covered[cand] = True
+    rest = np.flatnonzero(~covered) if cp else np.arange(0)  # C_p by eigvalsh
+    ops = np.array(coll.base_ops)
+    comms = -1j * (ops[j_idx] @ ops[k_idx] - ops[k_idx] @ ops[j_idx])
+    cp_vals = np.zeros(len(j_idx))
+    rld_vals = np.zeros(len(j_idx))
+    totals = np.zeros((len(pairs), len(j_idx)))
+    signs: list[list[np.ndarray]] = [[] for _ in pairs]
+    for s, pi in coll.blocks():
+        h = _sandwich(pi(comms), s) if len(pairs) else None
+        if h is not None:
+            norms = np.zeros(len(j_idx))
+            norms[cand] = _align_block(h, cand, orient, totals, signs)
+            cp_vals += norms  # a covered pair's C_p share from its eigenvalues
+        for st in _stacks(len(rest), len(s)):
+            q = rest[st]
+            cp_vals[q] += _half_trace_norms(h[q] if h is not None else _sandwich(pi(comms[q]), s))
+        h = None  # before the RLD images are built
+        if rld is not None:
+            rld_vals += _rld_block(pi(rld.base_ops), s, j_idx, k_idx)
+    candidates = []
+    for (j, k), total, sign in zip(pairs, totals, signs):
+        upper = np.zeros((n, n))
+        upper[j_idx, k_idx] = 0.5 * total
+        candidates.append(
+            _fbar_matrix(coll, upper - upper.T, np.concatenate(sign), f"auto_align({j},{k})")
+        )
+    return BlockPass(
+        cp=TradeoffMatrix(
+            kind="C", p=coll.p, entries=_pair_matrix(n, cp_vals), meta={"tilded": True}
+        ) if cp else None,
+        cp_rld=TradeoffMatrix(
+            kind="C_RLD", p=coll.p, entries=np.minimum(_pair_matrix(n, rld_vals), 2.0 * coll.p),
+            meta={"tilded": True},
+        ) if rld is not None else None,
+        candidates=candidates,
+    )
 
 
 def compute_cp(coll: CollectiveOperators) -> TradeoffMatrix:
     """(C_p)_{jk} = 1/2 ||sqrt(rho_p) [L~_jp, L~_kp] sqrt(rho_p)||_1,
-    summed over the irrep blocks with their multiplicities.
-
-    Each block reads pi_lambda(i [L~_j, L~_k]), Hermitian, for n pairs at
-    a time, with one stacked trace-norm call per chunk: no more block
-    matrices than C_p^RLD holds, whatever n(n-1)/2 is.
-    """
-    _require(coll, "sld", tilded=True)
-    pairs = itertools.combinations(coll.base_ops, 2)
-    comms = [1j * linalg.commutator(a, b) for a, b in pairs]
-    values = np.zeros(len(comms))
-    for s, pi in coll.blocks():
-        for chunk in _chunks(len(comms), coll.n):
-            img = pi(comms[chunk])
-            img *= s[:, None]
-            img *= s
-            values[chunk] += 0.5 * linalg.trace_norms(img)
-    return TradeoffMatrix(
-        kind="C", p=coll.p, entries=_pair_matrix(coll.n, values), meta={"tilded": True}
-    )
+    summed over the irrep blocks with their multiplicities (see
+    :func:`block_pass`)."""
+    return block_pass(coll, cp=True).cp
 
 
 def compute_cp_rld(coll: CollectiveOperators) -> TradeoffMatrix:
-    """(C_p^RLD)_{jk} = min{1/2 ||sqrt(rho_p)(L~_jp L~_kp+ - L~_kp L~_jp+)sqrt(rho_p)||_1, 2p}.
-
-    On each block, with X_j = Pi(sqrt D) pi(L~_j), the sandwiched
-    difference is P - P+ for P = X_j X_k+.
-    """
-    _require(coll, "rld", tilded=True)
-    j, k = np.triu_indices(coll.n, 1)
-    values = np.zeros(len(j))
-    for s, pi in coll.blocks():
-        xs = s[:, None] * pi(coll.base_ops)
-        for chunk in _chunks(len(j), coll.n):
-            prod = xs[j[chunk]] @ dagger(xs[k[chunk]])
-            prod -= dagger(prod)
-            values[chunk] += 0.5 * linalg.trace_norms(prod)
-    entries = np.minimum(_pair_matrix(coll.n, values), 2.0 * coll.p)
-    return TradeoffMatrix(kind="C_RLD", p=coll.p, entries=entries, meta={"tilded": True})
+    """(C_p^RLD)_{jk} = min{1/2 ||sqrt(rho_p)(L~_jp L~_kp+ - L~_kp L~_jp+)sqrt(rho_p)||_1, 2p}
+    over the irrep blocks (see :func:`block_pass`)."""
+    return block_pass(coll, rld=coll).cp_rld
 
 
 def _pair_commutator_table(state: EvaluatedState, tilde_ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -528,44 +664,11 @@ def _fbar_matrix(
     )
 
 
-def _align_chunk(
-    x: np.ndarray,
-    s: np.ndarray,
-    pairs: Sequence[tuple[int, int]],
-    totals: np.ndarray,
-    signs: Sequence[list[np.ndarray]],
-) -> None:
-    """Add one block's share of each pair's aligned aggregate to ``totals``
-    and append its signs, from one stacked eigensolve of the pairs'
-    sandwiched commutators.  x = pi_lambda(L~), s the block weight; the
-    locals die on return, before the next chunk or block allocates."""
-    sandwich = np.empty((len(pairs),) + x.shape[1:], dtype=np.complex128)
-    for q, (j, k) in enumerate(pairs):
-        np.matmul(x[j], x[k], out=sandwich[q])
-        sandwich[q] -= x[k] @ x[j]
-    sandwich *= s[:, None]
-    sandwich *= s
-    sandwich *= -1j
-    values, vectors = np.linalg.eigh(sandwich)
-    del sandwich  # before the column buffers
-    cols = np.empty_like(x)
-    signed = np.empty_like(x)
-    flat = cols.reshape(len(x), -1)
-    for total, sign_list, vals, vecs in zip(totals, signs, values, vectors):
-        sign = _signs_from_values(vals / 2.0)
-        vecs *= s[:, None]
-        np.matmul(x, vecs, out=cols)
-        np.multiply(cols, sign, out=signed)
-        np.conj(cols, out=cols)
-        total += flat @ signed.reshape(len(x), -1).T
-        sign_list.append(sign)
-
-
 def auto_align_fbar(
     coll: CollectiveOperators, pairs: Sequence[tuple[int, int]]
 ) -> list[TradeoffMatrix]:
     """``compute_fbar_im(coll, None, AutoAlign(j, k))`` for each pair,
-    from one pass over the irrep blocks.
+    from one pass over the irrep blocks (:func:`block_pass`).
 
     Per pair: sum_q s_q Im F_{u_q} over the eigenbasis of each block's
     sandwiched commutator, with one sign s_q per block eigenvector.  The
@@ -573,16 +676,7 @@ def auto_align_fbar(
     eigenvalues; ties are judged within each block.  The sqrt(m) factors
     of the block weight count each vector m_lambda times.
     """
-    totals = np.zeros((len(pairs), coll.n, coll.n), dtype=np.complex128)
-    signs: list[list[np.ndarray]] = [[] for _ in pairs]
-    for s, pi in coll.blocks():
-        x = pi(coll.base_ops)
-        for chunk in _chunks(len(pairs), coll.n):
-            _align_chunk(x, s, pairs[chunk], totals[chunk], signs[chunk])
-    return [
-        _fbar_matrix(coll, np.imag(total), np.concatenate(sign), f"auto_align({j},{k})")
-        for (j, k), total, sign in zip(pairs, totals, signs)
-    ]
+    return block_pass(coll, pairs=pairs).candidates
 
 
 def _resolve_signs(signs: Signs, count: int) -> np.ndarray:
@@ -632,6 +726,7 @@ def compute_fbar_im(
     basis.check_complete()
     imags = _fu_imag_parts(coll, basis)
     if isinstance(signs, AlignEntry):
+        _check_pair(signs.j, signs.k, coll.n)
         sign_arr = _signs_from_values(imags[:, signs.j, signs.k])
         strategy = f"align_entry({signs.j},{signs.k})"
     elif isinstance(signs, OptimizeNorm):

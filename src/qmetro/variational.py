@@ -546,8 +546,8 @@ def _newton_step(pt: _MinimaxPoint, barrier, mu: float) -> tuple[np.ndarray, flo
     curvature of h, which grows without bound where K(y) turns singular
     at the optimum (the Nagaoka minimum of some d >= 3 families)."""
     g = pt.grad + mu * barrier[1]
-    step = np.linalg.lstsq(-(pt.hess + mu * barrier[2]), g, rcond=None)[0]
-    cen = float(g @ np.linalg.lstsq(-barrier[2], g, rcond=None)[0]) / mu
+    step = np.linalg.solve(-(pt.hess + mu * barrier[2]), g)  # both positive definite
+    cen = float(g @ np.linalg.solve(-barrier[2], g)) / mu  # inside the ball
     return step, float(g @ step), cen
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qmetro import bounds as gb
+from qmetro import schur
 from qmetro.errors import RldUndefined
 from qmetro.logderiv import sld_analysis
 from qmetro.report import (
@@ -14,6 +15,7 @@ from qmetro.report import (
     saturation_flags,
 )
 from qmetro.scenarios import SIGMA1, SIGMA2
+from qmetro.schur import gt_basis
 from qmetro.states import StateFamily, evaluate
 from qmetro.tensor import TradeoffMatrix
 
@@ -108,6 +110,20 @@ class TestBuildReport:
     def test_unknown_bound_rejected(self, qubit_state):
         with pytest.raises(ValueError):
             build_report(qubit_state(0.0), ReportConfig(bounds=("nope",), p_list=(1,)))
+
+    def test_each_block_built_once_per_p(self, qubit_state, monkeypatch):
+        # cp, fbar (AutoAlign at 2^20 > 12) and rld_cp share one walk over
+        # the 11 irrep blocks of qubit p = 20; separate passes built 33.
+        shapes = []
+
+        def counting(shape):
+            shapes.append(shape)
+            return gt_basis(shape)
+
+        monkeypatch.setattr(schur, "gt_basis", counting)
+        config = ReportConfig(bounds=("cp", "fbar", "rld_cp"), p_list=(20,))
+        build_report(qubit_state(0.5), config)
+        assert sorted(shapes) == sorted(schur.partitions(20, 2))
 
 
 class TestFbarStrategy:

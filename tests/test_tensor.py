@@ -26,6 +26,7 @@ from qmetro.logderiv import (
     sld_analysis,
 )
 from qmetro.random_instances import haar_unitary, random_linear_family
+from qmetro.report import ReportConfig, build_report
 from qmetro.scenarios import SIGMA1, SIGMA2, SIGMA3, build_scenario, parse_scenario
 from qmetro.states import EvaluatedState, StateFamily, evaluate
 from qmetro.tensor import (
@@ -130,8 +131,8 @@ class TestBuildCollective:
         assert peak < stored / 4
 
     def test_cp_working_set_independent_of_pairs(self, qutrit_state):
-        # qutrit8 has 28 pairs; C_p holds the d^2 generators, n pair images
-        # and trace-norm temporaries of the largest block, not one per pair.
+        # qutrit8 has 28 pairs; C_p holds the d^2 generators and one stack
+        # of pair images (STACK_BYTES) of the largest block, not one per pair.
         st, _ = qutrit_state("qutrit8")
         _, _, tilde = sld_analysis(st)
         p = 12
@@ -145,12 +146,10 @@ class TestBuildCollective:
         assert peak < 48 * 16 * largest**2
 
     def test_auto_align_working_set(self, qutrit_state):
-        # All 28 qutrit8 pairs, stacked n at a time: the generators, the
-        # operator images, one chunk of eigenvectors and two column
-        # buffers of the largest block, about 42 matrices, not a copy per
-        # pair.  The unstacked loop peaked at 48.2; keeping the chunk's
-        # sandwiches alive past the eigensolve, or the real generators
-        # beside the complex ones, reads 49.7 or 46.2.
+        # All 28 qutrit8 pairs: the d^2 generators and the 28 pair images
+        # of the largest block, plus one stack's eigensolve, about 42
+        # matrices.  Keeping the real generators beside the complex ones
+        # read 46.2.
         st, _ = qutrit_state("qutrit8")
         _, _, tilde = sld_analysis(st)
         p = 12
@@ -159,6 +158,22 @@ class TestBuildCollective:
         tracemalloc.start()
         try:
             auto_align_fbar(build_collective(st, tilde, p), pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 45 * 16 * largest**2
+
+    def test_report_pass_working_set(self, qutrit_state):
+        # A cp,fbar report at p = 12 walks the blocks once for C_p and all
+        # 28 AutoAlign candidates: measured 42.4 largest-block matrices,
+        # against 41.8 for the two separate passes it replaces.  Keeping a
+        # block's pair images alive into the next block reads 63.9.
+        st, _ = qutrit_state("qutrit8")
+        p = 12
+        largest = max(schur.irrep_dim(shape) for shape in schur.partitions(p, st.dim))
+        tracemalloc.start()
+        try:
+            build_report(st, ReportConfig(bounds=("cp", "fbar"), p_list=(p,)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -286,16 +301,27 @@ def _scale_tol(ref):
 
 
 def _assert_matches_dense(st, tilde, rld_ops, p):
+    # Each consumer alone, against the dense oracles, and the joint pass
+    # that build_report makes: its C_p comes from the AutoAlign
+    # eigenvalues, everything else equals the lone consumers bit for bit.
     coll = build_collective(st, tilde, p)
+    rld_coll = build_collective(st, rld_ops, p, kind="rld")
+    pairs = list(itertools.combinations(range(len(tilde)), 2))
+    joint = tensor.block_pass(coll, rld_coll, cp=True, pairs=pairs)
     ref = dense_pair_norms(st, tilde, p)
-    assert np.allclose(compute_cp(coll).entries, ref, rtol=0, atol=_scale_tol(ref))
-    for j, k in itertools.combinations(range(len(tilde)), 2):
+    cp = compute_cp(coll).entries
+    assert np.allclose(cp, ref, rtol=0, atol=_scale_tol(ref))
+    assert np.allclose(joint.cp.entries, cp, rtol=0, atol=1e-14 * np.max(np.abs(cp)))
+    for (j, k), cand in zip(pairs, joint.candidates):
         ref = dense_auto_align(st, tilde, p, j, k)
-        got = compute_fbar_im(coll, None, AutoAlign(j, k)).entries
-        assert np.allclose(got, ref, rtol=0, atol=_scale_tol(ref))
+        got = compute_fbar_im(coll, None, AutoAlign(j, k))
+        assert np.allclose(got.entries, ref, rtol=0, atol=_scale_tol(ref))
+        assert np.array_equal(cand.entries, got.entries) and cand.meta == got.meta
+        assert cand.entries[j, k] == pytest.approx(cp[j, k], rel=0, abs=_scale_tol(cp))
     ref = np.minimum(dense_pair_norms(st, rld_ops, p, rld=True), 2.0 * p)
-    got = compute_cp_rld(build_collective(st, rld_ops, p, kind="rld")).entries
+    got = compute_cp_rld(rld_coll).entries
     assert np.allclose(got, ref, rtol=0, atol=_scale_tol(ref))
+    assert np.array_equal(joint.cp_rld.entries, got)
 
 
 class TestSchur:
@@ -367,9 +393,11 @@ class TestBlockEngine:
         fb = compute_fbar_im(coll, None, AutoAlign(0, 1)).entries[0, 1]
         assert fb == pytest.approx(cp, rel=1e-10)
 
-    @pytest.mark.parametrize("name, p", [("qubit3", 5), ("qutrit8", 3), ("d4", 2)])
+    @pytest.mark.parametrize("name, p", [("qubit3", 5), ("qutrit8", 3), ("d4", 2), ("qutrit8", 8)])
     def test_candidates_match_single_pairs(self, name, p):
-        # qutrit8's 28 pairs run in stacked chunks of 8, 8, 8 and 4.
+        # A single pair takes a stack of one; all pairs share one stacked
+        # eigensolve per block at qutrit8 p = 3, and the largest blocks
+        # at p = 8 (dimensions 42 to 63) split them into stacks of 9 to 4.
         st = _block_case(name)
         _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, p)
@@ -380,6 +408,19 @@ class TestBlockEngine:
             single = compute_fbar_im(coll, None, AutoAlign(j, k))
             assert np.array_equal(cand.entries, single.entries)
             assert cand.meta == single.meta
+
+    def test_rld_blocks_must_match(self):
+        # The walk reads the RLD images off the SLD collective's blocks.
+        st = _block_case("qubit3")
+        _, fisher, tilde = sld_analysis(st)
+        rlds = compute_rld(st)
+        rld_ops = reparametrize(rlds, compute_rld_fisher(st, rlds, fisher))
+        coll = build_collective(st, tilde, 3)
+        with pytest.raises(KindMismatch):
+            tensor.block_pass(coll, build_collective(st, rld_ops, 2, kind="rld"))
+        other = _block_case("d2")
+        with pytest.raises(KindMismatch):
+            tensor.block_pass(coll, build_collective(other, rld_ops, 3, kind="rld"))
 
     def test_sign_ties_are_relative(self):
         vals = np.array([1.0, -0.5, -1e-13, 0.0, 2e-13])
@@ -756,6 +797,35 @@ class TestFbar:
         coll = build_collective(st, tilde, 2)
         with pytest.raises(DimMismatch):
             compute_fbar_im(coll, UBasis.computational(8), ["asis"] * 8)
+
+    @pytest.mark.parametrize("signs", [
+        AutoAlign(0, 0), AutoAlign(-1, 0), AutoAlign(0, 5), AutoAlign(3, 1),
+        AlignEntry(0, 7), AlignEntry(2, 2), AlignEntry(0, -3),
+    ])
+    def test_pair_indices_checked(self, qubit_state, signs):
+        # Three operators: a pair needs two distinct indices in [0, 3).  A
+        # negative index used to wrap around and an index of 5 or 7 ended
+        # in a raw IndexError.
+        st = qubit_state(0.5)
+        _, _, tilde = sld_analysis(st)
+        coll = build_collective(st, tilde, 4)
+        with pytest.raises(KindMismatch):
+            compute_fbar_im(coll, None, signs)
+        with pytest.raises(KindMismatch):
+            auto_align_fbar(coll, [(0, 1), (signs.j, signs.k)])
+
+    def test_reversed_pair_aligns_to_its_own_commutator(self, qubit_state):
+        # AutoAlign(1, 0) takes the eigenbasis of S [L~_1, L~_0] S = -(that
+        # of (0, 1)); ties take "as is" in both, so it is not the negated
+        # (0, 1) candidate in general.
+        st = qubit_state(0.5)
+        _, _, tilde = sld_analysis(st)
+        coll = build_collective(st, tilde, 4)
+        for j, k in ((1, 0), (2, 1), (2, 0)):
+            fb = compute_fbar_im(coll, None, AutoAlign(j, k))
+            assert fb.meta["strategy"] == f"auto_align({j},{k})"
+            ref = dense_auto_align(st, tilde, 4, j, k)
+            assert np.allclose(fb.entries, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_align_entry_haar_basis_matches_per_vector_sum(self, qubit_state, p):
