@@ -84,26 +84,19 @@ def tp_bound(t: TradeoffMatrix, n: int) -> float:
     return _pair_bound(t, n, "T")
 
 
-def fbar_bound(
-    fbar: TradeoffMatrix,
-    fisher: FisherData,
-    n: int,
-    f_coeff: float | None = None,
-) -> float:
-    """Gamma_p <= n - f(n) ||F_Q^(-1/2) Fbar_Im F_Q^(-1/2) / p||_F^2.
+def fbar_bound(fbar: TradeoffMatrix, n: int, f_coeff: float | None = None) -> float:
+    """Gamma_p <= n - f(n) ||Fbar_Im / p||_F^2 for an F-bar_Im of tilde
+    operators L~ = F_Q^(-1/2) L.
 
     The f(n) coefficient is only valid for aggregates built from a single
-    basis/transpose choice, which is all compute_fbar_im produces.
-    ``f_coeff`` overrides the default max{...} coefficient; any of the
-    three branch values yields a valid (possibly looser) bound.
+    basis/transpose choice, which is what compute_fbar_im and each
+    AutoAlign candidate of block_pass are.  ``f_coeff`` overrides the
+    default max{...} coefficient; any of the three branch values yields a
+    valid (possibly looser) bound.
     """
     _check_kind(fbar, "FBAR_IM")
     _check_n(fbar, n)
-    m = fbar.entries
-    if not fbar.meta.get("tilded", False):
-        s = qfim_inv_sqrt(fisher)
-        m = s @ m @ s
-    m = m / fbar.p
+    m = fbar.per_copy
     f = f_of_n(n) if f_coeff is None else float(f_coeff)
     return n - f * float(np.sum(m * m))
 

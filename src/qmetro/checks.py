@@ -79,7 +79,7 @@ def _bounds_at(state: EvaluatedState, p: int) -> tuple[float, float, float]:
     coll = build_collective(state, tilde, p)
     cp = gb.cp_bound(compute_cp(coll), n)
     tp = gb.tp_bound(compute_tp_exact(state, tilde, p), n)
-    fbar = gb.fbar_bound(best_fbar(state, tilde, fisher, p), fisher, n)
+    fbar = gb.fbar_bound(best_fbar(state, tilde, p), n)
     return cp, tp, fbar
 
 
@@ -165,30 +165,30 @@ def check_05_fbar_values() -> CheckResult:
     tol = 1e-9
     devs = []
     state, _ = _qutrit_state("qutrit:1,2,5")
-    _, fisher, tilde = sld_analysis(state)
+    _, _, tilde = sld_analysis(state)
     fb = compute_fbar_im(
         build_collective(state, tilde, 2), tensor.UBasis.computational(9), tensor.OptimizeNorm()
     )
-    devs.append(abs(gb.fbar_bound(fb, fisher, 3) - (3 - 2 / 9)))
+    devs.append(abs(gb.fbar_bound(fb, 3) - (3 - 2 / 9)))
 
     state, _ = _qutrit_state("qutrit:1,2,4,5")
-    _, fisher, tilde = sld_analysis(state)
+    _, _, tilde = sld_analysis(state)
     fb1 = compute_fbar_im(
         build_collective(state, tilde, 1), tensor.UBasis.computational(3), tensor.OptimizeNorm()
     )
-    devs.append(abs(gb.fbar_bound(fb1, fisher, 4) - 28 / 9))
+    devs.append(abs(gb.fbar_bound(fb1, 4) - 28 / 9))
     fb2 = compute_fbar_im(
         build_collective(state, tilde, 2), tensor.UBasis.computational(9), tensor.OptimizeNorm()
     )
-    devs.append(abs(gb.fbar_bound(fb2, fisher, 4) - (4 - 32 / 81)))
+    devs.append(abs(gb.fbar_bound(fb2, 4) - (4 - 32 / 81)))
 
     state, _ = _qutrit_state("qutrit8")
-    _, fisher, tilde = sld_analysis(state)
+    _, _, tilde = sld_analysis(state)
     fb = compute_fbar_im(
         build_collective(state, tilde, 1), tensor.UBasis.computational(3), tensor.OptimizeNorm()
     )
     coeff = (8 - 2) / (8 - 1) ** 2
-    devs.append(abs(gb.fbar_bound(fb, fisher, 8, f_coeff=coeff) - (8 - 24 / 49)))
+    devs.append(abs(gb.fbar_bound(fb, 8, f_coeff=coeff) - (8 - 24 / 49)))
     return _result("05-fbar-values", devs, tol)
 
 
@@ -357,7 +357,7 @@ def check_10_saturation_logic() -> CheckResult:
         rf = compute_rld_fisher(state, rlds, fisher)
         devs.append(abs(gb.rld_standard_bound(rf) - n))
         rt = reparametrize(rlds, rf)
-        coll = build_collective(state, rt, 1, kind="rld", tilded=True)
+        coll = build_collective(state, rt, 1)
         devs.append(abs(gb.rld_cp_bound(compute_cp_rld(coll), rf, n) - n))
     qubit_flags = saturation_flags(_qubit_state(0.0), p=1)
     flags_ok = (

@@ -180,6 +180,16 @@ def _number(args, cfg, key: str, kind: type, default, minimum=None):
     return value
 
 
+def _preset_family(preset: str, delta: float):
+    """The spec and family of a preset; a bad preset or delta is a
+    configuration error."""
+    try:
+        spec = parse_scenario(preset, delta=delta)
+        return spec, build_scenario(spec)
+    except QmetroError as exc:
+        raise _ConfigError(str(exc)) from exc
+
+
 def _resolve_family(args, cfg):
     preset = _merged(args, cfg, "preset")
     input_path = _merged(args, cfg, "input")
@@ -187,11 +197,7 @@ def _resolve_family(args, cfg):
     if (preset is None) == (input_path is None):
         raise _ConfigError("exactly one of --preset or --input is required")
     if preset is not None:
-        try:
-            spec = parse_scenario(preset, delta=delta)
-            family = build_scenario(spec)
-        except QmetroError as exc:
-            raise _ConfigError(str(exc)) from exc
+        spec, family = _preset_family(preset, delta)
         x0 = np.zeros(family.n)
         label = spec.label
     else:
@@ -213,7 +219,7 @@ def _report_config(args, cfg, p_list, bounds) -> ReportConfig:
         seed=_number(args, cfg, "seed", int, 0, minimum=0),
         mc_samples=_number(args, cfg, "mc_samples", int, 100_000, minimum=1),
         dim_cap=_number(args, cfg, "max_dim", int, env_cap, minimum=1),
-        enum_cap=_number(args, cfg, "enum_cap", int, DEFAULT_ENUM_CAP),
+        enum_cap=_number(args, cfg, "enum_cap", int, DEFAULT_ENUM_CAP, minimum=1),
     )
 
 
@@ -288,11 +294,7 @@ def cmd_sweep(args) -> int:
     config = _report_config(args, cfg, p_list, report_bounds)
     rows = []
     for delta in deltas:
-        try:
-            spec = parse_scenario(preset, delta=delta)
-            family = build_scenario(spec)
-        except QmetroError as exc:
-            raise _ConfigError(str(exc)) from exc
+        spec, family = _preset_family(preset, delta)
         state = evaluate(family, np.zeros(family.n))
         report = build_report(state, config)
         entries = list(report.entries)
@@ -325,9 +327,7 @@ def cmd_export_scenario(args) -> int:
     preset = _merged(args, cfg, "preset")
     if preset is None:
         raise _ConfigError("export-scenario requires --preset")
-    delta = _number(args, cfg, "delta", float, 0.0)
-    spec = parse_scenario(preset, delta=delta)
-    family = build_scenario(spec)
+    _, family = _preset_family(preset, _number(args, cfg, "delta", float, 0.0))
     payload = json.dumps(family_to_dict(family), indent=2, sort_keys=True) + "\n"
     output = _merged(args, cfg, "output")
     if output:

@@ -160,41 +160,6 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
-def trace_norms(stack: np.ndarray) -> np.ndarray:
-    """:func:`trace_norm` of each matrix in a (k, m, m) stack.
-
-    Each matrix takes the path ``trace_norm`` would give it, judged
-    against its own largest entry, and each path is one batched LAPACK
-    call.  ``trace_norm`` stays the single-matrix form: it makes fewer
-    numpy calls, which is what one small matrix costs.
-    """
-    a = np.asarray(stack, dtype=np.complex128)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise DimMismatch(f"expected a (k, m, m) stack, got shape {a.shape}")
-    out = np.zeros(a.shape[0])
-    if a.size == 0:
-        return out
-    tol = HERMITIAN_ATOL * np.max(np.abs(a), axis=(1, 2))
-    adj = dagger(a)
-    herm = np.max(np.abs(a - adj), axis=(1, 2)) <= tol
-    adj += a  # now a + a+, twice the Hermitian part
-    skew = ~herm & (np.max(np.abs(adj), axis=(1, 2)) <= tol)
-    general = ~(herm | skew)
-    if herm.any():
-        h = adj if herm.all() else adj[herm]  # in place on the common path
-        h /= 2.0
-        out[herm] = np.sum(np.abs(np.linalg.eigvalsh(h)), axis=-1)
-    del adj
-    if skew.any():
-        h = 1j * a[skew]
-        h += dagger(h)
-        h /= 2.0
-        out[skew] = np.sum(np.abs(np.linalg.eigvalsh(h)), axis=-1)
-    if general.any():
-        out[general] = np.sum(np.linalg.svd(a[general], compute_uv=False), axis=-1)
-    return out
-
-
 def _psd_eigensystem(m: np.ndarray, rank_tol: float | None) -> tuple[EigenSystem, float]:
     es = eigh(m)
     tol = relative_rank_tol(es.values) if rank_tol is None else float(rank_tol)

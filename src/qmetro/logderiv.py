@@ -87,7 +87,7 @@ def compute_sld(state: EvaluatedState) -> DerivativeSet:
                 f"SLD reconstruction residual {residual:.3e} for parameter {j}"
             )
         ops.append(op)
-    return DerivativeSet(kind="sld", ops=tuple(ops), basis=es)
+    return DerivativeSet("sld", tuple(ops), es)
 
 
 def compute_rld(state: EvaluatedState) -> DerivativeSet:
@@ -114,7 +114,7 @@ def compute_rld(state: EvaluatedState) -> DerivativeSet:
                 f"RLD defining equation residual {residual:.3e} for parameter {j}"
             )
         ops.append(op)
-    return DerivativeSet(kind="rld", ops=tuple(ops), basis=state.eigen)
+    return DerivativeSet("rld", tuple(ops), state.eigen)
 
 
 def compute_fisher(state: EvaluatedState, slds: DerivativeSet) -> FisherData:

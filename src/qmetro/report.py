@@ -31,7 +31,6 @@ from .tensor import (
     OptimizeNorm,
     TradeoffMatrix,
     UBasis,
-    auto_align_fbar,
     block_pass,
     build_collective,
     compute_cp,
@@ -70,7 +69,7 @@ class ReportConfig:
     meta: dict = field(default_factory=dict)
 
 
-def best_fbar(state, tilde_ops, fisher, p, dim_cap=DEFAULT_DIM_CAP) -> TradeoffMatrix:
+def best_fbar(state, tilde_ops, p, dim_cap=DEFAULT_DIM_CAP) -> TradeoffMatrix:
     """Default F-bar strategy: exhaustive transpose optimization over the
     computational basis while 2^(d^p) stays enumerable, otherwise the best
     per-pair commutator eigenbasis (each candidate is still a single
@@ -79,7 +78,8 @@ def best_fbar(state, tilde_ops, fisher, p, dim_cap=DEFAULT_DIM_CAP) -> TradeoffM
     coll = build_collective(state, tilde_ops, p, dim_cap=dim_cap)
     if coll.dim <= OPTIMIZE_MAX_VECTORS:
         return compute_fbar_im(coll, UBasis.computational(coll.dim), OptimizeNorm())
-    return _best_candidate(auto_align_fbar(coll, list(itertools.combinations(range(coll.n), 2))))
+    pairs = list(itertools.combinations(range(coll.n), 2))
+    return _best_candidate(block_pass(coll, pairs=pairs).candidates)
 
 
 def _best_candidate(cands: list[TradeoffMatrix]) -> TradeoffMatrix:
@@ -115,8 +115,7 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
         if "cp" in which or "rld_cp" in which or auto_align:
             blocks = block_pass(
                 build_collective(state, tilde, p, dim_cap=config.dim_cap),
-                build_collective(state, rld_tilde, p, kind="rld", dim_cap=config.dim_cap)
-                if "rld_cp" in which else None,
+                rld_tilde if "rld_cp" in which else None,
                 cp="cp" in which,
                 pairs=list(itertools.combinations(range(n), 2)) if auto_align else (),
             )
@@ -153,11 +152,11 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
             if auto_align:
                 fbar = _best_candidate(blocks.candidates)
             else:
-                fbar = best_fbar(state, tilde, fisher, p, dim_cap=config.dim_cap)
+                fbar = best_fbar(state, tilde, p, dim_cap=config.dim_cap)
             entries.append(
                 gb.BoundEntry(
                     "fbar",
-                    gb.fbar_bound(fbar, fisher, n),
+                    gb.fbar_bound(fbar, n),
                     "upper",
                     p,
                     meta={"strategy": fbar.meta["strategy"]},

@@ -1,5 +1,12 @@
 """Collective operators on tensor powers and the p-local tradeoff matrices.
 
+The tradeoff matrices take their single-copy operators in the
+reparametrized frame L~ = F_Q^(-1/2) L (tilde SLDs, and tilde RLDs for
+C_p^RLD), in which every p-local bound is stated, so F-bar_Im enters
+n - f(n) ||F-bar_Im/p||_F^2 as computed.  An F-bar over explicit or
+AlignEntry signs is linear in whatever Hermitian operators it is given
+(the variational bound passes its X_j).
+
 Every collective quantity here is permutation-invariant on (C^d)^(x)p, so
 it splits into Schur–Weyl irrep blocks (see :mod:`qmetro.schur`):
 
@@ -11,22 +18,23 @@ Pi_lambda(sqrt D) on each block.  :meth:`CollectiveOperators.blocks`
 yields one partition lambda of p with at most d rows at a time:
 sqrt(m_lambda) Pi_lambda(sqrt D) (formed in log space) and the map
 A -> pi_lambda(U+ A U) of single-copy operators, so only the largest
-block bounds the memory.  C_p, C_p^RLD and AutoAlign
-F-bar_Im are sums over these blocks, whose dimensions grow polynomially
-in p, and :func:`block_pass` serves all three from one walk per p.  Each
-pair's image H_q = S pi_lambda(-i [L~_j, L~_k]) S comes from one
-tensordot of the single-copy commutators (pi_lambda([A, B]) =
-[pi_lambda(A), pi_lambda(B)]), and one eigendecomposition of it gives
-both the C_p entry and the AutoAlign(j, k) candidate; LAPACK calls stack
-about STACK_BYTES of block matrices.  A trace norm over the m_lambda
-copies of a block is m_lambda times the block's, which the sqrt(m_lambda)
-factor on both sides supplies.  The dimension cap bounds the largest block.
+block bounds the memory.  C_p, C_p^RLD and the AutoAlign F-bar_Im
+candidates are sums over these blocks, whose dimensions grow polynomially
+in p, and :func:`block_pass`, the one way to the AutoAlign candidates,
+serves all three from one walk per p.  Each pair's image
+H_q = S pi_lambda(-i [L~_j, L~_k]) S comes from one tensordot of the
+single-copy commutators (pi_lambda([A, B]) = [pi_lambda(A),
+pi_lambda(B)]), and one eigendecomposition of it gives both the C_p entry
+and the auto_align(j,k) candidate; LAPACK calls stack about STACK_BYTES
+of block matrices.  A trace norm over the m_lambda copies of a block is
+m_lambda times the block's, which the sqrt(m_lambda) factor on both sides
+supplies.  The dimension cap bounds the largest block.
 
-F-bar over a user-supplied basis of (C^d)^(x)p (explicit signs,
-AlignEntry, OptimizeNorm) applies sqrt(rho) and each L_j to the basis
-one site at a time, so no collective operator is built as a d^p x d^p
-matrix there either.  The module also computes T_p (exact enumeration
-or Monte Carlo) and the p -> infinity limit.
+:func:`compute_fbar_im`, F-bar over a supplied basis of (C^d)^(x)p
+(explicit signs, AlignEntry, OptimizeNorm), applies sqrt(rho) and each
+L_j to the basis one site at a time, so no collective operator is built
+as a d^p x d^p matrix there either.  The module also computes T_p (exact
+enumeration or Monte Carlo) and the p -> infinity limit.
 """
 
 from __future__ import annotations
@@ -48,7 +56,6 @@ from .errors import (
     KindMismatch,
 )
 from .linalg import DEFAULT_DIM_CAP, dagger
-from .logderiv import FisherData, qfim_inv_sqrt
 from .states import EvaluatedState
 
 #: Exact T_p enumeration is abandoned beyond this many occupation vectors.
@@ -70,16 +77,6 @@ TRANSPOSED = "transposed"
 
 
 @dataclass(frozen=True)
-class AutoAlign:
-    """Use the eigenbasis of sqrt(rho_p)[L_jp, L_kp]sqrt(rho_p), taken
-    block by block, and align transposes so entry (j, k) of the result
-    equals the C_p entry."""
-
-    j: int
-    k: int
-
-
-@dataclass(frozen=True)
 class AlignEntry:
     """Keep the supplied basis; per vector, transpose whenever the (j, k)
     imaginary part is negative so the contributions add coherently."""
@@ -92,13 +89,12 @@ class AlignEntry:
 class OptimizeNorm:
     """Exhaustively maximize the Frobenius norm of the imaginary aggregate
     over all 2^k transpose patterns (global flips are redundant, so 2^(k-1)
-    are scored, all at once as one quadratic form; ties keep the first)."""
-
-    max_vectors: int = OPTIMIZE_MAX_VECTORS
+    are scored, all at once as one quadratic form; ties keep the first).
+    Bases of at most OPTIMIZE_MAX_VECTORS vectors only."""
 
 
 SignChoice = Sequence[str]
-Signs = Union[SignChoice, AutoAlign, AlignEntry, OptimizeNorm]
+Signs = Union[SignChoice, AlignEntry, OptimizeNorm]
 
 
 @dataclass(frozen=True)
@@ -135,15 +131,13 @@ class UBasis:
 
 @dataclass(frozen=True)
 class CollectiveOperators:
-    """rho^(x)p with the collective operators of one derivative kind.
+    """rho^(x)p with the collective operators L_jp = sum_r L_j^(r).
 
     Holds the single-copy ``state`` and ``base_ops`` only.  :meth:`blocks`
     streams the irrep blocks that the block-path tradeoff matrices read.
     """
 
     p: int
-    kind: str  # "sld" | "rld"
-    tilded: bool
     state: EvaluatedState
     base_ops: tuple[np.ndarray, ...]
 
@@ -183,15 +177,14 @@ def build_collective(
     state: EvaluatedState,
     ops: Sequence[np.ndarray],
     p: int,
-    kind: str = "sld",
-    tilded: bool = True,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> CollectiveOperators:
     """Collective operators for ``p`` copies of ``state``.
 
-    ``ops`` are the single-copy logarithmic derivatives (tilde ones for
-    the tradeoff matrices).  Builds no block; raises KindMismatch for
-    p < 1 and DimensionOverflow when the largest block exceeds the cap.
+    ``ops`` are single-copy operators: the tilde SLDs L~ = F_Q^(-1/2) L
+    for the tradeoff matrices, in which frame every p-local bound is
+    stated.  Builds no block; raises KindMismatch for p < 1 and
+    DimensionOverflow when the largest block exceeds the cap.
     """
     if p < 1:
         raise KindMismatch(f"copies count must be >= 1, got {p}")
@@ -202,8 +195,6 @@ def build_collective(
         )
     return CollectiveOperators(
         p=p,
-        kind=kind,
-        tilded=tilded,
         state=state,
         base_ops=tuple(np.asarray(o, dtype=np.complex128) for o in ops),
     )
@@ -253,14 +244,6 @@ class TradeoffMatrix:
             raise KindMismatch(f"unknown tradeoff kind {self.kind!r}")
 
 
-def _require(coll: CollectiveOperators, kind: str, tilded: bool) -> None:
-    if coll.kind != kind or (tilded and not coll.tilded):
-        raise KindMismatch(
-            f"collective operators of kind={coll.kind!r} tilded={coll.tilded} "
-            f"where kind={kind!r} tilded={tilded} required"
-        )
-
-
 #: Bytes of block matrices per stacked LAPACK call: a small block takes
 #: every pair in one call, the largest blocks one or a few pairs at a time.
 STACK_BYTES = 256 << 10
@@ -285,7 +268,7 @@ def _sandwich(img: np.ndarray, s: np.ndarray) -> np.ndarray:
     return img
 
 
-def _half_trace_norms(herm: np.ndarray) -> np.ndarray:
+def _half_herm_norms(herm: np.ndarray) -> np.ndarray:
     """1/2 ||A||_1 of each Hermitian matrix of a stack (LAPACK reads one
     triangle)."""
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
@@ -331,7 +314,7 @@ def _rld_block(
         prod = xs[j_idx[st]] @ dagger(xs[k_idx[st]])
         prod -= dagger(prod)
         prod *= 1j  # i (P - P+), Hermitian
-        out[st] = _half_trace_norms(prod)
+        out[st] = _half_herm_norms(prod)
     return out
 
 
@@ -347,39 +330,41 @@ class BlockPass:
 
 def block_pass(
     coll: CollectiveOperators,
-    rld: CollectiveOperators | None = None,
+    rld_ops: Sequence[np.ndarray] | None = None,
     cp: bool = False,
     pairs: Sequence[tuple[int, int]] = (),
 ) -> BlockPass:
-    """C_p, C_p^RLD and AutoAlign F-bar_Im candidates from one walk over
-    the irrep blocks of rho^(x)p, so each block is built once.
+    """C_p, C_p^RLD and the AutoAlign F-bar_Im candidates from one walk
+    over the irrep blocks of rho^(x)p, so each block is built once.
 
-    ``coll`` supplies the blocks.  C_p (``cp``, tilded SLD ``coll``) and
-    the AutoAlign(j, k) candidate of each of ``pairs`` read its operators;
-    C_p^RLD reads those of ``rld`` (tilded RLD, same state and p).  On a
-    block with weight S, pair q = (j, k), j < k, has the Hermitian image
+    ``coll`` holds the tilde SLDs L~ and supplies the blocks; C_p
+    (``cp``) and the auto_align(j,k) candidate of each of ``pairs`` read
+    its operators, and C_p^RLD reads ``rld_ops``, the n single-copy tilde
+    RLDs (DimMismatch unless there are n of shape d x d).  A pair needs
+    two distinct indices in [0, n) (KindMismatch).  On a block with
+    weight S, pair q = (j, k), j < k, has the Hermitian image
     H_q = S pi_lambda(-i [L~_j, L~_k]) S, all pairs from one tensordot of
     the single-copy commutators, and with H_q = V Lambda V+
 
         (C_p)_q = 1/2 sum_lambda sum_i |Lambda_i|,
-        AutoAlign(q): F-bar_Im[q'] = 1/2 sum_lambda Re <H_q', V sgn(Lambda) V+>,
+        auto_align(q): F-bar_Im[q'] = 1/2 sum_lambda Re <H_q', V sgn(Lambda) V+>,
 
     because Im <u|S L_j L_k S|u> = 1/2 <u|H_(j,k)|u> for every vector u.
-    So one eigh per candidate gives both; the signs take the tie rule on
-    the alignment values Lambda/2, and a pair given as (k, j) takes the
-    eigenbasis of -H_q.  C_p of a pair no candidate covers reads eigvalsh.
-    C_p^RLD takes P = X_j X_k+ with X_j = S pi_lambda(L~_j) and clips
+    So one eigh per candidate gives both, and entry (j, k) of auto_align(j,k)
+    equals the C_p entry.  The signs take the tie rule on the alignment
+    values Lambda/2 within each block (``meta["signs"]`` holds one per
+    block eigenvector), and a pair given as (k, j) takes the eigenbasis
+    of -H_q.  C_p of a pair no candidate covers reads eigvalsh.  C_p^RLD
+    takes P = X_j X_k+ with X_j = S pi_lambda(L~^R_j) and clips
     1/2 sum_lambda ||P - P+||_1 at 2p.  Each LAPACK call stacks about
     STACK_BYTES of matrices; a block's stacks die before the next block
     is built.
     """
-    if cp:
-        _require(coll, "sld", tilded=True)
-    if rld is not None:
-        _require(rld, "rld", tilded=True)
-        if rld.state is not coll.state or rld.p != coll.p:
-            raise KindMismatch("the RLD collective must share the state and p of the blocks")
     n = coll.n
+    if rld_ops is not None:
+        if len(rld_ops) != n or any(np.shape(o) != (coll.d, coll.d) for o in rld_ops):
+            raise DimMismatch(f"C_p^RLD needs {n} operators of shape ({coll.d}, {coll.d})")
+        rld_ops = np.array(rld_ops, dtype=np.complex128)
     for j, k in pairs:
         _check_pair(j, k, n)
     pj, pk = np.array(pairs, dtype=int).reshape(-1, 2).T
@@ -404,10 +389,10 @@ def block_pass(
             cp_vals += norms  # a covered pair's C_p share from its eigenvalues
         for st in _stacks(len(rest), len(s)):
             q = rest[st]
-            cp_vals[q] += _half_trace_norms(h[q] if h is not None else _sandwich(pi(comms[q]), s))
+            cp_vals[q] += _half_herm_norms(h[q] if h is not None else _sandwich(pi(comms[q]), s))
         h = None  # before the RLD images are built
-        if rld is not None:
-            rld_vals += _rld_block(pi(rld.base_ops), s, j_idx, k_idx)
+        if rld_ops is not None:
+            rld_vals += _rld_block(pi(rld_ops), s, j_idx, k_idx)
     candidates = []
     for (j, k), total, sign in zip(pairs, totals, signs):
         upper = np.zeros((n, n))
@@ -416,13 +401,10 @@ def block_pass(
             _fbar_matrix(coll, upper - upper.T, np.concatenate(sign), f"auto_align({j},{k})")
         )
     return BlockPass(
-        cp=TradeoffMatrix(
-            kind="C", p=coll.p, entries=_pair_matrix(n, cp_vals), meta={"tilded": True}
-        ) if cp else None,
+        cp=TradeoffMatrix(kind="C", p=coll.p, entries=_pair_matrix(n, cp_vals)) if cp else None,
         cp_rld=TradeoffMatrix(
-            kind="C_RLD", p=coll.p, entries=np.minimum(_pair_matrix(n, rld_vals), 2.0 * coll.p),
-            meta={"tilded": True},
-        ) if rld is not None else None,
+            kind="C_RLD", p=coll.p, entries=np.minimum(_pair_matrix(n, rld_vals), 2.0 * coll.p)
+        ) if rld_ops is not None else None,
         candidates=candidates,
     )
 
@@ -436,8 +418,9 @@ def compute_cp(coll: CollectiveOperators) -> TradeoffMatrix:
 
 def compute_cp_rld(coll: CollectiveOperators) -> TradeoffMatrix:
     """(C_p^RLD)_{jk} = min{1/2 ||sqrt(rho_p)(L~_jp L~_kp+ - L~_kp L~_jp+)sqrt(rho_p)||_1, 2p}
-    over the irrep blocks (see :func:`block_pass`)."""
-    return block_pass(coll, rld=coll).cp_rld
+    for a collective of tilde RLDs, over the irrep blocks (see
+    :func:`block_pass`)."""
+    return block_pass(coll, rld_ops=coll.base_ops).cp_rld
 
 
 def _pair_commutator_table(state: EvaluatedState, tilde_ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -525,7 +508,7 @@ def compute_tp_exact(
         kind="T",
         p=p,
         entries=_pair_matrix(len(tilde_ops), pairs),
-        meta={"tilded": True, "method": "exact"},
+        meta={"method": "exact"},
     )
 
 
@@ -564,7 +547,7 @@ def compute_tp_monte_carlo(
         kind="T",
         p=p,
         entries=_pair_matrix(n, means),
-        meta={"tilded": True, "method": "monte_carlo", "samples": samples, "seed": seed,
+        meta={"method": "monte_carlo", "samples": samples, "seed": seed,
               "stderr": _pair_matrix(n, errs)},
     )
 
@@ -577,9 +560,7 @@ def limit_fim(state: EvaluatedState, tilde_ops: Sequence[np.ndarray]) -> Tradeof
     """
     table = _pair_commutator_table(state, tilde_ops)
     values = 0.5 * np.abs(state.support_values @ table)
-    return TradeoffMatrix(
-        kind="LIMIT", p=1, entries=_pair_matrix(len(tilde_ops), values), meta={"tilded": True}
-    )
+    return TradeoffMatrix(kind="LIMIT", p=1, entries=_pair_matrix(len(tilde_ops), values))
 
 
 # --- F-bar aggregates ----------------------------------------------------------
@@ -629,17 +610,16 @@ def first_best(values: np.ndarray) -> int:
     return int(np.argmax(values >= (1.0 - SIGN_TIE_RTOL) * np.max(values)))
 
 
-def _optimize_norm_signs(imags: np.ndarray, sandwich: np.ndarray | None) -> np.ndarray:
+def _optimize_norm_signs(imags: np.ndarray) -> np.ndarray:
     """The transpose pattern s (s_0 = +1) maximizing ||sum_q s_q A_q||_F,
-    A_q = S Im F_{u_q} S with S = ``sandwich`` or I.
+    A_q = Im F_{u_q}.
 
     ||sum_q s_q A_q||_F^2 = s^T G s with G_qr = <A_q, A_r>_F, so one
     k x k Gram matrix scores all 2^(k-1) patterns at once, enumerated
     with bit q of the pattern index flipping vector q + 1.
     """
     count = len(imags)
-    scored = imags if sandwich is None else sandwich @ imags @ sandwich
-    flat = scored.reshape(count, -1)
+    flat = imags.reshape(count, -1)
     gram = flat @ flat.T
     bits = (np.arange(2 ** (count - 1))[:, None] >> np.arange(count - 1)) & 1
     patterns = np.ones((len(bits), count))
@@ -657,26 +637,10 @@ def _fbar_matrix(
         p=coll.p,
         entries=fbar_im,
         meta={
-            "tilded": coll.tilded,
             "strategy": strategy,
             "signs": tuple(AS_IS if s > 0 else TRANSPOSED for s in sign_arr),
         },
     )
-
-
-def auto_align_fbar(
-    coll: CollectiveOperators, pairs: Sequence[tuple[int, int]]
-) -> list[TradeoffMatrix]:
-    """``compute_fbar_im(coll, None, AutoAlign(j, k))`` for each pair,
-    from one pass over the irrep blocks (:func:`block_pass`).
-
-    Per pair: sum_q s_q Im F_{u_q} over the eigenbasis of each block's
-    sandwiched commutator, with one sign s_q per block eigenvector.  The
-    alignment values a_q = (1/2i) <u_q| . |u_q> are half the imaginary
-    eigenvalues; ties are judged within each block.  The sqrt(m) factors
-    of the block weight count each vector m_lambda times.
-    """
-    return block_pass(coll, pairs=pairs).candidates
 
 
 def _resolve_signs(signs: Signs, count: int) -> np.ndarray:
@@ -695,28 +659,21 @@ def _resolve_signs(signs: Signs, count: int) -> np.ndarray:
 
 
 def compute_fbar_im(
-    coll: CollectiveOperators,
-    basis: UBasis | None,
-    signs: Signs,
-    fisher: FisherData | None = None,
+    coll: CollectiveOperators, basis: UBasis | None, signs: Signs
 ) -> TradeoffMatrix:
-    """Imaginary part of F-bar = sum_q s_q-adjusted F_{u_q}.
+    """Imaginary part of F-bar = sum_q s_q-adjusted F_{u_q} over a
+    supplied basis of (C^d)^(x)p, the computational one by default; its
+    vectors must have d^p entries (DimMismatch).
 
     Transposing a Hermitian F_{u_q} flips its imaginary part, so a sign
     choice acts as +-1 on Im F_{u_q}.  ``signs`` may be an explicit
-    per-vector selection, AlignEntry(j,k) (align within ``basis``),
-    AutoAlign(j,k) (switch to the commutator eigenbasis of each irrep
-    block; the (j,k) entry then reproduces the C_p entry, and
-    ``meta["signs"]`` has one sign per block eigenvector), or
+    per-vector selection, AlignEntry(j,k) (align within ``basis``) or
     OptimizeNorm() (exhaustive Frobenius-norm maximization, small bases
-    only).  All but AutoAlign read a basis of (C^d)^(x)p, the computational
-    one by default; its vectors must have d^p entries (DimMismatch).
-
-    For collectives built from un-tilded operators pass ``fisher`` so the
-    norm optimization targets ||F_Q^(-1/2) . F_Q^(-1/2)||_F.
+    only).  With tilde operators in ``coll`` the norm it maximizes is the
+    one the F-bar bound reads.  The AutoAlign candidates, which switch
+    to the commutator eigenbasis of each irrep block, come from
+    :func:`block_pass`.
     """
-    if isinstance(signs, AutoAlign):
-        return auto_align_fbar(coll, [(signs.j, signs.k)])[0]
     if basis is None:  # I_d^(x)p, refused by kron_power's cap before it is built
         basis = UBasis(vectors=linalg.kron_power(np.eye(coll.d), coll.p))
     if basis.dim != coll.dim:
@@ -730,17 +687,12 @@ def compute_fbar_im(
         sign_arr = _signs_from_values(imags[:, signs.j, signs.k])
         strategy = f"align_entry({signs.j},{signs.k})"
     elif isinstance(signs, OptimizeNorm):
-        if basis.count > signs.max_vectors:
+        if basis.count > OPTIMIZE_MAX_VECTORS:
             raise KindMismatch(
-                f"exhaustive optimization limited to {signs.max_vectors} vectors, "
+                f"exhaustive optimization limited to {OPTIMIZE_MAX_VECTORS} vectors, "
                 f"basis has {basis.count}"
             )
-        sandwich = None
-        if not coll.tilded:
-            if fisher is None:
-                raise KindMismatch("un-tilded collective needs fisher for optimization")
-            sandwich = qfim_inv_sqrt(fisher)
-        sign_arr = _optimize_norm_signs(imags, sandwich)
+        sign_arr = _optimize_norm_signs(imags)
         strategy = "optimize_norm"
     else:
         sign_arr = _resolve_signs(signs, basis.count)

@@ -285,7 +285,7 @@ def evaluate_general_bound(
     w_mat = _check_weight(w, len(ops))
     if signs is None:
         signs = [AS_IS] * (state.dim if basis is None else basis.count)
-    coll = build_collective(state, ops, 1, tilded=False)
+    coll = build_collective(state, ops, 1)
     a_im = compute_fbar_im(coll, basis, signs).entries
     a_re = np.real(z_matrix(state, ops))
     sqrt_w = linalg.sqrt_psd(w_mat)

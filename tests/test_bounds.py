@@ -9,6 +9,7 @@ from qmetro.logderiv import (
     FisherData,
     compute_rld,
     compute_rld_fisher,
+    qfim_inv_sqrt,
     reparametrize,
     sld_analysis,
     tilde_fisher_im,
@@ -131,44 +132,44 @@ class TestCpTpBounds:
 class TestFbarBound:
     def test_qubit_p1(self, qubit_state):
         st = qubit_state(0.6)
-        _, fisher, tilde = sld_analysis(st)
+        _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, 1)
         fb = compute_fbar_im(coll, UBasis.computational(2), ["asis", "transposed"])
-        assert gb.fbar_bound(fb, fisher, 3) == pytest.approx(2.5, abs=1e-12)
+        assert gb.fbar_bound(fb, 3) == pytest.approx(2.5, abs=1e-12)
 
     def test_qubit_p2(self, qubit_state):
         delta = 0.25
         st = qubit_state(delta)
-        _, fisher, tilde = sld_analysis(st)
+        _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, 2)
         fb = compute_fbar_im(coll, UBasis.computational(4), OptimizeNorm())
         expected = 3 - (1 + delta**2) ** 2 / 8
-        assert gb.fbar_bound(fb, fisher, 3) == pytest.approx(expected, abs=1e-10)
+        assert gb.fbar_bound(fb, 3) == pytest.approx(expected, abs=1e-10)
 
     def test_untilded_collective_equivalent(self, qubit_state):
-        # Building from raw SLDs and sandwiching with F_Q^(-1/2) must give
-        # the same bound as building from tilde SLDs.
+        # For one sign choice F-bar_Im is linear in the operators, so the
+        # raw-SLD aggregate sandwiched with F_Q^(-1/2) is the tilde one:
+        # the tilde frame alone gives every F-bar bound.
         st = qubit_state(0.5)
         slds, fisher, tilde = sld_analysis(st)
-        coll_raw = build_collective(st, slds.ops, 2, tilded=False)
-        fb_raw = compute_fbar_im(
-            coll_raw, UBasis.computational(4), OptimizeNorm(), fisher=fisher
-        )
-        coll_til = build_collective(st, tilde, 2)
-        fb_til = compute_fbar_im(coll_til, UBasis.computational(4), OptimizeNorm())
-        v1 = gb.fbar_bound(fb_raw, fisher, 3)
-        v2 = gb.fbar_bound(fb_til, fisher, 3)
-        assert v1 == pytest.approx(v2, abs=1e-9)
+        basis = UBasis.computational(4)
+        fb_til = compute_fbar_im(build_collective(st, tilde, 2), basis, OptimizeNorm())
+        signs = list(fb_til.meta["signs"])
+        fb_raw = compute_fbar_im(build_collective(st, slds.ops, 2), basis, signs)
+        s = qfim_inv_sqrt(fisher)
+        assert np.allclose(s @ fb_raw.entries @ s, fb_til.entries, rtol=0, atol=1e-12)
+        expected = 3 - (1 + 0.5**2) ** 2 / 8  # the qubit p = 2 value of test_qubit_p2
+        assert gb.fbar_bound(fb_til, 3) == pytest.approx(expected, abs=1e-10)
 
     def test_coefficient_override(self, qutrit_state):
         st, _ = qutrit_state("qutrit8")
-        _, fisher, tilde = sld_analysis(st)
+        _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, 1)
         fb = compute_fbar_im(coll, UBasis.computational(3), OptimizeNorm())
-        val = gb.fbar_bound(fb, fisher, 8, f_coeff=6.0 / 49.0)
+        val = gb.fbar_bound(fb, 8, f_coeff=6.0 / 49.0)
         assert val == pytest.approx(8 - 24 / 49, abs=1e-10)
         # default coefficient is the (tighter) max, here 1/5
-        assert gb.fbar_bound(fb, fisher, 8) == pytest.approx(8 - 4 / 5, abs=1e-10)
+        assert gb.fbar_bound(fb, 8) == pytest.approx(8 - 4 / 5, abs=1e-10)
 
 
 class TestRldBounds:
@@ -188,7 +189,7 @@ class TestRldBounds:
         rf = compute_rld_fisher(st, rlds, fisher)
         assert gb.rld_standard_bound(rf) == pytest.approx(2.0, abs=1e-10)
         rt = reparametrize(rlds, rf)
-        c1 = compute_cp_rld(build_collective(st, rt, 1, kind="rld"))
+        c1 = compute_cp_rld(build_collective(st, rt, 1))
         assert gb.rld_cp_bound(c1, rf, 2) == pytest.approx(1.5, abs=1e-10)
 
     def test_rotation_family_brute_force(self):
@@ -224,7 +225,7 @@ class TestRldBounds:
         rlds = compute_rld(st)
         rf = compute_rld_fisher(st, rlds, fisher)
         rt = reparametrize(rlds, rf)
-        c1 = compute_cp_rld(build_collective(st, rt, 1, kind="rld"))
+        c1 = compute_cp_rld(build_collective(st, rt, 1))
         a = 1.0 / (4 * eps * (1 - eps))
         expected = 2 * a - 0.25 * 2 * 4.0
         assert gb.rld_cp_bound(c1, rf, 2) == pytest.approx(expected, abs=1e-10)

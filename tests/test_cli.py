@@ -157,7 +157,8 @@ class TestBounds:
          ({"seed": -1}, "seed must be >= 0"), ({"delta": "x"}, "delta must be a number"),
          ({"mc_samples": "many"}, "mc_samples must be an integer"),
          ({"delta": "nan"}, "delta must be finite"),
-         ({"mc_samples": 0}, "mc_samples must be >= 1"), ({"max_dim": -5}, "max_dim must be >= 1")],
+         ({"mc_samples": 0}, "mc_samples must be >= 1"), ({"max_dim": -5}, "max_dim must be >= 1"),
+         ({"enum_cap": 0}, "enum_cap must be >= 1"), ({"enum_cap": -1}, "enum_cap must be >= 1")],
     )
     def test_bad_config_values_exit_1(self, tmp_path, capsys, cfg, message):
         path = tmp_path / "cfg.json"
@@ -255,10 +256,12 @@ def _regression_cases():
 
 
 class TestBoundsRegression:
-    """Small-p ``bounds`` rows against values recorded from the CLI at
-    commit f5ec208 (per-matrix trace norms, eigensolves and pattern loop)."""
+    """``bounds`` rows against values recorded from the CLI: small p at
+    commit f5ec208 (per-matrix trace norms, eigensolves and pattern loop),
+    and the cases with an ``id``, where the block pass serves cp, fbar and
+    rld_cp at larger p, at the ``recorded_at`` commit of each case."""
 
-    @pytest.mark.parametrize("case", _regression_cases(), ids=lambda c: c["args"][2])
+    @pytest.mark.parametrize("case", _regression_cases(), ids=lambda c: c.get("id", c["args"][2]))
     def test_same_rows(self, tmp_path, case):
         out = tmp_path / "r.json"
         assert run_cli(case["args"] + ["--format", "json", "--output", str(out)]) == 0
@@ -399,3 +402,9 @@ class TestExportScenario:
 
     def test_requires_preset(self):
         assert run_cli(["export-scenario"]) == 1
+
+    @pytest.mark.parametrize("preset, delta", [("bogus", "0"), ("qubit3", "2")])
+    def test_bad_preset_or_delta_exit_1(self, capsys, preset, delta):
+        # The same configuration error as in bounds, not a computation error.
+        for command in ("export-scenario", "bounds"):
+            assert run_cli([command, "--preset", preset, "--delta", delta]) == 1

@@ -135,55 +135,6 @@ class TestTraceNorm:
             assert tn <= np.sum(np.sqrt(np.sum(np.abs(m) ** 2, axis=1))) + 1e-10
 
 
-def mixed_stack(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Hermitian, skew-Hermitian, general, all-zero and 1e-14-scale
-    Hermitian and skew-Hermitian matrices, shuffled."""
-    herm = linalg.hermitian_part(complex_matrix(dim, rng))
-    skew = 1j * linalg.hermitian_part(complex_matrix(dim, rng))
-    mats = [herm, skew, complex_matrix(dim, rng), np.zeros((dim, dim)), 1e-14 * skew,
-            1e-14 * herm, 3.0 * linalg.hermitian_part(complex_matrix(dim, rng))]
-    return np.array([mats[i] for i in rng.permutation(len(mats))])
-
-
-class TestTraceNorms:
-    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
-    def test_matches_trace_norm_per_matrix(self, dim):
-        rng = np.random.default_rng(40 + dim)
-        stack = mixed_stack(dim, rng)
-        expect = [linalg.trace_norm(m) for m in stack]
-        assert np.array_equal(linalg.trace_norms(stack), expect)
-
-    def test_tiny_skew_takes_skew_path(self, monkeypatch):
-        # 1e-14-scale skew matrices sit below the absolute Hermitian
-        # tolerance: only the relative test keeps them off the Hermitian
-        # path, and with the SVD barred they must take the skew path.
-        m = np.array([[0.0, 3e-14], [-3e-14, 0.0]])
-        rng = np.random.default_rng(3)
-        skew = 1e-14j * linalg.hermitian_part(complex_matrix(4, rng))
-        stack = np.array([np.pad(m, (0, 2)), skew, 1j * skew])
-
-        def no_svd(*args, **kwargs):
-            raise AssertionError("SVD path taken")
-
-        monkeypatch.setattr(linalg.np.linalg, "svd", no_svd)
-        norms = linalg.trace_norms(stack)
-        assert norms[0] == pytest.approx(6e-14, rel=1e-12, abs=0.0)
-        for got, a in zip(norms[1:], stack[1:]):
-            expect = float(np.sum(np.abs(np.linalg.eigvals(a))))  # normal matrices
-            assert got == pytest.approx(expect, rel=1e-10, abs=0.0)
-
-    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 0)])
-    def test_empty(self, shape):
-        norms = linalg.trace_norms(np.zeros(shape))
-        assert norms.shape == (shape[0],) and not np.any(norms)
-
-    def test_rejects_non_stack(self):
-        with pytest.raises(DimMismatch):
-            linalg.trace_norms(np.zeros((3, 3)))
-        with pytest.raises(DimMismatch):
-            linalg.trace_norms(np.zeros((2, 3, 4)))
-
-
 class TestPsdFunctions:
     def test_sqrt_identity(self):
         assert np.allclose(linalg.sqrt_psd(np.eye(3)), np.eye(3))

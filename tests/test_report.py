@@ -17,7 +17,7 @@ from qmetro.report import (
 from qmetro.scenarios import SIGMA1, SIGMA2
 from qmetro.schur import gt_basis
 from qmetro.states import StateFamily, evaluate
-from qmetro.tensor import TradeoffMatrix
+from qmetro.tensor import BlockPass, TradeoffMatrix
 
 
 class TestBuildReport:
@@ -131,10 +131,10 @@ class TestFbarStrategy:
         # d^p = 16 exceeds the exhaustive cap: the per-pair commutator
         # eigenbasis is used and still yields a valid single-choice matrix.
         st = qubit_state(0.0)
-        _, fisher, tilde = sld_analysis(st)
-        fb = best_fbar(st, tilde, fisher, 4)
+        _, _, tilde = sld_analysis(st)
+        fb = best_fbar(st, tilde, 4)
         assert fb.meta["strategy"].startswith("auto_align")
-        val = gb.fbar_bound(fb, fisher, 3)
+        val = gb.fbar_bound(fb, 3)
         assert val <= 3.0 + 1e-12
         # at delta = 0 the aligned entry equals the C_p entry N_p = 3/2
         assert abs(fb.entries[0, 1]) == pytest.approx(1.5, abs=1e-9)
@@ -148,13 +148,15 @@ class TestFbarStrategy:
         other = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
 
         def tied(coll, pairs):
-            return [TradeoffMatrix("FBAR_IM", coll.p, scale * m, {"strategy": name})
-                    for m, name in ((base, "first"), ((1 + 1e-14) * other, "second"))]
+            return BlockPass(None, None, [
+                TradeoffMatrix("FBAR_IM", coll.p, scale * m, {"strategy": name})
+                for m, name in ((base, "first"), ((1 + 1e-14) * other, "second"))
+            ])
 
-        monkeypatch.setattr("qmetro.report.auto_align_fbar", tied)
+        monkeypatch.setattr("qmetro.report.block_pass", tied)
         st = qubit_state(0.0)
-        _, fisher, tilde = sld_analysis(st)
-        assert best_fbar(st, tilde, fisher, 4).meta["strategy"] == "first"
+        _, _, tilde = sld_analysis(st)
+        assert best_fbar(st, tilde, 4).meta["strategy"] == "first"
 
 
 class TestSaturationFlags:

@@ -21,7 +21,6 @@ from qmetro.linalg import dagger
 from qmetro.logderiv import (
     compute_rld,
     compute_rld_fisher,
-    qfim_inv_sqrt,
     reparametrize,
     sld_analysis,
 )
@@ -31,10 +30,8 @@ from qmetro.scenarios import SIGMA1, SIGMA2, SIGMA3, build_scenario, parse_scena
 from qmetro.states import EvaluatedState, StateFamily, evaluate
 from qmetro.tensor import (
     AlignEntry,
-    AutoAlign,
     OptimizeNorm,
     UBasis,
-    auto_align_fbar,
     build_collective,
     compute_cp,
     compute_cp_rld,
@@ -157,7 +154,7 @@ class TestBuildCollective:
         pairs = list(itertools.combinations(range(len(tilde)), 2))
         tracemalloc.start()
         try:
-            auto_align_fbar(build_collective(st, tilde, p), pairs)
+            tensor.block_pass(build_collective(st, tilde, p), pairs=pairs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -212,10 +209,11 @@ class TestSiteSum:
     def test_matches_literal_kronecker_sum(self, p, d):
         rng = np.random.default_rng(100 * d + p)
         st = evaluate(random_linear_family(d, 3, rng), np.zeros(3))
-        slds, fisher, tilde = sld_analysis(st)
+        slds, _, tilde = sld_analysis(st)
         basis = UBasis.from_columns(haar_unitary(d**p, rng))
-        for tilded, ops in ((True, tilde), (False, slds.ops)):
-            coll = build_collective(st, ops, p, tilded=tilded)
+        # Raw SLDs as well: every strategy reads the operators it is given.
+        for ops in (tilde, slds.ops):
+            coll = build_collective(st, ops, p)
             parts = dense_fu_imag_parts(st, ops, p, basis.vectors)
             tol = 1e-12 * float(np.max(np.abs(parts)))
             assert np.allclose(tensor._fu_imag_parts(coll, basis), parts, rtol=0, atol=tol)
@@ -227,14 +225,12 @@ class TestSiteSum:
                 strategies.append((AlignEntry(j, k), aligned))
             if basis.count <= tensor.OPTIMIZE_MAX_VECTORS:
                 # every pattern with s_0 = +1, scored as OptimizeNorm scores them
-                sandwich = np.eye(3) if tilded else qfim_inv_sqrt(fisher)
                 patterns = [np.array((1.0,) + rest)
                             for rest in itertools.product((1.0, -1.0), repeat=basis.count - 1)]
-                norms = [np.linalg.norm(sandwich @ _dense_aggregate(parts, s) @ sandwich)
-                         for s in patterns]
+                norms = [np.linalg.norm(_dense_aggregate(parts, s)) for s in patterns]
                 strategies.append((OptimizeNorm(), patterns[int(np.argmax(norms))]))
             for signs, expected in strategies:
-                fb = compute_fbar_im(coll, basis, signs, fisher=fisher)
+                fb = compute_fbar_im(coll, basis, signs)
                 got = np.array([1.0 if s == tensor.AS_IS else -1.0 for s in fb.meta["signs"]])
                 assert np.array_equal(got, expected)
                 ref = _dense_aggregate(parts, expected)
@@ -305,21 +301,20 @@ def _assert_matches_dense(st, tilde, rld_ops, p):
     # that build_report makes: its C_p comes from the AutoAlign
     # eigenvalues, everything else equals the lone consumers bit for bit.
     coll = build_collective(st, tilde, p)
-    rld_coll = build_collective(st, rld_ops, p, kind="rld")
     pairs = list(itertools.combinations(range(len(tilde)), 2))
-    joint = tensor.block_pass(coll, rld_coll, cp=True, pairs=pairs)
+    joint = tensor.block_pass(coll, rld_ops, cp=True, pairs=pairs)
     ref = dense_pair_norms(st, tilde, p)
     cp = compute_cp(coll).entries
     assert np.allclose(cp, ref, rtol=0, atol=_scale_tol(ref))
     assert np.allclose(joint.cp.entries, cp, rtol=0, atol=1e-14 * np.max(np.abs(cp)))
     for (j, k), cand in zip(pairs, joint.candidates):
         ref = dense_auto_align(st, tilde, p, j, k)
-        got = compute_fbar_im(coll, None, AutoAlign(j, k))
+        got = tensor.block_pass(coll, pairs=[(j, k)]).candidates[0]
         assert np.allclose(got.entries, ref, rtol=0, atol=_scale_tol(ref))
         assert np.array_equal(cand.entries, got.entries) and cand.meta == got.meta
         assert cand.entries[j, k] == pytest.approx(cp[j, k], rel=0, abs=_scale_tol(cp))
     ref = np.minimum(dense_pair_norms(st, rld_ops, p, rld=True), 2.0 * p)
-    got = compute_cp_rld(rld_coll).entries
+    got = compute_cp_rld(build_collective(st, rld_ops, p)).entries
     assert np.allclose(got, ref, rtol=0, atol=_scale_tol(ref))
     assert np.array_equal(joint.cp_rld.entries, got)
 
@@ -390,7 +385,7 @@ class TestBlockEngine:
         _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, 40)
         cp = compute_cp(coll).entries[0, 1]
-        fb = compute_fbar_im(coll, None, AutoAlign(0, 1)).entries[0, 1]
+        fb = tensor.block_pass(coll, pairs=[(0, 1)]).candidates[0].entries[0, 1]
         assert fb == pytest.approx(cp, rel=1e-10)
 
     @pytest.mark.parametrize("name, p", [("qubit3", 5), ("qutrit8", 3), ("d4", 2), ("qutrit8", 8)])
@@ -402,25 +397,25 @@ class TestBlockEngine:
         _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, p)
         pairs = list(itertools.combinations(range(len(tilde)), 2))
-        cands = auto_align_fbar(coll, pairs)
+        cands = tensor.block_pass(coll, pairs=pairs).candidates
         assert len(cands) == len(pairs)
         for (j, k), cand in zip(pairs, cands):
-            single = compute_fbar_im(coll, None, AutoAlign(j, k))
+            single = tensor.block_pass(coll, pairs=[(j, k)]).candidates[0]
             assert np.array_equal(cand.entries, single.entries)
             assert cand.meta == single.meta
 
     def test_rld_blocks_must_match(self):
-        # The walk reads the RLD images off the SLD collective's blocks.
+        # The walk reads the RLD images off the SLD collective's blocks,
+        # so it needs one d x d operator per parameter.
         st = _block_case("qubit3")
         _, fisher, tilde = sld_analysis(st)
         rlds = compute_rld(st)
         rld_ops = reparametrize(rlds, compute_rld_fisher(st, rlds, fisher))
         coll = build_collective(st, tilde, 3)
-        with pytest.raises(KindMismatch):
-            tensor.block_pass(coll, build_collective(st, rld_ops, 2, kind="rld"))
-        other = _block_case("d2")
-        with pytest.raises(KindMismatch):
-            tensor.block_pass(coll, build_collective(other, rld_ops, 3, kind="rld"))
+        with pytest.raises(DimMismatch):
+            tensor.block_pass(coll, rld_ops[:2])
+        with pytest.raises(DimMismatch):
+            tensor.block_pass(coll, rld_ops[:2] + (np.eye(3),))
 
     def test_sign_ties_are_relative(self):
         vals = np.array([1.0, -0.5, -1e-13, 0.0, 2e-13])
@@ -468,13 +463,6 @@ class TestComputeCp:
                     literal = 0.5 * float(np.sum(np.linalg.svd(m, compute_uv=False)))
                     assert fast.entries[j, k] == pytest.approx(literal, abs=1e-9)
 
-    def test_requires_tilded_slds(self, qubit_state):
-        st = qubit_state(0.0)
-        slds, _, _ = sld_analysis(st)
-        coll = build_collective(st, slds.ops, 1, tilded=False)
-        with pytest.raises(KindMismatch):
-            compute_cp(coll)
-
     def test_structure(self, qubit_state):
         st = qubit_state(0.3)
         _, _, tilde = sld_analysis(st)
@@ -489,7 +477,7 @@ class TestComputeCpRld:
         rlds = compute_rld(st)
         rf = compute_rld_fisher(st, rlds, fisher)
         rt = reparametrize(rlds, rf)
-        c1 = compute_cp_rld(build_collective(st, rt, 1, kind="rld"))
+        c1 = compute_cp_rld(build_collective(st, rt, 1))
         assert c1.entries[0, 1] == pytest.approx(1.0, abs=1e-10)
 
     def test_commuting_rlds_vanish(self):
@@ -501,7 +489,7 @@ class TestComputeCpRld:
         rlds = compute_rld(st)
         rf = compute_rld_fisher(st, rlds, fisher)
         rt = reparametrize(rlds, rf)
-        c1 = compute_cp_rld(build_collective(st, rt, 1, kind="rld"))
+        c1 = compute_cp_rld(build_collective(st, rt, 1))
         assert np.max(np.abs(c1.entries)) <= 1e-10
 
     def test_clipping_at_2p(self):
@@ -524,10 +512,10 @@ class TestComputeCpRld:
         assert raw == pytest.approx(1.0 / (4 * eps * (1 - eps)), abs=1e-12)
         assert raw > 2.0
 
-        c1 = compute_cp_rld(build_collective(st, rt, 1, kind="rld"))
+        c1 = compute_cp_rld(build_collective(st, rt, 1))
         assert c1.entries[0, 1] == pytest.approx(2.0, abs=1e-12)
 
-        c2 = compute_cp_rld(build_collective(st, rt, 2, kind="rld"))
+        c2 = compute_cp_rld(build_collective(st, rt, 2))
         assert c2.entries[0, 1] <= 4.0 + 1e-12
 
 
@@ -733,7 +721,7 @@ class TestFbar:
             coll = build_collective(st, tilde, p)
             cp = compute_cp(coll)
             for (j, k) in ((0, 1), (0, 2), (1, 2)):
-                fb = compute_fbar_im(coll, None, AutoAlign(j, k))
+                fb = tensor.block_pass(coll, pairs=[(j, k)]).candidates[0]
                 assert fb.entries[j, k] == pytest.approx(cp.entries[j, k], abs=1e-9)
 
     def test_incomplete_basis(self, qubit_state):
@@ -799,20 +787,22 @@ class TestFbar:
             compute_fbar_im(coll, UBasis.computational(8), ["asis"] * 8)
 
     @pytest.mark.parametrize("signs", [
-        AutoAlign(0, 0), AutoAlign(-1, 0), AutoAlign(0, 5), AutoAlign(3, 1),
+        (0, 0), (-1, 0), (0, 5), (3, 1),
         AlignEntry(0, 7), AlignEntry(2, 2), AlignEntry(0, -3),
     ])
     def test_pair_indices_checked(self, qubit_state, signs):
-        # Three operators: a pair needs two distinct indices in [0, 3).  A
-        # negative index used to wrap around and an index of 5 or 7 ended
-        # in a raw IndexError.
+        # Three operators: a pair needs two distinct indices in [0, 3),
+        # both as an AlignEntry selector and as an AutoAlign pair of
+        # block_pass.  A negative index used to wrap around and an index
+        # of 5 or 7 ended in a raw IndexError.
         st = qubit_state(0.5)
         _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, 4)
+        j, k = (signs.j, signs.k) if isinstance(signs, AlignEntry) else signs
         with pytest.raises(KindMismatch):
-            compute_fbar_im(coll, None, signs)
+            compute_fbar_im(coll, None, AlignEntry(j, k))
         with pytest.raises(KindMismatch):
-            auto_align_fbar(coll, [(0, 1), (signs.j, signs.k)])
+            tensor.block_pass(coll, pairs=[(0, 1), (j, k)])
 
     def test_reversed_pair_aligns_to_its_own_commutator(self, qubit_state):
         # AutoAlign(1, 0) takes the eigenbasis of S [L~_1, L~_0] S = -(that
@@ -822,7 +812,7 @@ class TestFbar:
         _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, 4)
         for j, k in ((1, 0), (2, 1), (2, 0)):
-            fb = compute_fbar_im(coll, None, AutoAlign(j, k))
+            fb = tensor.block_pass(coll, pairs=[(j, k)]).candidates[0]
             assert fb.meta["strategy"] == f"auto_align({j},{k})"
             ref = dense_auto_align(st, tilde, 4, j, k)
             assert np.allclose(fb.entries, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
@@ -849,19 +839,16 @@ class TestFbar:
             assert fb.entries[j, k] >= -1e-12
 
 
-def optimize_norm_loop(coll, basis, fisher=None):
+def optimize_norm_loop(coll, basis):
     """Oracle: one tensordot and one norm per transpose pattern, keeping
     a pattern only when it beats the best so far by 1e-15."""
     imags = tensor._fu_imag_parts(coll, basis)
-    sandwich = None if coll.tilded else qfim_inv_sqrt(fisher)
     best, best_norm = None, -1.0
     flip_bits = np.arange(basis.count - 1)
     for bits in range(2 ** (basis.count - 1)):
         cand = np.ones(basis.count)
         cand[1:] -= 2.0 * ((bits >> flip_bits) & 1)
-        agg = np.tensordot(cand, imags, axes=1)
-        scored = agg if sandwich is None else sandwich @ agg @ sandwich
-        norm = float(np.linalg.norm(scored))
+        norm = float(np.linalg.norm(np.tensordot(cand, imags, axes=1)))
         if norm > best_norm + 1e-15:
             best, best_norm = cand, norm
     return best, best_norm
@@ -874,39 +861,39 @@ def skew_unit(n, a, b):
 
 
 class TestOptimizeNorm:
-    @pytest.mark.parametrize("tilded", [True, False])
+    @pytest.mark.parametrize("tilde_frame", [True, False])
     @pytest.mark.parametrize("count", range(2, 13))
-    def test_matches_pattern_loop(self, count, tilded):
+    def test_matches_pattern_loop(self, count, tilde_frame):
         # A Parseval frame of ``count`` vectors (rows of the first dim
-        # columns of a Haar unitary) on d^p = 2, 3 or 4 dimensions.
-        rng = np.random.default_rng(900 + 2 * count + tilded)
+        # columns of a Haar unitary) on d^p = 2, 3 or 4 dimensions, for
+        # tilde and raw SLDs: the search maximizes the norm of the
+        # aggregate of the operators it is given.
+        rng = np.random.default_rng(900 + 2 * count + tilde_frame)
         d, p = [(2, 1), (3, 1), (2, 2)][count % 3] if count >= 4 else (2, 1)
         st = evaluate(random_linear_family(d, 3, rng), np.zeros(3))
-        slds, fisher, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde if tilded else slds.ops, p, tilded=tilded)
+        slds, _, tilde = sld_analysis(st)
+        coll = build_collective(st, tilde if tilde_frame else slds.ops, p)
         basis = UBasis(vectors=haar_unitary(count, rng)[:, : d**p].copy())
-        fb = compute_fbar_im(coll, basis, OptimizeNorm(), fisher=fisher)
-        signs, norm = optimize_norm_loop(coll, basis, fisher)
+        fb = compute_fbar_im(coll, basis, OptimizeNorm())
+        signs, norm = optimize_norm_loop(coll, basis)
         oracle = compute_fbar_im(coll, basis, list(signs))
-        w = np.eye(3) if tilded else qfim_inv_sqrt(fisher)
-        scored = w @ fb.entries @ w
-        assert np.linalg.norm(scored) == pytest.approx(norm, rel=1e-12, abs=0.0)
-        assert gb.fbar_bound(fb, fisher, 3) == pytest.approx(
-            gb.fbar_bound(oracle, fisher, 3), rel=1e-12, abs=0.0
+        assert np.linalg.norm(fb.entries) == pytest.approx(norm, rel=1e-12, abs=0.0)
+        assert gb.fbar_bound(fb, 3) == pytest.approx(
+            gb.fbar_bound(oracle, 3), rel=1e-12, abs=0.0
         )
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_ties_take_the_first_pattern_at_any_scale(self, scale):
         # Disjoint supports: every pattern has the same norm exactly.
         exact = np.array([skew_unit(3, 0, 1), 0.1 * skew_unit(3, 0, 2), 0.3 * skew_unit(3, 1, 2)])
-        assert list(tensor._optimize_norm_signs(scale * exact, None)) == [1.0, 1.0, 1.0]
+        assert list(tensor._optimize_norm_signs(scale * exact)) == [1.0, 1.0, 1.0]
         # (+, -) beats (+, +) by 1e-14 relative: a tie at every scale, where
         # an absolute 1e-15 margin takes (+, -) at 1e6 and (+, +) at 1e-6.
         near = np.array([skew_unit(3, 0, 1), skew_unit(3, 0, 2) - 1e-14 * skew_unit(3, 0, 1)])
-        assert list(tensor._optimize_norm_signs(scale * near, None)) == [1.0, 1.0]
+        assert list(tensor._optimize_norm_signs(scale * near)) == [1.0, 1.0]
         # A real gap is not a tie.
         gap = np.array([skew_unit(3, 0, 1), skew_unit(3, 0, 2) - 1e-9 * skew_unit(3, 0, 1)])
-        assert list(tensor._optimize_norm_signs(scale * gap, None)) == [1.0, -1.0]
+        assert list(tensor._optimize_norm_signs(scale * gap)) == [1.0, -1.0]
 
     def test_first_best_is_relative(self):
         for scale in (1e-6, 1.0, 1e6):
