@@ -134,11 +134,20 @@ def _write_rows(rows: list[dict], output: str | None, fmt: str) -> None:
         text = buf.getvalue()
     else:
         text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    if output:
+    _write_text(text, output)
+
+
+def _write_text(text: str, output: str | None) -> None:
+    """Write to ``output``, or to stdout without one; a path that cannot
+    be written is a configuration error."""
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _ConfigError(f"cannot write output {output}: {exc}") from exc
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -329,12 +338,7 @@ def cmd_export_scenario(args) -> int:
         raise _ConfigError("export-scenario requires --preset")
     _, family = _preset_family(preset, _number(args, cfg, "delta", float, 0.0))
     payload = json.dumps(family_to_dict(family), indent=2, sort_keys=True) + "\n"
-    output = _merged(args, cfg, "output")
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write_text(payload, _merged(args, cfg, "output"))
     return 0
 
 

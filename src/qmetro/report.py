@@ -32,6 +32,7 @@ from .tensor import (
     TradeoffMatrix,
     UBasis,
     block_pass,
+    block_sweep,
     build_collective,
     compute_cp,
     compute_fbar_im,
@@ -108,19 +109,23 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
         rld_fisher = compute_rld_fisher(state, rlds, fisher)
         rld_tilde = reparametrize(rlds, rld_fisher)
 
+    # One walk over the reduced shapes serves cp and rld_cp at every p
+    # and, above best_fbar's exhaustive range, the AutoAlign candidates.
+    # The collective at the largest p checks the cap before any block.
+    pairs = list(itertools.combinations(range(n), 2))
+    auto_ps = [p for p in config.p_list if "fbar" in which and state.dim**p > OPTIMIZE_MAX_VECTORS]
+    walk_ps = config.p_list if "cp" in which or "rld_cp" in which else auto_ps
+    walks = block_sweep(
+        build_collective(state, tilde, max(walk_ps), dim_cap=config.dim_cap),
+        walk_ps,
+        rld_tilde if "rld_cp" in which else None,
+        cp="cp" in which,
+        pairs=pairs if auto_ps else (),
+    ) if walk_ps else {}
+
     for p in config.p_list:
-        # One walk over the irrep blocks at p serves cp, rld_cp and, above
-        # best_fbar's exhaustive range, the AutoAlign fbar candidates.
-        auto_align = "fbar" in which and state.dim**p > OPTIMIZE_MAX_VECTORS
-        if "cp" in which or "rld_cp" in which or auto_align:
-            blocks = block_pass(
-                build_collective(state, tilde, p, dim_cap=config.dim_cap),
-                rld_tilde if "rld_cp" in which else None,
-                cp="cp" in which,
-                pairs=list(itertools.combinations(range(n), 2)) if auto_align else (),
-            )
         if "cp" in which:
-            entries.append(gb.BoundEntry("cp", gb.cp_bound(blocks.cp, n), "upper", p))
+            entries.append(gb.BoundEntry("cp", gb.cp_bound(walks[p].cp, n), "upper", p))
         if "tp" in which:
             try:
                 tp = compute_tp_exact(state, tilde, p, enum_cap=config.enum_cap)
@@ -149,8 +154,8 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
                 )
             )
         if "fbar" in which:
-            if auto_align:
-                fbar = _best_candidate(blocks.candidates)
+            if p in auto_ps:
+                fbar = _best_candidate(walks[p].candidates)
             else:
                 fbar = best_fbar(state, tilde, p, dim_cap=config.dim_cap)
             entries.append(
@@ -165,7 +170,7 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
         if "rld_cp" in which:
             entries.append(
                 gb.BoundEntry(
-                    "rld_cp", gb.rld_cp_bound(blocks.cp_rld, rld_fisher, n), "upper", p
+                    "rld_cp", gb.rld_cp_bound(walks[p].cp_rld, rld_fisher, n), "upper", p
                 )
             )
         if "rld" in which:

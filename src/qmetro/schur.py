@@ -13,6 +13,11 @@ pi_lambda(E_ab) of the matrix units are real, and Pi_lambda(D) of a
 diagonal D is diagonal with entries prod_i D_i^{w_i}, where w is the
 weight of the basis pattern.  Formulas: Molev, "Gelfand–Tsetlin bases
 for classical Lie algebras", arXiv:math/0211289, section 2.3.
+
+A shape lambda with lambda_d = k is mu = lambda - k(1, ..., 1) times
+det^k: subtracting k from every entry maps its patterns to those of mu
+in the same order, so pi_lambda(E_ab) = pi_mu(E_ab) + k delta_ab I and
+the weights shift by k.
 """
 
 from __future__ import annotations
@@ -28,26 +33,30 @@ Pattern = tuple[tuple[int, ...], ...]  # rows of lengths 1, 2, ..., d
 def partitions(p: int, d: int) -> list[tuple[int, ...]]:
     """Partitions of p with at most d rows, padded with zeros to length d."""
 
-    def parts(total: int, rows: int, largest: int):
-        if rows == 0:
-            if total == 0:
-                yield ()
-            return
-        for head in range(min(total, largest), -1, -1):
-            for tail in parts(total - head, rows - 1, head):
-                yield (head,) + tail
+    def parts(total: int, rows: int, largest: int) -> list[tuple[int, ...]]:
+        if rows == 1:
+            return [(total,)] if total <= largest else []
+        # the rows below the head hold at most head each: head >= total / rows
+        low = -(-total // rows)
+        return [
+            (head,) + tail
+            for head in range(min(total, largest), low - 1, -1)
+            for tail in parts(total - head, rows - 1, head)
+        ]
 
-    return list(parts(p, d, p))
+    return parts(p, d, p)
 
 
 def multiplicity(shape: tuple[int, ...]) -> int:
-    """m_lambda = p! / prod(hook lengths), the dimension of the S_p irrep."""
-    cols = [sum(1 for r in shape if r > c) for c in range(shape[0])]
-    hooks = 1
-    for i, row in enumerate(shape):
-        for c in range(row):
-            hooks *= (row - c - 1) + (cols[c] - i - 1) + 1
-    return math.factorial(sum(shape)) // hooks
+    """m_lambda, the dimension of the S_p irrep: Frobenius' form of the
+    hook-length formula, p! prod_{i<j} (l_i - l_j) / prod_i l_i! with
+    l_i = lambda_i + d - i, in O(d^2) integer steps however large p is."""
+    d = len(shape)
+    ls = [row + d - 1 - i for i, row in enumerate(shape)]
+    num = math.factorial(sum(shape))
+    for i, j in itertools.combinations(range(d), 2):
+        num *= ls[i] - ls[j]
+    return num // math.prod(math.factorial(l) for l in ls)
 
 
 def irrep_dim(shape: tuple[int, ...]) -> int:
@@ -131,6 +140,8 @@ def log_diag_power(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     zero = values <= 0.0
+    if not zero.any():
+        return weights @ np.log(values)
     out = weights @ np.log(np.where(zero, 1.0, values))
     out[np.any(weights[:, zero] > 0, axis=1)] = -np.inf
     return out

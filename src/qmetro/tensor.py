@@ -14,21 +14,29 @@ it splits into Schur–Weyl irrep blocks (see :mod:`qmetro.schur`):
     pi(A) = sum_r A^(r) -> pi_lambda(A) (x) I_{m_lambda}.
 
 In the eigenbasis of rho = U D U+, sqrt(rho)^(x)p is the diagonal
-Pi_lambda(sqrt D) on each block.  :meth:`CollectiveOperators.blocks`
-yields one partition lambda of p with at most d rows at a time:
-sqrt(m_lambda) Pi_lambda(sqrt D) (formed in log space) and the map
-A -> pi_lambda(U+ A U) of single-copy operators, so only the largest
-block bounds the memory.  C_p, C_p^RLD and the AutoAlign F-bar_Im
-candidates are sums over these blocks, whose dimensions grow polynomially
-in p, and :func:`block_pass`, the one way to the AutoAlign candidates,
-serves all three from one walk per p.  Each pair's image
-H_q = S pi_lambda(-i [L~_j, L~_k]) S comes from one tensordot of the
-single-copy commutators (pi_lambda([A, B]) = [pi_lambda(A),
-pi_lambda(B)]), and one eigendecomposition of it gives both the C_p entry
-and the auto_align(j,k) candidate; LAPACK calls stack about STACK_BYTES
-of block matrices.  A trace norm over the m_lambda copies of a block is
-m_lambda times the block's, which the sqrt(m_lambda) factor on both sides
-supplies.  The dimension cap bounds the largest block.
+Pi_lambda(sqrt D) on each block.  A block lambda with lambda_d = k is
+the reduced shape mu = lambda - k(1, ..., 1) (mu_d = 0) times det^k: in
+the Gelfand–Tsetlin basis pi_lambda(A) = pi_mu(A) + k Tr(A) I and
+Pi_lambda(sqrt D) = det(sqrt D)^k Pi_mu(sqrt D).  So
+:func:`reduced_blocks` walks the reduced shapes of the blocks of every
+p of a list, each once, and on every block lambda = mu + k(1, ..., 1)
+the weighted image S pi_lambda(C) S of a traceless C is that of mu times
+m_lambda det(D)^k.  The scale and the largest weight of mu are combined
+in log space, so large p neither under- nor overflows.
+
+:func:`block_sweep` reads C_p, C_p^RLD and the AutoAlign F-bar_Im
+candidates of every p of a list from that one walk.  Each pair's
+commutator image H_q = S pi_mu(-i [L~_j, L~_k]) S comes from one
+tensordot of the single-copy commutators (pi([A, B]) = [pi(A), pi(B)]),
+and one eigendecomposition of it gives the C_p share and the
+auto_align(j,k) contribution at every p where mu recurs: a qubit sweep
+over p = 1..P makes O(P) eigensolves per pair.  C_p^RLD stays per block
+lambda, because RLDs are not traceless; its image is the mu image
+shifted by k Tr(R) I.  A single p is the same walk over a one-element
+list (:func:`block_pass`).  LAPACK calls stack about STACK_BYTES of block
+matrices.  A trace norm over the m_lambda copies of a block is m_lambda
+times the block's.  Only the largest block bounds the memory, and the
+dimension cap bounds the largest block.
 
 :func:`compute_fbar_im`, F-bar over a supplied basis of (C^d)^(x)p
 (explicit signs, AlignEntry, OptimizeNorm), applies sqrt(rho) and each
@@ -133,8 +141,8 @@ class UBasis:
 class CollectiveOperators:
     """rho^(x)p with the collective operators L_jp = sum_r L_j^(r).
 
-    Holds the single-copy ``state`` and ``base_ops`` only.  :meth:`blocks`
-    streams the irrep blocks that the block-path tradeoff matrices read.
+    Holds the single-copy ``state`` and ``base_ops`` only; the block-path
+    tradeoff matrices read the irrep blocks from :func:`reduced_blocks`.
     """
 
     p: int
@@ -153,20 +161,55 @@ class CollectiveOperators:
     def n(self) -> int:
         return len(self.base_ops)
 
-    def blocks(self) -> Iterator[tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]:
-        """Yield ``(sqrt_weight, pi)`` per irrep block lambda, one at a time:
-        the diagonal of sqrt(m_lambda) Pi_lambda(sqrt D) in the Gelfand–Tsetlin
-        basis, and pi(A) = pi_lambda(U+ A U) for a single-copy operator or a
-        stack of them, with rho = U D U+."""
-        vecs = self.state.eigen.vectors
-        values = self.state.eigen.values
-        sqrt_d = np.sqrt(np.where(values > self.state.rank_tol, values, 0.0))  # as sqrt_rho
-        for shape in schur.partitions(self.p, self.d):
-            weights, gens = schur.gt_basis(shape)
-            log_w = 0.5 * math.log(schur.multiplicity(shape)) + schur.log_diag_power(weights, sqrt_d)
-            # complex once per block, so pi(A) costs no conversion per call
-            gens = gens.astype(np.complex128)
-            yield np.exp(log_w), functools.partial(_block_image, vecs, gens)
+
+#: A block lambda of one p served by a reduced shape: (p, index of lambda
+#: in ``schur.partitions(p, d)``, lambda, scale).
+Served = tuple[int, int, tuple[int, ...], float]
+
+
+def reduced_blocks(
+    state: EvaluatedState, p_list: Sequence[int]
+) -> Iterator[tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], list[Served]]]:
+    """Yield ``(s, pi, served)`` per reduced shape mu, one at a time.
+
+    The shapes mu (mu_d = 0) are those of the blocks lambda = mu + k(1,
+    ..., 1) of every p in ``p_list``, each listed once.  ``s`` is the
+    diagonal of Pi_mu(sqrt D) in the Gelfand–Tsetlin basis over its
+    largest entry, and pi(A) = pi_mu(U+ A U) for a single-copy operator
+    or a stack of them, with rho = U D U+.  ``served`` names the blocks
+    lambda with their ``scale`` = m_lambda det(D)^k (max Pi_mu(sqrt D))^2,
+    summed in log space, so that on lambda
+
+        sqrt(m_lambda) Pi_lambda(sqrt D) = sqrt(scale) s,
+        pi_lambda(A) = pi(A) + k Tr(A) I.
+
+    A block with k >= 1 of a rank-deficient rho has scale 0.
+    """
+    vecs = state.eigen.vectors
+    values = state.eigen.values
+    sqrt_d = np.sqrt(np.where(values > state.rank_tol, values, 0.0))  # as sqrt_rho
+    log_det = sum(map(math.log, sqrt_d)) if sqrt_d.all() else -math.inf  # det(sqrt D)
+    walk: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
+    for p in dict.fromkeys(p_list):
+        for index, shape in enumerate(schur.partitions(p, state.dim)):
+            mu = tuple(r - shape[-1] for r in shape)
+            walk.setdefault(mu, []).append((p, index, shape))
+    for mu, blocks in walk.items():
+        weights, gens = schur.gt_basis(mu)
+        log_s = schur.log_diag_power(weights, sqrt_d)
+        top = float(log_s.max())
+        top = top if top > -math.inf else 0.0  # no support: s = 0
+        served = []
+        for p, index, shape in blocks:
+            k = shape[-1]
+            log_scale = math.log(schur.multiplicity(shape)) + 2.0 * top
+            if k:  # k * -inf, never 0 * -inf
+                log_scale += 2.0 * k * log_det
+            served.append((p, index, shape, math.exp(log_scale)))
+        # complex once per shape, so pi(A) costs no conversion per call;
+        # the real generators die here, not at the next shape
+        gens = gens.astype(np.complex128)
+        yield np.exp(log_s - top), functools.partial(_block_image, vecs, gens), served
 
 
 def _block_image(vecs: np.ndarray, gens: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -184,7 +227,9 @@ def build_collective(
     ``ops`` are single-copy operators: the tilde SLDs L~ = F_Q^(-1/2) L
     for the tradeoff matrices, in which frame every p-local bound is
     stated.  Builds no block; raises KindMismatch for p < 1 and
-    DimensionOverflow when the largest block exceeds the cap.
+    DimensionOverflow when the largest block exceeds the cap.  The
+    largest block grows with p, so the collective at the largest p of a
+    list checks the cap for a :func:`block_sweep` over all of them.
     """
     if p < 1:
         raise KindMismatch(f"copies count must be >= 1, got {p}")
@@ -275,42 +320,38 @@ def _half_herm_norms(herm: np.ndarray) -> np.ndarray:
 
 
 def _align_block(
-    h: np.ndarray,
-    cand: np.ndarray,
-    orient: np.ndarray,
-    totals: np.ndarray,
-    signs: Sequence[list[np.ndarray]],
-) -> np.ndarray:
-    """Add one block's share of each candidate's F-bar_Im to ``totals``
-    and append its signs, from stacked eigensolves of the pair images
-    ``h``; returns each candidate's 1/2 ||H_q||_1.  The locals die on
-    return, before the next block is built."""
+    h: np.ndarray, cand: np.ndarray, orient: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Stacked eigensolves of the candidates' pair images ``h``; returns
+    per candidate 1/2 ||H_q||_1, Re <H_q', V sgn V+> for every pair q',
+    and the signs.  The locals die on return, before the next block is
+    built."""
     flat = h.reshape(len(h), -1).view(np.float64)
     norms = np.empty(len(cand))
+    shares = np.empty((len(cand), len(h)))
+    signs: list[np.ndarray] = []
     for st in _stacks(len(cand), h.shape[-1]):
         stack = h[cand[st]]
         stack *= orient[st]
         vals, vecs = np.linalg.eigh(stack)
         del stack
-        sgn = np.array([_signs_from_values(lam / 2.0) for lam in vals])
+        sgn = _signs_from_values(vals / 2.0)
         rows = (vecs * sgn[:, None, :]) @ dagger(vecs)  # V sgn V+ per candidate
         del vecs
-        rows = rows.reshape(len(rows), -1).view(np.float64)
-        for total, sign_list, sign, row in zip(totals[st], signs[st], sgn, rows):
-            total += flat @ row  # Re <H_q', V sgn V+> for every pair q'
-            sign_list.append(sign)
+        # One matrix-vector product per candidate in one call: a product
+        # of the whole stack would round each row by the stack's size.
+        rows = rows.reshape(len(rows), 1, -1).view(np.float64)
+        shares[st] = (rows @ flat.T)[:, 0]
+        signs.extend(sgn)
         norms[st] = 0.5 * np.sum(np.abs(vals), axis=-1)
-    return norms
+    return norms, shares, signs
 
 
-def _rld_block(
-    xs: np.ndarray, s: np.ndarray, j_idx: np.ndarray, k_idx: np.ndarray
-) -> np.ndarray:
-    """1/2 ||P - P+||_1 per pair, P = X_j X_k+ with X = S ``xs``; ``xs``
-    (the block images of the RLDs) is weighted in place."""
-    xs *= s[:, None]
+def _rld_block(xs: np.ndarray, j_idx: np.ndarray, k_idx: np.ndarray) -> np.ndarray:
+    """1/2 ||P - P+||_1 per pair, P = X_j X_k+ for the weighted block
+    images ``xs`` of the RLDs."""
     out = np.empty(len(j_idx))
-    for st in _stacks(len(j_idx), len(s)):
+    for st in _stacks(len(j_idx), xs.shape[-1]):
         prod = xs[j_idx[st]] @ dagger(xs[k_idx[st]])
         prod -= dagger(prod)
         prod *= 1j  # i (P - P+), Hermitian
@@ -320,12 +361,121 @@ def _rld_block(
 
 @dataclass(frozen=True)
 class BlockPass:
-    """What one walk over the irrep blocks at p gives; a consumer that was
-    not asked for is None (no candidates)."""
+    """What the walk over the irrep blocks gives at one p; a consumer
+    that was not asked for is None (no candidates)."""
 
     cp: TradeoffMatrix | None
     cp_rld: TradeoffMatrix | None
     candidates: list[TradeoffMatrix]
+
+
+def block_sweep(
+    coll: CollectiveOperators,
+    p_list: Sequence[int],
+    rld_ops: Sequence[np.ndarray] | None = None,
+    cp: bool = False,
+    pairs: Sequence[tuple[int, int]] = (),
+) -> dict[int, BlockPass]:
+    """C_p, C_p^RLD and the AutoAlign F-bar_Im candidates at every p of
+    ``p_list`` from one walk over the reduced shapes (:func:`reduced_blocks`),
+    so each shape is built and each pair image solved once.
+
+    ``coll`` holds the tilde SLDs L~ at the largest p of the list, whose
+    cap check covers every block (KindMismatch for a p outside [1,
+    coll.p]).  C_p (``cp``) and the auto_align(j,k) candidate of each of
+    ``pairs`` read its operators, and C_p^RLD reads ``rld_ops``, the n
+    single-copy tilde RLDs (DimMismatch unless there are n of shape
+    d x d).  A pair needs two distinct indices in [0, n) (KindMismatch).
+    On a reduced shape with weight s, pair q = (j, k), j < k, has the
+    Hermitian image H_q = s pi_mu(-i [L~_j, L~_k]) s, all pairs from one
+    tensordot of the single-copy commutators, and with H_q = V Lambda V+
+    and the scales c of the blocks lambda of each p
+
+        (C_p)_q = 1/2 sum_lambda c sum_i |Lambda_i|,
+        auto_align(q): F-bar_Im[q'] = 1/2 sum_lambda c Re <H_q', V sgn(Lambda) V+>,
+
+    because Im <u|S L_j L_k S|u> = 1/2 <u|H_(j,k)|u> for every vector u.
+    So one eigh per candidate and shape serves every p, and entry (j, k)
+    of auto_align(j,k) equals the C_p entry.  The signs take the tie rule
+    on the alignment values Lambda/2, which does not depend on c;
+    ``meta["signs"]`` holds one per block eigenvector in the order of
+    ``schur.partitions(p, d)``, "as is" on a block of scale 0.  A pair
+    given as (k, j) takes the eigenbasis of -H_q.  C_p of a pair no
+    candidate covers reads eigvalsh.  C_p^RLD takes P = X_j X_k+ with
+    X_j = s pi_lambda(L~^R_j) = s (pi_mu(L~^R_j) + k Tr(L~^R_j) I) on each
+    block and clips 1/2 sum_lambda c ||P - P+||_1 at 2p.  Each LAPACK
+    call stacks about STACK_BYTES of matrices; a shape's stacks die
+    before the next shape is built.
+    """
+    n = coll.n
+    ps = tuple(dict.fromkeys(p_list))
+    if any(not 1 <= p <= coll.p for p in ps):
+        raise KindMismatch(f"p list {ps} must lie in [1, {coll.p}]")
+    if rld_ops is not None:
+        if len(rld_ops) != n or any(np.shape(o) != (coll.d, coll.d) for o in rld_ops):
+            raise DimMismatch(f"C_p^RLD needs {n} operators of shape ({coll.d}, {coll.d})")
+        rld_ops = np.array(rld_ops, dtype=np.complex128)
+        rld_traces = np.trace(rld_ops, axis1=1, axis2=2)
+    for j, k in pairs:
+        _check_pair(j, k, n)
+    pj, pk = np.array(pairs, dtype=int).reshape(-1, 2).T
+    lo, hi = np.minimum(pj, pk), np.maximum(pj, pk)
+    cand = lo * (2 * n - lo - 1) // 2 + hi - lo - 1  # the combinations index
+    orient = np.where(pj < pk, 1.0, -1.0)[:, None, None]
+    j_idx, k_idx = _pair_indices(n)
+    covered = np.zeros(len(j_idx), dtype=bool)
+    covered[cand] = True
+    rest = np.flatnonzero(~covered) if cp else np.arange(0)  # C_p by eigvalsh
+    ops = np.array(coll.base_ops)
+    comms = -1j * (ops[j_idx] @ ops[k_idx] - ops[k_idx] @ ops[j_idx])
+    cp_vals = {p: np.zeros(len(j_idx)) for p in ps}
+    rld_vals = {p: np.zeros(len(j_idx)) for p in ps}
+    totals = {p: np.zeros((len(pairs), len(j_idx))) for p in ps}
+    signs: dict[int, dict[int, list[np.ndarray]]] = {p: {} for p in ps}
+    for s, pi, served in reduced_blocks(coll.state, ps):
+        h = _sandwich(pi(comms), s) if len(pairs) else None
+        norms = np.zeros(len(j_idx))  # the C_p shares of this shape
+        shares, sgn = 0.0, []
+        if h is not None:
+            norms[cand], shares, sgn = _align_block(h, cand, orient)
+        for st in _stacks(len(rest), len(s)):
+            q = rest[st]
+            norms[q] = _half_herm_norms(h[q] if h is not None else _sandwich(pi(comms[q]), s))
+        h = None  # before the RLD images are built
+        if rld_ops is not None:
+            xs = pi(rld_ops)
+            xs *= s[:, None]
+        for p, index, shape, scale in served:
+            if scale == 0.0:  # lambda_d >= 1 of a rank-deficient rho: a zero block
+                signs[p][index] = [np.ones(len(s))] * len(pairs)
+                continue
+            signs[p][index] = sgn
+            cp_vals[p] += scale * norms
+            totals[p] += scale * shares
+            if rld_ops is not None:
+                x = xs
+                if shape[-1]:  # s (pi_mu(R) + k Tr(R) I)
+                    x = xs.copy()
+                    diag = np.arange(len(s))
+                    x[:, diag, diag] += shape[-1] * np.outer(rld_traces, s)
+                rld_vals[p] += scale * _rld_block(x, j_idx, k_idx)
+    out = {}
+    for p in ps:
+        ordered = [signs[p][index] for index in sorted(signs[p])]
+        candidates = []
+        for i, (j, k) in enumerate(pairs):
+            upper = np.zeros((n, n))
+            upper[j_idx, k_idx] = 0.5 * totals[p][i]
+            sign = np.concatenate([block[i] for block in ordered])
+            candidates.append(_fbar_matrix(p, upper - upper.T, sign, f"auto_align({j},{k})"))
+        out[p] = BlockPass(
+            cp=TradeoffMatrix(kind="C", p=p, entries=_pair_matrix(n, cp_vals[p])) if cp else None,
+            cp_rld=TradeoffMatrix(
+                kind="C_RLD", p=p, entries=np.minimum(_pair_matrix(n, rld_vals[p]), 2.0 * p)
+            ) if rld_ops is not None else None,
+            candidates=candidates,
+        )
+    return out
 
 
 def block_pass(
@@ -334,79 +484,8 @@ def block_pass(
     cp: bool = False,
     pairs: Sequence[tuple[int, int]] = (),
 ) -> BlockPass:
-    """C_p, C_p^RLD and the AutoAlign F-bar_Im candidates from one walk
-    over the irrep blocks of rho^(x)p, so each block is built once.
-
-    ``coll`` holds the tilde SLDs L~ and supplies the blocks; C_p
-    (``cp``) and the auto_align(j,k) candidate of each of ``pairs`` read
-    its operators, and C_p^RLD reads ``rld_ops``, the n single-copy tilde
-    RLDs (DimMismatch unless there are n of shape d x d).  A pair needs
-    two distinct indices in [0, n) (KindMismatch).  On a block with
-    weight S, pair q = (j, k), j < k, has the Hermitian image
-    H_q = S pi_lambda(-i [L~_j, L~_k]) S, all pairs from one tensordot of
-    the single-copy commutators, and with H_q = V Lambda V+
-
-        (C_p)_q = 1/2 sum_lambda sum_i |Lambda_i|,
-        auto_align(q): F-bar_Im[q'] = 1/2 sum_lambda Re <H_q', V sgn(Lambda) V+>,
-
-    because Im <u|S L_j L_k S|u> = 1/2 <u|H_(j,k)|u> for every vector u.
-    So one eigh per candidate gives both, and entry (j, k) of auto_align(j,k)
-    equals the C_p entry.  The signs take the tie rule on the alignment
-    values Lambda/2 within each block (``meta["signs"]`` holds one per
-    block eigenvector), and a pair given as (k, j) takes the eigenbasis
-    of -H_q.  C_p of a pair no candidate covers reads eigvalsh.  C_p^RLD
-    takes P = X_j X_k+ with X_j = S pi_lambda(L~^R_j) and clips
-    1/2 sum_lambda ||P - P+||_1 at 2p.  Each LAPACK call stacks about
-    STACK_BYTES of matrices; a block's stacks die before the next block
-    is built.
-    """
-    n = coll.n
-    if rld_ops is not None:
-        if len(rld_ops) != n or any(np.shape(o) != (coll.d, coll.d) for o in rld_ops):
-            raise DimMismatch(f"C_p^RLD needs {n} operators of shape ({coll.d}, {coll.d})")
-        rld_ops = np.array(rld_ops, dtype=np.complex128)
-    for j, k in pairs:
-        _check_pair(j, k, n)
-    pj, pk = np.array(pairs, dtype=int).reshape(-1, 2).T
-    lo, hi = np.minimum(pj, pk), np.maximum(pj, pk)
-    cand = lo * (2 * n - lo - 1) // 2 + hi - lo - 1  # the combinations index
-    orient = np.where(pj < pk, 1.0, -1.0)[:, None, None]
-    j_idx, k_idx = np.triu_indices(n, 1)
-    covered = np.zeros(len(j_idx), dtype=bool)
-    covered[cand] = True
-    rest = np.flatnonzero(~covered) if cp else np.arange(0)  # C_p by eigvalsh
-    ops = np.array(coll.base_ops)
-    comms = -1j * (ops[j_idx] @ ops[k_idx] - ops[k_idx] @ ops[j_idx])
-    cp_vals = np.zeros(len(j_idx))
-    rld_vals = np.zeros(len(j_idx))
-    totals = np.zeros((len(pairs), len(j_idx)))
-    signs: list[list[np.ndarray]] = [[] for _ in pairs]
-    for s, pi in coll.blocks():
-        h = _sandwich(pi(comms), s) if len(pairs) else None
-        if h is not None:
-            norms = np.zeros(len(j_idx))
-            norms[cand] = _align_block(h, cand, orient, totals, signs)
-            cp_vals += norms  # a covered pair's C_p share from its eigenvalues
-        for st in _stacks(len(rest), len(s)):
-            q = rest[st]
-            cp_vals[q] += _half_herm_norms(h[q] if h is not None else _sandwich(pi(comms[q]), s))
-        h = None  # before the RLD images are built
-        if rld_ops is not None:
-            rld_vals += _rld_block(pi(rld_ops), s, j_idx, k_idx)
-    candidates = []
-    for (j, k), total, sign in zip(pairs, totals, signs):
-        upper = np.zeros((n, n))
-        upper[j_idx, k_idx] = 0.5 * total
-        candidates.append(
-            _fbar_matrix(coll, upper - upper.T, np.concatenate(sign), f"auto_align({j},{k})")
-        )
-    return BlockPass(
-        cp=TradeoffMatrix(kind="C", p=coll.p, entries=_pair_matrix(n, cp_vals)) if cp else None,
-        cp_rld=TradeoffMatrix(
-            kind="C_RLD", p=coll.p, entries=np.minimum(_pair_matrix(n, rld_vals), 2.0 * coll.p)
-        ) if rld_ops is not None else None,
-        candidates=candidates,
-    )
+    """:func:`block_sweep` at the one p of ``coll``."""
+    return block_sweep(coll, (coll.p,), rld_ops, cp, pairs)[coll.p]
 
 
 def compute_cp(coll: CollectiveOperators) -> TradeoffMatrix:
@@ -433,14 +512,25 @@ def _pair_commutator_table(state: EvaluatedState, tilde_ops: Sequence[np.ndarray
     """
     cols = np.array(tilde_ops) @ state.support_vectors  # (n, d, m)
     gram = np.einsum("jai,kai->ijk", np.conj(cols), cols)
-    j, k = np.triu_indices(len(tilde_ops), 1)
+    j, k = _pair_indices(len(tilde_ops))
     return 2.0 * np.imag(gram[:, j, k])
+
+
+@functools.cache
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs j < k in ``itertools.combinations``
+    order, built once per n (np.triu_indices costs about 20 us) and
+    read-only."""
+    indices = np.triu_indices(n, 1)
+    for a in indices:
+        a.flags.writeable = False
+    return indices
 
 
 def _pair_matrix(n: int, values: np.ndarray) -> np.ndarray:
     """Symmetric n x n matrix with zero diagonal from per-pair values."""
     out = np.zeros((n, n))
-    out[np.triu_indices(n, 1)] = values
+    out[_pair_indices(n)] = values
     return out + out.T
 
 
@@ -596,10 +686,11 @@ def _signs_from_values(values: np.ndarray) -> np.ndarray:
     """+1 (as is) or -1 (transposed) per alignment value; ties take +1.
 
     A value is a tie when its size is within SIGN_TIE_RTOL of the largest
-    |value| given, so the rule does not depend on the overall scale.
+    |value| along the last axis, so the rule does not depend on the
+    overall scale.
     """
     values = np.asarray(values, dtype=float)
-    tol = SIGN_TIE_RTOL * float(np.max(np.abs(values), initial=0.0))
+    tol = SIGN_TIE_RTOL * np.max(np.abs(values), axis=-1, keepdims=True, initial=0.0)
     return np.where(values < -tol, -1.0, 1.0)
 
 
@@ -629,16 +720,16 @@ def _optimize_norm_signs(imags: np.ndarray) -> np.ndarray:
 
 
 def _fbar_matrix(
-    coll: CollectiveOperators, fbar_im: np.ndarray, sign_arr: np.ndarray, strategy: str
+    p: int, fbar_im: np.ndarray, sign_arr: np.ndarray, strategy: str
 ) -> TradeoffMatrix:
     fbar_im = (fbar_im - fbar_im.T) / 2.0  # exact skew symmetry
     return TradeoffMatrix(
         kind="FBAR_IM",
-        p=coll.p,
+        p=p,
         entries=fbar_im,
         meta={
             "strategy": strategy,
-            "signs": tuple(AS_IS if s > 0 else TRANSPOSED for s in sign_arr),
+            "signs": tuple(map((TRANSPOSED, AS_IS).__getitem__, (sign_arr > 0).tolist())),
         },
     )
 
@@ -697,4 +788,4 @@ def compute_fbar_im(
     else:
         sign_arr = _resolve_signs(signs, basis.count)
         strategy = "explicit"
-    return _fbar_matrix(coll, np.tensordot(sign_arr, imags, axes=1), sign_arr, strategy)
+    return _fbar_matrix(coll.p, np.tensordot(sign_arr, imags, axes=1), sign_arr, strategy)

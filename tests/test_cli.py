@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import qmetro
+from qmetro import schur
 from qmetro.cli import main, make_parser
 from qmetro.scenarios import build_scenario, parse_scenario
 from qmetro.states import save_family
@@ -340,6 +341,35 @@ class TestSweep:
 
     def test_sweep_needs_grid(self):
         assert run_cli(["sweep", "--preset", "qubit3", "--p", "1"]) == 1
+
+    def test_whole_sweep_refused_before_any_block(self, capsys, monkeypatch):
+        # The largest block of p = 40 (dimension 41) is above the cap, so
+        # the sweep stops before the first block of p = 1 is built.
+        built = []
+        monkeypatch.setattr(schur, "gt_basis", lambda shape: built.append(shape))
+        code = run_cli(["sweep", "--preset", "qubit3", "--p", "1-40", "--max-dim", "20",
+                        "--error-json"])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["error"] == "DimensionOverflow" and "p=40" in payload["message"]
+        assert built == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["bounds", "--preset", "qubit3", "--bounds", "cp"],
+     ["sweep", "--preset", "qubit3", "--p", "1-2", "--bounds", "cp"],
+     ["export-scenario", "--preset", "qubit3"]],
+    ids=["bounds", "sweep", "export-scenario"],
+)
+def test_unwritable_output_exit_1(tmp_path, capsys, args):
+    # A missing directory is a configuration error with a JSON error
+    # line, not a traceback after the computation.
+    output = str(tmp_path / "nodir" / "out.csv")
+    assert run_cli(args + ["--output", output, "--error-json"]) == 1
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["exit_code"] == 1 and "cannot write output" in payload["message"]
+    assert not (tmp_path / "nodir").exists()
 
 
 class TestCheckCommand:

@@ -111,9 +111,10 @@ class TestBuildReport:
         with pytest.raises(ValueError):
             build_report(qubit_state(0.0), ReportConfig(bounds=("nope",), p_list=(1,)))
 
-    def test_each_block_built_once_per_p(self, qubit_state, monkeypatch):
-        # cp, fbar (AutoAlign at 2^20 > 12) and rld_cp share one walk over
-        # the 11 irrep blocks of qubit p = 20; separate passes built 33.
+    def test_each_reduced_shape_built_once_per_report(self, qubit_state, monkeypatch):
+        # cp, fbar (AutoAlign from p = 4, 2^4 > 12) and rld_cp at p = 1..20
+        # share one walk over the 21 reduced shapes (a, 0), a = 0..20; a
+        # walk per p built the 120 irrep blocks of all twenty p.
         shapes = []
 
         def counting(shape):
@@ -121,9 +122,10 @@ class TestBuildReport:
             return gt_basis(shape)
 
         monkeypatch.setattr(schur, "gt_basis", counting)
-        config = ReportConfig(bounds=("cp", "fbar", "rld_cp"), p_list=(20,))
-        build_report(qubit_state(0.5), config)
-        assert sorted(shapes) == sorted(schur.partitions(20, 2))
+        p_list = tuple(range(1, 21))
+        build_report(qubit_state(0.5), ReportConfig(bounds=("cp", "fbar", "rld_cp"), p_list=p_list))
+        assert sorted(shapes) == [(a, 0) for a in range(21)]
+        assert sum(len(schur.partitions(p, 2)) for p in p_list) == 120
 
 
 class TestFbarStrategy:

@@ -51,43 +51,49 @@ class TestBuildCollective:
         coll = build_collective(st, tilde, 1)
         for a, b in zip(coll.base_ops, tilde):
             assert np.allclose(a, b)
-        [(s, pi)] = list(coll.blocks())
+        [(s, pi, [served])] = list(tensor.reduced_blocks(st, [1]))
+        p, index, shape, scale = served
+        assert (p, index, shape) == (1, 0, (1, 0))
         for op in tilde:
-            block = s[:, None] * pi(op) * s
+            block = scale * s[:, None] * pi(op) * s
             direct = st.sqrt_rho @ op @ st.sqrt_rho
             assert np.allclose(np.linalg.eigvalsh(block), np.linalg.eigvalsh(direct), atol=1e-12)
 
     def test_p2_sigma3_sum(self, qubit_state):
         # sigma_3 summed over two sites has spectrum {2, 0, 0, -2}: the
-        # triplet block carries {2, 0, -2}, the singlet {0}.
+        # triplet block carries {2, 0, -2}, the singlet {0}, read off the
+        # reduced shapes (2, 0) and (0, 0) (sigma_3 is traceless).
         st = qubit_state(0.0)
-        coll = build_collective(st, [SIGMA3], 2)
         spectrum = []
-        for shape, (_, pi) in zip(schur.partitions(2, 2), coll.blocks()):
-            spectrum += list(np.linalg.eigvalsh(pi(SIGMA3))) * schur.multiplicity(shape)
+        for _, pi, served in tensor.reduced_blocks(st, [2]):
+            for _, _, shape, _ in served:
+                spectrum += list(np.linalg.eigvalsh(pi(SIGMA3))) * schur.multiplicity(shape)
         assert np.allclose(sorted(spectrum), [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
     def test_collective_qfim_scales(self, qubit_state):
         # Oracle: the QFIM of rho^(x)p from the collective SLDs, read block
         # by block as sum_lambda Re Tr(S^2 pi(L_j) pi(L_k)), equals p F_Q.
+        # The SLDs are not traceless, so pi_lambda shifts pi_mu by k Tr(L) I.
         st = qubit_state(0.0)
         slds, fisher, _ = sld_analysis(st)
+        traces = np.trace(np.array(slds.ops), axis1=1, axis2=2)
         for p in (2, 3):
             fp = np.zeros((3, 3))
-            for s, pi in build_collective(st, slds.ops, p).blocks():
-                x = pi(slds.ops)
-                fp += np.real(np.einsum("i,jil,kli->jk", s**2, x, x))
+            for s, pi, served in tensor.reduced_blocks(st, [p]):
+                for _, _, shape, scale in served:
+                    x = pi(slds.ops) + shape[-1] * traces[:, None, None] * np.eye(len(s))
+                    fp += scale * np.real(np.einsum("i,jil,kli->jk", s**2, x, x))
             assert np.allclose(fp, p * fisher.f_q, atol=1e-10)
 
     def test_sqrt_rho_p(self, qubit_state):
         # The block weights are sqrt(rho^(x)p) in its eigenbasis: squared and
         # counted m_lambda times, they are the products of p eigenvalues.
         st = qubit_state(0.4)
-        coll = build_collective(st, [SIGMA1], 3)
         squares = []
-        for shape, (s, _) in zip(schur.partitions(3, 2), coll.blocks()):
-            m = schur.multiplicity(shape)
-            squares += list(s**2 / m) * m
+        for s, _, served in tensor.reduced_blocks(st, [3]):
+            for _, _, shape, scale in served:
+                m = schur.multiplicity(shape)
+                squares += list(scale * s**2 / m) * m
         direct = np.real(np.diag(linalg.kron_power(np.diag(st.eigen.values), 3)))
         assert np.allclose(sorted(squares), sorted(direct), atol=1e-12)
 
@@ -336,11 +342,162 @@ class TestSchur:
             shapes = schur.partitions(p, d)
             assert sum(schur.multiplicity(s) * schur.irrep_dim(s) for s in shapes) == d**p
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_partitions_and_multiplicities_match_references(self, d):
+        # References: every nonincreasing d-tuple summing to p, in
+        # descending lexicographic order, and the hook-length product.
+        def hooks(shape):
+            cols = [sum(1 for r in shape if r > c) for c in range(shape[0])]
+            out = 1
+            for i, row in enumerate(shape):
+                for c in range(row):
+                    out *= (row - c - 1) + (cols[c] - i - 1) + 1
+            return out
+
+        for p in range(13):
+            brute = sorted(
+                (t for t in itertools.product(range(p + 1), repeat=d)
+                 if sum(t) == p and all(a >= b for a, b in zip(t, t[1:]))),
+                reverse=True,
+            )
+            assert schur.partitions(p, d) == brute
+            for shape in brute:
+                assert schur.multiplicity(shape) == math.factorial(p) // hooks(shape)
+
     def test_zero_value_gives_zero_weight(self):
         weights, _ = schur.gt_basis((2, 1))
         log_w = schur.log_diag_power(weights, np.array([1.0, 0.0]))
         assert not np.any(np.isnan(log_w))
         assert np.array_equal(np.exp(log_w), np.where(weights[:, 1] > 0, 0.0, 1.0))
+
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_reduced_shape_identities(self, d):
+        # V_lambda = V_mu (x) det^k with mu = lambda - k(1, ..., 1), k =
+        # lambda_d: pattern by pattern the GT bases agree, the weights
+        # shift by k and pi(E_aa) by k I, so Pi_lambda(D) = det(D)^k Pi_mu(D).
+        # With a zero value, k >= 1 gives -inf (a zero weight), never NaN.
+        values = (np.array([0.5, 0.3, 0.15, 0.05])[:d], np.array([0.6, 0.0, 0.3, 0.1])[:d])
+        for p in range(1, 9):
+            for shape in schur.partitions(p, d):
+                k = shape[-1]
+                w_lam, g_lam = schur.gt_basis(shape)
+                w_mu, g_mu = schur.gt_basis(tuple(r - k for r in shape))
+                assert np.array_equal(w_lam, w_mu + k)
+                shift = k * np.eye(d)[:, :, None, None] * np.eye(len(w_mu))
+                assert np.array_equal(g_lam, g_mu + shift)
+                for v in values:
+                    got = schur.log_diag_power(w_lam, v)
+                    with np.errstate(divide="ignore"):
+                        det = k * np.sum(np.log(v)) if k else 0.0
+                    expected = schur.log_diag_power(w_mu, v) + det
+                    assert not np.any(np.isnan(got))
+                    assert np.array_equal(np.isneginf(got), np.isneginf(expected))
+                    if k and not v.all():
+                        assert np.all(np.isneginf(got))
+                    finite = np.isfinite(expected)
+                    assert np.allclose(got[finite], expected[finite], rtol=1e-14, atol=1e-14)
+
+
+def per_block_cp(st, ops, p):
+    """Oracle: C_p from every irrep block lambda of p with its own GT
+    basis and weight sqrt(m_lambda) Pi_lambda(sqrt D), no reduced shapes."""
+    sqrt_d = np.sqrt(np.where(st.eigen.values > st.rank_tol, st.eigen.values, 0.0))
+    vecs = st.eigen.vectors
+    out = np.zeros((len(ops), len(ops)))
+    for shape in schur.partitions(p, st.dim):
+        weights, gens = schur.gt_basis(shape)
+        s = np.exp(0.5 * math.log(schur.multiplicity(shape))
+                   + schur.log_diag_power(weights, sqrt_d))
+        for j, k in itertools.combinations(range(len(ops)), 2):
+            comm = -1j * (ops[j] @ ops[k] - ops[k] @ ops[j])
+            img = s[:, None] * np.tensordot(dagger(vecs) @ comm @ vecs, gens, 2) * s
+            out[j, k] += 0.5 * np.sum(np.abs(np.linalg.eigvalsh(img)))
+    return out + out.T
+
+
+def _rank_deficient_qutrit():
+    # rank 2; the derivatives leave the kernel-kernel block empty, so the
+    # SLDs exist, but the RLDs do not.
+    gens = [np.zeros((3, 3), dtype=complex) for _ in range(3)]
+    gens[0][0, 1] = gens[0][1, 0] = 0.5
+    gens[1][0, 2], gens[1][2, 0] = -0.5j, 0.5j
+    gens[2][1, 2] = gens[2][2, 1] = 0.5
+    return evaluate(StateFamily.linear(np.diag([0.6, 0.4, 0.0]).astype(complex), gens),
+                    np.zeros(3))
+
+
+_SWEEP_CASES = [(d, n) for d in (2, 3, 4) for n in (2, 3)] + [("rank2", 3)]
+
+
+class TestSweep:
+    """One walk over the reduced shapes of a p list against a walk per p."""
+
+    @pytest.mark.parametrize("d, n", _SWEEP_CASES)
+    def test_sweep_matches_single_p(self, d, n):
+        rng = np.random.default_rng(900 + 10 * (3 if d == "rank2" else d) + n)
+        if d == "rank2":
+            st = _rank_deficient_qutrit()
+            rld_ops = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                       for _ in range(n)]
+        else:
+            st = evaluate(random_linear_family(d, n, rng), np.zeros(n))
+        _, fisher, tilde = sld_analysis(st)
+        if d != "rank2":
+            rlds = compute_rld(st)
+            rld_ops = reparametrize(rlds, compute_rld_fisher(st, rlds, fisher))
+        top = {2: 10, 3: 7, 4: 5}[st.dim]
+        p_list = list(rng.permutation(np.arange(1, top + 1))) + [2]  # any order, repeats
+        pairs = list(itertools.combinations(range(n), 2)) + [(1, 0)]
+        sweep = tensor.block_sweep(
+            build_collective(st, tilde, top), p_list, rld_ops, cp=True, pairs=pairs
+        )
+        assert sorted(sweep) == list(range(1, top + 1))
+        for p in range(1, top + 1):
+            single = tensor.block_pass(build_collective(st, tilde, p), rld_ops, cp=True,
+                                       pairs=pairs)
+            got = sweep[p]
+            matrices = [(got.cp, single.cp), (got.cp_rld, single.cp_rld)]
+            for a, b in matrices + list(zip(got.candidates, single.candidates)):
+                assert a.p == b.p == p and a.meta == b.meta
+                scale = float(np.max(np.abs(b.entries)))
+                assert np.allclose(a.entries, b.entries, rtol=0, atol=1e-13 * scale)
+            ref = per_block_cp(st, tilde, p)
+            assert np.allclose(got.cp.entries, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+            if st.support_rank < st.dim:
+                # det(D) = 0: a block with lambda_d >= 1 is zero, "as is".
+                for cand in got.candidates:
+                    start = 0
+                    for shape in schur.partitions(p, st.dim):
+                        dim = schur.irrep_dim(shape)
+                        if shape[-1]:
+                            assert set(cand.meta["signs"][start:start + dim]) == {tensor.AS_IS}
+                        start += dim
+
+    def test_p_list_within_collective(self, qubit_state):
+        st = qubit_state(0.5)
+        _, _, tilde = sld_analysis(st)
+        coll = build_collective(st, tilde, 4)
+        for bad in ([5], [0, 2]):
+            with pytest.raises(KindMismatch):
+                tensor.block_sweep(coll, bad, cp=True)
+
+    def test_qubit_closed_form_to_200(self, qubit_state):
+        st = qubit_state(0.0)
+        _, _, tilde = sld_analysis(st)
+        sweep = tensor.block_sweep(build_collective(st, tilde, 200), range(1, 201), cp=True)
+        for p in range(1, 201):
+            closed = scenarios.qubit_cp_closed(p).entries
+            assert np.allclose(sweep[p].cp.entries, closed, rtol=1e-12, atol=0)
+
+    def test_qutrit8_closed_form(self, qutrit_state):
+        st, spec = qutrit_state("qutrit8")
+        _, _, tilde = sld_analysis(st)
+        sweep = tensor.block_sweep(build_collective(st, tilde, 10), range(1, 11), cp=True)
+        for p in range(1, 11):
+            closed = scenarios.qutrit_cp_closed(spec, p).entries
+            assert np.allclose(sweep[p].cp.entries, closed, rtol=0,
+                               atol=1e-12 * np.max(np.abs(closed)))
 
 
 class TestBlockEngine:
