@@ -90,9 +90,9 @@ def fbar_bound(fbar: TradeoffMatrix, n: int, f_coeff: float | None = None) -> fl
 
     The f(n) coefficient is only valid for aggregates built from a single
     basis/transpose choice, which is what compute_fbar_im and each
-    AutoAlign candidate of block_pass are.  ``f_coeff`` overrides the
-    default max{...} coefficient; any of the three branch values yields a
-    valid (possibly looser) bound.
+    AutoAlign candidate of block_sweep (``fbar=True``) are.  ``f_coeff``
+    overrides the default max{...} coefficient; any of the three branch
+    values yields a valid (possibly looser) bound.
     """
     _check_kind(fbar, "FBAR_IM")
     _check_n(fbar, n)
@@ -157,15 +157,13 @@ def cs_transforms(
     fisher: FisherData,
     w: np.ndarray,
     n: int,
-    nu: int = 1,
 ) -> CsTransforms:
     """Cauchy-Schwarz transforms of an upper bound on Gamma_p.
 
     nu Tr[F_Q Cov] >= n^2 / gamma_upper and
-    nu Tr[W Cov] >= (Tr sqrt(F_Q^(-1/2) W F_Q^(-1/2)))^2 / gamma_upper.
-    ``nu`` is metadata only: both outputs are the nu-scaled quantities.
+    nu Tr[W Cov] >= (Tr sqrt(F_Q^(-1/2) W F_Q^(-1/2)))^2 / gamma_upper;
+    both outputs are the nu-scaled quantities.
     """
-    del nu
     if gamma_upper <= 0:
         raise InvalidN(f"gamma upper bound must be positive, got {gamma_upper}")
     w = np.asarray(w, dtype=np.complex128)
@@ -252,7 +250,6 @@ class BoundReport:
     d: int
     nu: int
     entries: tuple[BoundEntry, ...]
-    weight: np.ndarray | None = None
 
     def at_p(self, p: int) -> list[BoundEntry]:
         return [e for e in self.entries if e.p == p or e.p is None]

@@ -17,24 +17,18 @@ import numpy as np
 
 from . import bounds as gb
 from . import linalg, scenarios, tensor, variational
-from .logderiv import (
-    compute_rld,
-    compute_rld_fisher,
-    reparametrize,
-    sld_analysis,
-)
+from .logderiv import sld_analysis
 from .random_instances import (
     haar_unitary,
     random_linear_family,
     random_measurement,
 )
-from .report import best_fbar, saturation_flags
+from .report import ReportConfig, build_report, saturation_flags
 from .scenarios import build_scenario, parse_scenario
 from .states import EvaluatedState, StateFamily, evaluate
 from .tensor import (
+    block_sweep,
     build_collective,
-    compute_cp,
-    compute_cp_rld,
     compute_fbar_im,
     compute_tp_exact,
     limit_fim,
@@ -72,15 +66,19 @@ def _qutrit_state(preset: str) -> tuple[EvaluatedState, scenarios.ScenarioSpec]:
     return evaluate(fam, np.zeros(fam.n)), spec
 
 
-def _bounds_at(state: EvaluatedState, p: int) -> tuple[float, float, float]:
-    """(cp, tp, fbar) bounds via the library pipeline."""
-    _, fisher, tilde = sld_analysis(state)
-    n = fisher.n
-    coll = build_collective(state, tilde, p)
-    cp = gb.cp_bound(compute_cp(coll), n)
-    tp = gb.tp_bound(compute_tp_exact(state, tilde, p), n)
-    fbar = gb.fbar_bound(best_fbar(state, tilde, p), n)
-    return cp, tp, fbar
+def _bounds_at(
+    state: EvaluatedState, p_list: tuple[int, ...], extra: tuple[str, ...] = ()
+) -> dict[int, dict[str, float]]:
+    """The cp, tp, fbar (and ``extra``) upper-bound rows per p of one
+    ``build_report``, the rows the CLI emits."""
+    report = build_report(state, ReportConfig(bounds=("cp", "tp", "fbar") + extra, p_list=p_list))
+    return {p: report.upper_values(p) for p in p_list}
+
+
+def _cp_sweep(state: EvaluatedState, tilde, p_list) -> dict[int, tensor.TradeoffMatrix]:
+    """C_p at every p of ``p_list`` from one block sweep."""
+    sweep = block_sweep(build_collective(state, tilde, max(p_list)), p_list, cp=True)
+    return {p: sweep[p].cp for p in p_list}
 
 
 def check_01_qubit_p1() -> CheckResult:
@@ -88,8 +86,8 @@ def check_01_qubit_p1() -> CheckResult:
     tol = 1e-10
     devs = []
     for delta in (0.0, 0.3, 0.6, 0.9):
-        cp, tp, fbar = _bounds_at(_qubit_state(delta), 1)
-        devs += [abs(cp - 9 / 4), abs(tp - 11 / 4), abs(fbar - 5 / 2)]
+        rows = _bounds_at(_qubit_state(delta), (1,))[1]
+        devs += [abs(rows["cp"] - 9 / 4), abs(rows["tp"] - 11 / 4), abs(rows["fbar"] - 5 / 2)]
     return _result("01-qubit-p1-values", devs, tol)
 
 
@@ -98,10 +96,10 @@ def check_02_qubit_p2() -> CheckResult:
     tol = 1e-9
     devs = []
     for delta in np.linspace(0.0, 0.9, 10):
-        cp, tp, fbar = _bounds_at(_qubit_state(float(delta)), 2)
-        devs.append(abs(cp - (45 / 16 - delta**2 / 4 - delta**4 / 16)))
-        devs.append(abs(tp - (47 / 16 - delta**2 / 8 - delta**4 / 16)))
-        devs.append(abs(fbar - (3 - (1 + delta**2) ** 2 / 8)))
+        rows = _bounds_at(_qubit_state(float(delta)), (2,))[2]
+        devs.append(abs(rows["cp"] - (45 / 16 - delta**2 / 4 - delta**4 / 16)))
+        devs.append(abs(rows["tp"] - (47 / 16 - delta**2 / 8 - delta**4 / 16)))
+        devs.append(abs(rows["fbar"] - (3 - (1 + delta**2) ** 2 / 8)))
     return _result("02-qubit-p2-delta-grid", devs, tol)
 
 
@@ -112,9 +110,9 @@ def check_03_qubit_np_sequence() -> CheckResult:
     _, fisher, tilde = sld_analysis(state)
     devs = []
     seq = []
+    cps = _cp_sweep(state, tilde, range(1, 11))
     for p in range(1, 11):
-        coll = build_collective(state, tilde, p)
-        val = gb.cp_bound(compute_cp(coll), 3)
+        val = gb.cp_bound(cps[p], 3)
         seq.append(val)
         expect = 3.0 - 0.75 * (scenarios.qubit_np(p) / p) ** 2
         devs.append(abs(val - expect))
@@ -142,11 +140,11 @@ def check_04_qutrit_cp_values() -> CheckResult:
         state, spec = _qutrit_state(preset)
         _, _, tilde = sld_analysis(state)
         n = len(tilde)
+        cps = _cp_sweep(state, tilde, list(values))
         for p, expect in values.items():
             closed = scenarios.qutrit_cp_closed(spec, p)
             devs.append(abs(gb.cp_bound(closed, n) - float(expect)))
-            blocks = compute_cp(build_collective(state, tilde, p))
-            cross.append(float(np.max(np.abs(closed.entries - blocks.entries))))
+            cross.append(float(np.max(np.abs(closed.entries - cps[p].entries))))
     ok_cross = max(cross) <= cross_tol
     res = _result(
         "04-qutrit-cp-values", devs, tol,
@@ -199,8 +197,9 @@ def _monotone_case(state: EvaluatedState, p_max: int) -> tuple[float, float]:
     prev = None
     mono_dev = 0.0
     sandwich_dev = 0.0
+    cps = _cp_sweep(state, tilde, range(1, p_max + 1))
     for p in range(1, p_max + 1):
-        cp = compute_cp(build_collective(state, tilde, p)).entries / p
+        cp = cps[p].entries / p
         tp = compute_tp_exact(state, tilde, p).entries / p
         sandwich_dev = max(sandwich_dev, float(np.max(lim - tp)), float(np.max(tp - cp)))
         if prev is not None:
@@ -245,8 +244,9 @@ def check_07_convergence() -> CheckResult:
     gaps = []
     c12 = []
     t12 = []
+    cps = _cp_sweep(state, tilde, range(1, 9))
     for p in range(1, 9):
-        cp = compute_cp(build_collective(state, tilde, p)).entries / p
+        cp = cps[p].entries / p
         tp = compute_tp_exact(state, tilde, p).entries / p
         gaps.append(cp - tp)
         c12.append(cp[0, 1])
@@ -349,16 +349,8 @@ def check_10_saturation_logic() -> CheckResult:
         state = evaluate(fam, np.zeros(n_params))
         flags = saturation_flags(state, p=1)
         flags_ok = flags_ok and flags.partial_commutative and flags.weak_commutative
-        _, fisher, tilde = sld_analysis(state)
-        n = fisher.n
-        cp, tp, fbar = _bounds_at(state, 1)
-        devs += [abs(cp - n), abs(tp - n), abs(fbar - n)]
-        rlds = compute_rld(state)
-        rf = compute_rld_fisher(state, rlds, fisher)
-        devs.append(abs(gb.rld_standard_bound(rf) - n))
-        rt = reparametrize(rlds, rf)
-        coll = build_collective(state, rt, 1)
-        devs.append(abs(gb.rld_cp_bound(compute_cp_rld(coll), rf, n) - n))
+        rows = _bounds_at(state, (1,), extra=("rld", "rld_cp"))[1]
+        devs += [abs(value - n_params) for value in rows.values()]
     qubit_flags = saturation_flags(_qubit_state(0.0), p=1)
     flags_ok = (
         flags_ok
@@ -419,7 +411,7 @@ def check_12_reparametrization() -> CheckResult:
     for delta, cp_ps in ((0.0, (1, 2, 3)), (0.3, (1, 2))):
         fam = build_scenario(parse_scenario("qubit3", delta=delta))
         state = evaluate(fam, np.zeros(3))
-        base = {p: _bounds_at(state, p)[:2] for p in (1, 2, 3)}
+        base = _bounds_at(state, (1, 2, 3))
         for _ in range(3):
             m = rng.standard_normal((3, 3))
             while abs(np.linalg.det(m)) < 0.3:
@@ -430,11 +422,11 @@ def check_12_reparametrization() -> CheckResult:
             ]
             fam2 = StateFamily.linear(fam.rho0, gens)
             state2 = evaluate(fam2, np.zeros(3))
+            rows = _bounds_at(state2, (1, 2, 3))
             for p in (1, 2, 3):
-                cp2, tp2, _ = _bounds_at(state2, p)
                 if p in cp_ps:
-                    devs.append(abs(cp2 - base[p][0]))
-                devs.append(abs(tp2 - base[p][1]))
+                    devs.append(abs(rows[p]["cp"] - base[p]["cp"]))
+                devs.append(abs(rows[p]["tp"] - base[p]["tp"]))
     pure_fam = _pure_qubit_family()
     pure_state = evaluate(pure_fam, np.zeros(2))
     _, fisher, _ = sld_analysis(pure_state)

@@ -8,9 +8,8 @@ metadata to serialize deterministic CSV/JSON tables.
 
 from __future__ import annotations
 
-import itertools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,7 +66,6 @@ class ReportConfig:
     enum_cap: int = DEFAULT_ENUM_CAP
     weight: np.ndarray | None = None  # variational weight; default F_Q
     variational_iters: int = 2000  # cap on the Holevo solver's Newton steps
-    meta: dict = field(default_factory=dict)
 
 
 def best_fbar(state, tilde_ops, p, dim_cap=DEFAULT_DIM_CAP) -> TradeoffMatrix:
@@ -79,8 +77,7 @@ def best_fbar(state, tilde_ops, p, dim_cap=DEFAULT_DIM_CAP) -> TradeoffMatrix:
     coll = build_collective(state, tilde_ops, p, dim_cap=dim_cap)
     if coll.dim <= OPTIMIZE_MAX_VECTORS:
         return compute_fbar_im(coll, UBasis.computational(coll.dim), OptimizeNorm())
-    pairs = list(itertools.combinations(range(coll.n), 2))
-    return _best_candidate(block_pass(coll, pairs=pairs).candidates)
+    return _best_candidate(block_pass(coll, fbar=True).candidates)
 
 
 def _best_candidate(cands: list[TradeoffMatrix]) -> TradeoffMatrix:
@@ -112,7 +109,6 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
     # One walk over the reduced shapes serves cp and rld_cp at every p
     # and, above best_fbar's exhaustive range, the AutoAlign candidates.
     # The collective at the largest p checks the cap before any block.
-    pairs = list(itertools.combinations(range(n), 2))
     auto_ps = [p for p in config.p_list if "fbar" in which and state.dim**p > OPTIMIZE_MAX_VECTORS]
     walk_ps = config.p_list if "cp" in which or "rld_cp" in which else auto_ps
     walks = block_sweep(
@@ -120,7 +116,7 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
         walk_ps,
         rld_tilde if "rld_cp" in which else None,
         cp="cp" in which,
-        pairs=pairs if auto_ps else (),
+        fbar=bool(auto_ps),
     ) if walk_ps else {}
 
     for p in config.p_list:
@@ -246,9 +242,7 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
         )
 
     entries = list(_mark_tightest(entries, config.p_list))
-    return gb.BoundReport(
-        n=n, d=state.dim, nu=config.nu, entries=tuple(entries), weight=config.weight
-    )
+    return gb.BoundReport(n=n, d=state.dim, nu=config.nu, entries=tuple(entries))
 
 
 def _mark_tightest(entries, p_list):

@@ -26,17 +26,18 @@ in log space, so large p neither under- nor overflows.
 
 :func:`block_sweep` reads C_p, C_p^RLD and the AutoAlign F-bar_Im
 candidates of every p of a list from that one walk.  Each pair's
-commutator image H_q = S pi_mu(-i [L~_j, L~_k]) S comes from one
+commutator image H_q = S pi_mu(-i [L~_j, L~_k]) S, j < k, comes from one
 tensordot of the single-copy commutators (pi([A, B]) = [pi(A), pi(B)]),
 and one eigendecomposition of it gives the C_p share and the
 auto_align(j,k) contribution at every p where mu recurs: a qubit sweep
-over p = 1..P makes O(P) eigensolves per pair.  C_p^RLD stays per block
-lambda, because RLDs are not traceless; its image is the mu image
-shifted by k Tr(R) I.  A single p is the same walk over a one-element
-list (:func:`block_pass`).  LAPACK calls stack about STACK_BYTES of block
-matrices.  A trace norm over the m_lambda copies of a block is m_lambda
-times the block's.  Only the largest block bounds the memory, and the
-dimension cap bounds the largest block.
+over p = 1..P makes O(P) eigensolves per pair.  The block eigenbases are
+never returned, so a candidate's meta names its strategy only.  C_p^RLD
+stays per block lambda, because RLDs are not traceless; its image is the
+mu image shifted by k Tr(R) I.  A single p is the same walk over a
+one-element list (:func:`block_pass`).  LAPACK calls stack about
+STACK_BYTES of block matrices.  A trace norm over the m_lambda copies of
+a block is m_lambda times the block's.  Only the largest block bounds the
+memory, and the dimension cap bounds the largest block.
 
 :func:`compute_fbar_im`, F-bar over a supplied basis of (C^d)^(x)p
 (explicit signs, AlignEntry, OptimizeNorm), applies sqrt(rho) and each
@@ -162,9 +163,8 @@ class CollectiveOperators:
         return len(self.base_ops)
 
 
-#: A block lambda of one p served by a reduced shape: (p, index of lambda
-#: in ``schur.partitions(p, d)``, lambda, scale).
-Served = tuple[int, int, tuple[int, ...], float]
+#: A block lambda of one p served by a reduced shape: (p, lambda, scale).
+Served = tuple[int, tuple[int, ...], float]
 
 
 def reduced_blocks(
@@ -189,23 +189,23 @@ def reduced_blocks(
     values = state.eigen.values
     sqrt_d = np.sqrt(np.where(values > state.rank_tol, values, 0.0))  # as sqrt_rho
     log_det = sum(map(math.log, sqrt_d)) if sqrt_d.all() else -math.inf  # det(sqrt D)
-    walk: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
+    walk: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     for p in dict.fromkeys(p_list):
-        for index, shape in enumerate(schur.partitions(p, state.dim)):
+        for shape in schur.partitions(p, state.dim):
             mu = tuple(r - shape[-1] for r in shape)
-            walk.setdefault(mu, []).append((p, index, shape))
+            walk.setdefault(mu, []).append((p, shape))
     for mu, blocks in walk.items():
         weights, gens = schur.gt_basis(mu)
         log_s = schur.log_diag_power(weights, sqrt_d)
         top = float(log_s.max())
         top = top if top > -math.inf else 0.0  # no support: s = 0
         served = []
-        for p, index, shape in blocks:
+        for p, shape in blocks:
             k = shape[-1]
             log_scale = math.log(schur.multiplicity(shape)) + 2.0 * top
             if k:  # k * -inf, never 0 * -inf
                 log_scale += 2.0 * k * log_det
-            served.append((p, index, shape, math.exp(log_scale)))
+            served.append((p, shape, math.exp(log_scale)))
         # complex once per shape, so pi(A) costs no conversion per call;
         # the real generators die here, not at the next shape
         gens = gens.astype(np.complex128)
@@ -319,32 +319,24 @@ def _half_herm_norms(herm: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
 
 
-def _align_block(
-    h: np.ndarray, cand: np.ndarray, orient: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Stacked eigensolves of the candidates' pair images ``h``; returns
-    per candidate 1/2 ||H_q||_1, Re <H_q', V sgn V+> for every pair q',
-    and the signs.  The locals die on return, before the next block is
-    built."""
+def _align_block(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked eigensolves of the pair images ``h``; returns per pair q
+    1/2 ||H_q||_1 and Re <H_q', V sgn V+> for every pair q'.  The locals
+    die on return, before the next block is built."""
     flat = h.reshape(len(h), -1).view(np.float64)
-    norms = np.empty(len(cand))
-    shares = np.empty((len(cand), len(h)))
-    signs: list[np.ndarray] = []
-    for st in _stacks(len(cand), h.shape[-1]):
-        stack = h[cand[st]]
-        stack *= orient[st]
-        vals, vecs = np.linalg.eigh(stack)
-        del stack
+    norms = np.empty(len(h))
+    shares = np.empty((len(h), len(h)))
+    for st in _stacks(len(h), h.shape[-1]):
+        vals, vecs = np.linalg.eigh(h[st])
         sgn = _signs_from_values(vals / 2.0)
-        rows = (vecs * sgn[:, None, :]) @ dagger(vecs)  # V sgn V+ per candidate
+        rows = (vecs * sgn[:, None, :]) @ dagger(vecs)  # V sgn V+ per pair
         del vecs
-        # One matrix-vector product per candidate in one call: a product
-        # of the whole stack would round each row by the stack's size.
+        # One matrix-vector product per pair in one call: a product of
+        # the whole stack would round each row by the stack's size.
         rows = rows.reshape(len(rows), 1, -1).view(np.float64)
         shares[st] = (rows @ flat.T)[:, 0]
-        signs.extend(sgn)
         norms[st] = 0.5 * np.sum(np.abs(vals), axis=-1)
-    return norms, shares, signs
+    return norms, shares
 
 
 def _rld_block(xs: np.ndarray, j_idx: np.ndarray, k_idx: np.ndarray) -> np.ndarray:
@@ -374,7 +366,7 @@ def block_sweep(
     p_list: Sequence[int],
     rld_ops: Sequence[np.ndarray] | None = None,
     cp: bool = False,
-    pairs: Sequence[tuple[int, int]] = (),
+    fbar: bool = False,
 ) -> dict[int, BlockPass]:
     """C_p, C_p^RLD and the AutoAlign F-bar_Im candidates at every p of
     ``p_list`` from one walk over the reduced shapes (:func:`reduced_blocks`),
@@ -382,28 +374,25 @@ def block_sweep(
 
     ``coll`` holds the tilde SLDs L~ at the largest p of the list, whose
     cap check covers every block (KindMismatch for a p outside [1,
-    coll.p]).  C_p (``cp``) and the auto_align(j,k) candidate of each of
-    ``pairs`` read its operators, and C_p^RLD reads ``rld_ops``, the n
-    single-copy tilde RLDs (DimMismatch unless there are n of shape
-    d x d).  A pair needs two distinct indices in [0, n) (KindMismatch).
-    On a reduced shape with weight s, pair q = (j, k), j < k, has the
-    Hermitian image H_q = s pi_mu(-i [L~_j, L~_k]) s, all pairs from one
-    tensordot of the single-copy commutators, and with H_q = V Lambda V+
-    and the scales c of the blocks lambda of each p
+    coll.p]).  C_p (``cp``) and the auto_align(j,k) candidates of every
+    pair j < k (``fbar``, in ``itertools.combinations`` order) read its
+    operators, and C_p^RLD reads ``rld_ops``, the n single-copy tilde
+    RLDs (DimMismatch unless there are n of shape d x d).  On a reduced
+    shape with weight s, pair q = (j, k) has the Hermitian image
+    H_q = s pi_mu(-i [L~_j, L~_k]) s, all pairs from one tensordot of the
+    single-copy commutators, and with H_q = V Lambda V+ and the scales c
+    of the blocks lambda of each p
 
         (C_p)_q = 1/2 sum_lambda c sum_i |Lambda_i|,
         auto_align(q): F-bar_Im[q'] = 1/2 sum_lambda c Re <H_q', V sgn(Lambda) V+>,
 
     because Im <u|S L_j L_k S|u> = 1/2 <u|H_(j,k)|u> for every vector u.
-    So one eigh per candidate and shape serves every p, and entry (j, k)
-    of auto_align(j,k) equals the C_p entry.  The signs take the tie rule
-    on the alignment values Lambda/2, which does not depend on c;
-    ``meta["signs"]`` holds one per block eigenvector in the order of
-    ``schur.partitions(p, d)``, "as is" on a block of scale 0.  A pair
-    given as (k, j) takes the eigenbasis of -H_q.  C_p of a pair no
-    candidate covers reads eigvalsh.  C_p^RLD takes P = X_j X_k+ with
-    X_j = s pi_lambda(L~^R_j) = s (pi_mu(L~^R_j) + k Tr(L~^R_j) I) on each
-    block and clips 1/2 sum_lambda c ||P - P+||_1 at 2p.  Each LAPACK
+    So one eigh per pair and shape serves every p, and entry (j, k) of
+    auto_align(j,k) equals the C_p entry; without ``fbar``, C_p reads
+    eigvalsh.  The signs take the tie rule on the alignment values
+    Lambda/2, which does not depend on c.  C_p^RLD takes P = X_j X_k+
+    with X_j = s pi_lambda(L~^R_j) = s (pi_mu(L~^R_j) + k Tr(L~^R_j) I) on
+    each block and clips 1/2 sum_lambda c ||P - P+||_1 at 2p.  Each LAPACK
     call stacks about STACK_BYTES of matrices; a shape's stacks die
     before the next shape is built.
     """
@@ -416,40 +405,27 @@ def block_sweep(
             raise DimMismatch(f"C_p^RLD needs {n} operators of shape ({coll.d}, {coll.d})")
         rld_ops = np.array(rld_ops, dtype=np.complex128)
         rld_traces = np.trace(rld_ops, axis1=1, axis2=2)
-    for j, k in pairs:
-        _check_pair(j, k, n)
-    pj, pk = np.array(pairs, dtype=int).reshape(-1, 2).T
-    lo, hi = np.minimum(pj, pk), np.maximum(pj, pk)
-    cand = lo * (2 * n - lo - 1) // 2 + hi - lo - 1  # the combinations index
-    orient = np.where(pj < pk, 1.0, -1.0)[:, None, None]
     j_idx, k_idx = _pair_indices(n)
-    covered = np.zeros(len(j_idx), dtype=bool)
-    covered[cand] = True
-    rest = np.flatnonzero(~covered) if cp else np.arange(0)  # C_p by eigvalsh
     ops = np.array(coll.base_ops)
     comms = -1j * (ops[j_idx] @ ops[k_idx] - ops[k_idx] @ ops[j_idx])
     cp_vals = {p: np.zeros(len(j_idx)) for p in ps}
     rld_vals = {p: np.zeros(len(j_idx)) for p in ps}
-    totals = {p: np.zeros((len(pairs), len(j_idx))) for p in ps}
-    signs: dict[int, dict[int, list[np.ndarray]]] = {p: {} for p in ps}
+    totals = {p: np.zeros((len(j_idx), len(j_idx))) for p in ps}
     for s, pi, served in reduced_blocks(coll.state, ps):
-        h = _sandwich(pi(comms), s) if len(pairs) else None
-        norms = np.zeros(len(j_idx))  # the C_p shares of this shape
-        shares, sgn = 0.0, []
-        if h is not None:
-            norms[cand], shares, sgn = _align_block(h, cand, orient)
-        for st in _stacks(len(rest), len(s)):
-            q = rest[st]
-            norms[q] = _half_herm_norms(h[q] if h is not None else _sandwich(pi(comms[q]), s))
-        h = None  # before the RLD images are built
+        norms, shares = 0.0, 0.0  # the C_p and F-bar shares of this shape
+        if fbar:
+            norms, shares = _align_block(_sandwich(pi(comms), s))
+        elif cp:
+            norms = np.concatenate([
+                _half_herm_norms(_sandwich(pi(comms[st]), s))
+                for st in _stacks(len(j_idx), len(s))
+            ])
         if rld_ops is not None:
             xs = pi(rld_ops)
             xs *= s[:, None]
-        for p, index, shape, scale in served:
+        for p, shape, scale in served:
             if scale == 0.0:  # lambda_d >= 1 of a rank-deficient rho: a zero block
-                signs[p][index] = [np.ones(len(s))] * len(pairs)
                 continue
-            signs[p][index] = sgn
             cp_vals[p] += scale * norms
             totals[p] += scale * shares
             if rld_ops is not None:
@@ -461,13 +437,11 @@ def block_sweep(
                 rld_vals[p] += scale * _rld_block(x, j_idx, k_idx)
     out = {}
     for p in ps:
-        ordered = [signs[p][index] for index in sorted(signs[p])]
         candidates = []
-        for i, (j, k) in enumerate(pairs):
+        for q, (j, k) in enumerate(itertools.combinations(range(n), 2) if fbar else ()):
             upper = np.zeros((n, n))
-            upper[j_idx, k_idx] = 0.5 * totals[p][i]
-            sign = np.concatenate([block[i] for block in ordered])
-            candidates.append(_fbar_matrix(p, upper - upper.T, sign, f"auto_align({j},{k})"))
+            upper[j_idx, k_idx] = 0.5 * totals[p][q]
+            candidates.append(_fbar_matrix(p, upper - upper.T, strategy=f"auto_align({j},{k})"))
         out[p] = BlockPass(
             cp=TradeoffMatrix(kind="C", p=p, entries=_pair_matrix(n, cp_vals[p])) if cp else None,
             cp_rld=TradeoffMatrix(
@@ -482,10 +456,10 @@ def block_pass(
     coll: CollectiveOperators,
     rld_ops: Sequence[np.ndarray] | None = None,
     cp: bool = False,
-    pairs: Sequence[tuple[int, int]] = (),
+    fbar: bool = False,
 ) -> BlockPass:
     """:func:`block_sweep` at the one p of ``coll``."""
-    return block_sweep(coll, (coll.p,), rld_ops, cp, pairs)[coll.p]
+    return block_sweep(coll, (coll.p,), rld_ops, cp, fbar)[coll.p]
 
 
 def compute_cp(coll: CollectiveOperators) -> TradeoffMatrix:
@@ -719,19 +693,9 @@ def _optimize_norm_signs(imags: np.ndarray) -> np.ndarray:
     return patterns[first_best(np.sqrt(np.maximum(squares, 0.0)))]
 
 
-def _fbar_matrix(
-    p: int, fbar_im: np.ndarray, sign_arr: np.ndarray, strategy: str
-) -> TradeoffMatrix:
+def _fbar_matrix(p: int, fbar_im: np.ndarray, **meta) -> TradeoffMatrix:
     fbar_im = (fbar_im - fbar_im.T) / 2.0  # exact skew symmetry
-    return TradeoffMatrix(
-        kind="FBAR_IM",
-        p=p,
-        entries=fbar_im,
-        meta={
-            "strategy": strategy,
-            "signs": tuple(map((TRANSPOSED, AS_IS).__getitem__, (sign_arr > 0).tolist())),
-        },
-    )
+    return TradeoffMatrix(kind="FBAR_IM", p=p, entries=fbar_im, meta=meta)
 
 
 def _resolve_signs(signs: Signs, count: int) -> np.ndarray:
@@ -788,4 +752,7 @@ def compute_fbar_im(
     else:
         sign_arr = _resolve_signs(signs, basis.count)
         strategy = "explicit"
-    return _fbar_matrix(coll.p, np.tensordot(sign_arr, imags, axes=1), sign_arr, strategy)
+    return _fbar_matrix(
+        coll.p, np.tensordot(sign_arr, imags, axes=1), strategy=strategy,
+        signs=tuple(map((TRANSPOSED, AS_IS).__getitem__, (sign_arr > 0).tolist())),
+    )

@@ -4,9 +4,12 @@ pytest with -s or check the captured output on failure)."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from qmetro.checks import CRITERIA
+from qmetro import report
+from qmetro.checks import CRITERIA, run_checks
 
 
 @pytest.mark.parametrize("criterion", CRITERIA, ids=[c.name for c in CRITERIA])
@@ -15,3 +18,21 @@ def test_acceptance(criterion):
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {result.name}: {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
+
+
+def test_paper_values_read_the_report(monkeypatch):
+    # Checks 01 and 02 certify the rows build_report emits: a C_p off by
+    # 1e-6 relative in the report's block sweep must fail both.
+    sweep = report.block_sweep
+
+    def skewed(*args, **kwargs):
+        out = sweep(*args, **kwargs)
+        for p, walk in out.items():
+            if walk.cp is not None:
+                cp = dataclasses.replace(walk.cp, entries=walk.cp.entries * (1 + 1e-6))
+                out[p] = dataclasses.replace(walk, cp=cp)
+        return out
+
+    monkeypatch.setattr(report, "block_sweep", skewed)
+    failed = {r.name for r in run_checks(only="paper-values") if not r.passed}
+    assert {"01-qubit-p1-values", "02-qubit-p2-delta-grid"} <= failed

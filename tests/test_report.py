@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,19 @@ class TestBuildReport:
         assert sorted(shapes) == [(a, 0) for a in range(21)]
         assert sum(len(schur.partitions(p, 2)) for p in p_list) == 120
 
+    def test_sweep_memory_stays_flat(self, qubit_state):
+        # A cp,fbar report over p = 1..120 keeps three 3 x 3 candidates
+        # per p.  Sign labels per block eigenvector kept alongside them
+        # grew as P^3: 5.2 MiB at P = 120 and 20.3 MiB at P = 200.
+        st = qubit_state(0.5)
+        tracemalloc.start()
+        try:
+            build_report(st, ReportConfig(bounds=("cp", "fbar"), p_list=tuple(range(1, 121))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
 
 class TestFbarStrategy:
     def test_large_p_uses_auto_align(self, qubit_state):
@@ -149,7 +164,7 @@ class TestFbarStrategy:
         base = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         other = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
 
-        def tied(coll, pairs):
+        def tied(coll, fbar):
             return BlockPass(None, None, [
                 TradeoffMatrix("FBAR_IM", coll.p, scale * m, {"strategy": name})
                 for m, name in ((base, "first"), ((1 + 1e-14) * other, "second"))
