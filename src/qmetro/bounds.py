@@ -247,8 +247,6 @@ class BoundReport:
     """A collection of bounds for one evaluated state."""
 
     n: int
-    d: int
-    nu: int
     entries: tuple[BoundEntry, ...]
 
     def at_p(self, p: int) -> list[BoundEntry]:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``bounds`` (bound tables for a preset or JSON family),
-``sweep`` (delta/p sweeps in long format for plotting), ``check`` (the
+``sweep`` (the same tables over a delta grid or a p range, in long format
+for plotting, with a reference line), ``check`` (the
 acceptance suite), and ``export-scenario`` (write a preset as a state
 JSON file).  Output is CSV or JSON with a fixed column order
 (scenario, delta, p, bound_name, value, tightest, meta); identical
@@ -26,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from . import checks as checks_mod
-from .bounds import BoundEntry, BoundReport
+from .bounds import BoundEntry
 from .errors import QmetroError
 from .linalg import DEFAULT_DIM_CAP
 from .report import ALL_BOUNDS, ReportConfig, build_report
@@ -199,122 +200,98 @@ def _preset_family(preset: str, delta: float):
         raise _ConfigError(str(exc)) from exc
 
 
-def _resolve_family(args, cfg):
+def _runs(args, cfg, sweep: bool) -> list[tuple]:
+    """The ``(label, delta, family, x0)`` of each report: one for
+    ``--input``, or one per delta of ``--delta-sweep`` (``sweep`` only)
+    or ``--delta`` for a preset.  Delta places a preset only, so it is
+    refused with ``--input``; a fixed delta and a grid are refused
+    together."""
     preset = _merged(args, cfg, "preset")
     input_path = _merged(args, cfg, "input")
-    delta = _number(args, cfg, "delta", float, 0.0)
+    delta = _merged(args, cfg, "delta")
+    delta_sweep = _merged(args, cfg, "delta_sweep") if sweep else None
     if (preset is None) == (input_path is None):
         raise _ConfigError("exactly one of --preset or --input is required")
-    if preset is not None:
-        spec, family = _preset_family(preset, delta)
-        x0 = np.zeros(family.n)
-        label = spec.label
-    else:
+    if delta is not None and delta_sweep is not None:
+        raise _ConfigError("give --delta or --delta-sweep, not both")
+    if input_path is not None:
+        if delta is not None or delta_sweep is not None:
+            raise _ConfigError("--delta and --delta-sweep apply to --preset only")
         try:
             with open(input_path, "r", encoding="utf-8") as fh:
                 family, x0 = family_from_dict(json.load(fh))
         except (OSError, json.JSONDecodeError, QmetroError) as exc:
             raise _ConfigError(f"cannot read state JSON {input_path}: {exc}") from exc
-        label = os.path.basename(input_path)
-    return family, x0, label, delta
+        return [(os.path.basename(input_path), 0.0, family, x0)]
+    if delta_sweep is not None:
+        deltas = [float(d) for d in _parse_sweep(str(delta_sweep))]
+    else:
+        deltas = [_number(args, cfg, "delta", float, 0.0)]
+    runs = []
+    for delta in deltas:
+        spec, family = _preset_family(preset, delta)
+        runs.append((spec.label, delta, family, np.zeros(family.n)))
+    return runs
 
 
-def _report_config(args, cfg, p_list, bounds) -> ReportConfig:
+def _cov_entry(e: BoundEntry, n: int, nu: int) -> BoundEntry:
+    """Cauchy-Schwarz transform of an upper bound gamma on Gamma_p: the
+    lower bound nu Tr[F_Q Cov] >= n^2 / gamma, with the per-repetition
+    trace Tr[F_Q Cov] >= n^2 / (nu gamma) in the metadata."""
+    value = n * n / e.value
+    return BoundEntry(f"nu_fq_cov_from_{e.name}", value, "lower", e.p,
+                      meta={"target": "nu_tr_fq_cov", "nu": nu, "per_repetition": value / nu})
+
+
+def cmd_report(args) -> int:
+    """``bounds`` and ``sweep``: one report per run, every row through
+    ``_report_rows``.  ``sweep`` has its own default bounds, always
+    carries a reference line and refuses a single (delta, p)."""
+    sweep = args.command == "sweep"
+    cfg = _load_config_file(args.config)
+    runs = _runs(args, cfg, sweep)
+    p_list = _parse_p_list(str(_merged(args, cfg, "p", "1")))
+    bounds = tuple(str(_merged(args, cfg, "bounds", "cp,tp" if sweep else "cp,tp,fbar")).split(","))
+    unknown = set(bounds) - set(ALL_BOUNDS)
+    if unknown:
+        raise _ConfigError(f"unknown bounds {sorted(unknown)}; valid: {','.join(ALL_BOUNDS)}")
+    if sweep and len(runs) == 1 and len(p_list) == 1:
+        raise _ConfigError("sweep needs a delta sweep or more than one p")
+    nu = _number(args, cfg, "nu", int, 1, minimum=1)
+    cov_transforms = _merged(args, cfg, "cov_transforms", False)
+    if not isinstance(cov_transforms, bool):
+        raise _ConfigError(f"cov_transforms must be true or false, got {cov_transforms!r}")
+    fmt = _merged(args, cfg, "format", "csv")
+    if fmt not in ("csv", "json"):
+        raise _ConfigError(f"format must be csv or json, got {fmt!r}")
     env_cap = os.environ.get("QMETRO_MAX_DIM") or DEFAULT_DIM_CAP
-    return ReportConfig(
-        bounds=bounds,
+    config = ReportConfig(
+        bounds=bounds + ("lower",) if sweep and "lower" not in bounds else bounds,
         p_list=p_list,
-        nu=_number(args, cfg, "nu", int, 1, minimum=1),
         seed=_number(args, cfg, "seed", int, 0, minimum=0),
         mc_samples=_number(args, cfg, "mc_samples", int, 100_000, minimum=1),
         dim_cap=_number(args, cfg, "max_dim", int, env_cap, minimum=1),
         enum_cap=_number(args, cfg, "enum_cap", int, DEFAULT_ENUM_CAP, minimum=1),
     )
-
-
-def cmd_bounds(args) -> int:
-    cfg = _load_config_file(args.config)
-    family, x0, label, delta = _resolve_family(args, cfg)
-    p_list = _parse_p_list(str(_merged(args, cfg, "p", "1")))
-    bounds = tuple(str(_merged(args, cfg, "bounds", "cp,tp,fbar")).split(","))
-    unknown = set(bounds) - set(ALL_BOUNDS)
-    if unknown:
-        raise _ConfigError(f"unknown bounds {sorted(unknown)}; valid: {','.join(ALL_BOUNDS)}")
-    config = _report_config(args, cfg, p_list, bounds)
-    state = evaluate(family, x0)
-    report = build_report(state, config)
-    rows = _report_rows(label, delta, report.entries)
-    if bool(_merged(args, cfg, "cov_transforms", False)):
-        rows.extend(_cov_transform_rows(label, delta, report, config.nu))
-    rows = _sort_rows(rows)
-    _write_rows(rows, _merged(args, cfg, "output"), _merged(args, cfg, "format", "csv"))
-    return 0
-
-
-def _cov_transform_rows(label: str, delta: float, report: BoundReport, nu: int) -> list[dict]:
-    """Cauchy-Schwarz transforms: each Gamma upper bound gives a lower
-    bound nu Tr[F_Q Cov] >= n^2 / gamma; with --nu the per-repetition
-    trace Tr[F_Q Cov] >= value/nu is carried in the metadata."""
     rows = []
-    n = report.n
-    for e in report.entries:
-        if e.kind != "upper" or e.value <= 0:
-            continue
-        value = n * n / e.value
-        rows.append(
-            {
-                "scenario": label,
-                "delta": _fmt_value(delta),
-                "p": "" if e.p is None else str(e.p),
-                "bound_name": f"nu_fq_cov_from_{e.name}",
-                "value": _fmt_value(value),
-                "tightest": "false",
-                "meta": _meta_str(
-                    {"kind": "lower", "target": "nu_tr_fq_cov", "nu": nu,
-                     "per_repetition": value / nu}
-                ),
-            }
-        )
-    return rows
-
-
-def cmd_sweep(args) -> int:
-    cfg = _load_config_file(args.config)
-    delta_sweep = _merged(args, cfg, "delta_sweep")
-    p_list = _parse_p_list(str(_merged(args, cfg, "p", "1")))
-    bounds = tuple(str(_merged(args, cfg, "bounds", "cp,tp")).split(","))
-    unknown = set(bounds) - set(ALL_BOUNDS)
-    if unknown:
-        raise _ConfigError(f"unknown bounds {sorted(unknown)}; valid: {','.join(ALL_BOUNDS)}")
-    preset = _merged(args, cfg, "preset")
-    if preset is None:
-        raise _ConfigError("sweep requires --preset")
-    if delta_sweep is not None:
-        deltas = [float(d) for d in _parse_sweep(str(delta_sweep))]
-    else:
-        deltas = [_number(args, cfg, "delta", float, 0.0)]
-    if len(deltas) == 1 and len(p_list) == 1:
-        raise _ConfigError("sweep needs a delta sweep or more than one p")
-    # Reference line: every report carries the Gamma_inf sandwich
-    # n^2 / (n + ||F~_Im||_1) <= Gamma_inf <= n - ||F~_Im||_F^2 / (4(n-1)).
-    # It closes at n exactly when F~_Im = 0, the weak commutative
-    # condition, and the line is then the QCRB/Holevo value n instead.
-    report_bounds = bounds if "lower" in bounds else bounds + ("lower",)
-    config = _report_config(args, cfg, p_list, report_bounds)
-    rows = []
-    for delta in deltas:
-        spec, family = _preset_family(preset, delta)
-        state = evaluate(family, np.zeros(family.n))
-        report = build_report(state, config)
+    for label, delta, family, x0 in runs:
+        report = build_report(evaluate(family, x0), config)
         entries = list(report.entries)
-        lower = next(e.value for e in entries if e.name == "gamma_inf_lower")
-        if report.n - lower <= 1e-8:  # n - lower ~ ||F~_Im||_1; saturation_check's tol
-            if "lower" not in bounds:
-                entries = [e for e in entries if e.p != "inf"]
-            entries.append(BoundEntry("qcrb_holevo", float(report.n), "reference", None))
-        rows.extend(_report_rows(spec.label, delta, entries))
-    rows = _sort_rows(rows)
-    _write_rows(rows, _merged(args, cfg, "output"), _merged(args, cfg, "format", "csv"))
+        if sweep:
+            # Reference line: every report carries the Gamma_inf sandwich
+            # n^2 / (n + ||F~_Im||_1) <= Gamma_inf <= n - ||F~_Im||_F^2 / (4(n-1)).
+            # It closes at n exactly when F~_Im = 0, the weak commutative
+            # condition, and the line is then the QCRB/Holevo value n instead.
+            lower = next(e.value for e in entries if e.name == "gamma_inf_lower")
+            if report.n - lower <= 1e-8:  # n - lower ~ ||F~_Im||_1; saturation_check's tol
+                if "lower" not in bounds:
+                    entries = [e for e in entries if e.p != "inf"]
+                entries.append(BoundEntry("qcrb_holevo", float(report.n), "reference", None))
+        if cov_transforms:
+            entries += [_cov_entry(e, report.n, nu) for e in entries
+                        if e.kind == "upper" and e.value > 0]
+        rows.extend(_report_rows(label, delta, entries))
+    _write_rows(_sort_rows(rows), _merged(args, cfg, "output"), fmt)
     return 0
 
 
@@ -345,7 +322,7 @@ def cmd_export_scenario(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", help="scenario id: qubit3, qutrit8, qutrit:1,2,5, ...")
     p.add_argument("--input", help="path to a state-family JSON document")
-    p.add_argument("--delta", type=float, help="fixed offset of the preset state")
+    p.add_argument("--delta", type=float, help="fixed offset of the preset state (presets only)")
     p.add_argument("--p", help="comma list / ranges of copy counts, e.g. 1,2,4 or 1-10")
     p.add_argument("--bounds", help=f"comma subset of: {','.join(ALL_BOUNDS)}")
     p.add_argument("--nu", type=int, help="repetition count carried as metadata")
@@ -385,14 +362,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="compute bound tables at fixed delta")
     _add_common(p_bounds)
-    p_bounds.set_defaults(fn=cmd_bounds)
+    p_bounds.set_defaults(fn=cmd_report)
 
     p_sweep = sub.add_parser("sweep", help="sweep over delta and/or p")
     _add_common(p_sweep)
     p_sweep.add_argument(
-        "--delta-sweep", dest="delta_sweep", help="start:stop:steps grid for delta"
+        "--delta-sweep", dest="delta_sweep", help="start:stop:steps grid for delta (presets only)"
     )
-    p_sweep.set_defaults(fn=cmd_sweep)
+    p_sweep.set_defaults(fn=cmd_report)
 
     p_check = sub.add_parser("check", help="run the acceptance criteria")
     p_check.add_argument("--only", help="run only criteria with this tag (e.g. paper-values)")

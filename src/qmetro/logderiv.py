@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import RldUndefined, SingularQfim, UnsupportedDerivative
-from .linalg import EigenSystem, dagger
+from .linalg import dagger
 from .states import EvaluatedState
 
 #: Residual allowed on the defining equations of the logarithmic derivatives.
@@ -33,7 +33,6 @@ class DerivativeSet:
 
     kind: str  # "sld" | "rld"
     ops: tuple[np.ndarray, ...]
-    basis: EigenSystem
 
     @property
     def n(self) -> int:
@@ -87,7 +86,7 @@ def compute_sld(state: EvaluatedState) -> DerivativeSet:
                 f"SLD reconstruction residual {residual:.3e} for parameter {j}"
             )
         ops.append(op)
-    return DerivativeSet("sld", tuple(ops), es)
+    return DerivativeSet("sld", tuple(ops))
 
 
 def compute_rld(state: EvaluatedState) -> DerivativeSet:
@@ -114,7 +113,7 @@ def compute_rld(state: EvaluatedState) -> DerivativeSet:
                 f"RLD defining equation residual {residual:.3e} for parameter {j}"
             )
         ops.append(op)
-    return DerivativeSet("rld", tuple(ops), state.eigen)
+    return DerivativeSet("rld", tuple(ops))
 
 
 def compute_fisher(state: EvaluatedState, slds: DerivativeSet) -> FisherData:

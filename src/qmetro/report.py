@@ -59,12 +59,10 @@ ALL_BOUNDS = (
 class ReportConfig:
     bounds: tuple[str, ...] = ("cp", "tp", "fbar")
     p_list: tuple[int, ...] = (1,)
-    nu: int = 1
     seed: int = 0
     mc_samples: int = 100_000
     dim_cap: int = DEFAULT_DIM_CAP
     enum_cap: int = DEFAULT_ENUM_CAP
-    weight: np.ndarray | None = None  # variational weight; default F_Q
     variational_iters: int = 2000  # cap on the Holevo solver's Newton steps
 
 
@@ -218,11 +216,7 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
             )
         )
     if "variational" in which:
-        cfg = MinimizeConfig(
-            strategy="holevo",
-            w=config.weight if config.weight is not None else fisher.f_q,
-            max_iters=config.variational_iters,
-        )
+        cfg = MinimizeConfig(strategy="holevo", w=fisher.f_q, max_iters=config.variational_iters)
         res = minimize_bound(state, slds, fisher, cfg)
         entries.append(
             gb.BoundEntry(
@@ -242,7 +236,7 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
         )
 
     entries = list(_mark_tightest(entries, config.p_list))
-    return gb.BoundReport(n=n, d=state.dim, nu=config.nu, entries=tuple(entries))
+    return gb.BoundReport(n=n, entries=tuple(entries))
 
 
 def _mark_tightest(entries, p_list):

@@ -36,3 +36,17 @@ def test_paper_values_read_the_report(monkeypatch):
     monkeypatch.setattr(report, "block_sweep", skewed)
     failed = {r.name for r in run_checks(only="paper-values") if not r.passed}
     assert {"01-qubit-p1-values", "02-qubit-p2-delta-grid"} <= failed
+
+
+def test_fbar_values_read_the_report(monkeypatch):
+    # Check 05 certifies the F-bar the report's fbar rows come from: an
+    # F-bar 1e-6 relative off in report.compute_fbar_im must fail it.
+    fbar = report.compute_fbar_im
+
+    def skewed(*args, **kwargs):
+        out = fbar(*args, **kwargs)
+        return dataclasses.replace(out, entries=out.entries * (1 + 1e-6))
+
+    monkeypatch.setattr(report, "compute_fbar_im", skewed)
+    failed = {r.name for r in run_checks(only="paper-values") if not r.passed}
+    assert "05-fbar-values" in failed

@@ -356,10 +356,8 @@ class TestReportStructures:
             gb.BoundEntry("cp", 2.0, "upper", 1),
             gb.BoundEntry("rld", 2.6, "upper", 1),
         )
-        report = gb.BoundReport(n=2, d=2, nu=1, entries=entries)
+        report = gb.BoundReport(n=2, entries=entries)
         report.validate()  # rld may exceed n; cp may not
-        bad = gb.BoundReport(
-            n=2, d=2, nu=1, entries=(gb.BoundEntry("cp", 2.5, "upper", 1),)
-        )
+        bad = gb.BoundReport(n=2, entries=(gb.BoundEntry("cp", 2.5, "upper", 1),))
         with pytest.raises(KindMismatch):
             bad.validate()

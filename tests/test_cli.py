@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -159,7 +160,9 @@ class TestBounds:
          ({"mc_samples": "many"}, "mc_samples must be an integer"),
          ({"delta": "nan"}, "delta must be finite"),
          ({"mc_samples": 0}, "mc_samples must be >= 1"), ({"max_dim": -5}, "max_dim must be >= 1"),
-         ({"enum_cap": 0}, "enum_cap must be >= 1"), ({"enum_cap": -1}, "enum_cap must be >= 1")],
+         ({"enum_cap": 0}, "enum_cap must be >= 1"), ({"enum_cap": -1}, "enum_cap must be >= 1"),
+         ({"format": "xml"}, "format must be csv or json"),
+         ({"cov_transforms": "false"}, "cov_transforms must be true or false")],
     )
     def test_bad_config_values_exit_1(self, tmp_path, capsys, cfg, message):
         path = tmp_path / "cfg.json"
@@ -238,14 +241,25 @@ class TestBounds:
         assert code == 0
 
     def test_cov_transforms(self, tmp_path):
-        out = tmp_path / "r.csv"
-        assert run_cli(
-            ["bounds", "--preset", "qubit3", "--delta", "0", "--p", "1",
-             "--bounds", "cp", "--cov-transforms", "--output", str(out)]
-        ) == 0
-        rows = {r["bound_name"]: r for r in read_rows(out)}
-        # nu Tr[F_Q Cov] >= n^2 / (9/4) = 4
-        assert float(rows["nu_fq_cov_from_cp"]["value"]) == pytest.approx(4.0, abs=1e-10)
+        # bounds and sweep share the transform: one row per cp row, same meta.
+        for command in ("bounds", "sweep"):
+            out = tmp_path / f"{command}.csv"
+            assert run_cli(
+                [command, "--preset", "qubit3", "--delta", "0", "--p", "1-2",
+                 "--bounds", "cp", "--cov-transforms", "--output", str(out)]
+            ) == 0
+            rows = read_rows(out)
+            cov = {r["p"]: r for r in rows if r["bound_name"] == "nu_fq_cov_from_cp"}
+            cp = {r["p"]: float(r["value"]) for r in rows if r["bound_name"] == "cp"}
+            assert set(cov) == {"1", "2"}
+            # nu Tr[F_Q Cov] >= n^2 / (9/4) = 4
+            assert float(cov["1"]["value"]) == pytest.approx(4.0, abs=1e-10)
+            for p, row in cov.items():
+                assert float(row["value"]) == pytest.approx(9 / cp[p], rel=1e-11)
+                meta = json.loads(row["meta"])
+                assert meta == {"kind": "lower", "nu": 1, "target": "nu_tr_fq_cov",
+                                "per_repetition": meta["per_repetition"]}
+                assert meta["per_repetition"] == pytest.approx(float(row["value"]), rel=1e-11)
 
 
 REGRESSION = os.path.join(os.path.dirname(__file__), "data", "bounds_regression.json")
@@ -353,6 +367,54 @@ class TestSweep:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["error"] == "DimensionOverflow" and "p=40" in payload["message"]
         assert built == []
+
+
+class TestSharedFlags:
+    """A flag that ``bounds`` and ``sweep`` both take is honoured by both
+    or refused by both."""
+
+    @pytest.fixture
+    def family_path(self, tmp_path):
+        path = tmp_path / "fam.json"
+        save_family(str(path), build_scenario(parse_scenario("qubit3", delta=0.5)))
+        return str(path)
+
+    @staticmethod
+    def rows(capsys, argv):
+        assert run_cli(argv) == 0
+        return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+    def test_sweep_input_is_bounds_with_lower(self, capsys, family_path):
+        sweep = self.rows(capsys, ["sweep", "--input", family_path, "--p", "1-3"])
+        bounds = self.rows(capsys, ["bounds", "--input", family_path, "--p", "1-3",
+                                    "--bounds", "cp,tp,lower"])
+        assert sweep == bounds
+        assert {r["scenario"] for r in sweep} == {"fam.json"} and len(sweep) == 8
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bounds", "--input", "FAM", "--delta", "0.9"],
+         ["sweep", "--input", "FAM", "--delta", "0.9"],
+         ["sweep", "--input", "FAM", "--delta-sweep", "0:0.9:3"],
+         ["sweep", "--preset", "qubit3", "--delta", "0.7", "--delta-sweep", "0:0.2:2"]],
+        ids=["bounds-input-delta", "sweep-input-delta", "sweep-input-delta-sweep",
+             "sweep-delta-and-delta-sweep"],
+    )
+    def test_conflicting_delta_exit_1(self, capsys, family_path, argv):
+        # A state-family file has no delta, and a fixed delta beside a grid
+        # would be dropped: rows labelled with either would lie.
+        argv = [family_path if a == "FAM" else a for a in argv]
+        assert run_cli(argv + ["--p", "1-2"]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_bounds_reads_no_delta_sweep(self, capsys, tmp_path):
+        # bounds has no --delta-sweep, so the config key does not turn it into a sweep.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta_sweep": "0:0.2:2"}))
+        argv = ["bounds", "--preset", "qubit3", "--delta", "0.7", "--p", "1", "--bounds", "cp"]
+        rows = self.rows(capsys, argv + ["--config", str(cfg)])
+        assert rows == self.rows(capsys, argv)
+        assert [r["delta"] for r in rows] == ["0.7"]
 
 
 @pytest.mark.parametrize(
