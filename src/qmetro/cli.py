@@ -63,7 +63,7 @@ def _parse_p_list(text: str) -> tuple[int, ...]:
         raise _ConfigError(f"invalid p list {text!r}: {exc}") from exc
     if not out or any(p < 1 for p in out):
         raise _ConfigError(f"invalid p list {text!r}: need integers >= 1")
-    return tuple(out)
+    return tuple(dict.fromkeys(out))
 
 
 def _parse_sweep(text: str) -> np.ndarray:
@@ -323,7 +323,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", help="scenario id: qubit3, qutrit8, qutrit:1,2,5, ...")
     p.add_argument("--input", help="path to a state-family JSON document")
     p.add_argument("--delta", type=float, help="fixed offset of the preset state (presets only)")
-    p.add_argument("--p", help="comma list / ranges of copy counts, e.g. 1,2,4 or 1-10")
+    p.add_argument("--p", help="comma list / ranges of copy counts, e.g. 1,2,4 or 1-10; "
+                   "a repeated p counts once")
     p.add_argument("--bounds", help=f"comma subset of: {','.join(ALL_BOUNDS)}")
     p.add_argument("--nu", type=int, help="repetition count carried as metadata")
     p.add_argument("--seed", type=int, help="seed for Monte Carlo entries")

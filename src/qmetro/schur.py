@@ -87,6 +87,14 @@ def gt_patterns(shape: tuple[int, ...]) -> list[Pattern]:
     return list(patterns(tuple(shape)))
 
 
+#: Bytes of GT bases kept for the rest of the process.  Nothing is
+#: evicted: an increasing-p sweep meets its small shapes first, which a
+#: least-recently-used policy would drop on every sequential walk.
+CACHE_BYTES = 256 << 10
+
+_cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+
+
 def gt_basis(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Weights and the real orthonormal pi_lambda(E_ab) of one irrep.
 
@@ -95,7 +103,25 @@ def gt_basis(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     pi_lambda(E_ab).  E_{k,k+1} comes from the square-root GT formula,
     E_{k+1,k} is its transpose, and |a - b| > 1 follows by commutators
     E_ab = [E_{a,b-1}, E_{b-1,b}].
+
+    A basis depends on the shape alone, so every caller in the process
+    shares one copy: the arrays are read-only, and a basis is kept while
+    all kept bases fit in CACHE_BYTES.  One that does not fit is built
+    again at its next call.  A race between threads only builds a basis
+    twice.
     """
+    basis = _cache.get(shape)
+    if basis is None:
+        basis = _build_gt_basis(shape)
+        for array in basis:
+            array.flags.writeable = False
+        kept = sum(w.nbytes + g.nbytes for w, g in _cache.values())
+        if kept + basis[0].nbytes + basis[1].nbytes <= CACHE_BYTES:
+            _cache[shape] = basis
+    return basis
+
+
+def _build_gt_basis(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     d = len(shape)
     pats = gt_patterns(shape)
     index = {pat: q for q, pat in enumerate(pats)}

@@ -207,7 +207,8 @@ def reduced_blocks(
                 log_scale += 2.0 * k * log_det
             served.append((p, shape, math.exp(log_scale)))
         # complex once per shape, so pi(A) costs no conversion per call;
-        # the real generators die here, not at the next shape
+        # the real generators stay in the schur cache, or die here when
+        # they do not fit its budget
         gens = gens.astype(np.complex128)
         yield np.exp(log_s - top), functools.partial(_block_image, vecs, gens), served
 

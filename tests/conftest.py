@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from qmetro import schur
 from qmetro.scenarios import build_scenario, parse_scenario
 from qmetro.states import evaluate
 
@@ -33,3 +34,10 @@ def qutrit_state():
         return evaluate(family, np.zeros(family.n)), spec
 
     return make
+
+
+@pytest.fixture
+def cold_gt_cache(monkeypatch):
+    """An empty GT basis cache for one test, so that a memory bound holds
+    whatever ran before it; the shared cache comes back afterwards."""
+    monkeypatch.setattr(schur, "_cache", {})

@@ -153,6 +153,18 @@ class TestBounds:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["exit_code"] == 1 and "invalid p list" in payload["message"]
 
+    def test_repeated_p_counts_once(self, capsys):
+        # A repeated p printed its rows twice, one copy tightest and one not.
+        def rows(p_list):
+            args = ["bounds", "--preset", "qubit3", "--p", p_list, "--bounds", "cp"]
+            assert run_cli(args) == 0
+            return capsys.readouterr().out
+
+        assert rows("1,1,2") == rows("1-2,1") == rows("1,2")
+        # sweep over one p is refused however often it is named
+        args = ["sweep", "--preset", "qubit3", "--p", "2,2", "--bounds", "cp"]
+        assert run_cli(args) == 1
+
     @pytest.mark.parametrize(
         "cfg, message",
         [({"nu": "abc"}, "nu must be an integer"), ({"nu": 2.5}, "nu must be an integer"),

@@ -129,7 +129,32 @@ class TestBuildReport:
         assert sorted(shapes) == [(a, 0) for a in range(21)]
         assert sum(len(schur.partitions(p, 2)) for p in p_list) == 120
 
-    def test_sweep_memory_stays_flat(self, qubit_state):
+    def test_second_report_builds_no_basis(self, qubit_state, cold_gt_cache, monkeypatch):
+        # The GT bases depend on the shape alone: a report at another delta
+        # reuses every basis of the first and reads the same rows as a
+        # report that builds them afresh.
+        config = ReportConfig(bounds=("cp", "fbar", "rld_cp"), p_list=tuple(range(1, 11)))
+        build_report(qubit_state(0.5), config)
+        built = []
+        build = schur._build_gt_basis
+        monkeypatch.setattr(schur, "_build_gt_basis",
+                            lambda shape: built.append(shape) or build(shape))
+        warm = build_report(qubit_state(0.3), config)
+        assert built == []
+        monkeypatch.setattr(schur, "_cache", {})
+        cold = build_report(qubit_state(0.3), config)
+        assert sorted(built) == [(a, 0) for a in range(11)]
+        assert warm.entries == cold.entries
+
+    def test_gt_cache_stays_within_budget(self, qubit_state, cold_gt_cache):
+        # The 201 reduced shapes (a, 0) of p = 1..200 take about 21 MiB of
+        # bases; the small ones are kept up to CACHE_BYTES, the rest not.
+        build_report(qubit_state(0.5), ReportConfig(bounds=("cp",), p_list=tuple(range(1, 201))))
+        kept = sum(w.nbytes + g.nbytes for w, g in schur._cache.values())
+        assert (0, 0) in schur._cache and (200, 0) not in schur._cache
+        assert kept <= schur.CACHE_BYTES
+
+    def test_sweep_memory_stays_flat(self, qubit_state, cold_gt_cache):
         # A cp,fbar report over p = 1..120 keeps three 3 x 3 candidates
         # per p.  Sign labels per block eigenvector kept alongside them
         # grew as P^3: 5.2 MiB at P = 120 and 20.3 MiB at P = 200.

@@ -104,7 +104,7 @@ class TestBuildCollective:
             build_collective(st, [SIGMA1], 6, dim_cap=6)
         build_collective(st, [SIGMA1], 6, dim_cap=7)
 
-    def test_builds_no_blocks(self, qutrit_state):
+    def test_builds_no_blocks(self, qutrit_state, cold_gt_cache):
         # The irrep blocks at p = 12 would take about 16 MB if stored.
         st, _ = qutrit_state("qutrit8")
         _, _, tilde = sld_analysis(st)
@@ -116,7 +116,7 @@ class TestBuildCollective:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_cp_streams_blocks(self, qubit_state):
+    def test_cp_streams_blocks(self, qubit_state, cold_gt_cache):
         # Storing every block costs 16 n sum_lambda dim_lambda^2 bytes
         # (about 63 MiB here); streaming keeps one block alive at a time.
         st = qubit_state(0.5)
@@ -364,6 +364,22 @@ class TestSchur:
             assert schur.partitions(p, d) == brute
             for shape in brute:
                 assert schur.multiplicity(shape) == math.factorial(p) // hooks(shape)
+
+    def test_basis_is_shared_and_read_only(self, cold_gt_cache):
+        weights, gens = schur.gt_basis((2, 1, 0))
+        assert schur.gt_basis((2, 1, 0))[1] is gens
+        for array in (weights, gens):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    def test_basis_over_budget_is_returned_not_kept(self, cold_gt_cache, monkeypatch):
+        big = schur._build_gt_basis((2, 1, 0))
+        monkeypatch.setattr(schur, "CACHE_BYTES", sum(a.nbytes for a in big))
+        schur.gt_basis((1, 0))  # kept: the budget now lacks its bytes
+        weights, gens = schur.gt_basis((2, 1, 0))
+        assert np.array_equal(weights, big[0]) and np.array_equal(gens, big[1])
+        assert list(schur._cache) == [(1, 0)]
+        assert schur.gt_basis((2, 1, 0))[1] is not gens
 
     def test_zero_value_gives_zero_weight(self):
         weights, _ = schur.gt_basis((2, 1))
