@@ -23,7 +23,7 @@ from .errors import (
     NotPure,
     RldUndefined,
 )
-from .logderiv import FisherData, qfim_inv_sqrt, tilde_fisher_im
+from .logderiv import FisherData, tilde_fisher_im
 from .states import EvaluatedState
 from .tensor import TradeoffMatrix
 
@@ -109,7 +109,7 @@ def rld_standard_bound(fisher: FisherData) -> float:
     """
     if fisher.f_rld is None:
         raise RldUndefined("no RLD Fisher matrix available")
-    s = qfim_inv_sqrt(fisher)
+    s = fisher.inv_sqrt
     term1 = float(np.trace(np.linalg.solve(fisher.f_q, fisher.f_rld_re)).real)
     term2 = linalg.trace_norm(s @ fisher.f_rld_im @ s)
     return term1 - term2
@@ -170,7 +170,7 @@ def cs_transforms(
     wv = np.linalg.eigvalsh(linalg.hermitian_part(w))
     if float(np.min(wv)) < -1e-10 * max(1.0, float(np.max(np.abs(wv)))):
         raise InvalidWeight(f"weight matrix has eigenvalue {float(np.min(wv)):.3e}")
-    s = qfim_inv_sqrt(fisher)
+    s = fisher.inv_sqrt
     ft_w = s @ w @ s
     return CsTransforms(
         fq_cov_lower=n * n / gamma_upper,

@@ -63,7 +63,7 @@ def _parse_p_list(text: str) -> tuple[int, ...]:
         raise _ConfigError(f"invalid p list {text!r}: {exc}") from exc
     if not out or any(p < 1 for p in out):
         raise _ConfigError(f"invalid p list {text!r}: need integers >= 1")
-    return tuple(dict.fromkeys(out))
+    return tuple(out)
 
 
 def _parse_sweep(text: str) -> np.ndarray:
@@ -255,8 +255,6 @@ def cmd_report(args) -> int:
     unknown = set(bounds) - set(ALL_BOUNDS)
     if unknown:
         raise _ConfigError(f"unknown bounds {sorted(unknown)}; valid: {','.join(ALL_BOUNDS)}")
-    if sweep and len(runs) == 1 and len(p_list) == 1:
-        raise _ConfigError("sweep needs a delta sweep or more than one p")
     nu = _number(args, cfg, "nu", int, 1, minimum=1)
     cov_transforms = _merged(args, cfg, "cov_transforms", False)
     if not isinstance(cov_transforms, bool):
@@ -273,6 +271,8 @@ def cmd_report(args) -> int:
         dim_cap=_number(args, cfg, "max_dim", int, env_cap, minimum=1),
         enum_cap=_number(args, cfg, "enum_cap", int, DEFAULT_ENUM_CAP, minimum=1),
     )
+    if sweep and len(runs) == 1 and len(config.p_list) == 1:
+        raise _ConfigError("sweep needs a delta sweep or more than one p")
     rows = []
     for label, delta, family, x0 in runs:
         report = build_report(evaluate(family, x0), config)

@@ -46,7 +46,8 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    m = as_matrix(m)
+    """(m + m†)/2 of a matrix or of each matrix in an (n, d, d) stack."""
+    m = np.asarray(m, dtype=np.complex128)
     return (m + dagger(m)) / 2.0
 
 
@@ -61,8 +62,12 @@ def check_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     return a
 
 
-def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
+def check_each(values: np.ndarray, atol: float, exc: type, message: str) -> None:
+    """Raise ``exc`` for the first index j with ``values[j] > atol``; the
+    message is formatted with ``j`` and ``value``."""
+    bad = np.flatnonzero(values > atol)
+    if bad.size:
+        raise exc(message.format(j=int(bad[0]), value=values[bad[0]]))
 
 
 def relative_rank_tol(eigenvalues: np.ndarray, factor: float = RANK_TOL_FACTOR) -> float:
@@ -96,15 +101,12 @@ class EigenSystem:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    v = vectors.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        mag = abs(pivot)
-        if mag > 0.0:
-            v[:, j] = col * (np.conj(pivot) / mag)
-    return v
+    pivot = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    # hypot, not np.abs: it rounds |pivot| as the scalar abs() of the
+    # per-column gauge did, so the gauge stays bitwise the same.
+    mag = np.hypot(pivot.real, pivot.imag)
+    nonzero = mag > 0.0
+    return vectors * np.where(nonzero, np.conj(pivot) / np.where(nonzero, mag, 1.0), 1.0)
 
 
 def _sort_ties(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -160,8 +162,10 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
-def _psd_eigensystem(m: np.ndarray, rank_tol: float | None) -> tuple[EigenSystem, float]:
-    es = eigh(m)
+def _psd_eigensystem(
+    m: np.ndarray, rank_tol: float | None, eigen: EigenSystem | None = None
+) -> tuple[EigenSystem, float]:
+    es = eigh(m) if eigen is None else eigen
     tol = relative_rank_tol(es.values) if rank_tol is None else float(rank_tol)
     w_min = float(np.min(es.values)) if es.values.size else 0.0
     if w_min < -tol:
@@ -169,9 +173,12 @@ def _psd_eigensystem(m: np.ndarray, rank_tol: float | None) -> tuple[EigenSystem
     return es, tol
 
 
-def sqrt_psd(m: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
-    """Principal square root on the PSD cone; eigenvalues <= rank_tol act as 0."""
-    es, tol = _psd_eigensystem(m, rank_tol)
+def sqrt_psd(
+    m: np.ndarray, rank_tol: float | None = None, eigen: EigenSystem | None = None
+) -> np.ndarray:
+    """Principal square root on the PSD cone; eigenvalues <= rank_tol act as 0.
+    ``eigen``, the :func:`eigh` of ``m`` if the caller holds it, saves the solve."""
+    es, tol = _psd_eigensystem(m, rank_tol, eigen)
     w = np.where(es.values > tol, es.values, 0.0)
     return hermitian_part(es.apply_function(lambda _: np.sqrt(w)))
 
@@ -198,9 +205,11 @@ def inv_sqrt_psd(
     return hermitian_part(es.apply_function(lambda _: out))
 
 
-def pinv_psd(m: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose inverse restricted to the support of a PSD matrix."""
-    es, tol = _psd_eigensystem(m, rank_tol)
+def pinv_psd(
+    m: np.ndarray, rank_tol: float | None = None, eigen: EigenSystem | None = None
+) -> np.ndarray:
+    """Moore-Penrose inverse on the support of a PSD matrix; ``eigen`` as in sqrt_psd."""
+    es, tol = _psd_eigensystem(m, rank_tol, eigen)
     support = es.values > tol
     w = np.where(support, es.values, 1.0)
     out = np.where(support, 1.0 / w, 0.0)

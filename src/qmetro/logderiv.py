@@ -4,11 +4,17 @@ The SLD L_j solves d_j rho = (L_j rho + rho L_j)/2; the RLD L_j^R solves
 d_j rho = rho L_j^R.  From the SLDs we assemble the quantum Fisher
 information matrix F_Q, its commutator companion F_Im, and the
 reparametrized ("tilde") operators whose Fisher matrix is the identity.
+
+The n derivatives are handled as one (n, d, d) stack: each solver is a
+batched product in the eigenbasis that :mod:`states` already holds, each
+Fisher matrix one contraction over all pairs, and each defining-equation
+residual is checked per parameter, naming the first that fails.  F_Q^(-1/2)
+is computed once, with :class:`FisherData`, and shared by every user.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,22 +40,28 @@ class DerivativeSet:
     kind: str  # "sld" | "rld"
     ops: tuple[np.ndarray, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.ops)
-
 
 @dataclass(frozen=True)
 class FisherData:
     """F_Q, F_Im and (optionally) the RLD Fisher matrix.
 
     ``f_q`` is real symmetric PSD, ``f_im`` real skew-symmetric, and
-    ``f_rld`` complex Hermitian when present.
+    ``f_rld`` complex Hermitian when present.  ``inv_sqrt``, the principal
+    F_Q^(-1/2), comes from one eigensolve of ``f_q`` at construction (a
+    singular F_Q raises) unless given, as :func:`dataclasses.replace` does.
     """
 
     f_q: np.ndarray
     f_im: np.ndarray
     f_rld: np.ndarray | None = None
+    inv_sqrt: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.inv_sqrt is None:
+            w, v = np.linalg.eigh(self.f_q)
+            if float(np.min(w)) <= QFIM_RTOL * max(float(np.max(np.abs(w))), 1e-300):
+                raise SingularQfim(f"F_Q minimum eigenvalue {float(np.min(w)):.3e}")
+            object.__setattr__(self, "inv_sqrt", (v / np.sqrt(w)) @ v.T)
 
     @property
     def n(self) -> int:
@@ -75,17 +87,13 @@ def compute_sld(state: EvaluatedState) -> DerivativeSet:
     v = es.vectors
     denom = lam[:, None] + lam[None, :]
     reachable = denom > state.rank_tol
-    ops = []
-    for j, drho in enumerate(state.derivs):
-        d_eig = dagger(v) @ drho @ v
-        l_eig = np.where(reachable, 2.0 * d_eig / np.where(reachable, denom, 1.0), 0.0)
-        op = linalg.hermitian_part(v @ l_eig @ dagger(v))
-        residual = linalg.frobenius((op @ state.rho + state.rho @ op) / 2.0 - drho)
-        if residual > RECON_ATOL:
-            raise UnsupportedDerivative(
-                f"SLD reconstruction residual {residual:.3e} for parameter {j}"
-            )
-        ops.append(op)
+    drho = np.asarray(state.derivs)
+    d_eig = dagger(v) @ drho @ v
+    l_eig = np.where(reachable, 2.0 * d_eig / np.where(reachable, denom, 1.0), 0.0)
+    ops = linalg.hermitian_part(v @ l_eig @ dagger(v))
+    residual = np.linalg.norm((ops @ state.rho + state.rho @ ops) / 2.0 - drho, axis=(1, 2))
+    message = "SLD reconstruction residual {value:.3e} for parameter {j}"
+    linalg.check_each(residual, RECON_ATOL, UnsupportedDerivative, message)
     return DerivativeSet("sld", tuple(ops))
 
 
@@ -96,23 +104,15 @@ def compute_rld(state: EvaluatedState) -> DerivativeSet:
     the defining equation d rho = rho L^R then has no solution and every
     RLD-based bound is inapplicable.
     """
-    proj = state.support_projector
-    rho_pinv = linalg.pinv_psd(state.rho, rank_tol=state.rank_tol)
-    eye = np.eye(state.dim)
-    ops = []
-    for j, drho in enumerate(state.derivs):
-        leak = linalg.frobenius((eye - proj) @ drho)
-        if leak > RLD_RANGE_ATOL:
-            raise RldUndefined(
-                f"derivative {j} leaks outside range(rho) by {leak:.3e}"
-            )
-        op = rho_pinv @ drho
-        residual = linalg.frobenius(state.rho @ op - drho)
-        if residual > RECON_ATOL:
-            raise RldUndefined(
-                f"RLD defining equation residual {residual:.3e} for parameter {j}"
-            )
-        ops.append(op)
+    rho_pinv = linalg.pinv_psd(state.rho, rank_tol=state.rank_tol, eigen=state.eigen)
+    drho = np.asarray(state.derivs)
+    leak = np.linalg.norm((np.eye(state.dim) - state.support_projector) @ drho, axis=(1, 2))
+    message = "derivative {j} leaks outside range(rho) by {value:.3e}"
+    linalg.check_each(leak, RLD_RANGE_ATOL, RldUndefined, message)
+    ops = rho_pinv @ drho
+    residual = np.linalg.norm(state.rho @ ops - drho, axis=(1, 2))
+    message = "RLD defining equation residual {value:.3e} for parameter {j}"
+    linalg.check_each(residual, RECON_ATOL, RldUndefined, message)
     return DerivativeSet("rld", tuple(ops))
 
 
@@ -120,22 +120,9 @@ def compute_fisher(state: EvaluatedState, slds: DerivativeSet) -> FisherData:
     """SLD quantum Fisher information: F_Q symmetric PSD, F_Im skew."""
     if slds.kind != "sld":
         raise UnsupportedDerivative(f"compute_fisher needs SLDs, got kind={slds.kind!r}")
-    n = slds.n
-    rho = state.rho
-    f_q = np.zeros((n, n))
-    f_im = np.zeros((n, n))
-    prods = [rho @ op for op in slds.ops]
-    for k in range(n):
-        for j in range(k, n):
-            val = complex(np.trace(prods[k] @ slds.ops[j]))
-            # Tr(rho L_k L_j) = (F_Q)_{kj} + i (F_Im)_{kj}
-            f_q[k, j] = f_q[j, k] = val.real
-            f_im[k, j] = val.imag
-            f_im[j, k] = -val.imag
-    w = np.linalg.eigvalsh(f_q)
-    if float(np.min(w)) <= QFIM_RTOL * max(float(np.max(np.abs(w))), 1e-300):
-        raise SingularQfim(f"F_Q minimum eigenvalue {float(np.min(w)):.3e}")
-    return FisherData(f_q=f_q, f_im=f_im)
+    ops = np.asarray(slds.ops)
+    g = np.einsum("kac,jca->kj", state.rho @ ops, ops)  # Tr(rho L_k L_j) = F_Q + i F_Im
+    return FisherData(f_q=(g.real + g.real.T) / 2.0, f_im=(g.imag - g.imag.T) / 2.0)
 
 
 def compute_rld_fisher(
@@ -144,22 +131,9 @@ def compute_rld_fisher(
     """Attach the RLD Fisher matrix Tr(rho L_j^R L_k^R+) to ``fisher``."""
     if rlds.kind != "rld":
         raise UnsupportedDerivative(f"compute_rld_fisher needs RLDs, got {rlds.kind!r}")
-    n = rlds.n
-    f = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        left = state.rho @ rlds.ops[j]
-        for k in range(n):
-            f[j, k] = complex(np.trace(left @ dagger(rlds.ops[k])))
-    f = (f + dagger(f)) / 2.0
-    return replace(fisher, f_rld=f)
-
-
-def qfim_inv_sqrt(fisher: FisherData) -> np.ndarray:
-    """Principal F_Q^(-1/2); raises SingularQfim on rank deficiency."""
-    w, v = np.linalg.eigh(fisher.f_q)
-    if float(np.min(w)) <= QFIM_RTOL * max(float(np.max(np.abs(w))), 1e-300):
-        raise SingularQfim(f"F_Q minimum eigenvalue {float(np.min(w)):.3e}")
-    return (v / np.sqrt(w)) @ v.T
+    ops = np.asarray(rlds.ops)
+    f = np.einsum("jac,kac->jk", state.rho @ ops, ops.conj())
+    return replace(fisher, f_rld=(f + dagger(f)) / 2.0)
 
 
 def reparametrize(dset: DerivativeSet, fisher: FisherData) -> tuple[np.ndarray, ...]:
@@ -168,15 +142,12 @@ def reparametrize(dset: DerivativeSet, fisher: FisherData) -> tuple[np.ndarray, 
     Under this symmetric reparametrization the SLD Fisher matrix becomes
     the identity; the same mixing applies to RLD sets.
     """
-    s = qfim_inv_sqrt(fisher)
-    return tuple(
-        sum(s[j, q] * dset.ops[q] for q in range(dset.n)) for j in range(dset.n)
-    )
+    return tuple(np.tensordot(fisher.inv_sqrt, np.asarray(dset.ops), axes=1))
 
 
 def tilde_fisher_im(fisher: FisherData) -> np.ndarray:
     """F~_Im = F_Q^(-1/2) F_Im F_Q^(-1/2), the weak-commutativity witness."""
-    s = qfim_inv_sqrt(fisher)
+    s = fisher.inv_sqrt
     return s @ fisher.f_im @ s
 
 

@@ -57,6 +57,9 @@ ALL_BOUNDS = (
 
 @dataclass
 class ReportConfig:
+    """What :func:`build_report` computes.  ``p_list`` keeps each p once,
+    in first-occurrence order, so a report has one row per (bound, p)."""
+
     bounds: tuple[str, ...] = ("cp", "tp", "fbar")
     p_list: tuple[int, ...] = (1,)
     seed: int = 0
@@ -64,6 +67,9 @@ class ReportConfig:
     dim_cap: int = DEFAULT_DIM_CAP
     enum_cap: int = DEFAULT_ENUM_CAP
     variational_iters: int = 2000  # cap on the Holevo solver's Newton steps
+
+    def __post_init__(self):
+        self.p_list = tuple(dict.fromkeys(self.p_list))
 
 
 def best_fbar(state, tilde_ops, p, dim_cap=DEFAULT_DIM_CAP) -> TradeoffMatrix:

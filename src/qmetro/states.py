@@ -6,6 +6,12 @@ Evaluating a family at a working point produces an :class:`EvaluatedState`
 holding the state, its eigensystem, the support, and the partial
 derivatives (exact for linear families, central finite differences for
 callables).
+
+The n generators or derivatives are validated once, as one (n, d, d)
+stack: Hermiticity and trace are checked on the whole stack at once, and
+each error names the first offending index.  The fields stay tuples of
+(d, d) arrays.  One eigensolve of rho serves the support, the PSD check
+and ``sqrt_rho``.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import DerivativeFailure, InvalidState
+from .errors import DerivativeFailure, InvalidState, NonHermitian
 from .linalg import EigenSystem
 
 #: Absolute tolerance on trace(rho) = 1.
@@ -30,6 +36,18 @@ EIG_FLOOR = -1e-10
 
 #: Trace tolerance for derivative matrices.
 DERIV_TRACE_ATOL = 1e-8
+
+
+def _operator_stack(ms: Sequence[np.ndarray], d: int, label: str, atol: float) -> np.ndarray:
+    """The operators ``ms`` as one (n, d, d) stack of ``d x d`` Hermitian matrices."""
+    for j, m in enumerate(ms):
+        if np.shape(m) != (d, d):
+            raise InvalidState(f"{label} {j} has shape {np.shape(m)}, expected {(d, d)}")
+    a = np.asarray(ms, dtype=np.complex128).reshape(-1, d, d)
+    dev = np.max(np.abs(a - linalg.dagger(a)), axis=(1, 2), initial=0.0)
+    message = f"{label} {{j}}: Hermitian symmetry violated by {{value:.3e}} (atol {atol:.1e})"
+    linalg.check_each(dev, atol, NonHermitian, message)
+    return a
 
 
 @dataclass(frozen=True)
@@ -60,16 +78,13 @@ class StateFamily:
         tr = complex(np.trace(rho0))
         if abs(tr - 1.0) > 1e-10:
             raise InvalidState(f"trace(rho0) = {tr:.12g}, expected 1")
-        gens = tuple(linalg.check_hermitian(g) for g in generators)
-        n = len(gens)
+        n = len(generators)
         if n < 2:
             raise InvalidState(f"need n >= 2 parameters, got {n}")
-        for j, g in enumerate(gens):
-            if g.shape != (d, d):
-                raise InvalidState(f"generator {j} has shape {g.shape}, expected {(d, d)}")
+        gens = _operator_stack(generators, d, "generator", linalg.HERMITIAN_ATOL)
         if labels is None:
             labels = tuple(f"x{j + 1}" for j in range(n))
-        return cls(dim=d, n=n, labels=tuple(labels), rho0=rho0, generators=gens)
+        return cls(dim=d, n=n, labels=tuple(labels), rho0=rho0, generators=tuple(gens))
 
     @classmethod
     def from_callable(
@@ -166,20 +181,16 @@ class EvaluatedState:
                 f"state has eigenvalue {float(np.min(es.values)):.3e} < {EIG_FLOOR:.0e}"
             )
         tol = linalg.relative_rank_tol(es.values) if rank_tol is None else float(rank_tol)
-        checked = []
-        for j, d in enumerate(derivs):
-            d = linalg.check_hermitian(d, atol=1e-8)
-            d = linalg.hermitian_part(d)
-            tr_d = abs(complex(np.trace(d)))
-            if tr_d > DERIV_TRACE_ATOL:
-                raise InvalidState(f"derivative {j} has trace {tr_d:.3e}, expected 0")
-            checked.append(d)
+        stack = linalg.hermitian_part(_operator_stack(derivs, rho.shape[0], "derivative", 1e-8))
+        tr_d = np.abs(np.trace(stack, axis1=1, axis2=2))
+        message = "derivative {j} has trace {value:.3e}, expected 0"
+        linalg.check_each(tr_d, DERIV_TRACE_ATOL, InvalidState, message)
         return cls(
             rho=rho,
-            derivs=tuple(checked),
+            derivs=tuple(stack),
             eigen=es,
             rank_tol=tol,
-            sqrt_rho=linalg.sqrt_psd(rho, rank_tol=tol),
+            sqrt_rho=linalg.sqrt_psd(rho, rank_tol=tol, eigen=es),
         )
 
 

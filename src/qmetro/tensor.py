@@ -517,24 +517,19 @@ def compositions(total: int, parts: int) -> np.ndarray:
     """All occupation vectors of ``parts`` nonnegative ints summing to
     ``total``, one per row, in lexicographic order.
 
-    Stars and bars: each choice of ``parts - 1`` bar positions among
-    ``total + parts - 1`` slots is one vector, and
-    ``itertools.combinations`` yields the choices in the same order.
+    Built one column at a time: a row with ``r`` still to place expands,
+    in place, into ``r + 1`` rows whose next entry runs 0..r; the last
+    column takes what remains.
     """
-    count = composition_count(total, parts)
-    slots = total + parts - 1
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
-        dtype=np.int64,
-        count=count * (parts - 1),
-    ).reshape(count, parts - 1)
-    edges = np.empty((count, parts + 1), dtype=np.int64)
-    edges[:, 0] = -1
-    edges[:, 1:-1] = bars
-    edges[:, -1] = slots
-    occupations = np.diff(edges, axis=1)
-    occupations -= 1
-    return occupations
+    out = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        counts = rest + 1
+        row = np.repeat(np.arange(rest.size), counts)
+        k = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        out = np.column_stack((out[row], k))
+        rest = rest[row] - k
+    return np.column_stack((out, rest))
 
 
 def compute_tp_exact(

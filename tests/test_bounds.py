@@ -9,7 +9,6 @@ from qmetro.logderiv import (
     FisherData,
     compute_rld,
     compute_rld_fisher,
-    qfim_inv_sqrt,
     reparametrize,
     sld_analysis,
     tilde_fisher_im,
@@ -156,7 +155,7 @@ class TestFbarBound:
         fb_til = compute_fbar_im(build_collective(st, tilde, 2), basis, OptimizeNorm())
         signs = list(fb_til.meta["signs"])
         fb_raw = compute_fbar_im(build_collective(st, slds.ops, 2), basis, signs)
-        s = qfim_inv_sqrt(fisher)
+        s = fisher.inv_sqrt
         assert np.allclose(s @ fb_raw.entries @ s, fb_til.entries, rtol=0, atol=1e-12)
         expected = 3 - (1 + 0.5**2) ** 2 / 8  # the qubit p = 2 value of test_qubit_p2
         assert gb.fbar_bound(fb_til, 3) == pytest.approx(expected, abs=1e-10)

@@ -33,6 +33,19 @@ def hermitian_strategy(max_dim: int = 6):
     return st.integers(1, max_dim).flatmap(build)
 
 
+def fix_phases_by_column(vectors: np.ndarray) -> np.ndarray:
+    """Reference gauge, one column at a time: the largest-magnitude entry
+    (the first on a tie) is made real positive."""
+    v = vectors.copy()
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        pivot = col[int(np.argmax(np.abs(col)))]
+        mag = abs(pivot)
+        if mag > 0.0:
+            v[:, j] = col * (np.conj(pivot) / mag)
+    return v
+
+
 class TestEigh:
     def test_diagonal(self):
         es = linalg.eigh(np.diag([1.0, 2.0]))
@@ -73,6 +86,15 @@ class TestEigh:
             pivot = col[np.argmax(np.abs(col))]
             assert pivot.real > 0
             assert abs(pivot.imag) < 1e-12
+
+    def test_phase_gauge_matches_column_loop(self):
+        rng = np.random.default_rng(17)
+        cases = [np.linalg.eigh(linalg.hermitian_part(complex_matrix(d, rng)))[1]
+                 for d in (1, 2, 3, 5, 8, 16)]
+        tied = np.array([[1.0, 1j, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]) / np.sqrt(2)
+        cases.append(tied)  # equal magnitudes in a column, and a zero column
+        for v in cases:
+            assert linalg._fix_phases(v).tobytes() == fix_phases_by_column(v).tobytes()
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(NonHermitian):

@@ -65,6 +65,21 @@ class TestSld:
         with pytest.raises(UnsupportedDerivative):
             compute_sld(patched)
 
+    def test_residual_names_first_failing_parameter(self):
+        rho = np.diag([1.0, 0.0])
+        zero = np.zeros((2, 2))
+        st = EvaluatedState.from_matrices(rho, [zero, zero])
+        kernel = np.diag([0.0, 1.0])  # weight only in the kernel-kernel block
+        patched = EvaluatedState(
+            rho=st.rho,
+            derivs=(SIGMA1 / 2, kernel, 2.0 * kernel),
+            eigen=st.eigen,
+            rank_tol=st.rank_tol,
+            sqrt_rho=st.sqrt_rho,
+        )
+        with pytest.raises(UnsupportedDerivative, match="residual 1.000e\\+00 for parameter 1$"):
+            compute_sld(patched)
+
 
 class TestRld:
     def test_qutrit_rld_equals_sld(self, qutrit_state):
@@ -86,6 +101,17 @@ class TestRld:
         fam = StateFamily.linear(rho0, [SIGMA1 / 2, SIGMA2 / 2])
         st = evaluate(fam, np.zeros(2))
         with pytest.raises(RldUndefined):
+            compute_rld(st)
+
+    def test_range_leak_names_first_derivative(self):
+        # rho = diag(1/2, 1/2, 0): sigma_3 on the support stays in range,
+        # a coherence with the kernel leaks.
+        rho = np.diag([0.5, 0.5, 0.0])
+        inside = np.diag([0.5, -0.5, 0.0])
+        leak = np.zeros((3, 3))
+        leak[0, 2] = leak[2, 0] = 0.5
+        st = EvaluatedState.from_matrices(rho, [inside, leak, 2.0 * leak])
+        with pytest.raises(RldUndefined, match="derivative 1 leaks outside range"):
             compute_rld(st)
 
 

@@ -23,6 +23,31 @@ from qmetro.tensor import BlockPass, TradeoffMatrix
 
 
 class TestBuildReport:
+    def test_repeated_p_gives_one_row_per_bound(self, qubit_state):
+        config = ReportConfig(bounds=("cp", "fbar", "rld"), p_list=(2, 1, 2, 1, 1))
+        assert config.p_list == (2, 1)
+        report = build_report(qubit_state(0.5), config)
+        keys = [(e.name, e.p) for e in report.entries]
+        assert sorted(keys) == sorted({(b, p) for b in ("cp", "fbar", "rld") for p in (1, 2)})
+        for p in (1, 2):
+            assert sum(e.tightest for e in report.at_p(p)) == 1
+
+    def test_one_fq_eigensolve_per_report(self, qubit_state, monkeypatch):
+        # F_Q^(-1/2) is shared by the tilde SLDs and RLDs, the Gamma_inf
+        # sandwich and the RLD bounds; rho's eigensystem comes with the state.
+        st = qubit_state(0.5)
+        seen = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            seen.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        bounds = ("cp", "tp", "fbar", "rld", "rld_cp", "lower", "refs")
+        build_report(st, ReportConfig(bounds=bounds, p_list=(1, 2, 3)))
+        assert seen == [(3, 3)]
+
     def test_default_bounds(self, qubit_state):
         st = qubit_state(0.0)
         report = build_report(st, ReportConfig(bounds=("cp", "tp", "fbar"), p_list=(1, 2)))

@@ -8,10 +8,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmetro import states
-from qmetro.errors import DerivativeFailure, InvalidState
+from qmetro.errors import DerivativeFailure, InvalidState, NonHermitian
 from qmetro.random_instances import random_linear_family
 from qmetro.scenarios import SIGMA1, SIGMA2, SIGMA3, build_scenario, parse_scenario
-from qmetro.states import StateFamily, evaluate, family_from_dict, family_to_dict
+from qmetro.states import (
+    EvaluatedState,
+    StateFamily,
+    evaluate,
+    family_from_dict,
+    family_to_dict,
+)
 
 
 class TestEvaluateLinear:
@@ -54,6 +60,59 @@ class TestEvaluateLinear:
     def test_needs_two_parameters(self):
         with pytest.raises(InvalidState):
             StateFamily.linear(np.eye(2) / 2, [SIGMA1 / 2])
+
+
+class TestStackedValidation:
+    """The operators are checked as one stack; each error names the first
+    offending index and keeps the exception type of a per-operator check."""
+
+    def test_non_hermitian_generator(self):
+        gens = [SIGMA1 / 2, SIGMA2 / 2, np.array([[0.0, 1.0], [0.0, 0.0]]), 1j * np.eye(2)]
+        with pytest.raises(NonHermitian, match="generator 2:"):
+            StateFamily.linear(np.eye(2) / 2, gens)
+
+    def test_generator_shape(self):
+        with pytest.raises(InvalidState, match=r"generator 1 has shape \(3, 3\)"):
+            StateFamily.linear(np.eye(2) / 2, [SIGMA1 / 2, np.eye(3), SIGMA2 / 2])
+
+    def test_non_hermitian_derivative(self):
+        derivs = [SIGMA1 / 2, SIGMA3 / 2, np.array([[0.0, 1.0], [0.0, 0.0]]), 1j * SIGMA1]
+        with pytest.raises(NonHermitian, match="derivative 2:"):
+            EvaluatedState.from_matrices(np.eye(2) / 2, derivs)
+
+    def test_derivative_with_trace(self):
+        derivs = [SIGMA1 / 2, np.eye(2) * 1e-3, np.eye(2)]
+        with pytest.raises(InvalidState, match="derivative 1 has trace 2.000e-03"):
+            EvaluatedState.from_matrices(np.eye(2) / 2, derivs)
+
+    def test_fields_stay_tuples_of_matrices(self, qutrit_state):
+        st_, _ = qutrit_state("qutrit8")
+        fam = build_scenario(parse_scenario("qutrit8"))
+        for ops in (fam.generators, st_.derivs):
+            assert isinstance(ops, tuple) and len(ops) == 8
+            assert all(op.shape == (3, 3) and op.dtype == np.complex128 for op in ops)
+
+
+class TestOneEigensolve:
+    @pytest.mark.parametrize("preset", ["qubit3", "qutrit8", "qutrit:1,2,5"])
+    def test_evaluate_solves_rho_once(self, monkeypatch, preset):
+        fam = build_scenario(parse_scenario(preset, delta=0.3))
+        seen = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            seen.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        st_ = evaluate(fam, np.zeros(fam.n))
+        assert seen == [(fam.dim, fam.dim)]
+        callable_fam = StateFamily.from_callable(fam.dim, fam.n, fam.rho)
+        seen.clear()
+        evaluate(callable_fam, np.zeros(fam.n))
+        assert seen == [(fam.dim, fam.dim)]
+        # the square root read off that eigensystem is the principal root
+        assert np.allclose(st_.sqrt_rho @ st_.sqrt_rho, st_.rho, atol=1e-12)
 
 
 class TestFiniteDifferences:

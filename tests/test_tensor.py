@@ -690,6 +690,17 @@ class TestComputeCpRld:
         assert c2.entries[0, 1] <= 4.0 + 1e-12
 
 
+def stars_and_bars_compositions(total, parts):
+    """Occupation vectors from ``itertools.combinations`` of ``parts - 1``
+    bar positions among ``total + parts - 1`` slots (lexicographic)."""
+    slots = total + parts - 1
+    rows = [
+        np.diff((-1, *bars, slots)) - 1
+        for bars in itertools.combinations(range(slots), parts - 1)
+    ]
+    return np.array(rows, dtype=np.int64).reshape(-1, parts)
+
+
 def recursive_compositions(total, parts):
     """All occupation vectors of ``parts`` nonnegative ints summing to
     ``total``, by recursion on the first part (lexicographic order)."""
@@ -750,13 +761,15 @@ class TestComputeTp:
         with pytest.raises(EnumerationOverflow):
             compute_tp_exact(st, tilde, 3000, enum_cap=1000)
 
-    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4, 5, 6])
     def test_compositions_match_recursive_oracle(self, parts):
         for total in range(13):
             got = tensor.compositions(total, parts)
             expected = np.array(list(recursive_compositions(total, parts)), dtype=np.int64)
+            assert got.dtype == np.int64
             assert got.shape == (tensor.composition_count(total, parts), parts)
             assert np.array_equal(got, expected)
+            assert np.array_equal(got, stars_and_bars_compositions(total, parts))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_exact_matches_literal_pair_sum(self, d):
