@@ -32,7 +32,7 @@ from .errors import QmetroError
 from .linalg import DEFAULT_DIM_CAP
 from .report import ALL_BOUNDS, ReportConfig, build_report
 from .scenarios import build_scenario, parse_scenario
-from .states import evaluate, family_from_dict, family_to_dict
+from .states import evaluate, family_to_dict, load_family
 from .tensor import DEFAULT_ENUM_CAP
 
 CSV_COLUMNS = ("scenario", "delta", "p", "bound_name", "value", "tightest", "meta")
@@ -218,8 +218,7 @@ def _runs(args, cfg, sweep: bool) -> list[tuple]:
         if delta is not None or delta_sweep is not None:
             raise _ConfigError("--delta and --delta-sweep apply to --preset only")
         try:
-            with open(input_path, "r", encoding="utf-8") as fh:
-                family, x0 = family_from_dict(json.load(fh))
+            family, x0 = load_family(input_path)
         except (OSError, json.JSONDecodeError, QmetroError) as exc:
             raise _ConfigError(f"cannot read state JSON {input_path}: {exc}") from exc
         return [(os.path.basename(input_path), 0.0, family, x0)]

@@ -29,7 +29,6 @@ from .tensor import (
     OPTIMIZE_MAX_VECTORS,
     OptimizeNorm,
     TradeoffMatrix,
-    UBasis,
     block_pass,
     block_sweep,
     build_collective,
@@ -80,7 +79,7 @@ def best_fbar(state, tilde_ops, p, dim_cap=DEFAULT_DIM_CAP) -> TradeoffMatrix:
     SIGN_TIE_RTOL of the largest are ties, won by the first pair."""
     coll = build_collective(state, tilde_ops, p, dim_cap=dim_cap)
     if coll.dim <= OPTIMIZE_MAX_VECTORS:
-        return compute_fbar_im(coll, UBasis.computational(coll.dim), OptimizeNorm())
+        return compute_fbar_im(coll, None, OptimizeNorm())
     return _best_candidate(block_pass(coll, fbar=True).candidates)
 
 

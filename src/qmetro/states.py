@@ -233,10 +233,6 @@ def evaluate(
     """
     x0 = np.asarray(x0, dtype=float)
     rho = family.rho(x0)
-    try:
-        rho = linalg.check_hermitian(rho, atol=1e-10)
-    except Exception as exc:
-        raise InvalidState(f"family produced a non-Hermitian state: {exc}") from exc
     if family.is_linear:
         derivs: Sequence[np.ndarray] = family.generators
     else:

@@ -39,17 +39,18 @@ STACK_BYTES of block matrices.  A trace norm over the m_lambda copies of
 a block is m_lambda times the block's.  Only the largest block bounds the
 memory, and the dimension cap bounds the largest block.
 
-:func:`compute_fbar_im`, F-bar over a supplied basis of (C^d)^(x)p
-(explicit signs, AlignEntry, OptimizeNorm), applies sqrt(rho) and each
-L_j to the basis one site at a time, so no collective operator is built
-as a d^p x d^p matrix there either.  The module also computes T_p (exact
-enumeration or Monte Carlo) and the p -> infinity limit.
+:func:`compute_fbar_im`, F-bar over a supplied basis of (C^d)^(x)p (a
+(d^p, count) array of columns, or None for the computational one) with a
+transpose sign s_q = +1 or -1 per column (explicit, AlignEntry,
+OptimizeNorm), applies sqrt(rho) and each L_j to the basis one site at a
+time, so no collective operator is built as a d^p x d^p matrix there
+either.  The module also computes T_p (exact enumeration or Monte Carlo)
+and the p -> infinity limit.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence, Union
@@ -81,9 +82,6 @@ SIGN_TIE_RTOL = 1e-12
 
 # --- sign-choice selectors ---------------------------------------------------
 
-AS_IS = "asis"
-TRANSPOSED = "transposed"
-
 
 @dataclass(frozen=True)
 class AlignEntry:
@@ -102,37 +100,8 @@ class OptimizeNorm:
     Bases of at most OPTIMIZE_MAX_VECTORS vectors only."""
 
 
-SignChoice = Sequence[str]
-Signs = Union[SignChoice, AlignEntry, OptimizeNorm]
-
-
-@dataclass(frozen=True)
-class UBasis:
-    """A set of vectors resolving the identity: sum_q |u_q><u_q| = I."""
-
-    vectors: np.ndarray  # shape (count, dim), rows are the vectors
-
-    @classmethod
-    def computational(cls, dim: int) -> "UBasis":
-        return cls(vectors=np.eye(dim, dtype=np.complex128))
-
-    @classmethod
-    def from_columns(cls, columns: np.ndarray) -> "UBasis":
-        return cls(vectors=np.asarray(columns, dtype=np.complex128).T.copy())
-
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def check_complete(self, atol: float = 1e-9) -> None:
-        gram = dagger(self.vectors) @ self.vectors  # sum_q |u_q><u_q|
-        dev = float(np.max(np.abs(gram - np.eye(self.dim))))
-        if dev > atol:
-            raise IncompleteBasis(f"sum |u><u| deviates from I by {dev:.3e}")
+#: +1 (as is) or -1 (transposed) per basis vector, or a selector.
+Signs = Union[Sequence[float], AlignEntry, OptimizeNorm]
 
 
 # --- collective operators ----------------------------------------------------
@@ -142,13 +111,14 @@ class UBasis:
 class CollectiveOperators:
     """rho^(x)p with the collective operators L_jp = sum_r L_j^(r).
 
-    Holds the single-copy ``state`` and ``base_ops`` only; the block-path
-    tradeoff matrices read the irrep blocks from :func:`reduced_blocks`.
+    Holds the single-copy ``state`` and ``base_ops``, the n operators as
+    one complex (n, d, d) stack; the block-path tradeoff matrices read the
+    irrep blocks from :func:`reduced_blocks`.
     """
 
     p: int
     state: EvaluatedState
-    base_ops: tuple[np.ndarray, ...]
+    base_ops: np.ndarray
 
     @property
     def d(self) -> int:
@@ -239,11 +209,7 @@ def build_collective(
         raise DimensionOverflow(
             f"largest irrep block at p={p} has dimension {largest}, above cap {dim_cap}"
         )
-    return CollectiveOperators(
-        p=p,
-        state=state,
-        base_ops=tuple(np.asarray(o, dtype=np.complex128) for o in ops),
-    )
+    return CollectiveOperators(p=p, state=state, base_ops=np.array(ops, dtype=np.complex128))
 
 
 # --- tradeoff matrices --------------------------------------------------------
@@ -376,7 +342,7 @@ def block_sweep(
     ``coll`` holds the tilde SLDs L~ at the largest p of the list, whose
     cap check covers every block (KindMismatch for a p outside [1,
     coll.p]).  C_p (``cp``) and the auto_align(j,k) candidates of every
-    pair j < k (``fbar``, in ``itertools.combinations`` order) read its
+    pair j < k (``fbar``, in :func:`_pair_indices` order) read its
     operators, and C_p^RLD reads ``rld_ops``, the n single-copy tilde
     RLDs (DimMismatch unless there are n of shape d x d).  On a reduced
     shape with weight s, pair q = (j, k) has the Hermitian image
@@ -404,10 +370,10 @@ def block_sweep(
     if rld_ops is not None:
         if len(rld_ops) != n or any(np.shape(o) != (coll.d, coll.d) for o in rld_ops):
             raise DimMismatch(f"C_p^RLD needs {n} operators of shape ({coll.d}, {coll.d})")
-        rld_ops = np.array(rld_ops, dtype=np.complex128)
+        rld_ops = np.asarray(rld_ops, dtype=np.complex128)
         rld_traces = np.trace(rld_ops, axis1=1, axis2=2)
     j_idx, k_idx = _pair_indices(n)
-    ops = np.array(coll.base_ops)
+    ops = coll.base_ops
     comms = -1j * (ops[j_idx] @ ops[k_idx] - ops[k_idx] @ ops[j_idx])
     cp_vals = {p: np.zeros(len(j_idx)) for p in ps}
     rld_vals = {p: np.zeros(len(j_idx)) for p in ps}
@@ -439,7 +405,7 @@ def block_sweep(
     out = {}
     for p in ps:
         candidates = []
-        for q, (j, k) in enumerate(itertools.combinations(range(n), 2) if fbar else ()):
+        for q, (j, k) in enumerate(zip(j_idx, k_idx) if fbar else ()):
             upper = np.zeros((n, n))
             upper[j_idx, k_idx] = 0.5 * totals[p][q]
             candidates.append(_fbar_matrix(p, upper - upper.T, strategy=f"auto_align({j},{k})"))
@@ -626,30 +592,31 @@ def limit_fim(state: EvaluatedState, tilde_ops: Sequence[np.ndarray]) -> Tradeof
 # --- F-bar aggregates ----------------------------------------------------------
 
 
-def _fu_imag_parts(coll: CollectiveOperators, basis: UBasis) -> np.ndarray:
-    """Im (F_{u_q})_{jk} = Im <u_q| sqrt(rho_p) L_jp L_kp sqrt(rho_p) |u_q>.
+def _fu_imag_parts(coll: CollectiveOperators, basis: np.ndarray) -> np.ndarray:
+    """Im (F_{u_q})_{jk} = Im <u_q| sqrt(rho_p) L_jp L_kp sqrt(rho_p) |u_q>
+    for the columns u_q of the (d^p, count) ``basis``.
 
-    Returns shape (count, n, n).  The basis is read as a (d^p, count)
-    matrix w whose row index runs over the p sites, so a single-copy
-    operator acts on site r as one product with ``w.reshape(d**r, d, -1)``:
-    sqrt(rho_p) w = sqrt(rho)^(x)p w is p such products, and
-    L_jp w = sum_r L_j^(r) w takes all n operators per site at once.
+    Returns shape (count, n, n).  The row index of the basis runs over
+    the p sites, so a single-copy operator acts on site r as one product
+    with ``w.reshape(d**r, d, -1)``: sqrt(rho_p) w = sqrt(rho)^(x)p w is p
+    such products, and L_jp w = sum_r L_j^(r) w takes all n operators per
+    site at once.
     """
     d = coll.d
-    w = basis.vectors.T
+    w = basis
     for r in range(coll.p):
         w = (coll.state.sqrt_rho @ w.reshape(d**r, d, -1)).reshape(w.shape)
-    ops = np.array(coll.base_ops)[:, None]  # (n, 1, d, d), broadcast over d**r
+    ops = coll.base_ops[:, None]  # (n, 1, d, d), broadcast over d**r
     cols = np.zeros((coll.n,) + w.shape, dtype=np.complex128)
     for r in range(coll.p):
         cols += (ops @ w.reshape(d**r, d, -1)).reshape(cols.shape)
     return np.imag(np.einsum("jaq,kaq->qjk", np.conj(cols), cols))
 
 
-def state_eigenbasis(coll: CollectiveOperators) -> UBasis:
-    """Eigenbasis U^(x)p of rho^(x)p, rho = U D U+, the choice that turns
-    the aligned F-bar entries into the T_p diagonal surrogate."""
-    return UBasis.from_columns(linalg.kron_power(coll.state.eigen.vectors, coll.p))
+def state_eigenbasis(coll: CollectiveOperators) -> np.ndarray:
+    """Eigenbasis U^(x)p of rho^(x)p as columns, rho = U D U+, the choice
+    that turns the aligned F-bar entries into the T_p diagonal surrogate."""
+    return linalg.kron_power(coll.state.eigen.vectors, coll.p)
 
 
 def _signs_from_values(values: np.ndarray) -> np.ndarray:
@@ -694,61 +661,60 @@ def _fbar_matrix(p: int, fbar_im: np.ndarray, **meta) -> TradeoffMatrix:
     return TradeoffMatrix(kind="FBAR_IM", p=p, entries=fbar_im, meta=meta)
 
 
-def _resolve_signs(signs: Signs, count: int) -> np.ndarray:
-    items = list(signs)
-    if len(items) != count:
-        raise KindMismatch(f"sign choice has {len(items)} entries for {count} vectors")
-    arr = np.ones(count)
-    for q, s in enumerate(items):
-        if s in (AS_IS, +1, True):
-            arr[q] = 1.0
-        elif s in (TRANSPOSED, -1, False):
-            arr[q] = -1.0
-        else:
-            raise KindMismatch(f"unknown sign selector {s!r}")
-    return arr
+def _resolve_signs(signs: Sequence[float], count: int) -> np.ndarray:
+    """The explicit choice as floats; KindMismatch unless ``count`` real
+    numbers, each +1 or -1 (so no strings and no booleans)."""
+    arr = np.asarray(signs)
+    if arr.shape != (count,) or arr.dtype.kind not in "iuf" or np.any(np.abs(arr) != 1):
+        raise KindMismatch(f"signs must be {count} entries of +1 or -1, got {signs!r}")
+    return arr.astype(float)
 
 
 def compute_fbar_im(
-    coll: CollectiveOperators, basis: UBasis | None, signs: Signs
+    coll: CollectiveOperators, basis: np.ndarray | None, signs: Signs
 ) -> TradeoffMatrix:
     """Imaginary part of F-bar = sum_q s_q-adjusted F_{u_q} over a
-    supplied basis of (C^d)^(x)p, the computational one by default; its
-    vectors must have d^p entries (DimMismatch).
+    supplied basis of (C^d)^(x)p: the columns u_q of a (d^p, count) array
+    with sum_q |u_q><u_q| = I (DimMismatch, IncompleteBasis), the
+    computational basis for None.
 
     Transposing a Hermitian F_{u_q} flips its imaginary part, so a sign
-    choice acts as +-1 on Im F_{u_q}.  ``signs`` may be an explicit
-    per-vector selection, AlignEntry(j,k) (align within ``basis``) or
+    choice acts as s_q = +-1 on Im F_{u_q}.  ``signs`` may be the
+    sequence of s_q, AlignEntry(j,k) (align within ``basis``) or
     OptimizeNorm() (exhaustive Frobenius-norm maximization, small bases
-    only).  With tilde operators in ``coll`` the norm it maximizes is the
-    one the F-bar bound reads.  The AutoAlign candidates, which switch
-    to the commutator eigenbasis of each irrep block, come from
-    :func:`block_pass`.
+    only); ``meta["signs"]`` holds the s_q taken, as ints.  With tilde
+    operators in ``coll`` the norm it maximizes is the one the F-bar bound
+    reads.  The AutoAlign candidates, which switch to the commutator
+    eigenbasis of each irrep block, come from :func:`block_pass`.
     """
     if basis is None:  # I_d^(x)p, refused by kron_power's cap before it is built
-        basis = UBasis(vectors=linalg.kron_power(np.eye(coll.d), coll.p))
-    if basis.dim != coll.dim:
+        basis = linalg.kron_power(np.eye(coll.d), coll.p)
+    basis = np.asarray(basis)
+    if basis.ndim != 2 or len(basis) != coll.dim:
         raise DimMismatch(
-            f"basis vectors have {basis.dim} entries, {coll.d}^{coll.p} = {coll.dim} expected"
+            f"basis has shape {basis.shape}, ({coll.d}^{coll.p} = {coll.dim}, count) expected"
         )
-    basis.check_complete()
+    dev = float(np.max(np.abs(basis @ dagger(basis) - np.eye(coll.dim))))
+    if dev > 1e-9:
+        raise IncompleteBasis(f"sum |u><u| deviates from I by {dev:.3e}")
+    count = basis.shape[1]
     imags = _fu_imag_parts(coll, basis)
     if isinstance(signs, AlignEntry):
         _check_pair(signs.j, signs.k, coll.n)
         sign_arr = _signs_from_values(imags[:, signs.j, signs.k])
         strategy = f"align_entry({signs.j},{signs.k})"
     elif isinstance(signs, OptimizeNorm):
-        if basis.count > OPTIMIZE_MAX_VECTORS:
+        if count > OPTIMIZE_MAX_VECTORS:
             raise KindMismatch(
                 f"exhaustive optimization limited to {OPTIMIZE_MAX_VECTORS} vectors, "
-                f"basis has {basis.count}"
+                f"basis has {count}"
             )
         sign_arr = _optimize_norm_signs(imags)
         strategy = "optimize_norm"
     else:
-        sign_arr = _resolve_signs(signs, basis.count)
+        sign_arr = _resolve_signs(signs, count)
         strategy = "explicit"
     return _fbar_matrix(
         coll.p, np.tensordot(sign_arr, imags, axes=1), strategy=strategy,
-        signs=tuple(map((TRANSPOSED, AS_IS).__getitem__, (sign_arr > 0).tolist())),
+        signs=tuple(sign_arr.astype(int).tolist()),
     )

@@ -1,6 +1,7 @@
 """The generic mixed-state precision bound over locally unbiased operators.
 
-For any complete vector set {|u_q>} and any per-vector transpose choice,
+For any complete vector set {|u_q>}, the columns of a basis array, and
+any per-vector transpose choice s_q = +1 (as is) or -1 (transposed),
 nu Tr[W Cov] >= Tr[W Abar_Re] + ||sqrt(W) Abar_Im sqrt(W)||_1 with
 Abar = sum_q (A_{u_q} or A_{u_q}^T), (A_u)_{jk} = <u|sqrt(rho) X_j X_k sqrt(rho)|u>.
 Keeping every A_u as-is recovers the Holevo functional; for two
@@ -42,10 +43,7 @@ from .linalg import dagger, hermitian_part
 from .logderiv import DerivativeSet, FisherData
 from .states import EvaluatedState
 from .tensor import (
-    AS_IS,
-    TRANSPOSED,
     Signs,
-    UBasis,
     _signs_from_values,
     build_collective,
     compute_fbar_im,
@@ -265,26 +263,26 @@ def _check_weight(w: np.ndarray | None, n: int) -> np.ndarray:
 def evaluate_general_bound(
     x_set: LocallyUnbiasedSet | Sequence[np.ndarray],
     state: EvaluatedState,
-    basis: UBasis | None = None,
-    signs: Signs = None,
+    basis: np.ndarray | None = None,
+    signs: Signs | None = None,
     w: np.ndarray | None = None,
 ) -> float:
     """Tr[W Abar_Re] + ||sqrt(W) Abar_Im sqrt(W)||_1 for a basis/sign choice.
 
     The functional evaluated at a feasible ``x_set``; its minimum over
     feasible sets, not the value at any one set, bounds nu Tr[W Cov]
-    from below.  With all signs as-is the value is the Holevo functional
-    (and is then basis-independent).
+    from below.  With all signs +1 (as is, the default) the value is the
+    Holevo functional (and is then basis-independent).
 
     Abar_Re = Re Z(X) for any resolution of the identity, and Abar_Im is
     the p = 1 F-bar aggregate of the X_j from :func:`compute_fbar_im` over
-    ``basis`` (computational by default) with ``signs`` an explicit
-    selection or AlignEntry(j, k).
+    the columns of ``basis`` (computational by default) with ``signs`` a
+    sequence of +-1 or AlignEntry(j, k).
     """
     ops = x_set.ops if isinstance(x_set, LocallyUnbiasedSet) else tuple(x_set)
     w_mat = _check_weight(w, len(ops))
     if signs is None:
-        signs = [AS_IS] * (state.dim if basis is None else basis.count)
+        signs = [1] * (state.dim if basis is None else np.shape(basis)[-1])
     coll = build_collective(state, ops, 1)
     a_im = compute_fbar_im(coll, basis, signs).entries
     a_re = np.real(z_matrix(state, ops))
@@ -294,8 +292,9 @@ def evaluate_general_bound(
 
 def nagaoka_alignment(
     state: EvaluatedState, ops: Sequence[np.ndarray]
-) -> tuple[UBasis, list[str]]:
-    """Eigenbasis of sqrt(rho)[X_1, X_2]sqrt(rho) with sign-aligned choices.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenbasis of sqrt(rho)[X_1, X_2]sqrt(rho), as columns, with the
+    sign-aligned +-1 choices.
 
     Feeding the result to evaluate_general_bound yields the Nagaoka
     functional Tr(rho X_1^2) + Tr(rho X_2^2) + ||sqrt(rho)[X_1,X_2]sqrt(rho)||_1
@@ -306,8 +305,7 @@ def nagaoka_alignment(
         raise InvalidN(f"Nagaoka alignment is a two-parameter construction, got n={len(ops)}")
     s = state.sqrt_rho
     es = linalg.eigh(-1j * s @ linalg.commutator(ops[0], ops[1]) @ s)  # the commutator is i H
-    signs = _signs_from_values(es.values / 2.0)
-    return UBasis.from_columns(es.vectors), [AS_IS if v > 0 else TRANSPOSED for v in signs]
+    return es.vectors, _signs_from_values(es.values / 2.0)
 
 
 # --- objectives -------------------------------------------------------------------

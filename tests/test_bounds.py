@@ -18,7 +18,6 @@ from qmetro.scenarios import SIGMA1, SIGMA2
 from qmetro.states import EvaluatedState, evaluate
 from qmetro.tensor import (
     OptimizeNorm,
-    UBasis,
     build_collective,
     compute_cp,
     compute_cp_rld,
@@ -133,7 +132,7 @@ class TestFbarBound:
         st = qubit_state(0.6)
         _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, 1)
-        fb = compute_fbar_im(coll, UBasis.computational(2), ["asis", "transposed"])
+        fb = compute_fbar_im(coll, None, [1, -1])
         assert gb.fbar_bound(fb, 3) == pytest.approx(2.5, abs=1e-12)
 
     def test_qubit_p2(self, qubit_state):
@@ -141,7 +140,7 @@ class TestFbarBound:
         st = qubit_state(delta)
         _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, 2)
-        fb = compute_fbar_im(coll, UBasis.computational(4), OptimizeNorm())
+        fb = compute_fbar_im(coll, None, OptimizeNorm())
         expected = 3 - (1 + delta**2) ** 2 / 8
         assert gb.fbar_bound(fb, 3) == pytest.approx(expected, abs=1e-10)
 
@@ -151,7 +150,7 @@ class TestFbarBound:
         # the tilde frame alone gives every F-bar bound.
         st = qubit_state(0.5)
         slds, fisher, tilde = sld_analysis(st)
-        basis = UBasis.computational(4)
+        basis = np.eye(4)
         fb_til = compute_fbar_im(build_collective(st, tilde, 2), basis, OptimizeNorm())
         signs = list(fb_til.meta["signs"])
         fb_raw = compute_fbar_im(build_collective(st, slds.ops, 2), basis, signs)
@@ -164,7 +163,7 @@ class TestFbarBound:
         st, _ = qutrit_state("qutrit8")
         _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, 1)
-        fb = compute_fbar_im(coll, UBasis.computational(3), OptimizeNorm())
+        fb = compute_fbar_im(coll, None, OptimizeNorm())
         val = gb.fbar_bound(fb, 8, f_coeff=6.0 / 49.0)
         assert val == pytest.approx(8 - 24 / 49, abs=1e-10)
         # default coefficient is the (tighter) max, here 1/5

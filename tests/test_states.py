@@ -115,6 +115,22 @@ class TestOneEigensolve:
         assert np.allclose(st_.sqrt_rho @ st_.sqrt_rho, st_.rho, atol=1e-12)
 
 
+class TestOneHermiticityCheck:
+    @pytest.mark.parametrize("asymmetry", [1e-11, 1e-3])
+    def test_callable_family_asymmetry_is_non_hermitian(self, asymmetry):
+        # evaluate leaves the check to from_matrices, so any asymmetry of
+        # rho above HERMITIAN_ATOL is NonHermitian, whatever its size.
+        fam = build_scenario(parse_scenario("qubit3"))
+
+        def rho(x):
+            out = fam.rho(x).astype(complex)
+            out[0, 1] += asymmetry
+            return out
+
+        with pytest.raises(NonHermitian, match="atol 1.0e-12"):
+            evaluate(StateFamily.from_callable(2, 3, rho), np.zeros(3))
+
+
 class TestFiniteDifferences:
     def test_matches_linear_generators(self):
         fam = build_scenario(parse_scenario("qubit3", delta=0.2))

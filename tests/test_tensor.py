@@ -31,7 +31,6 @@ from qmetro.states import EvaluatedState, StateFamily, evaluate
 from qmetro.tensor import (
     AlignEntry,
     OptimizeNorm,
-    UBasis,
     build_collective,
     compute_cp,
     compute_cp_rld,
@@ -49,8 +48,9 @@ class TestBuildCollective:
         st = qubit_state(0.2)
         _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, 1)
-        for a, b in zip(coll.base_ops, tilde):
-            assert np.allclose(a, b)
+        # one complex (n, d, d) stack, read as it is by every kernel
+        assert coll.base_ops.shape == (3, 2, 2) and coll.base_ops.dtype == np.complex128
+        assert np.array_equal(coll.base_ops, np.array(tilde))
         [(s, pi, [served])] = list(tensor.reduced_blocks(st, [1]))
         p, shape, scale = served
         assert (p, shape) == (1, (1, 0))
@@ -190,10 +190,10 @@ def literal_site_sum(a, w, p):
     return total
 
 
-def dense_fu_imag_parts(st, ops, p, vectors):
-    """Dense oracle: Im <u_q|S L_jp L_kp S|u_q> per row u_q of ``vectors``,
+def dense_fu_imag_parts(st, ops, p, basis):
+    """Dense oracle: Im <u_q|S L_jp L_kp S|u_q> per column u_q of ``basis``,
     from S = sqrt(rho)^(x)p and the literal Kronecker sums L_jp."""
-    w = linalg.kron_power(st.sqrt_rho, p) @ vectors.T
+    w = linalg.kron_power(st.sqrt_rho, p) @ basis
     cols = np.array([literal_site_sum(op, np.eye(st.dim), p) @ w for op in ops])
     return np.imag(np.einsum("jaq,kaq->qjk", np.conj(cols), cols))
 
@@ -215,29 +215,29 @@ class TestSiteSum:
         rng = np.random.default_rng(100 * d + p)
         st = evaluate(random_linear_family(d, 3, rng), np.zeros(3))
         slds, _, tilde = sld_analysis(st)
-        basis = UBasis.from_columns(haar_unitary(d**p, rng))
+        basis = haar_unitary(d**p, rng)
+        count = basis.shape[1]
         # Raw SLDs as well: every strategy reads the operators it is given.
         for ops in (tilde, slds.ops):
             coll = build_collective(st, ops, p)
-            parts = dense_fu_imag_parts(st, ops, p, basis.vectors)
+            parts = dense_fu_imag_parts(st, ops, p, basis)
             tol = 1e-12 * float(np.max(np.abs(parts)))
             assert np.allclose(tensor._fu_imag_parts(coll, basis), parts, rtol=0, atol=tol)
-            explicit = rng.choice([-1.0, 1.0], size=basis.count)
+            explicit = rng.choice([-1.0, 1.0], size=count)
             strategies = [(list(explicit), explicit)]
             for j, k in ((0, 1), (1, 2)):
                 a = parts[:, j, k]
                 aligned = np.where(a < -1e-12 * np.max(np.abs(a)), -1.0, 1.0)
                 strategies.append((AlignEntry(j, k), aligned))
-            if basis.count <= tensor.OPTIMIZE_MAX_VECTORS:
+            if count <= tensor.OPTIMIZE_MAX_VECTORS:
                 # every pattern with s_0 = +1, scored as OptimizeNorm scores them
                 patterns = [np.array((1.0,) + rest)
-                            for rest in itertools.product((1.0, -1.0), repeat=basis.count - 1)]
+                            for rest in itertools.product((1.0, -1.0), repeat=count - 1)]
                 norms = [np.linalg.norm(_dense_aggregate(parts, s)) for s in patterns]
                 strategies.append((OptimizeNorm(), patterns[int(np.argmax(norms))]))
             for signs, expected in strategies:
                 fb = compute_fbar_im(coll, basis, signs)
-                got = np.array([1.0 if s == tensor.AS_IS else -1.0 for s in fb.meta["signs"]])
-                assert np.array_equal(got, expected)
+                assert np.array_equal(fb.meta["signs"], expected)
                 ref = _dense_aggregate(parts, expected)
                 assert np.allclose(fb.entries, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
@@ -868,7 +868,7 @@ class TestFbar:
             st = qubit_state(delta)
             _, _, tilde = sld_analysis(st)
             coll = build_collective(st, tilde, 1)
-            fb = compute_fbar_im(coll, UBasis.computational(2), ["asis", "transposed"])
+            fb = compute_fbar_im(coll, None, [1, -1])
             expected = np.zeros((3, 3))
             expected[0, 1] = 1.0
             expected[1, 0] = -1.0
@@ -879,23 +879,21 @@ class TestFbar:
         st = qubit_state(delta)
         _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, 2)
-        fb = compute_fbar_im(
-            coll, UBasis.computational(4), ["asis", "asis", "asis", "transposed"]
-        )
+        fb = compute_fbar_im(coll, None, [1, 1, 1, -1])
         assert fb.entries[0, 1] == pytest.approx(1 + delta**2, abs=1e-10)
 
     def test_align_entry_matches_paper(self, qubit_state):
         st = qubit_state(0.3)
         _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, 2)
-        fb = compute_fbar_im(coll, UBasis.computational(4), AlignEntry(0, 1))
-        assert fb.meta["signs"] == ("asis", "asis", "asis", "transposed")
+        fb = compute_fbar_im(coll, None, AlignEntry(0, 1))
+        assert fb.meta["signs"] == (1, 1, 1, -1)
 
     def test_qutrit_subset_p2(self, qutrit_state):
         st, _ = qutrit_state("qutrit:1,2,5")
         _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, 2)
-        fb = compute_fbar_im(coll, UBasis.computational(9), OptimizeNorm())
+        fb = compute_fbar_im(coll, None, OptimizeNorm())
         assert fb.entries[0, 1] == pytest.approx(4.0 / 3.0, abs=1e-10)
 
     def test_auto_align_reproduces_cp_entry(self, qubit_state):
@@ -912,9 +910,9 @@ class TestFbar:
         st = qubit_state(0.0)
         _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, 1)
-        bad = UBasis(vectors=np.array([[1.0, 0.0]], dtype=np.complex128))
+        bad = np.array([[1.0], [0.0]])  # one column of C^2
         with pytest.raises(IncompleteBasis):
-            compute_fbar_im(coll, bad, ["asis"])
+            compute_fbar_im(coll, bad, [1])
 
     def test_overcomplete_basis_allowed(self, qubit_state):
         st = qubit_state(0.2)
@@ -922,8 +920,8 @@ class TestFbar:
         coll = build_collective(st, tilde, 1)
         # Two copies of the computational basis scaled by 1/sqrt(2) still
         # resolve the identity.
-        vecs = np.vstack([np.eye(2), np.eye(2)]) / np.sqrt(2)
-        fb = compute_fbar_im(coll, UBasis(vectors=vecs.astype(complex)), ["asis"] * 4)
+        vecs = np.hstack([np.eye(2), np.eye(2)]) / np.sqrt(2)
+        fb = compute_fbar_im(coll, vecs, [1] * 4)
         assert fb.entries.shape == (3, 3)
 
     def test_optimize_cap(self, qubit_state):
@@ -931,7 +929,7 @@ class TestFbar:
         _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, 4)  # 16 basis vectors
         with pytest.raises(KindMismatch):
-            compute_fbar_im(coll, UBasis.computational(16), OptimizeNorm())
+            compute_fbar_im(coll, None, OptimizeNorm())
 
     def test_state_eigenbasis_reproduces_tp_entry(self, qubit_state):
         # Aligning the (j, k) imaginary parts in the eigenbasis of rho^(x)p
@@ -968,7 +966,37 @@ class TestFbar:
         _, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde, 2)
         with pytest.raises(DimMismatch):
-            compute_fbar_im(coll, UBasis.computational(8), ["asis"] * 8)
+            compute_fbar_im(coll, np.eye(8), [1] * 8)
+
+    @pytest.mark.parametrize("basis", [np.ones(4) / 2, np.eye(4)[:3], np.eye(4)[None]])
+    def test_basis_must_be_d_p_rows_of_columns(self, qubit_state, basis):
+        # A 1-D vector, three rows at d^p = 4, or a 3-D stack.
+        st = qubit_state(0.3)
+        _, _, tilde = sld_analysis(st)
+        coll = build_collective(st, tilde, 2)
+        with pytest.raises(DimMismatch):
+            compute_fbar_im(coll, basis, [1] * 4)
+
+    @pytest.mark.parametrize("signs", [
+        [1, 0], [1, 2], ["asis", "asis"], [True, False], [1], [1, -1, 1], "+-", None,
+    ])
+    def test_signs_must_be_plus_minus_one(self, qubit_state, signs):
+        # Two basis vectors at qubit p = 1: only two entries of +1 or -1.
+        st = qubit_state(0.3)
+        _, _, tilde = sld_analysis(st)
+        coll = build_collective(st, tilde, 1)
+        with pytest.raises(KindMismatch):
+            compute_fbar_im(coll, None, signs)
+
+    def test_explicit_signs_as_ints_or_floats(self, qubit_state):
+        st = qubit_state(0.3)
+        _, _, tilde = sld_analysis(st)
+        coll = build_collective(st, tilde, 1)
+        ints = compute_fbar_im(coll, None, [1, -1])
+        floats = compute_fbar_im(coll, None, np.array([1.0, -1.0]))
+        assert np.array_equal(ints.entries, floats.entries)
+        assert ints.meta == floats.meta == {"strategy": "explicit", "signs": (1, -1)}
+        assert all(type(s) is int for s in floats.meta["signs"])
 
     @pytest.mark.parametrize("signs", [
         (0, 0), (-1, 0), (0, 5), (3, 1),
@@ -996,7 +1024,7 @@ class TestFbar:
         s = linalg.kron_power(st.sqrt_rho, p)
         ops = [literal_site_sum(op, np.eye(2), p) for op in tilde]
         for j, k in ((0, 1), (0, 2), (1, 2)):
-            fb = compute_fbar_im(coll, UBasis.from_columns(u), AlignEntry(j, k))
+            fb = compute_fbar_im(coll, u, AlignEntry(j, k))
             expected = np.zeros((3, 3))
             for q in range(coll.dim):
                 w = s @ u[:, q]
@@ -1012,9 +1040,10 @@ def optimize_norm_loop(coll, basis):
     a pattern only when it beats the best so far by 1e-15."""
     imags = tensor._fu_imag_parts(coll, basis)
     best, best_norm = None, -1.0
-    flip_bits = np.arange(basis.count - 1)
-    for bits in range(2 ** (basis.count - 1)):
-        cand = np.ones(basis.count)
+    count = basis.shape[1]
+    flip_bits = np.arange(count - 1)
+    for bits in range(2 ** (count - 1)):
+        cand = np.ones(count)
         cand[1:] -= 2.0 * ((bits >> flip_bits) & 1)
         norm = float(np.linalg.norm(np.tensordot(cand, imags, axes=1)))
         if norm > best_norm + 1e-15:
@@ -1032,8 +1061,8 @@ class TestOptimizeNorm:
     @pytest.mark.parametrize("tilde_frame", [True, False])
     @pytest.mark.parametrize("count", range(2, 13))
     def test_matches_pattern_loop(self, count, tilde_frame):
-        # A Parseval frame of ``count`` vectors (rows of the first dim
-        # columns of a Haar unitary) on d^p = 2, 3 or 4 dimensions, for
+        # A Parseval frame of ``count`` vectors (the rows of the first dim
+        # columns of a Haar unitary, passed as columns) on d^p = 2, 3 or 4 dimensions, for
         # tilde and raw SLDs: the search maximizes the norm of the
         # aggregate of the operators it is given.
         rng = np.random.default_rng(900 + 2 * count + tilde_frame)
@@ -1041,7 +1070,7 @@ class TestOptimizeNorm:
         st = evaluate(random_linear_family(d, 3, rng), np.zeros(3))
         slds, _, tilde = sld_analysis(st)
         coll = build_collective(st, tilde if tilde_frame else slds.ops, p)
-        basis = UBasis(vectors=haar_unitary(count, rng)[:, : d**p].copy())
+        basis = haar_unitary(count, rng)[:, : d**p].T
         fb = compute_fbar_im(coll, basis, OptimizeNorm())
         signs, norm = optimize_norm_loop(coll, basis)
         oracle = compute_fbar_im(coll, basis, list(signs))
