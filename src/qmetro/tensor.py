@@ -197,19 +197,29 @@ def build_collective(
 
     ``ops`` are single-copy operators: the tilde SLDs L~ = F_Q^(-1/2) L
     for the tradeoff matrices, in which frame every p-local bound is
-    stated.  Builds no block; raises KindMismatch for p < 1 and
-    DimensionOverflow when the largest block exceeds the cap.  The
+    stated.  Builds no block; raises KindMismatch for p < 1, DimMismatch
+    unless each operator is d x d, and DimensionOverflow when the
+    largest block exceeds the cap.  The
     largest block grows with p, so the collective at the largest p of a
     list checks the cap for a :func:`block_sweep` over all of them.
     """
     if p < 1:
         raise KindMismatch(f"copies count must be >= 1, got {p}")
+    base_ops = _operator_stack(ops, len(ops), state.dim, "the collective")
     largest = max(schur.irrep_dim(shape) for shape in schur.partitions(p, state.dim))
     if largest > dim_cap:
         raise DimensionOverflow(
             f"largest irrep block at p={p} has dimension {largest}, above cap {dim_cap}"
         )
-    return CollectiveOperators(p=p, state=state, base_ops=np.array(ops, dtype=np.complex128))
+    return CollectiveOperators(p=p, state=state, base_ops=base_ops)
+
+
+def _operator_stack(ops: Sequence[np.ndarray], count: int, d: int, what: str) -> np.ndarray:
+    """``ops`` copied into one complex (count, d, d) stack; DimMismatch naming
+    ``what`` unless there are ``count`` operators, each d x d."""
+    if len(ops) != count or any(np.shape(o) != (d, d) for o in ops):
+        raise DimMismatch(f"{what} needs {count} operators of shape ({d}, {d})")
+    return np.array(ops, dtype=np.complex128)
 
 
 # --- tradeoff matrices --------------------------------------------------------
@@ -368,9 +378,7 @@ def block_sweep(
     if any(not 1 <= p <= coll.p for p in ps):
         raise KindMismatch(f"p list {ps} must lie in [1, {coll.p}]")
     if rld_ops is not None:
-        if len(rld_ops) != n or any(np.shape(o) != (coll.d, coll.d) for o in rld_ops):
-            raise DimMismatch(f"C_p^RLD needs {n} operators of shape ({coll.d}, {coll.d})")
-        rld_ops = np.asarray(rld_ops, dtype=np.complex128)
+        rld_ops = _operator_stack(rld_ops, n, coll.d, "C_p^RLD")
         rld_traces = np.trace(rld_ops, axis1=1, axis2=2)
     j_idx, k_idx = _pair_indices(n)
     ops = coll.base_ops

@@ -20,15 +20,23 @@ on M, so they are solved once, and each h(M) is one eigendecomposition
 of the form restricted to their null space.  Each h(M) is a certified
 lower bound on C and hence on nu Tr[W Cov]; the minimizing X*(M) is
 feasible, so f(X*(M)) >= C is an upper estimate.  One damped Newton
-ascent on h with a log-det barrier on ||M|| < 1 closes the interval
-[h, f] for either functional.
+ascent on h closes the interval [h, f] for either functional.  Its
+barrier on ||M|| < 1 is the LMI log det [[I, M], [M^+, I]], equal to
+log det(I - M^+ M): with M = sum_a y_a E_a the matrix is affine in y, so
+one eigendecomposition gives the value, both derivatives and, along a
+Newton step, the exact distance to ||M|| = 1, and the line search never
+evaluates a point outside.  Everything that does not depend on M (the
+constraint solution, the reduced quadratic form's parts, the LMI stack,
+sqrt(W)) is built once per problem.  A Newton system singular to working
+precision, as it can turn near ||M|| = 1, ends the ascent with the best
+interval found.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,13 +139,10 @@ def observables_from_measurement(
     return LocallyUnbiasedSet(ops=tuple(ops), trace_residuals=traces, unbias_residual=unbias)
 
 
-def _constraint_frame(state: EvaluatedState) -> tuple[list[np.ndarray], np.ndarray]:
-    frame = [state.rho] + list(state.derivs)
-    k = len(frame)
-    gram = np.zeros((k, k))
-    for a in range(k):
-        for b in range(a, k):
-            gram[a, b] = gram[b, a] = float(np.real(np.trace(frame[a] @ frame[b])))
+def _constraint_frame(state: EvaluatedState) -> tuple[np.ndarray, np.ndarray]:
+    """The stack rho, d_1 rho, ..., d_n rho and its Gram matrix Re Tr(V_a V_b)."""
+    frame = np.array([state.rho, *state.derivs])
+    gram = np.real(np.einsum("aij,bji->ab", frame, frame))
     w = np.linalg.eigvalsh(gram)
     if float(np.min(w)) <= 1e-12 * max(float(np.max(np.abs(w))), 1e-300):
         raise DegenerateConstraints(
@@ -248,16 +253,22 @@ def cov_matrix(meas: LocalMeasurement, x0: Sequence[float], state: EvaluatedStat
 # --- the general bound ----------------------------------------------------------
 
 
-def _check_weight(w: np.ndarray | None, n: int) -> np.ndarray:
+def _check_weight(w: np.ndarray | None, n: int) -> tuple[np.ndarray, linalg.EigenSystem]:
+    """The weight as a real symmetric n x n matrix with its eigensystem, which
+    serves both the PSD check and sqrt(W); InvalidWeight unless W is PSD."""
     if w is None:
-        return np.eye(n)
+        w = np.eye(n)
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (n, n):
         raise InvalidWeight(f"weight has shape {w.shape}, expected {(n, n)}")
-    vals = np.linalg.eigvalsh(hermitian_part(w))
+    herm = hermitian_part(w)
+    w_mat = np.real(herm)
+    eigen = linalg.eigh(w_mat)
+    # Only Re W enters the bounds, but a complex W is checked as given.
+    vals = np.linalg.eigvalsh(herm) if np.any(np.imag(herm)) else eigen.values
     if float(np.min(vals)) < -1e-10 * max(1.0, float(np.max(np.abs(vals)))):
         raise InvalidWeight(f"weight matrix has eigenvalue {float(np.min(vals)):.3e}")
-    return np.real(hermitian_part(w))
+    return w_mat, eigen
 
 
 def evaluate_general_bound(
@@ -280,13 +291,13 @@ def evaluate_general_bound(
     sequence of +-1 or AlignEntry(j, k).
     """
     ops = x_set.ops if isinstance(x_set, LocallyUnbiasedSet) else tuple(x_set)
-    w_mat = _check_weight(w, len(ops))
+    w_mat, w_eigen = _check_weight(w, len(ops))
     if signs is None:
         signs = [1] * (state.dim if basis is None else np.shape(basis)[-1])
     coll = build_collective(state, ops, 1)
     a_im = compute_fbar_im(coll, basis, signs).entries
     a_re = np.real(z_matrix(state, ops))
-    sqrt_w = linalg.sqrt_psd(w_mat)
+    sqrt_w = linalg.sqrt_psd(w_mat, eigen=w_eigen)
     return float(np.sum(w_mat * a_re)) + linalg.trace_norm(sqrt_w @ a_im @ sqrt_w)
 
 
@@ -427,18 +438,28 @@ class _MinimaxProblem:
     The constraints do not depend on y, so they are solved once: with the
     SVD of F, which has full row rank n + 1, x = x0 + N z for the
     minimal-norm solution x0 and the orthonormal null basis N = I_n (x) N_F,
-    of n (d^2 - n - 1) columns.  Each point then minimizes over z alone.
+    of n (d^2 - n - 1) columns.  Each point then minimizes over z alone,
+    N^T K(y) N z = -N^T K(y) x0, a system affine in y whose y-independent
+    parts N^T K_0 N, N^T D_a N, N^T K_0 x0 and N^T D_a x0 are built here.
+    ``lmi`` is the stack F_a = [[0, E_a], [E_a^+, 0]] of the barrier's
+    A(y) = I + sum_a y_a F_a = [[I, M], [M^+, I]].
     """
 
-    def __init__(self, state: EvaluatedState, w_mat: np.ndarray, strategy: str):
+    def __init__(
+        self,
+        state: EvaluatedState,
+        weight: tuple[np.ndarray, linalg.EigenSystem],
+        strategy: str,
+    ):
         frame, _ = _constraint_frame(state)  # raises DegenerateConstraints
+        w_mat, w_eigen = weight
         n, d = state.n, state.dim
         self.n, self.nd = n, n * d * d
         self.basis = _hermitian_basis(d)
         rho_b = np.einsum("ij,ajk->aik", state.rho, self.basis)
         g = np.einsum("aik,bki->ab", rho_b, self.basis)
         if strategy == "holevo":
-            sqrt_w = np.real(linalg.sqrt_psd(w_mat))
+            sqrt_w = np.real(linalg.sqrt_psd(w_mat, eigen=w_eigen))
             self.e, self.e_norm = _antisymmetric_basis(n), 2.0
             v = np.einsum("ij,ajk,kl->ail", sqrt_w, self.e, sqrt_w)
             d_ab = np.einsum("ajk,bc->ajbkc", v, np.imag(g))
@@ -450,14 +471,22 @@ class _MinimaxProblem:
             kappa = 2.0 * math.sqrt(max(float(np.linalg.det(w_mat)), 0.0))
             j_mat = np.array([[0.0, 1.0], [-1.0, 0.0]])
             d_ab = 0.5 * kappa * np.einsum("jk,bac->bjakc", j_mat, np.imag(g_b))
+        side = self.e.shape[1]
+        self.lmi = np.zeros((len(self.e), 2 * side, 2 * side), dtype=self.e.dtype)
+        self.lmi[:, :side, side:] = self.e
+        self.lmi[:, side:, :side] = dagger(self.e)
         self.d = d_ab.reshape(-1, self.nd, self.nd)  # the stack of D_a
         self.k0 = np.kron(w_mat, np.real(g))
-        f_mat = np.real(np.einsum("rij,aji->ra", np.array(frame), self.basis))
+        f_mat = np.real(np.einsum("rij,aji->ra", frame, self.basis))
         u, sv, vt = np.linalg.svd(f_mat)
         self.f_plus = (vt[: n + 1].T / sv) @ u.T
         self.null = np.kron(np.eye(n), vt[n + 1 :].T)
         targets = np.eye(n + 1)[1:]  # b_j = e_(j+1)
         self.x0 = self.f_plus[:, 1:].T.reshape(-1)
+        self.k_r0 = self.null.T @ self.k0 @ self.null
+        self.d_r = self.null.T @ self.d @ self.null
+        self.rhs0 = -(self.null.T @ (self.k0 @ self.x0))
+        self.d_rx0 = (self.d @ self.x0) @ self.null
         # The constraint residual of x0 is the one every X*(y) inherits
         # (F N_F vanishes to rounding); it joins the stationarity residual
         # in each point's residual test and error allowance.
@@ -467,9 +496,8 @@ class _MinimaxProblem:
 
     def point(self, y: np.ndarray) -> _MinimaxPoint:
         k = self.k0 - _combine(y, self.d)
-        kn = k @ self.null
-        k_r = self.null.T @ kn
-        rhs = -(kn.T @ self.x0)
+        k_r = self.k_r0 - _combine(y, self.d_r)
+        rhs = self.rhs0 + y @ self.d_rx0
         # Least squares through the pseudo-inverse, as K_r is singular for
         # a rank-deficient rho, with numpy's pinv cutoff.  One refinement
         # step wins back the accuracy an ill-conditioned K_r costs; the
@@ -516,71 +544,101 @@ def _combine(y: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (y @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
 
 
-def _log_det_barrier(e: np.ndarray, y: np.ndarray):
-    """log det(I - M^+ M), M = sum_a y_a E_a, with its gradient and Hessian
-    in y; None when ||M|| >= 1."""
-    m = _combine(y, e)
-    m_dag, e_dag = dagger(m), dagger(e)
-    # One eigendecomposition gives the feasibility test, the log-det and N^-1.
-    vals, vecs = np.linalg.eigh(np.eye(m.shape[0]) - m_dag @ m)
+class _Barrier(NamedTuple):
+    """log det A(y) with its gradient and Hessian in y, and the whitened
+    stack V^+ F_a V, V = Q Lambda^(-1/2) for A(y) = Q Lambda Q^+."""
+
+    value: float
+    grad: np.ndarray
+    hess: np.ndarray
+    white: np.ndarray
+
+
+def _log_det_barrier(lmi: np.ndarray, y: np.ndarray) -> _Barrier | None:
+    """log det A(y) for A(y) = I + sum_a y_a F_a = [[I, M], [M^+, I]], which
+    equals log det(I - M^+ M); None when ||M|| >= 1.
+
+    One eigendecomposition of A gives the feasibility test, the value
+    sum log Lambda and, through the whitened F~_a = V^+ F_a V, the
+    gradient Tr F~_a and the Hessian -Tr(F~_a F~_b)."""
+    vals, vecs = np.linalg.eigh(np.eye(lmi.shape[1]) + _combine(y, lmi))
     if float(vals[0]) <= 0.0:
         return None
-    n_inv = (vecs / vals) @ dagger(vecs)
-    grad = -2.0 * np.real(np.einsum("aij,ji->a", e, n_inv @ m_dag))
-    # Along E_a, E_b: -2 Re Tr(N^-1 E_b^+ E_a) - 2 Re Tr(N^-1 (E_b^+ M + M^+ E_b) N^-1 M^+ E_a).
-    t1 = np.einsum("bij,aji->ab", n_inv @ e_dag, e)
-    t2 = np.einsum("bij,aji->ab", n_inv @ (e_dag @ m + m_dag @ e), n_inv @ m_dag @ e)
-    hess = -2.0 * np.real(t1 + t2)
-    return float(np.sum(np.log(vals))), grad, (hess + hess.T) / 2.0
+    v = vecs / np.sqrt(vals)
+    white = dagger(v) @ lmi @ v
+    flat = white.reshape(len(lmi), -1)
+    hess = -np.real(flat @ dagger(flat))  # Tr(F~_a F~_b) = <F~_b, F~_a>: both Hermitian
+    grad = np.real(np.trace(white, axis1=1, axis2=2))
+    return _Barrier(float(np.sum(np.log(vals))), grad, (hess + hess.T) / 2.0, white)
 
 
-def _newton_step(pt: _MinimaxPoint, barrier, mu: float) -> tuple[np.ndarray, float, float]:
-    """Newton step for h + mu log det(I - M^+ M), its squared decrement,
-    and the squared gradient norm in the barrier's local norm over mu.
+def _step_to_boundary(barrier: _Barrier, step: np.ndarray) -> float:
+    """The t > 0 at which y + t step reaches ||M|| = 1, inf if it never does:
+    A(y + t step) = V^-+ (I + t sum_a step_a F~_a) V^-1 is positive
+    definite while 1 + t lambda_min > 0."""
+    low = float(np.linalg.eigvalsh(_combine(step, barrier.white))[0])
+    return -1.0 / low if low < 0.0 else math.inf
+
+
+def _newton_step(
+    pt: _MinimaxPoint, barrier: _Barrier, mu: float
+) -> tuple[np.ndarray, float, float]:
+    """Newton step for h + mu log det A(y), its squared decrement, and the
+    squared gradient norm in the barrier's local norm over mu.
 
     The last measures centrality: a point with barrier parameter nu and
     that norm at most mu has f - h <= mu (2 nu + 2 sqrt(nu)).  The
     decrement cannot stand in for it, because it also counts the
     curvature of h, which grows without bound where K(y) turns singular
-    at the optimum (the Nagaoka minimum of some d >= 3 families)."""
-    g = pt.grad + mu * barrier[1]
-    step = np.linalg.solve(-(pt.hess + mu * barrier[2]), g)  # both positive definite
-    cen = float(g @ np.linalg.solve(-barrier[2], g)) / mu  # inside the ball
+    at the optimum (the Nagaoka minimum of some d >= 3 families).
+    Raises LinAlgError when either system is singular to working precision."""
+    g = pt.grad + mu * barrier.grad
+    step = np.linalg.solve(-(pt.hess + mu * barrier.hess), g)  # both positive definite
+    cen = float(g @ np.linalg.solve(-barrier.hess, g)) / mu  # inside the ball
     return step, float(g @ step), cen
 
 
-def _line_search(prob: _MinimaxProblem, pt: _MinimaxPoint, barrier, mu, step, dec):
-    """Backtrack until M stays inside ||M|| < 1 and the barrier objective
-    rises by a quarter of the predicted gain, up to the rounding level of
-    h; None when no step does."""
-    phi = pt.h + mu * barrier[0]
+def _line_search(
+    prob: _MinimaxProblem, pt: _MinimaxPoint, barrier: _Barrier, mu, step, dec
+):
+    """Halve t from 1 until the barrier objective rises by a quarter of the
+    predicted gain, up to the rounding level of h; None when no step does.
+    Steps at or beyond the boundary ||M|| = 1 are skipped unevaluated."""
+    phi = pt.h + mu * barrier.value
+    t_max = _step_to_boundary(barrier, step)
     t = 1.0
     for _ in range(30):
-        y = pt.y + t * step
-        trial_barrier = _log_det_barrier(prob.e, y)
-        if trial_barrier is not None:
-            trial = prob.point(y)
-            gain = trial.h + mu * trial_barrier[0] - phi
-            if gain >= 0.25 * t * dec - (pt.err + trial.err):
-                return trial, trial_barrier
+        if t < t_max:
+            y = pt.y + t * step
+            trial_barrier = _log_det_barrier(prob.lmi, y)
+            # None only where rounding puts a step just short of t_max outside.
+            if trial_barrier is not None:
+                trial = prob.point(y)
+                gain = trial.h + mu * trial_barrier.value - phi
+                if gain >= 0.25 * t * dec - (pt.err + trial.err):
+                    return trial, trial_barrier
         t *= 0.5
     return None
 
 
 def _minimax_newton(
-    state: EvaluatedState, w_mat: np.ndarray, strategy: str, max_steps: int
+    state: EvaluatedState,
+    weight: tuple[np.ndarray, linalg.EigenSystem],
+    strategy: str,
+    max_steps: int,
 ) -> MinimizeResult:
-    """max_y h(y) by damped Newton on h + mu log det(I - M^+ M), mu -> 0.
+    """max_y h(y) by damped Newton on h + mu log det A(y), mu -> 0.
 
     Every point gives a certified h(y) below the minimum C and a feasible
     X*(y) with f(X*(y)) >= C.  The loop stops when the best pair is within
     MINIMAX_RTOL, when the barrier weight has reached its floor at a
     central point or with no gain left above the rounding level of h, or
-    when no step raises the barrier objective.
+    when no step raises the barrier objective or the Newton system is
+    singular, as it can turn near ||M|| = 1.
     """
-    prob = _MinimaxProblem(state, w_mat, strategy)
+    prob = _MinimaxProblem(state, weight, strategy)
     pt = prob.point(np.zeros(len(prob.e)))  # X*(0) is the canonical start
-    barrier = _log_det_barrier(prob.e, pt.y)
+    barrier = _log_det_barrier(prob.lmi, pt.y)
     # The barrier moves h by about mu times its parameter, twice the side
     # of M; the floor keeps that far below the stopping gap.
     mu = 0.1 * pt.h / (2 * prob.e.shape[1])
@@ -598,14 +656,17 @@ def _minimax_newton(
         if converged or steps == max_steps:
             break
         steps += 1
-        step, dec, cen = _newton_step(pt, barrier, mu)
-        # Near the central point of this mu, or no gain left above the
-        # rounding level of h: lower mu.
-        if cen <= mu or dec <= pt.err:
-            if mu == mu_min:
-                break
-            mu = max(0.1 * mu, mu_min)
+        try:
             step, dec, cen = _newton_step(pt, barrier, mu)
+            # Near the central point of this mu, or no gain left above the
+            # rounding level of h: lower mu.
+            if cen <= mu or dec <= pt.err:
+                if mu == mu_min:
+                    break
+                mu = max(0.1 * mu, mu_min)
+                step, dec, cen = _newton_step(pt, barrier, mu)
+        except np.linalg.LinAlgError:
+            break
         moved = _line_search(prob, pt, barrier, mu, step, dec)
         if moved is None:
             break
@@ -643,13 +704,13 @@ def minimize_bound(
     """
     cfg = config or MinimizeConfig()
     n = fisher.n
-    w_mat = _check_weight(cfg.w, n)
+    weight = _check_weight(cfg.w, n)
     # A nonzero PSD W gives h(0) >= Tr(W F_Q^-1) > 0, which sets the
     # barrier weight; at W = 0 every functional is 0 and the solver has no scale.
-    if float(np.max(np.linalg.eigvalsh(w_mat))) <= 0.0:
+    if float(weight[1].values[-1]) <= 0.0:
         raise InvalidWeight("minimize_bound needs a nonzero weight matrix")
     if cfg.strategy not in ("holevo", "nagaoka"):
         raise InvalidN(f"unknown strategy {cfg.strategy!r}")
     if cfg.strategy == "nagaoka" and n != 2:
         raise InvalidN("the Nagaoka strategy is defined for n = 2")
-    return _minimax_newton(state, w_mat, cfg.strategy, cfg.max_iters)
+    return _minimax_newton(state, weight, cfg.strategy, cfg.max_iters)

@@ -18,3 +18,18 @@ def test_descent_demo_prints_certified_interval(strategy, capsys):
     h, f = (float(v) for v in interval.split(","))
     assert h <= f
     assert "gap f - h" in out
+
+
+def test_descent_demo_scan_counts_every_run(capsys):
+    # One seed of the robustness scan: 36 runs, none raising.
+    demo = runpy.run_path(os.path.join(SCRIPTS, "holevo_descent_demo.py"))
+    demo["main"](["--scan", "1"])
+    out = capsys.readouterr().out
+    counts = {
+        key.strip(): int(value.split()[0])
+        for key, value in (line.split(":", 1) for line in out.splitlines())
+    }
+    assert counts["runs"] == 36
+    assert counts["converged"] + counts["not converged"] == 36
+    assert counts["raised"] == 0
+    assert counts["Newton steps"] > 0

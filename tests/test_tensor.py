@@ -104,6 +104,14 @@ class TestBuildCollective:
             build_collective(st, [SIGMA1], 6, dim_cap=6)
         build_collective(st, [SIGMA1], 6, dim_cap=7)
 
+    def test_operator_shapes_checked(self, qubit_state):
+        # Ragged or wrongly sized operators are refused before any block
+        # is built, as for C_p^RLD in the block walk.
+        st = qubit_state(0.2)
+        for ops in ([np.eye(2), np.eye(3)], [np.eye(3), np.eye(3)]):
+            with pytest.raises(DimMismatch):
+                build_collective(st, ops, 1)
+
     def test_builds_no_blocks(self, qutrit_state, cold_gt_cache):
         # The irrep blocks at p = 12 would take about 16 MB if stored.
         st, _ = qutrit_state("qutrit8")

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
-from qmetro import linalg, variational
+from qmetro import cli, linalg, variational
 from qmetro.errors import (
     DegenerateConstraints,
     DimMismatch,
@@ -19,7 +21,7 @@ from qmetro.random_instances import (
     random_traceless_hermitian,
 )
 from qmetro.scenarios import SIGMA1, SIGMA2, SIGMA3, build_scenario, parse_scenario
-from qmetro.states import EvaluatedState, StateFamily, evaluate
+from qmetro.states import EvaluatedState, StateFamily, evaluate, load_family
 from qmetro.tensor import AlignEntry
 from qmetro.variational import (
     LocalMeasurement,
@@ -37,11 +39,25 @@ from qmetro.variational import (
 )
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
 def _random_state(rng, d=None, n=None):
     d = d or int(rng.integers(2, 5))
     n = n or int(rng.integers(2, 4))
     fam = random_linear_family(d, n, rng)
     return evaluate(fam, np.zeros(n))
+
+
+def _problem(st, w, strategy):
+    return variational._MinimaxProblem(st, variational._check_weight(w, st.n), strategy)
+
+
+def _dual_at_norm(prob, rng, norm):
+    """A random dual matrix M = sum_a y_a E_a with ||M|| = norm, and its y."""
+    y = rng.standard_normal(len(prob.e))
+    y *= norm / np.linalg.norm(np.tensordot(y, prob.e, 1), 2)
+    return np.tensordot(y, prob.e, 1), y
 
 
 class TestObservablesFromMeasurement:
@@ -524,21 +540,124 @@ class TestHolevoSolver:
         rng = np.random.default_rng(139)
         st = _random_state(rng, d=3, n=n)
         _, fisher, _ = sld_analysis(st)
-        prob = variational._MinimaxProblem(st, fisher.f_q, strategy)
+        prob = _problem(st, fisher.f_q, strategy)
         m = len(prob.e)
         u = scale * rng.standard_normal(m)
         pt = prob.point(u)
-        barrier = variational._log_det_barrier(prob.e, u)
+        barrier = variational._log_det_barrier(prob.lmi, u)
         eps = 1e-6
         for a, step in enumerate(np.eye(m) * eps):
             hi, lo = prob.point(u + step), prob.point(u - step)
             assert (hi.h - lo.h) / (2 * eps) == pytest.approx(pt.grad[a], abs=1e-7)
             assert np.allclose((hi.grad - lo.grad) / (2 * eps), pt.hess[a], atol=1e-7)
-            b_hi = variational._log_det_barrier(prob.e, u + step)
-            b_lo = variational._log_det_barrier(prob.e, u - step)
-            assert (b_hi[0] - b_lo[0]) / (2 * eps) == pytest.approx(barrier[1][a], abs=1e-7)
-            assert np.allclose((b_hi[1] - b_lo[1]) / (2 * eps), barrier[2][a], atol=1e-7)
-        assert variational._log_det_barrier(prob.e, np.eye(m)[0]) is None
+            b_hi = variational._log_det_barrier(prob.lmi, u + step)
+            b_lo = variational._log_det_barrier(prob.lmi, u - step)
+            assert (b_hi.value - b_lo.value) / (2 * eps) == pytest.approx(
+                barrier.grad[a], abs=1e-7
+            )
+            assert np.allclose((b_hi.grad - b_lo.grad) / (2 * eps), barrier.hess[a], atol=1e-7)
+        assert variational._log_det_barrier(prob.lmi, np.eye(m)[0]) is None
+
+    @pytest.mark.parametrize("strategy, n", [("holevo", 2), ("holevo", 3), ("holevo", 4),
+                                             ("nagaoka", 2)])
+    def test_lmi_barrier_is_log_det_of_schur_complement(self, strategy, n):
+        # log det [[I, M], [M+, I]] = log det(I - M+ M), computed directly.
+        rng = np.random.default_rng(167)
+        st = _random_state(rng, d=3, n=n)
+        _, fisher, _ = sld_analysis(st)
+        prob = _problem(st, fisher.f_q, strategy)
+        for norm in (0.3, 0.9, 0.999):
+            m_mat, y = _dual_at_norm(prob, rng, norm)
+            sign, direct = np.linalg.slogdet(np.eye(len(m_mat)) - m_mat.conj().T @ m_mat)
+            assert sign == pytest.approx(1.0, abs=1e-12)
+            barrier = variational._log_det_barrier(prob.lmi, y)
+            assert barrier.value == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("strategy, n", [("holevo", 3), ("nagaoka", 2)])
+    def test_step_to_boundary_matches_bisection(self, strategy, n):
+        # t_max = -1/lambda_min of the whitened step is where ||M(y + t s)||
+        # first reaches 1; ||M(y + t s)|| is convex in t and starts below 1.
+        rng = np.random.default_rng(173)
+        st = _random_state(rng, d=3, n=n)
+        _, fisher, _ = sld_analysis(st)
+        prob = _problem(st, fisher.f_q, strategy)
+
+        def norm(y):
+            return np.linalg.norm(np.tensordot(y, prob.e, 1), 2)
+
+        for _ in range(4):
+            _, y = _dual_at_norm(prob, rng, 0.6)
+            step = rng.standard_normal(len(prob.e))
+            t_max = variational._step_to_boundary(variational._log_det_barrier(prob.lmi, y), step)
+            lo, hi = 0.0, 1.0
+            while norm(y + hi * step) < 1.0:
+                hi *= 2.0
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if norm(y + mid * step) < 1.0 else (lo, mid)
+            assert t_max == pytest.approx(lo, rel=1e-10)
+        barrier = variational._log_det_barrier(prob.lmi, y)
+        assert variational._step_to_boundary(barrier, np.zeros(len(prob.e))) == np.inf
+
+    def test_line_search_stays_inside_on_panel(self, monkeypatch):
+        # The dual optimum sits on ||M|| = 1; the line search skips the steps
+        # past it, so every barrier it evaluates is at ||M|| < 1.  The panel
+        # is the benchmark's 12 random families.
+        evaluated = []
+        barrier = variational._log_det_barrier
+
+        def recording(lmi, y):
+            evaluated.append(np.linalg.norm(np.tensordot(y, lmi, 1), 2))  # = ||M||
+            return barrier(lmi, y)
+
+        monkeypatch.setattr(variational, "_log_det_barrier", recording)
+        rng = np.random.default_rng(20240901)
+        for i in range(12):
+            d, n = (2, 3, 4)[i % 3], 2 + (i // 3) % 2
+            st = evaluate(random_linear_family(d, n, rng), np.zeros(n))
+            slds, fisher, _ = sld_analysis(st)
+            res = minimize_bound(st, slds, fisher, MinimizeConfig(w=fisher.f_q))
+            assert res.converged
+        assert len(evaluated) > 12
+        assert max(evaluated) < 1.0
+
+    def test_singular_newton_system_ends_ascent(self, monkeypatch):
+        # d = 2, n = 3 leaves no freedom, so the Hessian of h is exactly 0;
+        # with a zero barrier Hessian the Newton system is exactly singular.
+        st = _random_state(np.random.default_rng(139), d=2, n=3)
+        slds, fisher, _ = sld_analysis(st)
+        barrier = variational._log_det_barrier
+        monkeypatch.setattr(
+            variational,
+            "_log_det_barrier",
+            lambda lmi, y: barrier(lmi, y)._replace(hess=np.zeros((len(y), len(y)))),
+        )
+        res = minimize_bound(st, slds, fisher, MinimizeConfig(w=fisher.f_q))
+        assert res.iterations == 1
+        assert res.lower <= res.value
+        assert res.converged == (res.gap <= variational.MINIMAX_RTOL * res.value)
+
+    @pytest.mark.parametrize(
+        "name, strategy, use_fq",
+        [("d4_n4", "holevo", True), ("d3_n4", "holevo", False), ("d3_n2", "nagaoka", False)],
+    )
+    def test_singular_newton_families(self, name, strategy, use_fq):
+        # Families of the robustness scan whose Newton system turns singular
+        # near ||M|| = 1; the solver used to raise LinAlgError on them.
+        fam, x0 = load_family(os.path.join(DATA, f"singular_newton_{name}.json"))
+        st = evaluate(fam, x0)
+        slds, fisher, _ = sld_analysis(st)
+        w = fisher.f_q if use_fq else np.eye(fam.n)
+        res = minimize_bound(st, slds, fisher, MinimizeConfig(strategy, w=w))
+        assert res.lower <= res.value
+        assert res.gap <= 2e-9 * res.value
+
+    def test_singular_newton_family_cli(self, tmp_path):
+        path = os.path.join(DATA, "singular_newton_d4_n4.json")
+        out = tmp_path / "out.csv"
+        argv = ["bounds", "--input", path, "--p", "1", "--bounds", "variational"]
+        assert cli.main(argv + ["--output", str(out)]) == 0
+        assert "variational" in out.read_text()
 
     def test_derivatives_empty_null_space(self):
         # d = 2, n = 3: the n + 1 constraints per X_j leave no freedom in
@@ -547,7 +666,7 @@ class TestHolevoSolver:
         rng = np.random.default_rng(139)
         st = _random_state(rng, d=2, n=3)
         _, fisher, _ = sld_analysis(st)
-        prob = variational._MinimaxProblem(st, fisher.f_q, "holevo")
+        prob = _problem(st, fisher.f_q, "holevo")
         assert prob.null.shape == (prob.nd, 0)
         m = len(prob.e)
         u = 0.2 * rng.standard_normal(m)
@@ -578,7 +697,7 @@ class TestHolevoSolver:
             strategy, d, n = case.split("-")
             st = _random_state(rng, d=int(d[1:]), n=int(n[1:]))
         _, fisher, _ = sld_analysis(st)
-        prob = variational._MinimaxProblem(st, fisher.f_q, strategy)
+        prob = _problem(st, fisher.f_q, strategy)
         n, nd, m = st.n, prob.nd, len(prob.e)
         frame = np.array([st.rho] + list(st.derivs))
         f_mat = np.real(np.einsum("rij,aji->ra", frame, prob.basis))
