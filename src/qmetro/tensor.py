@@ -491,19 +491,70 @@ def compositions(total: int, parts: int) -> np.ndarray:
     """All occupation vectors of ``parts`` nonnegative ints summing to
     ``total``, one per row, in lexicographic order.
 
-    Built one column at a time: a row with ``r`` still to place expands,
-    in place, into ``r + 1`` rows whose next entry runs 0..r; the last
+    Built one column at a time: a prefix with ``r`` still to place has
+    ``r + 1`` children whose next entry runs 0..r, and a child with ``r'``
+    left heads composition_count(r', columns after it) consecutive rows,
+    so each column is written once into the preallocated array; the last
     column takes what remains.
     """
-    out = np.zeros((1, 0), dtype=np.int64)
+    out = np.empty((composition_count(total, parts), parts), dtype=np.int64)
+    # spans[c][r] = composition_count(r, c + 1), by the hockey-stick identity
+    spans = [np.ones(total + 1, dtype=np.int64)]
+    for _ in range(parts - 2):
+        spans.append(np.cumsum(spans[-1]))
     rest = np.array([total], dtype=np.int64)
-    for _ in range(parts - 1):
+    for col in range(parts - 1):
         counts = rest + 1
         row = np.repeat(np.arange(rest.size), counts)
         k = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        out = np.column_stack((out[row], k))
         rest = rest[row] - k
-    return np.column_stack((out, rest))
+        out[:, col] = np.repeat(k, spans[parts - col - 2][rest])
+    out[:, -1] = rest
+    return out
+
+
+def _occupation_law(p: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The occupation vectors k of p draws over ``len(values)`` outcomes,
+    as float rows in lexicographic order, and their multinomial weights
+    multinomial(p; k) prod_i values_i^k_i, accumulated in log space."""
+    occupations = compositions(p, len(values))
+    log_fact = np.array([math.lgamma(i + 1) for i in range(p + 1)])
+    log_w = (
+        log_fact[p]
+        - np.sum(log_fact[occupations], axis=1)
+        + occupations @ np.log(values)
+    )
+    return occupations.astype(float), np.exp(log_w)
+
+
+def _pair_sums(
+    rows: np.ndarray, freq: np.ndarray, table: np.ndarray, spread: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """S_q = sum_r freq_r v_rq with v_rq = 1/2 |rows_r . c_q| for every
+    column c_q of the commutator ``table``, and with ``spread`` the
+    weighted squared deviations sum_r freq_r (v_rq - S_q / sum_r freq_r)^2.
+
+    The pairs go in stacks of about STACK_BYTES of v (at least one pair),
+    each stack one stacked matrix-vector product per pair, so a pair's
+    sum is rounded as it would be alone whatever the stack size.
+    """
+    cols = table.T.copy()  # (pairs, m), one contiguous row per pair
+    sums = np.empty(len(cols))
+    devs = np.empty(len(cols)) if spread else None
+    total = float(np.sum(freq))
+    size = max(1, STACK_BYTES // (8 * len(rows)))
+    for start in range(0, len(cols), size):
+        st = slice(start, start + size)
+        vals = rows @ cols[st, :, None]  # (stack, rows, 1)
+        np.abs(vals, out=vals)
+        vals = vals.reshape(len(vals), 1, -1)
+        sums[st] = 0.5 * (vals @ freq)[:, 0]
+        if spread:
+            vals *= 0.5
+            vals -= (sums[st] / total)[:, None, None]
+            vals *= vals
+            devs[st] = (vals @ freq)[:, 0]
+    return sums, devs
 
 
 def compute_tp_exact(
@@ -516,10 +567,11 @@ def compute_tp_exact(
 
     (T_p)_{jk} = 1/2 sum_k multinomial(p; k) prod_i lambda_i^{k_i}
                  |sum_i k_i <Psi_i|[L~_j, L~_k]|Psi_i>|,
-    exact to floating precision (no sampling).  Multinomial weights are
-    accumulated in log space.  The count is checked against ``enum_cap``
-    before anything is allocated; the pairs then share one occupation
-    array and one commutator table, read one pair at a time.
+    exact to floating precision (no sampling).  The count is checked
+    against ``enum_cap`` before anything is allocated; the occupation law
+    (:func:`_occupation_law`, weights in log space) and one commutator
+    table serve every pair, read by :func:`_pair_sums` a stack of pairs
+    at a time.
     """
     m = state.support_rank
     count = composition_count(p, m)
@@ -528,16 +580,8 @@ def compute_tp_exact(
             f"{count} occupation vectors exceed enumeration cap {enum_cap}"
         )
     table = _pair_commutator_table(state, tilde_ops)
-    occupations = compositions(p, m)
-    log_fact = np.array([math.lgamma(i + 1) for i in range(p + 1)])
-    log_w = (
-        log_fact[p]
-        - np.sum(log_fact[occupations], axis=1)
-        + occupations @ np.log(state.support_values)
-    )
-    weights = np.exp(log_w)
-    occupations = occupations.astype(float)
-    pairs = [0.5 * float(weights @ np.abs(occupations @ c)) for c in table.T]
+    occupations, weights = _occupation_law(p, state.support_values)
+    pairs, _ = _pair_sums(occupations, weights, table)
     return TradeoffMatrix(
         kind="T",
         p=p,
@@ -554,33 +598,39 @@ def compute_tp_monte_carlo(
     seed: int,
 ) -> TradeoffMatrix:
     """Monte Carlo T_p: sample mean of 1/2 |sum_r c_{v_r}| over iid
-    eigenvector draws v_1..v_p, with a per-entry standard error in
-    ``meta["stderr"]``.
+    eigenvector draws v_1..v_p, with a per-entry standard error (ddof=1)
+    in ``meta["stderr"]``.
 
-    One call draws one ``multinomial(p, lambda, size=samples)`` matrix of
-    occupation vectors from ``default_rng(seed)`` and every entry reads
-    it, so each entry is an unbiased mean with its own standard error
-    (entries are correlated with each other).  The same seed gives the
-    same matrix.
+    One call makes one draw of ``samples`` occupation vectors from
+    ``default_rng(seed)``, and every entry reads it, so each entry is an
+    unbiased mean with its own standard error (entries are correlated
+    with each other).  When the occupation law has at most ``samples``
+    vectors (composition_count(p, rank) <= samples), the draw is their
+    histogram, one ``multinomial(samples, law)``; otherwise it is one
+    ``multinomial(p, lambda, size=samples)`` matrix of vectors.  Either
+    way nothing larger than a ``samples``-row matrix is built, and the
+    same seed gives the same matrix.
     """
     if samples < 1:
         raise EnumerationOverflow(f"samples must be >= 1, got {samples}")
     lam = state.support_values
-    counts = np.random.default_rng(seed).multinomial(p, lam / float(np.sum(lam)), size=samples)
-    counts = counts.astype(float)
+    rng = np.random.default_rng(seed)
+    if composition_count(p, len(lam)) <= samples:
+        rows, law = _occupation_law(p, lam)
+        freq = rng.multinomial(samples, law / float(np.sum(law))).astype(float)
+    else:
+        rows = rng.multinomial(p, lam / float(np.sum(lam)), size=samples).astype(float)
+        freq = np.ones(samples)
     table = _pair_commutator_table(state, tilde_ops)
-    means = np.empty(table.shape[1])
-    errs = np.zeros(table.shape[1])
-    for q, c in enumerate(table.T):
-        vals = 0.5 * np.abs(counts @ c)
-        means[q] = np.mean(vals)
-        if samples > 1:
-            errs[q] = np.std(vals, ddof=1) / math.sqrt(samples)
+    sums, devs = _pair_sums(rows, freq, table, spread=True)
+    errs = np.zeros(len(sums))
+    if samples > 1:
+        errs = np.sqrt(devs / (samples - 1)) / math.sqrt(samples)
     n = len(tilde_ops)
     return TradeoffMatrix(
         kind="T",
         p=p,
-        entries=_pair_matrix(n, means),
+        entries=_pair_matrix(n, sums / samples),
         meta={"method": "monte_carlo", "samples": samples, "seed": seed,
               "stderr": _pair_matrix(n, errs)},
     )

@@ -835,6 +835,125 @@ class TestComputeTp:
         assert not np.array_equal(a.entries, c.entries)
 
 
+def qutrit8_tilde(delta):
+    fam = build_scenario(parse_scenario("qutrit8", delta=delta))
+    st = evaluate(fam, np.zeros(fam.n))
+    return st, sld_analysis(st)[2]
+
+
+@pytest.fixture
+def pair_sums_spy(monkeypatch):
+    """Records the (rows, freq) of every ``tensor._pair_sums`` call."""
+    calls = []
+    inner = tensor._pair_sums
+
+    def spy(rows, freq, table, spread=False):
+        calls.append((rows.copy(), freq.copy()))
+        return inner(rows, freq, table, spread)
+
+    monkeypatch.setattr(tensor, "_pair_sums", spy)
+    return calls
+
+
+class TestMonteCarloDraw:
+    """The histogram draw (occupation law no longer than ``samples``) and
+    the per-sample draw (otherwise) of compute_tp_monte_carlo."""
+
+    def test_histogram_sums_to_samples(self, pair_sums_spy):
+        st, tilde = qutrit8_tilde(0.3)
+        compute_tp_monte_carlo(st, tilde, 20, samples=3001, seed=5)
+        (rows, freq), = pair_sums_spy
+        assert len(rows) == tensor.composition_count(20, st.support_rank)
+        assert np.array_equal(rows, tensor.compositions(20, st.support_rank))
+        assert freq.sum() == 3001
+        assert np.array_equal(freq, np.round(freq)) and freq.min() >= 0
+
+    @pytest.mark.parametrize("p, samples", [(1, 3), (6, 400), (20, 3001)])
+    def test_histogram_matches_expanded_samples(self, pair_sums_spy, p, samples):
+        # The histogram's mean and ddof=1 stderr are those of the samples
+        # it counts, each occupation repeated as often as it was drawn.
+        st, tilde = qutrit8_tilde(0.3)
+        mc = compute_tp_monte_carlo(st, tilde, p, samples=samples, seed=11)
+        (rows, freq), = pair_sums_spy
+        assert len(rows) == tensor.composition_count(p, st.support_rank) <= samples
+        expanded = np.repeat(rows, freq.astype(np.int64), axis=0)
+        table = tensor._pair_commutator_table(st, tilde)
+        for q, (j, k) in enumerate(itertools.combinations(range(8), 2)):
+            vals = 0.5 * np.abs(expanded @ table[:, q])
+            stderr = np.std(vals, ddof=1) / math.sqrt(samples)
+            assert mc.entries[j, k] == pytest.approx(np.mean(vals), rel=1e-12, abs=1e-12)
+            assert mc.meta["stderr"][j, k] == pytest.approx(stderr, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("p, samples, histogram", [(10, 2000, True), (200, 1000, False)])
+    def test_both_draws_repeatable_and_near_exact(self, pair_sums_spy, p, samples, histogram):
+        st, tilde = qutrit8_tilde(0.3)
+        exact = compute_tp_exact(st, tilde, p)
+        a = compute_tp_monte_carlo(st, tilde, p, samples=samples, seed=2025)
+        b = compute_tp_monte_carlo(st, tilde, p, samples=samples, seed=2025)
+        rows = pair_sums_spy[1][0]
+        law = tensor.composition_count(p, st.support_rank)
+        assert len(rows) == (law if histogram else samples)
+        assert a.entries.tobytes() == b.entries.tobytes()
+        assert a.meta["stderr"].tobytes() == b.meta["stderr"].tobytes()
+        se = a.meta["stderr"]
+        for j, k in itertools.combinations(range(8), 2):
+            assert abs(a.entries[j, k] - exact.entries[j, k]) <= 6.0 * se[j, k] + 1e-12
+
+    @pytest.mark.parametrize("samples", [5000, 20])
+    def test_tiny_eigenvalue_draws(self, samples):
+        # A 1e-12 eigenvalue inside the support: its law weights underflow
+        # at large p, and the draw takes it in either form.
+        rho = np.diag([0.6 - 1e-12, 0.4, 1e-12]).astype(complex)
+        gens = [scenarios.GELL_MANN[0] / 2, scenarios.GELL_MANN[1] / 2, scenarios.GELL_MANN[3] / 2]
+        st = evaluate(StateFamily.linear(rho, gens), np.zeros(3), rank_tol=1e-14)
+        assert st.support_rank == 3
+        _, _, tilde = sld_analysis(st)
+        for p in (3, 40):
+            exact = compute_tp_exact(st, tilde, p)
+            mc = compute_tp_monte_carlo(st, tilde, p, samples=samples, seed=3)
+            assert np.all(np.isfinite(mc.entries)) and np.all(np.isfinite(mc.meta["stderr"]))
+            se = mc.meta["stderr"]
+            assert np.all(np.abs(mc.entries - exact.entries) <= 6.0 * se + 1e-9)
+
+    def test_pure_state_draws(self, pair_sums_spy):
+        ket = np.array([1.0, 0.0])
+        fam = StateFamily.linear(np.outer(ket, ket), [SIGMA1 / 2, SIGMA2 / 2])
+        st = evaluate(fam, np.zeros(2))
+        _, _, tilde = sld_analysis(st)
+        mc = compute_tp_monte_carlo(st, tilde, 30, samples=1, seed=0)
+        (rows, freq), = pair_sums_spy
+        assert rows.tolist() == [[30.0]] and freq.tolist() == [1.0]
+        assert np.allclose(mc.entries, compute_tp_exact(st, tilde, 30).entries, atol=1e-12)
+        assert np.all(mc.meta["stderr"] == 0.0)
+
+
+class TestPairSums:
+    def test_stack_size_does_not_round(self, monkeypatch):
+        # Each pair is its own matrix-vector product, so the stacking of
+        # pairs leaves every exact T_p entry bit for bit as it was.
+        st, tilde = qutrit8_tilde(0.3)
+        table = tensor._pair_commutator_table(st, tilde)
+        rows, weights = tensor._occupation_law(40, st.support_values)
+        alone = [0.5 * float(weights @ np.abs(rows @ c)) for c in table.T]
+        for stack_bytes in (1, 3 * 8 * len(rows), 1 << 30):
+            monkeypatch.setattr(tensor, "STACK_BYTES", stack_bytes)
+            sums, _ = tensor._pair_sums(rows, weights, table)
+            assert sums.tobytes() == np.array(alone).tobytes()
+
+    def test_exact_tp_working_set(self):
+        # qutrit8 at p = 200: 20 301 occupations and 28 pairs.  All pairs
+        # in one (occupations x pairs) product would take over 9 MiB.
+        st, tilde = qutrit8_tilde(0.3)
+        compute_tp_exact(st, tilde, 200)  # warm the caches
+        tracemalloc.start()
+        try:
+            compute_tp_exact(st, tilde, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
+
+
 class TestLimit:
     def test_qubit_delta_zero(self, qubit_state):
         st = qubit_state(0.0)
