@@ -10,7 +10,8 @@ seed s the generator default_rng(1000 + s) draws random_linear_family
 at d = 2..5 and n = 2..min(5, d^2 - 1), in that order, and every family
 is solved with W = F_Q and W = I, Holevo always and Nagaoka at n = 2
 (36 runs per seed).  It prints how many runs converged, did not converge
-or raised, and the total Newton steps:
+or raised, the total Newton steps and the largest relative gap
+(f - h) / f among the runs that did not converge (0 if every run did):
 
   python3 scripts/holevo_descent_demo.py --scan 20
 """
@@ -32,6 +33,7 @@ SCAN_SEED_BASE = 1000
 
 def scan(seeds: int, max_iters: int) -> None:
     converged = not_converged = raised = steps = 0
+    worst_gap = 0.0
     for s in range(seeds):
         rng = np.random.default_rng(SCAN_SEED_BASE + s)
         for d in range(2, 6):
@@ -50,11 +52,14 @@ def scan(seeds: int, max_iters: int) -> None:
                         converged += result.converged
                         not_converged += not result.converged
                         steps += result.iterations
+                        if not result.converged:
+                            worst_gap = max(worst_gap, result.gap / result.value)
     print(f"runs            : {converged + not_converged + raised} over {seeds} seeds")
     print(f"converged       : {converged}")
     print(f"not converged   : {not_converged}")
     print(f"raised          : {raised}")
     print(f"Newton steps    : {steps}")
+    print(f"largest gap (not converged): {worst_gap:.3e}")
 
 
 def main(argv: list[str] | None = None) -> None:

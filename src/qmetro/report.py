@@ -32,6 +32,7 @@ from .tensor import (
     block_pass,
     block_sweep,
     build_collective,
+    composition_count,
     compute_cp,
     compute_fbar_im,
     compute_tp_exact,
@@ -130,15 +131,21 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
                 tp = compute_tp_exact(state, tilde, p, enum_cap=config.enum_cap)
                 meta = {"method": "exact"}
             except EnumerationOverflow:
-                warnings.warn(
-                    f"exact T_{p} enumeration exceeds cap; switching to Monte Carlo",
-                    stacklevel=2,
-                )
-                tp = compute_tp_monte_carlo(
-                    state, tilde, p, config.mc_samples, config.seed
-                )
-                meta = {"method": "monte_carlo", "fallback": "enum_cap",
-                        "stderr_max": _stderr_max(tp)}
+                # Monte Carlo enumerates a law of at most mc_samples vectors
+                # anyway, so such a law is summed exactly at the same cost.
+                if composition_count(p, state.support_rank) <= config.mc_samples:
+                    tp = compute_tp_exact(state, tilde, p, enum_cap=config.mc_samples)
+                    meta = {"method": "exact", "fallback": "enum_cap"}
+                else:
+                    warnings.warn(
+                        f"exact T_{p} enumeration exceeds cap; switching to Monte Carlo",
+                        stacklevel=2,
+                    )
+                    tp = compute_tp_monte_carlo(
+                        state, tilde, p, config.mc_samples, config.seed
+                    )
+                    meta = {"method": "monte_carlo", "fallback": "enum_cap",
+                            "stderr_max": _stderr_max(tp)}
             entries.append(gb.BoundEntry("tp", gb.tp_bound(tp, n), "upper", p, meta=meta))
         if "tp_mc" in which:
             tp = compute_tp_monte_carlo(state, tilde, p, config.mc_samples, config.seed)

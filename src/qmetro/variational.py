@@ -16,16 +16,20 @@ and a Hermitian d x d M for Nagaoka (n = 2), whose term is
 kappa Im Tr(sqrt(rho) M sqrt(rho) X_1 X_2), kappa = 2 sqrt(det W).  So the
 minimum C = max_M h(M), where h(M) is the minimum over X of a quadratic
 form under the unbiasedness constraints.  The constraints do not depend
-on M, so they are solved once, and each h(M) is one eigendecomposition
-of the form restricted to their null space.  Each h(M) is a certified
-lower bound on C and hence on nu Tr[W Cov]; the minimizing X*(M) is
-feasible, so f(X*(M)) >= C is an upper estimate.  One damped Newton
+on M, so they are solved once.  Neither does the form's kernel on their
+null space (ker W, and the X with X sqrt(rho) = 0), so it is projected
+out once too; on what remains the form is positive definite for
+||M|| < 1, and each h(M) is one Cholesky factorization.  Each h(M) is a
+certified lower bound on C and hence on nu Tr[W Cov]; the minimizing
+X*(M) is feasible, so f(X*(M)) >= C is an upper estimate.  One damped Newton
 ascent on h closes the interval [h, f] for either functional.  Its
 barrier on ||M|| < 1 is the LMI log det [[I, M], [M^+, I]], equal to
 log det(I - M^+ M): with M = sum_a y_a E_a the matrix is affine in y, so
 one eigendecomposition gives the value, both derivatives and, along a
 Newton step, the exact distance to ||M|| = 1, and the line search never
-evaluates a point outside.  Everything that does not depend on M (the
+evaluates a point outside; a trial point whose form fails to factor
+lies outside to working precision, and the step is halved as for one
+past the boundary.  Everything that does not depend on M (the
 constraint solution, the reduced quadratic form's parts, the LMI stack,
 sqrt(W)) is built once per problem.  A Newton system singular to working
 precision, as it can turn near ||M|| = 1, ends the ascent with the best
@@ -403,8 +407,7 @@ def _antisymmetric_basis(n: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _MinimaxPoint:
+class _MinimaxPoint(NamedTuple):
     """One evaluation of the inner minimum at M = sum_a y_a E_a."""
 
     y: np.ndarray
@@ -437,10 +440,20 @@ class _MinimaxProblem:
 
     The constraints do not depend on y, so they are solved once: with the
     SVD of F, which has full row rank n + 1, x = x0 + N z for the
-    minimal-norm solution x0 and the orthonormal null basis N = I_n (x) N_F,
-    of n (d^2 - n - 1) columns.  Each point then minimizes over z alone,
-    N^T K(y) N z = -N^T K(y) x0, a system affine in y whose y-independent
-    parts N^T K_0 N, N^T D_a N, N^T K_0 x0 and N^T D_a x0 are built here.
+    minimal-norm solution x0 and an orthonormal basis N of the null space
+    I_n (x) N_F.  On that space K_0 = K(0) is W (x) A, A = N_F^T Re G N_F.
+    Its kernel, ker W together with the X with X sqrt(rho) = 0, is a
+    kernel of every K(y): K(y) is PSD for ||M|| <= 1 (for Holevo,
+    x^T K(y) x = Tr[(I - iM) sqrt(W) Z sqrt(W)]; for Nagaoka, by
+    Cauchy-Schwarz on the X' = sqrt(W) X) and
+    K(y) = (1 - ||M||) K_0 + ||M|| K(y / ||M||), so the kernel cannot move
+    and the range stays positive definite for ||M|| < 1.  N therefore spans
+    range(W) (x) N_F range(A) only, read off the eigensystems of W and A
+    with the cutoff dim eps max, and N^T K_0 N is their diagonal.  Each
+    point minimizes over z alone, N^T K(y) N z = -N^T K(y) x0, by one
+    Cholesky factorization; the system is affine in y, and its
+    y-independent parts N^T K_0 N, N^T D_a N, N^T K_0 x0 and N^T D_a x0
+    are built here.
     ``lmi`` is the stack F_a = [[0, E_a], [E_a^+, 0]] of the barrier's
     A(y) = I + sum_a y_a F_a = [[I, M], [M^+, I]].
     """
@@ -480,10 +493,14 @@ class _MinimaxProblem:
         f_mat = np.real(np.einsum("rij,aji->ra", frame, self.basis))
         u, sv, vt = np.linalg.svd(f_mat)
         self.f_plus = (vt[: n + 1].T / sv) @ u.T
-        self.null = np.kron(np.eye(n), vt[n + 1 :].T)
+        null_f = vt[n + 1 :].T
+        # Only the range of W (x) A, A = N_F^T Re G N_F, is kept (see above).
+        w_vals, w_vecs = _numerical_range(w_eigen.values, np.real(w_eigen.vectors))
+        a_vals, a_vecs = _numerical_range(*np.linalg.eigh(null_f.T @ np.real(g) @ null_f))
+        self.null = np.kron(w_vecs, null_f @ a_vecs)
         targets = np.eye(n + 1)[1:]  # b_j = e_(j+1)
         self.x0 = self.f_plus[:, 1:].T.reshape(-1)
-        self.k_r0 = self.null.T @ self.k0 @ self.null
+        self.k_r0 = np.diag(np.kron(w_vals, a_vals))
         self.d_r = self.null.T @ self.d @ self.null
         self.rhs0 = -(self.null.T @ (self.k0 @ self.x0))
         self.d_rx0 = (self.d @ self.x0) @ self.null
@@ -498,16 +515,13 @@ class _MinimaxProblem:
         k = self.k0 - _combine(y, self.d)
         k_r = self.k_r0 - _combine(y, self.d_r)
         rhs = self.rhs0 + y @ self.d_rx0
-        # Least squares through the pseudo-inverse, as K_r is singular for
-        # a rank-deficient rho, with numpy's pinv cutoff.  One refinement
+        # K_r = L L^T: positive definite for ||M|| < 1, so a LinAlgError
+        # here says y lies outside to working precision.  One refinement
         # step wins back the accuracy an ill-conditioned K_r costs; the
-        # same eigendecomposition gives the Hessian.
-        vals, vecs = np.linalg.eigh(k_r)
-        keep = np.abs(vals) > 1e-15 * np.max(np.abs(vals), initial=0.0)
-        inv = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
-        k_inv = (vecs * inv) @ vecs.T
-        z = k_inv @ rhs
-        z = z + k_inv @ (rhs - k_r @ z)
+        # same L^-1 gives the Hessian.
+        l_inv = np.linalg.inv(np.linalg.cholesky(k_r))
+        z = l_inv.T @ (l_inv @ rhs)
+        z = z + l_inv.T @ (l_inv @ (rhs - k_r @ z))
         x = self.x0 + self.null @ z
         kx = k @ x
         # The residual of the bordered system [[K, A^T], [A, 0]] at (x, lam)
@@ -530,12 +544,17 @@ class _MinimaxProblem:
         # (linalg.trace_norm treats |A| < 1e-12 as Hermitian).
         dual = _combine(-grad, self.e)
         f = re_term + float(np.sum(np.linalg.svd(dual, compute_uv=False))) / self.e_norm
-        # d2h/dy_a dy_b = -2 (N^T D_a x)^T K_r^+ (N^T D_b x).
-        dxn = dx @ self.null
-        hess = -2.0 * dxn @ k_inv @ dxn.T
-        return _MinimaxPoint(
-            y, h, err, counts, f, x.reshape(self.n, -1), grad, (hess + hess.T) / 2.0
-        )
+        # d2h/dy_a dy_b = -2 (N^T D_a x)^T K_r^-1 (N^T D_b x) = -2 (G^T G)_ab.
+        g_mat = l_inv @ (dx @ self.null).T
+        hess = -2.0 * g_mat.T @ g_mat
+        return _MinimaxPoint(y, h, err, counts, f, x.reshape(self.n, -1), grad, hess)
+
+
+def _numerical_range(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs of a PSD matrix above its rank tolerance,
+    dim eps max|value|."""
+    keep = values > len(values) * _EPS * np.max(np.abs(values), initial=0.0)
+    return values[keep], vectors[:, keep]
 
 
 def _combine(y: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -593,9 +612,10 @@ def _newton_step(
     at the optimum (the Nagaoka minimum of some d >= 3 families).
     Raises LinAlgError when either system is singular to working precision."""
     g = pt.grad + mu * barrier.grad
-    step = np.linalg.solve(-(pt.hess + mu * barrier.hess), g)  # both positive definite
-    cen = float(g @ np.linalg.solve(-barrier.hess, g)) / mu  # inside the ball
-    return step, float(g @ step), cen
+    # Both systems are positive definite inside the ball: one stacked solve.
+    lhs = -np.stack([pt.hess + mu * barrier.hess, barrier.hess])
+    step, inv_g = np.linalg.solve(lhs, np.stack([g, g])[..., None])[..., 0]
+    return step, float(g @ step), float(g @ inv_g) / mu
 
 
 def _line_search(
@@ -610,10 +630,14 @@ def _line_search(
     for _ in range(30):
         if t < t_max:
             y = pt.y + t * step
+            # None, or a K_r(y) that fails to factor, only where rounding puts
+            # a step just short of t_max outside.
             trial_barrier = _log_det_barrier(prob.lmi, y)
-            # None only where rounding puts a step just short of t_max outside.
-            if trial_barrier is not None:
-                trial = prob.point(y)
+            try:
+                trial = None if trial_barrier is None else prob.point(y)
+            except np.linalg.LinAlgError:
+                trial = None
+            if trial is not None:
                 gain = trial.h + mu * trial_barrier.value - phi
                 if gain >= 0.25 * t * dec - (pt.err + trial.err):
                     return trial, trial_barrier

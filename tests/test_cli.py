@@ -38,6 +38,21 @@ class TestBounds:
         assert float(rows[0]["value"]) == pytest.approx(2.25, abs=1e-10)
         assert rows[0]["tightest"] == "true"
 
+    def test_tp_over_enum_cap_sums_a_small_law_exactly(self, tmp_path):
+        # 861 occupation vectors: above --enum-cap, within --mc-samples.  The
+        # fallback used to print a sample mean, 7.97524, as an upper bound
+        # below the exact 7.97556.
+        argv = ["bounds", "--preset", "qutrit8", "--delta", "0.3", "--p", "40",
+                "--bounds", "tp"]
+        capped, exact = tmp_path / "capped.csv", tmp_path / "exact.csv"
+        extra = ["--enum-cap", "100", "--mc-samples", "10000", "--output", str(capped)]
+        assert run_cli(argv + extra) == 0
+        assert run_cli(argv + ["--output", str(exact)]) == 0
+        (row,), (ref,) = read_rows(capped), read_rows(exact)
+        assert json.loads(row["meta"]) == {"fallback": "enum_cap", "kind": "upper",
+                                           "method": "exact"}
+        assert row["value"] == ref["value"] == "7.97556182243"
+
     def test_qutrit_subset_p2(self, tmp_path):
         out = tmp_path / "r.csv"
         assert run_cli(

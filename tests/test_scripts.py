@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 import runpy
 
@@ -26,10 +27,12 @@ def test_descent_demo_scan_counts_every_run(capsys):
     demo["main"](["--scan", "1"])
     out = capsys.readouterr().out
     counts = {
-        key.strip(): int(value.split()[0])
+        key.strip(): float(value.split()[0])
         for key, value in (line.split(":", 1) for line in out.splitlines())
     }
     assert counts["runs"] == 36
     assert counts["converged"] + counts["not converged"] == 36
     assert counts["raised"] == 0
     assert counts["Newton steps"] > 0
+    assert math.isfinite(counts["largest gap (not converged)"])
+    assert counts["largest gap (not converged)"] >= 0.0

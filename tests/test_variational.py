@@ -510,7 +510,7 @@ class TestHolevoSolver:
 
     def test_pure_state(self):
         # rho = |0><0| with derivatives sigma_1/2, sigma_2/2: K is singular,
-        # the reduced system is solved by least squares, and C_H = 2n at W = F_Q.
+        # its kernel (X sqrt(rho) = 0) is projected out, and C_H = 2n at W = F_Q.
         fam = StateFamily.linear(np.diag([1.0, 0.0]).astype(complex), [SIGMA1 / 2, SIGMA2 / 2])
         res, _, _ = self._solve(evaluate(fam, np.zeros(2)))
         assert res.converged
@@ -680,13 +680,19 @@ class TestHolevoSolver:
             assert np.allclose(hi.grad, pt.grad, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "case", ["holevo-d3-n2", "holevo-d4-n3", "nagaoka-d3-n2", "pure-state", "holevo-d2-n3"]
+        "case",
+        ["holevo-d3-n2", "holevo-d4-n3", "nagaoka-d3-n2", "pure-state", "holevo-d2-n3",
+         "holevo-d3-n2-singular", "nagaoka-d3-n2-singular"],
     )
     def test_point_matches_bordered_kkt(self, case):
         # Oracle: the bordered system [[K, A^T], [A, 0]] [x; lam] = [0; b],
         # A = I_n (x) F, solved by least squares.  Its x-block of the inverse
-        # applied to D_b x gives the Hessian -2 (D_a x)^T P (D_b x).
+        # applied to D_b x gives the Hessian -2 (D_a x)^T P (D_b x).  The
+        # point drops the kernel of W and of rho before it factors K_r, so
+        # the cases include a pure state and the singular weight diag(1, 0),
+        # at ||M|| up to 1 - 1e-6.
         rng = np.random.default_rng(163)
+        case, singular = case.removesuffix("-singular"), case.endswith("-singular")
         if case == "pure-state":
             strategy = "holevo"
             fam = StateFamily.linear(
@@ -697,17 +703,17 @@ class TestHolevoSolver:
             strategy, d, n = case.split("-")
             st = _random_state(rng, d=int(d[1:]), n=int(n[1:]))
         _, fisher, _ = sld_analysis(st)
-        prob = _problem(st, fisher.f_q, strategy)
+        prob = _problem(st, np.diag([1.0, 0.0]) if singular else fisher.f_q, strategy)
         n, nd, m = st.n, prob.nd, len(prob.e)
         frame = np.array([st.rho] + list(st.derivs))
         f_mat = np.real(np.einsum("rij,aji->ra", frame, prob.basis))
         a_mat = np.kron(np.eye(n), f_mat)
         zeros = np.zeros((len(a_mat), len(a_mat)))
         rhs = np.concatenate([np.zeros(nd), np.eye(n + 1)[1:].ravel()])
-        for _ in range(3):
+        for norm in (0.6, 0.6, 0.6, 0.99, 1.0 - 1e-6):
             y = rng.standard_normal(m)
             dual = np.tensordot(y, prob.e, 1)
-            y *= 0.6 / np.linalg.norm(dual, 2)  # ||M|| = 0.6
+            y *= norm / np.linalg.norm(dual, 2)
             k = prob.k0 - np.tensordot(y, prob.d, 1)
             kkt = np.block([[k, a_mat.T], [a_mat, zeros]])
             x = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:nd]
@@ -726,6 +732,75 @@ class TestHolevoSolver:
             traces, unbias = variational.constraint_witnesses(ops, st)
             assert np.max(np.abs(traces)) <= 1e-12
             assert np.max(np.abs(unbias)) <= 1e-12
+
+    @pytest.mark.parametrize("strategy, n", [("holevo", 3), ("nagaoka", 2)])
+    def test_point_factors_without_eigensolves(self, strategy, n, monkeypatch):
+        # Each point factors K_r(y) by Cholesky; the only spectral call left
+        # is the SVD of the small dual matrix behind f.
+        rng = np.random.default_rng(181)
+        st = _random_state(rng, d=4, n=n)
+        _, fisher, _ = sld_analysis(st)
+        prob = _problem(st, fisher.f_q, strategy)
+        _, y = _dual_at_norm(prob, rng, 0.9)
+        calls = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            def counted(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _f(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        prob.point(y)
+        assert calls == [("svd", prob.e.shape[1:])]
+
+    def test_line_search_halves_past_a_failed_factorization(self):
+        # A trial whose K_r(y) fails to factor lies outside to working
+        # precision, as a None barrier does: the line search halves t.
+        st = evaluate(random_linear_family(4, 3, np.random.default_rng(20240901)), np.zeros(3))
+        _, fisher, _ = sld_analysis(st)
+        prob = _problem(st, fisher.f_q, "holevo")
+        pt = prob.point(np.zeros(len(prob.e)))
+        barrier = variational._log_det_barrier(prob.lmi, pt.y)
+        mu = 0.1 * pt.h / (2 * prob.e.shape[1])
+        step, dec, _ = variational._newton_step(pt, barrier, mu)
+        point = prob.point
+
+        def failing(y):
+            if np.array_equal(y, pt.y + step):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return point(y)
+
+        full = variational._line_search(prob, pt, barrier, mu, step, dec)
+        assert np.array_equal(full[0].y, pt.y + step)
+        prob.point = failing
+        half = variational._line_search(prob, pt, barrier, mu, step, dec)
+        assert np.array_equal(half[0].y, pt.y + 0.5 * step)
+
+    @pytest.mark.parametrize(
+        "name, strategy, use_fq",
+        [("d4_n4", "holevo", True), ("d3_n4", "holevo", False), ("d3_n2", "nagaoka", False)],
+    )
+    def test_failed_factorizations_never_escape(self, name, strategy, use_fq, monkeypatch):
+        # Every other point fails to factor, from the first trial step on:
+        # the ascent goes on with shorter steps or ends, and its interval
+        # still overlaps the one found without failures.
+        fam, x0 = load_family(os.path.join(DATA, f"singular_newton_{name}.json"))
+        st = evaluate(fam, x0)
+        slds, fisher, _ = sld_analysis(st)
+        config = MinimizeConfig(strategy, w=fisher.f_q if use_fq else np.eye(fam.n))
+        ref = minimize_bound(st, slds, fisher, config)
+        point, count = variational._MinimaxProblem.point, [0]
+
+        def failing(self, y):
+            count[0] += 1
+            if count[0] % 2 == 0:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return point(self, y)
+
+        monkeypatch.setattr(variational._MinimaxProblem, "point", failing)
+        res = minimize_bound(st, slds, fisher, config)
+        assert count[0] > 2
+        assert res.lower <= res.value
+        assert res.lower <= ref.value and ref.lower <= res.value
 
     def test_degenerate_constraints(self):
         # Tr(d_1 rho X) and Tr(d_2 rho X) cannot both be prescribed when the
