@@ -127,10 +127,15 @@ def rld_cp_bound(c_rld: TradeoffMatrix, fisher: FisherData, n: int) -> float:
 
 
 def gamma_inf_lower(fisher: FisherData, n: int) -> float:
-    """Gamma_inf >= n^2 / (n + ||F~_Im||_1)."""
+    """Gamma_inf >= n^2 / (n + ||F~_Im||_1).
+
+    F~_Im is real antisymmetric, so its singular values are the
+    |eigenvalues| of the Hermitian i F~_Im: one ``eigvalsh``.
+    """
     if fisher.n != n:
         raise KindMismatch(f"fisher is {fisher.n}-parameter but n = {n}")
-    return n * n / (n + linalg.trace_norm(tilde_fisher_im(fisher)))
+    norm = float(np.sum(np.abs(np.linalg.eigvalsh(1j * tilde_fisher_im(fisher)))))
+    return n * n / (n + norm)
 
 
 def gamma_inf_upper(fisher: FisherData, n: int) -> float:

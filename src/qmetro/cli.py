@@ -37,6 +37,9 @@ from .tensor import DEFAULT_ENUM_CAP
 
 CSV_COLUMNS = ("scenario", "delta", "p", "bound_name", "value", "tightest", "meta")
 
+#: The encoder of the ``meta`` column, built once: sorted keys, no spaces.
+_META_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class _ConfigError(Exception):
     """Invalid command-line/config-file input (exit code 1)."""
@@ -91,7 +94,7 @@ def _meta_str(meta: dict) -> str:
         if isinstance(v, (np.floating, np.integer)):
             v = v.item()
         clean[k] = v
-    return json.dumps(clean, sort_keys=True, separators=(",", ":"))
+    return _META_ENCODER.encode(clean)
 
 
 def _report_rows(scenario: str, delta: float, entries: Iterable[BoundEntry]) -> list[dict]:

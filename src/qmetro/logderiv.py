@@ -14,6 +14,7 @@ is computed once, with :class:`FisherData`, and shared by every user.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,10 +36,16 @@ QFIM_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class DerivativeSet:
-    """Logarithmic derivatives of one kind for every parameter."""
+    """Logarithmic derivatives of one kind for every parameter; ``stack``
+    holds them as one (n, d, d) array, stacked from ``ops`` unless given."""
 
     kind: str  # "sld" | "rld"
     ops: tuple[np.ndarray, ...]
+    stack: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.stack is None:
+            object.__setattr__(self, "stack", np.asarray(self.ops, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -49,6 +56,8 @@ class FisherData:
     ``f_rld`` complex Hermitian when present.  ``inv_sqrt``, the principal
     F_Q^(-1/2), comes from one eigensolve of ``f_q`` at construction (a
     singular F_Q raises) unless given, as :func:`dataclasses.replace` does.
+    F~_Im is formed on first use of :func:`tilde_fisher_im` and kept,
+    read-only.
     """
 
     f_q: np.ndarray
@@ -66,6 +75,13 @@ class FisherData:
     @property
     def n(self) -> int:
         return self.f_q.shape[0]
+
+    @functools.cached_property
+    def _tilde_im(self) -> np.ndarray:
+        s = self.inv_sqrt
+        out = s @ self.f_im @ s
+        out.flags.writeable = False
+        return out
 
     @property
     def f_rld_re(self) -> np.ndarray:
@@ -87,14 +103,14 @@ def compute_sld(state: EvaluatedState) -> DerivativeSet:
     v = es.vectors
     denom = lam[:, None] + lam[None, :]
     reachable = denom > state.rank_tol
-    drho = np.asarray(state.derivs)
+    drho = state.deriv_stack
     d_eig = dagger(v) @ drho @ v
     l_eig = np.where(reachable, 2.0 * d_eig / np.where(reachable, denom, 1.0), 0.0)
     ops = linalg.hermitian_part(v @ l_eig @ dagger(v))
     residual = np.linalg.norm((ops @ state.rho + state.rho @ ops) / 2.0 - drho, axis=(1, 2))
     message = "SLD reconstruction residual {value:.3e} for parameter {j}"
     linalg.check_each(residual, RECON_ATOL, UnsupportedDerivative, message)
-    return DerivativeSet("sld", tuple(ops))
+    return DerivativeSet("sld", tuple(ops), ops)
 
 
 def compute_rld(state: EvaluatedState) -> DerivativeSet:
@@ -105,7 +121,7 @@ def compute_rld(state: EvaluatedState) -> DerivativeSet:
     RLD-based bound is inapplicable.
     """
     rho_pinv = linalg.pinv_psd(state.rho, rank_tol=state.rank_tol, eigen=state.eigen)
-    drho = np.asarray(state.derivs)
+    drho = state.deriv_stack
     leak = np.linalg.norm((np.eye(state.dim) - state.support_projector) @ drho, axis=(1, 2))
     message = "derivative {j} leaks outside range(rho) by {value:.3e}"
     linalg.check_each(leak, RLD_RANGE_ATOL, RldUndefined, message)
@@ -113,14 +129,14 @@ def compute_rld(state: EvaluatedState) -> DerivativeSet:
     residual = np.linalg.norm(state.rho @ ops - drho, axis=(1, 2))
     message = "RLD defining equation residual {value:.3e} for parameter {j}"
     linalg.check_each(residual, RECON_ATOL, RldUndefined, message)
-    return DerivativeSet("rld", tuple(ops))
+    return DerivativeSet("rld", tuple(ops), ops)
 
 
 def compute_fisher(state: EvaluatedState, slds: DerivativeSet) -> FisherData:
     """SLD quantum Fisher information: F_Q symmetric PSD, F_Im skew."""
     if slds.kind != "sld":
         raise UnsupportedDerivative(f"compute_fisher needs SLDs, got kind={slds.kind!r}")
-    ops = np.asarray(slds.ops)
+    ops = slds.stack
     g = np.einsum("kac,jca->kj", state.rho @ ops, ops)  # Tr(rho L_k L_j) = F_Q + i F_Im
     return FisherData(f_q=(g.real + g.real.T) / 2.0, f_im=(g.imag - g.imag.T) / 2.0)
 
@@ -131,24 +147,26 @@ def compute_rld_fisher(
     """Attach the RLD Fisher matrix Tr(rho L_j^R L_k^R+) to ``fisher``."""
     if rlds.kind != "rld":
         raise UnsupportedDerivative(f"compute_rld_fisher needs RLDs, got {rlds.kind!r}")
-    ops = np.asarray(rlds.ops)
+    ops = rlds.stack
     f = np.einsum("jac,kac->jk", state.rho @ ops, ops.conj())
     return replace(fisher, f_rld=(f + dagger(f)) / 2.0)
 
 
 def reparametrize(dset: DerivativeSet, fisher: FisherData) -> tuple[np.ndarray, ...]:
-    """Tilde operators L~_j = sum_q (F_Q^(-1/2))_{jq} L_q.
+    """Tilde operators L~_j = sum_q (F_Q^(-1/2))_{jq} L_q, from one matrix
+    product on the flattened stack.
 
     Under this symmetric reparametrization the SLD Fisher matrix becomes
     the identity; the same mixing applies to RLD sets.
     """
-    return tuple(np.tensordot(fisher.inv_sqrt, np.asarray(dset.ops), axes=1))
+    ops = dset.stack
+    return tuple((fisher.inv_sqrt @ ops.reshape(len(ops), -1)).reshape(ops.shape))
 
 
 def tilde_fisher_im(fisher: FisherData) -> np.ndarray:
-    """F~_Im = F_Q^(-1/2) F_Im F_Q^(-1/2), the weak-commutativity witness."""
-    s = fisher.inv_sqrt
-    return s @ fisher.f_im @ s
+    """F~_Im = F_Q^(-1/2) F_Im F_Q^(-1/2), the weak-commutativity witness
+    (read-only, formed once per ``fisher``)."""
+    return fisher._tilde_im
 
 
 def sld_analysis(

@@ -9,6 +9,7 @@ as regression fixtures and as CLI presets.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -97,18 +98,35 @@ def parse_scenario(text: str, delta: float = 0.0) -> ScenarioSpec:
 
 
 def build_scenario(spec: ScenarioSpec) -> StateFamily:
-    """The preset's linear state family around x = 0."""
+    """The preset's linear state family around x = 0.  The generators are
+    built and checked once per process (:func:`_preset_family`); a call
+    forms and checks only rho0(delta)."""
     spec.validate()
+    family = _preset_family(spec.kind, spec.subset)
     if spec.kind == "qubit3":
         rho0 = 0.5 * (np.eye(2, dtype=np.complex128) + spec.delta * SIGMA3)
+    else:
+        rho0 = np.eye(3, dtype=np.complex128) / 3.0 + spec.delta * (0.5 * GELL_MANN[2])
+    return family.with_rho0(rho0)
+
+
+@functools.cache
+def _preset_family(kind: str, subset: tuple[int, ...]) -> StateFamily:
+    """The preset's family at delta = 0, kept for the process (one entry
+    per preset) with its arrays read-only, because every call of
+    :func:`build_scenario` shares them."""
+    if kind == "qubit3":
+        rho0 = 0.5 * np.eye(2, dtype=np.complex128)
         gens = [0.5 * s for s in PAULI]
         labels = ("x1", "x2", "x3")
-        return StateFamily.linear(rho0, gens, labels=labels)
-    g3 = 0.5 * GELL_MANN[2]
-    rho0 = np.eye(3, dtype=np.complex128) / 3.0 + spec.delta * g3
-    gens = [0.5 * GELL_MANN[j - 1] for j in spec.subset]
-    labels = tuple(f"x{j}" for j in spec.subset)
-    return StateFamily.linear(rho0, gens, labels=labels)
+    else:
+        rho0 = np.eye(3, dtype=np.complex128) / 3.0
+        gens = [0.5 * GELL_MANN[j - 1] for j in subset]
+        labels = tuple(f"x{j}" for j in subset)
+    family = StateFamily.linear(rho0, gens, labels=labels)
+    for a in (*family.generators, family.deriv_stack):
+        a.flags.writeable = False
+    return family
 
 
 # --- qubit closed forms --------------------------------------------------------

@@ -7,17 +7,24 @@ holding the state, its eigensystem, the support, and the partial
 derivatives (exact for linear families, central finite differences for
 callables).
 
-The n generators or derivatives are validated once, as one (n, d, d)
-stack: Hermiticity and trace are checked on the whole stack at once, and
-each error names the first offending index.  The fields stay tuples of
-(d, d) arrays.  One eigensolve of rho serves the support, the PSD check
-and ``sqrt_rho``.
+Each check runs once per input.  The n generators or derivatives are
+validated as one (n, d, d) stack: Hermiticity and trace are checked on
+the whole stack at once, and each error names the first offending index.
+A linear family's generators are checked once, in
+:meth:`StateFamily.linear`, which keeps their Hermitian part as
+``deriv_stack``; :func:`evaluate` hands that stack to the state as it is
+and checks only rho.  :meth:`EvaluatedState.from_matrices`, the entry for
+outside callers, checks rho and every derivative.  The fields stay tuples
+of (d, d) arrays.  rho's Hermiticity is checked inside :func:`linalg.eigh`,
+whose one eigensolve serves the support, the PSD check and ``sqrt_rho``.
+The CLI presets are built once per process (:mod:`qmetro.scenarios`), so a
+preset call checks only its rho0.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,13 +57,49 @@ def _operator_stack(ms: Sequence[np.ndarray], d: int, label: str, atol: float) -
     return a
 
 
+def _traceless_part(stack: np.ndarray, label: str) -> np.ndarray:
+    """The Hermitian part of a checked operator stack, each operator
+    checked traceless: the derivatives of rho."""
+    herm = linalg.hermitian_part(stack)
+    tr = np.abs(np.trace(herm, axis1=1, axis2=2))
+    message = f"{label} {{j}} has trace {{value:.3e}}, expected 0"
+    linalg.check_each(tr, DERIV_TRACE_ATOL, InvalidState, message)
+    return herm
+
+
+def _checked_rho0(rho0: np.ndarray) -> np.ndarray:
+    """rho0 as a complex Hermitian matrix of unit trace."""
+    rho0 = linalg.check_hermitian(rho0)
+    tr = complex(np.trace(rho0))
+    if abs(tr - 1.0) > 1e-10:
+        raise InvalidState(f"trace(rho0) = {tr:.12g}, expected 1")
+    return rho0
+
+
+def _checked_rho(rho: np.ndarray) -> tuple[np.ndarray, EigenSystem]:
+    """rho as a complex matrix with its eigensystem; :func:`linalg.eigh`
+    checks Hermiticity, then the trace and the smallest eigenvalue."""
+    rho = linalg.as_matrix(rho)
+    es = linalg.eigh(rho)
+    tr = complex(np.trace(rho))
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise InvalidState(f"trace(rho) = {tr:.12g}, expected 1")
+    if float(np.min(es.values)) < EIG_FLOOR:
+        raise InvalidState(
+            f"state has eigenvalue {float(np.min(es.values)):.3e} < {EIG_FLOOR:.0e}"
+        )
+    return rho, es
+
+
 @dataclass(frozen=True)
 class StateFamily:
     """A parametrized family of density matrices.
 
     Exactly one of (``rho0``, ``generators``) or ``func`` is set.  The
     parameter count must be at least 2: the incompatibility measure is a
-    multi-parameter notion.
+    multi-parameter notion.  A linear family also holds ``deriv_stack``,
+    the Hermitian part of its checked generators as one (n, d, d) stack;
+    build one with :meth:`linear`, which checks every input.
     """
 
     dim: int
@@ -65,6 +108,7 @@ class StateFamily:
     rho0: np.ndarray | None = None
     generators: tuple[np.ndarray, ...] | None = None
     func: Callable[[np.ndarray], np.ndarray] | None = None
+    deriv_stack: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def linear(
@@ -73,18 +117,23 @@ class StateFamily:
         generators: Sequence[np.ndarray],
         labels: Sequence[str] | None = None,
     ) -> "StateFamily":
-        rho0 = linalg.check_hermitian(rho0)
+        rho0 = _checked_rho0(rho0)
         d = rho0.shape[0]
-        tr = complex(np.trace(rho0))
-        if abs(tr - 1.0) > 1e-10:
-            raise InvalidState(f"trace(rho0) = {tr:.12g}, expected 1")
         n = len(generators)
         if n < 2:
             raise InvalidState(f"need n >= 2 parameters, got {n}")
         gens = _operator_stack(generators, d, "generator", linalg.HERMITIAN_ATOL)
         if labels is None:
             labels = tuple(f"x{j + 1}" for j in range(n))
-        return cls(dim=d, n=n, labels=tuple(labels), rho0=rho0, generators=tuple(gens))
+        return cls(dim=d, n=n, labels=tuple(labels), rho0=rho0, generators=tuple(gens),
+                   deriv_stack=_traceless_part(gens, "generator"))
+
+    def with_rho0(self, rho0: np.ndarray) -> "StateFamily":
+        """This linear family around another ``rho0``, checked as in
+        :meth:`linear`; the generators and their checked stack are kept."""
+        if np.shape(rho0) != (self.dim, self.dim):
+            raise InvalidState(f"rho0 has shape {np.shape(rho0)}, expected {(self.dim, self.dim)}")
+        return replace(self, rho0=_checked_rho0(rho0))
 
     @classmethod
     def from_callable(
@@ -121,7 +170,9 @@ class EvaluatedState:
     """A state family evaluated at a working point.
 
     Holds the full eigensystem of rho; support quantities are exposed as
-    properties filtered by ``rank_tol``.
+    properties filtered by ``rank_tol``.  ``deriv_stack`` holds the
+    derivatives as one (n, d, d) stack, stacked from ``derivs`` unless
+    given.
     """
 
     rho: np.ndarray
@@ -129,6 +180,11 @@ class EvaluatedState:
     eigen: EigenSystem
     rank_tol: float
     sqrt_rho: np.ndarray = field(repr=False, default=None)
+    deriv_stack: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.deriv_stack is None:
+            object.__setattr__(self, "deriv_stack", np.asarray(self.derivs, dtype=np.complex128))
 
     @property
     def dim(self) -> int:
@@ -170,27 +226,24 @@ class EvaluatedState:
         derivs: Sequence[np.ndarray],
         rank_tol: float | None = None,
     ) -> "EvaluatedState":
-        """Build directly from a density matrix and its derivative list."""
-        rho = linalg.check_hermitian(rho)
-        tr = complex(np.trace(rho))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise InvalidState(f"trace(rho) = {tr:.12g}, expected 1")
-        es = linalg.eigh(rho)
-        if float(np.min(es.values)) < EIG_FLOOR:
-            raise InvalidState(
-                f"state has eigenvalue {float(np.min(es.values)):.3e} < {EIG_FLOOR:.0e}"
-            )
+        """Build directly from a density matrix and its derivative list,
+        checking both."""
+        rho, es = _checked_rho(rho)
+        stack = _operator_stack(derivs, rho.shape[0], "derivative", 1e-8)
+        return cls._from_checked(rho, es, _traceless_part(stack, "derivative"), rank_tol)
+
+    @classmethod
+    def _from_checked(
+        cls, rho: np.ndarray, es: EigenSystem, stack: np.ndarray, rank_tol: float | None
+    ) -> "EvaluatedState":
         tol = linalg.relative_rank_tol(es.values) if rank_tol is None else float(rank_tol)
-        stack = linalg.hermitian_part(_operator_stack(derivs, rho.shape[0], "derivative", 1e-8))
-        tr_d = np.abs(np.trace(stack, axis1=1, axis2=2))
-        message = "derivative {j} has trace {value:.3e}, expected 0"
-        linalg.check_each(tr_d, DERIV_TRACE_ATOL, InvalidState, message)
         return cls(
             rho=rho,
             derivs=tuple(stack),
             eigen=es,
             rank_tol=tol,
             sqrt_rho=linalg.sqrt_psd(rho, rank_tol=tol, eigen=es),
+            deriv_stack=stack,
         )
 
 
@@ -228,15 +281,16 @@ def evaluate(
 ) -> EvaluatedState:
     """Evaluate the family at ``x0``: state, eigensystem, derivatives.
 
-    Linear families get exact derivatives (the generators); callable
+    Linear families get exact derivatives: their generator stack, checked
+    when the family was built, so only rho is checked here.  Callable
     families use central finite differences with step ``fd_step``.
     """
     x0 = np.asarray(x0, dtype=float)
     rho = family.rho(x0)
     if family.is_linear:
-        derivs: Sequence[np.ndarray] = family.generators
-    else:
-        derivs = finite_diff_derivs(family, x0, fd_step or default_fd_step(x0))
+        rho, es = _checked_rho(rho)
+        return EvaluatedState._from_checked(rho, es, family.deriv_stack, rank_tol)
+    derivs = finite_diff_derivs(family, x0, fd_step or default_fd_step(x0))
     return EvaluatedState.from_matrices(rho, derivs, rank_tol=rank_tol)
 
 

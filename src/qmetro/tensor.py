@@ -215,11 +215,12 @@ def build_collective(
 
 
 def _operator_stack(ops: Sequence[np.ndarray], count: int, d: int, what: str) -> np.ndarray:
-    """``ops`` copied into one complex (count, d, d) stack; DimMismatch naming
-    ``what`` unless there are ``count`` operators, each d x d."""
+    """``ops`` as one complex (count, d, d) stack, taken as it is when it
+    already is one; DimMismatch naming ``what`` unless there are ``count``
+    operators, each d x d."""
     if len(ops) != count or any(np.shape(o) != (d, d) for o in ops):
         raise DimMismatch(f"{what} needs {count} operators of shape ({d}, {d})")
-    return np.array(ops, dtype=np.complex128)
+    return np.asarray(ops, dtype=np.complex128)
 
 
 # --- tradeoff matrices --------------------------------------------------------
@@ -459,7 +460,7 @@ def _pair_commutator_table(state: EvaluatedState, tilde_ops: Sequence[np.ndarray
     diagonal is G_jk - G_kj = 2i Im G_jk, so one product of the columns
     L~_j Psi_i gives every pair.
     """
-    cols = np.array(tilde_ops) @ state.support_vectors  # (n, d, m)
+    cols = np.asarray(tilde_ops) @ state.support_vectors  # (n, d, m)
     gram = np.einsum("jai,kai->ijk", np.conj(cols), cols)
     j, k = _pair_indices(len(tilde_ops))
     return 2.0 * np.imag(gram[:, j, k])

@@ -540,8 +540,7 @@ class _MinimaxProblem:
         # moves it by at most ||sol|| ||resid|| to first order.
         xa = np.abs(x)
         err = self.nd * _EPS * float(xa @ np.abs(k) @ xa) + sol_norm * resid
-        # The trace norm by SVD, exact also for tiny antisymmetric matrices
-        # (linalg.trace_norm treats |A| < 1e-12 as Hermitian).
+        # The dual matrix's trace norm, the sum of its singular values.
         dual = _combine(-grad, self.e)
         f = re_term + float(np.sum(np.linalg.svd(dual, compute_uv=False))) / self.e_norm
         # d2h/dy_a dy_b = -2 (N^T D_a x)^T K_r^-1 (N^T D_b x) = -2 (G^T G)_ab.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qmetro import bounds as gb
+from qmetro import linalg
 from qmetro.errors import InvalidN, InvalidWeight, KindMismatch, NotPure, RldUndefined
 from qmetro.logderiv import (
     FisherData,
@@ -258,6 +259,32 @@ class TestGammaInfLower:
             lo = gb.gamma_inf_lower(fisher, 3)
             hi = gb.gamma_inf_upper(fisher, 3)
             assert lo <= hi + 1e-9
+
+
+class TestGammaInfLowerDirect:
+    """gamma_inf_lower reads ||F~_Im||_1 off one eigvalsh of i F~_Im."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_trace_norm(self, seed):
+        rng = np.random.default_rng(4100 + seed)
+        for d in range(2, 6):
+            for n in range(2, min(5, d * d - 1) + 1):
+                st = evaluate(random_linear_family(d, n, rng), np.zeros(n))
+                _, fisher, _ = sld_analysis(st)
+                ref = n * n / (n + linalg.trace_norm(tilde_fisher_im(fisher)))
+                assert gb.gamma_inf_lower(fisher, n) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_exactly_n_without_commutator(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        fisher = FisherData(f_q=a @ a.T + n * np.eye(n), f_im=np.zeros((n, n)))
+        assert gb.gamma_inf_lower(fisher, n) == n
+
+    def test_tilde_formed_once(self, qubit_state):
+        _, fisher, _ = sld_analysis(qubit_state(0.4))
+        ftil = tilde_fisher_im(fisher)
+        assert tilde_fisher_im(fisher) is ftil and not ftil.flags.writeable
 
 
 class TestCsTransforms:

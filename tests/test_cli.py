@@ -106,6 +106,23 @@ class TestBounds:
         ) == 0
         assert float(read_rows(out)[0]["value"]) == pytest.approx(2.25, abs=1e-10)
 
+    @pytest.mark.parametrize("defect, message", [
+        ([[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], "generator 1: Hermitian symmetry"),
+        ([[[1e-3, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-3, 0.0]]], "generator 1 has trace 2.000e-03"),
+    ])
+    def test_bad_generator_refused_on_reading(self, tmp_path, capsys, defect, message):
+        # Every generator check runs when the family is read, so a traced
+        # generator is a configuration error like an asymmetric one.
+        doc = {
+            "dim": 2, "n": 2,
+            "rho0": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+            "generators": [[[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]], defect],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["bounds", "--input", str(path), "--p", "1", "--bounds", "cp"]) == 1
+        assert message in capsys.readouterr().err
+
     def test_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

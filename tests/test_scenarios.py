@@ -94,6 +94,53 @@ class TestBuild:
                 )
 
 
+class TestPresetCache:
+    """Each preset's generators are built and checked once per process;
+    a call forms only rho0(delta), by the same formula as before."""
+
+    DELTAS = (0.0, 0.1, 0.3, -0.2)
+
+    @staticmethod
+    def _rho0(preset, delta):
+        if preset == "qubit3":
+            return 0.5 * (np.eye(2, dtype=np.complex128) + delta * scenarios.SIGMA3)
+        return np.eye(3, dtype=np.complex128) / 3.0 + delta * (0.5 * GELL_MANN[2])
+
+    @staticmethod
+    def _generators(preset):
+        if preset == "qubit3":
+            return [0.5 * s for s in scenarios.PAULI]
+        return [0.5 * GELL_MANN[j - 1] for j in parse_scenario(preset).subset]
+
+    @pytest.mark.parametrize("preset", ["qubit3", "qutrit8", "qutrit:1,2,5"])
+    def test_rho0_and_generators(self, preset):
+        families = [build_scenario(parse_scenario(preset, delta=d)) for d in self.DELTAS]
+        for delta, fam in zip(self.DELTAS, families):
+            assert np.array_equal(fam.rho0, self._rho0(preset, delta))
+            assert fam.rho0.dtype == np.complex128
+            gens = self._generators(preset)
+            assert len(fam.generators) == len(gens) == fam.n
+            assert all(np.array_equal(a, b) for a, b in zip(fam.generators, gens))
+            assert fam.labels == families[0].labels
+        # one checked stack serves every delta, and it cannot be written
+        assert all(fam.deriv_stack is families[0].deriv_stack for fam in families)
+        assert all(fam.generators is families[0].generators for fam in families)
+        assert not families[0].deriv_stack.flags.writeable
+        with pytest.raises(ValueError):
+            families[0].generators[0][0, 0] = 1.0
+
+    @pytest.mark.parametrize("preset, delta", [
+        ("qubit3", 1.0), ("qubit3", -1.5), ("qutrit8", 2.0 / 3.0), ("qutrit:1,2,5", -0.7),
+    ])
+    def test_out_of_range_delta(self, preset, delta):
+        build_scenario(parse_scenario(preset))  # cached already
+        with pytest.raises(InvalidSpec):
+            build_scenario(parse_scenario(preset, delta=delta))
+        spec = parse_scenario(preset)
+        with pytest.raises(InvalidSpec):
+            build_scenario(scenarios.ScenarioSpec(spec.kind, delta, spec.subset))
+
+
 class TestQubitClosedForms:
     @pytest.mark.parametrize(
         "p,expected",

@@ -93,6 +93,93 @@ class TestStackedValidation:
             assert all(op.shape == (3, 3) and op.dtype == np.complex128 for op in ops)
 
 
+class TestValidatedOnce:
+    """A linear family's generators are checked once, when the family is
+    built; evaluating it checks rho only.  from_matrices, the entry for
+    outside callers, still checks every derivative."""
+
+    @pytest.fixture
+    def stack_calls(self, monkeypatch):
+        calls = []
+        stack = states._operator_stack
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return stack(*args, **kwargs)
+
+        monkeypatch.setattr(states, "_operator_stack", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_stack_per_family_none_per_evaluate(self, stack_calls, seed):
+        rng = np.random.default_rng(seed)
+        fam = random_linear_family(3, 4, rng)
+        assert stack_calls == ["generator"]
+        stack_calls.clear()
+        for x0 in (np.zeros(4), np.full(4, 1e-3)):
+            st_ = evaluate(fam, x0)
+            # the family's checked stack is the state's, as it is
+            assert st_.deriv_stack is fam.deriv_stack
+        assert stack_calls == []
+        EvaluatedState.from_matrices(fam.rho0, fam.generators)
+        assert stack_calls == ["derivative"]
+
+    def test_preset_calls_stack_nothing(self, stack_calls):
+        build_scenario(parse_scenario("qutrit:1,2,4", delta=0.1))
+        stack_calls.clear()
+        for delta in (0.0, 0.2):
+            evaluate(build_scenario(parse_scenario("qutrit:1,2,4", delta=delta)), np.zeros(3))
+        assert stack_calls == []
+
+    def test_state_keeps_the_hermitian_part(self):
+        # generators Hermitian to 1e-13: rho(x) reads them as given, the
+        # derivatives are their exact Hermitian part, as from_matrices makes
+        off = np.array([[0.0, 1e-13], [0.0, 0.0]])
+        gens = [SIGMA1 / 2 + off, SIGMA3 / 2]
+        fam = StateFamily.linear(np.eye(2) / 2, gens)
+        assert np.array_equal(fam.generators[0], gens[0])
+        st_ = evaluate(fam, np.zeros(2))
+        direct = EvaluatedState.from_matrices(np.eye(2) / 2, gens)
+        for a, b in zip(st_.derivs, direct.derivs):
+            assert np.array_equal(a, b) and np.array_equal(a, a.conj().T)
+
+    def test_traced_generator_refused_when_built(self):
+        gens = [SIGMA1 / 2, np.eye(2) * 1e-3, SIGMA3 / 2]
+        with pytest.raises(InvalidState, match="generator 1 has trace 2.000e-03, expected 0"):
+            StateFamily.linear(np.eye(2) / 2, gens)
+
+    def test_from_matrices_checks_derivative_shapes(self):
+        # its Hermiticity and trace checks are TestStackedValidation's
+        shape = r"derivative 1 has shape \(3, 3\), expected \(2, 2\)"
+        with pytest.raises(InvalidState, match=shape):
+            EvaluatedState.from_matrices(np.eye(2) / 2, [SIGMA1 / 2, np.eye(3)])
+
+    def test_rho_checked_once_inside_eigh(self, monkeypatch):
+        fam = build_scenario(parse_scenario("qubit3", delta=0.3))
+        calls = []
+        check = states.linalg.check_hermitian
+
+        def counting(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return check(m, *args, **kwargs)
+
+        monkeypatch.setattr(states.linalg, "check_hermitian", counting)
+        evaluate(fam, np.zeros(3))
+        assert calls == [(2, 2)]
+        calls.clear()
+        EvaluatedState.from_matrices(fam.rho0, fam.generators)
+        assert calls == [(2, 2)]
+
+    def test_with_rho0_checks_the_new_rho0(self):
+        fam = build_scenario(parse_scenario("qubit3"))
+        with pytest.raises(InvalidState, match="trace"):
+            fam.with_rho0(np.eye(2))
+        with pytest.raises(NonHermitian):
+            fam.with_rho0(np.array([[0.5, 0.1], [0.0, 0.5]]))
+        with pytest.raises(InvalidState, match="shape"):
+            fam.with_rho0(np.eye(3) / 3)
+
+
 class TestOneEigensolve:
     @pytest.mark.parametrize("preset", ["qubit3", "qutrit8", "qutrit:1,2,5"])
     def test_evaluate_solves_rho_once(self, monkeypatch, preset):
