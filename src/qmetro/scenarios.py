@@ -44,11 +44,15 @@ GELL_MANN = (
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Preset identifier: kind, fixed offset delta, and (qutrit) the
-    1-based Gell-Mann directions actually estimated."""
+    1-based Gell-Mann directions actually estimated.  A spec is validated
+    once, when it is built (InvalidSpec), so every spec in hand is valid."""
 
     kind: str  # "qubit3" | "qutrit"
     delta: float = 0.0
     subset: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.kind == "qubit3":
@@ -84,24 +88,21 @@ def parse_scenario(text: str, delta: float = 0.0) -> ScenarioSpec:
     """Parse a preset id: "qubit3", "qutrit8", or "qutrit:1,2,5"."""
     text = text.strip()
     if text == "qubit3":
-        spec = ScenarioSpec(kind="qubit3", delta=delta)
-    elif text == "qutrit8":
-        spec = ScenarioSpec(kind="qutrit", delta=delta, subset=tuple(range(1, 9)))
-    else:
-        m = _QUTRIT_RE.match(text)
-        if not m:
-            raise InvalidSpec(f"unknown preset {text!r}")
-        subset = tuple(int(v) for v in m.group(1).split(","))
-        spec = ScenarioSpec(kind="qutrit", delta=delta, subset=subset)
-    spec.validate()
-    return spec
+        return ScenarioSpec(kind="qubit3", delta=delta)
+    if text == "qutrit8":
+        return ScenarioSpec(kind="qutrit", delta=delta, subset=tuple(range(1, 9)))
+    m = _QUTRIT_RE.match(text)
+    if not m:
+        raise InvalidSpec(f"unknown preset {text!r}")
+    subset = tuple(int(v) for v in m.group(1).split(","))
+    return ScenarioSpec(kind="qutrit", delta=delta, subset=subset)
 
 
 def build_scenario(spec: ScenarioSpec) -> StateFamily:
-    """The preset's linear state family around x = 0.  The generators are
-    built and checked once per process (:func:`_preset_family`); a call
-    forms and checks only rho0(delta)."""
-    spec.validate()
+    """The preset's linear state family around x = 0.  The spec was
+    validated when it was built, and the generators are built and checked
+    once per process (:func:`_preset_family`); a call forms and checks
+    only rho0(delta)."""
     family = _preset_family(spec.kind, spec.subset)
     if spec.kind == "qubit3":
         rho0 = 0.5 * (np.eye(2, dtype=np.complex128) + spec.delta * SIGMA3)

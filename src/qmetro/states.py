@@ -16,7 +16,8 @@ A linear family's generators are checked once, in
 and checks only rho.  :meth:`EvaluatedState.from_matrices`, the entry for
 outside callers, checks rho and every derivative.  The fields stay tuples
 of (d, d) arrays.  rho's Hermiticity is checked inside :func:`linalg.eigh`,
-whose one eigensolve serves the support, the PSD check and ``sqrt_rho``.
+whose one eigensolve serves the support, the PSD check and ``sqrt_rho``,
+which is computed from it on first read.
 The CLI presets are built once per process (:mod:`qmetro.scenarios`), so a
 preset call checks only its rho0.
 """
@@ -165,21 +166,40 @@ class StateFamily:
         return np.asarray(self.func(x), dtype=np.complex128)
 
 
+class _SqrtRho:
+    """The ``sqrt_rho`` field of :class:`EvaluatedState`: a value given
+    to the constructor is kept, and otherwise the principal square root
+    is computed from the state's eigensystem on first read, since only
+    F-bar over a supplied basis and the variational bounds read it."""
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            return None  # the constructor's default
+        value = state.__dict__["_sqrt_rho"]
+        if value is None:
+            value = linalg.sqrt_psd(state.rho, rank_tol=state.rank_tol, eigen=state.eigen)
+            state.__dict__["_sqrt_rho"] = value
+        return value
+
+    def __set__(self, state, value):
+        state.__dict__["_sqrt_rho"] = value
+
+
 @dataclass(frozen=True)
 class EvaluatedState:
     """A state family evaluated at a working point.
 
     Holds the full eigensystem of rho; support quantities are exposed as
-    properties filtered by ``rank_tol``.  ``deriv_stack`` holds the
-    derivatives as one (n, d, d) stack, stacked from ``derivs`` unless
-    given.
+    properties filtered by ``rank_tol``.  ``sqrt_rho`` is computed on
+    first read unless given.  ``deriv_stack`` holds the derivatives as one
+    (n, d, d) stack, stacked from ``derivs`` unless given.
     """
 
     rho: np.ndarray
     derivs: tuple[np.ndarray, ...]
     eigen: EigenSystem
     rank_tol: float
-    sqrt_rho: np.ndarray = field(repr=False, default=None)
+    sqrt_rho: np.ndarray | None = _SqrtRho()
     deriv_stack: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -242,7 +262,6 @@ class EvaluatedState:
             derivs=tuple(stack),
             eigen=es,
             rank_tol=tol,
-            sqrt_rho=linalg.sqrt_psd(rho, rank_tol=tol, eigen=es),
             deriv_stack=stack,
         )
 

@@ -46,6 +46,13 @@ OptimizeNorm), applies sqrt(rho) and each L_j to the basis one site at a
 time, so no collective operator is built as a d^p x d^p matrix there
 either.  The module also computes T_p (exact enumeration or Monte Carlo)
 and the p -> infinity limit.
+
+The state-independent tables of a call are built once per process and
+kept read-only, so a call pays only for its state: the occupation-law
+skeleton of T_p per (p, support rank), while all kept skeletons fit in
+LAW_CACHE_BYTES, and, for bases of at most OPTIMIZE_MAX_VECTORS vectors,
+the computational basis of F-bar per (d, p) and OptimizeNorm's sign
+patterns per basis size.
 """
 
 from __future__ import annotations
@@ -471,10 +478,15 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the pairs j < k in ``itertools.combinations``
     order, built once per n (np.triu_indices costs about 20 us) and
     read-only."""
-    indices = np.triu_indices(n, 1)
-    for a in indices:
+    return _read_only(*np.triu_indices(n, 1))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, each set read-only: a table kept for the process is
+    shared by every caller."""
+    for a in arrays:
         a.flags.writeable = False
-    return indices
+    return arrays
 
 
 def _pair_matrix(n: int, values: np.ndarray) -> np.ndarray:
@@ -514,18 +526,49 @@ def compositions(total: int, parts: int) -> np.ndarray:
     return out
 
 
+#: Bytes of occupation-law skeletons kept for the rest of the process.
+#: First come, first kept, as in :data:`schur.CACHE_BYTES`: an
+#: increasing-p sweep meets its small laws first.
+LAW_CACHE_BYTES = 1 << 20
+
+_laws: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _law_skeleton(p: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """The state-independent part of the occupation law of p draws over
+    ``rank`` outcomes: the occupation vectors k in lexicographic order, in
+    the narrowest unsigned type that holds p, and their log multinomial
+    coefficients log p! - sum_i log k_i!.
+
+    A skeleton depends on (p, rank) alone, so every call in the process
+    shares one copy: the arrays are read-only, and a skeleton is kept
+    while all kept skeletons fit in LAW_CACHE_BYTES.  One that does not
+    fit is built again at its next call.
+    """
+    skeleton = _laws.get((p, rank))
+    if skeleton is None:
+        occupations = compositions(p, rank)
+        log_fact = np.array([math.lgamma(i + 1) for i in range(p + 1)])
+        log_coef = log_fact[p] - np.sum(log_fact[occupations], axis=1)
+        skeleton = _read_only(occupations.astype(np.min_scalar_type(p)), log_coef)
+        kept = sum(o.nbytes + c.nbytes for o, c in _laws.values())
+        if kept + sum(a.nbytes for a in skeleton) <= LAW_CACHE_BYTES:
+            _laws[(p, rank)] = skeleton
+    return skeleton
+
+
 def _occupation_law(p: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The occupation vectors k of p draws over ``len(values)`` outcomes,
     as float rows in lexicographic order, and their multinomial weights
-    multinomial(p; k) prod_i values_i^k_i, accumulated in log space."""
-    occupations = compositions(p, len(values))
-    log_fact = np.array([math.lgamma(i + 1) for i in range(p + 1)])
-    log_w = (
-        log_fact[p]
-        - np.sum(log_fact[occupations], axis=1)
-        + occupations @ np.log(values)
-    )
-    return occupations.astype(float), np.exp(log_w)
+    multinomial(p; k) prod_i values_i^k_i, accumulated in log space.
+
+    The vectors and log multinomial coefficients come from the skeleton
+    of (p, rank) (:func:`_law_skeleton`), kept per process; a call forms
+    only the float rows and exp(log_coef + rows . log values).
+    """
+    occupations, log_coef = _law_skeleton(p, len(values))
+    rows = occupations.astype(float)
+    return rows, np.exp(log_coef + rows @ np.log(values))
 
 
 def _pair_sums(
@@ -569,10 +612,11 @@ def compute_tp_exact(
     (T_p)_{jk} = 1/2 sum_k multinomial(p; k) prod_i lambda_i^{k_i}
                  |sum_i k_i <Psi_i|[L~_j, L~_k]|Psi_i>|,
     exact to floating precision (no sampling).  The count is checked
-    against ``enum_cap`` before anything is allocated; the occupation law
-    (:func:`_occupation_law`, weights in log space) and one commutator
-    table serve every pair, read by :func:`_pair_sums` a stack of pairs
-    at a time.
+    against ``enum_cap`` before any table is built or looked up; the
+    occupation law (:func:`_occupation_law`, weights in log space, whose
+    state-independent skeleton is kept per (p, rank) for the process) and
+    one commutator table serve every pair, read by :func:`_pair_sums` a
+    stack of pairs at a time.
     """
     m = state.support_rank
     count = composition_count(p, m)
@@ -699,20 +743,49 @@ def first_best(values: np.ndarray) -> int:
 
 def _optimize_norm_signs(imags: np.ndarray) -> np.ndarray:
     """The transpose pattern s (s_0 = +1) maximizing ||sum_q s_q A_q||_F,
-    A_q = Im F_{u_q}.
+    A_q = Im F_{u_q}, for at most OPTIMIZE_MAX_VECTORS vectors
+    (KindMismatch otherwise).
 
     ||sum_q s_q A_q||_F^2 = s^T G s with G_qr = <A_q, A_r>_F, so one
-    k x k Gram matrix scores all 2^(k-1) patterns at once, enumerated
-    with bit q of the pattern index flipping vector q + 1.
+    k x k Gram matrix scores all 2^(k-1) patterns at once.
     """
     count = len(imags)
+    if count > OPTIMIZE_MAX_VECTORS:
+        raise KindMismatch(
+            f"exhaustive optimization limited to {OPTIMIZE_MAX_VECTORS} vectors, "
+            f"basis has {count}"
+        )
     flat = imags.reshape(count, -1)
     gram = flat @ flat.T
+    patterns = _sign_patterns(count)
+    squares = np.sum((patterns @ gram) * patterns, axis=1)
+    return patterns[first_best(np.sqrt(np.maximum(squares, 0.0)))]
+
+
+@functools.cache
+def _sign_patterns(count: int) -> np.ndarray:
+    """The 2^(count-1) transpose patterns with s_0 = +1 as rows, bit q of
+    the row index flipping vector q + 1; built once per count and
+    read-only (at most OPTIMIZE_MAX_VECTORS, so at most 2^11 rows)."""
     bits = (np.arange(2 ** (count - 1))[:, None] >> np.arange(count - 1)) & 1
     patterns = np.ones((len(bits), count))
     patterns[:, 1:] -= 2.0 * bits
-    squares = np.sum((patterns @ gram) * patterns, axis=1)
-    return patterns[first_best(np.sqrt(np.maximum(squares, 0.0)))]
+    return _read_only(patterns)[0]
+
+
+_bases: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _computational_basis(d: int, p: int) -> np.ndarray:
+    """I_d^(x)p as columns, refused by kron_power's cap before it is
+    built; read-only, and kept per (d, p) when it has at most
+    OPTIMIZE_MAX_VECTORS columns (the exhaustive F-bar of small p)."""
+    basis = _bases.get((d, p))
+    if basis is None:
+        basis, = _read_only(linalg.kron_power(np.eye(d), p))
+        if len(basis) <= OPTIMIZE_MAX_VECTORS:
+            _bases[(d, p)] = basis
+    return basis
 
 
 def _fbar_matrix(p: int, fbar_im: np.ndarray, **meta) -> TradeoffMatrix:
@@ -745,9 +818,13 @@ def compute_fbar_im(
     operators in ``coll`` the norm it maximizes is the one the F-bar bound
     reads.  The AutoAlign candidates, which switch to the commutator
     eigenbasis of each irrep block, come from :func:`block_pass`.
+
+    For bases of at most OPTIMIZE_MAX_VECTORS vectors, the computational
+    basis (:func:`_computational_basis`) and OptimizeNorm's sign patterns
+    (:func:`_sign_patterns`) are built once per process and read-only.
     """
-    if basis is None:  # I_d^(x)p, refused by kron_power's cap before it is built
-        basis = linalg.kron_power(np.eye(coll.d), coll.p)
+    if basis is None:
+        basis = _computational_basis(coll.d, coll.p)
     basis = np.asarray(basis)
     if basis.ndim != 2 or len(basis) != coll.dim:
         raise DimMismatch(
@@ -763,11 +840,6 @@ def compute_fbar_im(
         sign_arr = _signs_from_values(imags[:, signs.j, signs.k])
         strategy = f"align_entry({signs.j},{signs.k})"
     elif isinstance(signs, OptimizeNorm):
-        if count > OPTIMIZE_MAX_VECTORS:
-            raise KindMismatch(
-                f"exhaustive optimization limited to {OPTIMIZE_MAX_VECTORS} vectors, "
-                f"basis has {count}"
-            )
         sign_arr = _optimize_norm_signs(imags)
         strategy = "optimize_norm"
     else:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import qmetro
-from qmetro import schur
+from qmetro import scenarios, schur
 from qmetro.cli import main, make_parser
 from qmetro.scenarios import build_scenario, parse_scenario
 from qmetro.states import save_family
@@ -330,6 +330,21 @@ class TestBoundsRegression:
             for key in ("scenario", "delta", "p", "bound_name", "tightest", "meta"):
                 assert got[key] == want[key], (key, want)
             assert float(got["value"]) == pytest.approx(float(want["value"]), rel=1e-12, abs=0.0)
+
+
+def test_preset_call_validates_its_spec_once(tmp_path, monkeypatch):
+    calls = []
+    inner = scenarios.ScenarioSpec.validate
+
+    def counting(spec):
+        calls.append(spec)
+        return inner(spec)
+
+    monkeypatch.setattr(scenarios.ScenarioSpec, "validate", counting)
+    out = tmp_path / "r.csv"
+    assert run_cli(["bounds", "--preset", "qubit3", "--p", "1", "--bounds", "cp",
+                    "--output", str(out)]) == 0
+    assert len(calls) == 1
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,25 @@ class TestParsing:
     def test_delta_domain(self):
         with pytest.raises(InvalidSpec):
             parse_scenario("qubit3", delta=1.0)
+
+    def test_spec_validated_once_when_built(self, monkeypatch):
+        calls = []
+        inner = scenarios.ScenarioSpec.validate
+
+        def counting(spec):
+            calls.append(spec)
+            return inner(spec)
+
+        monkeypatch.setattr(scenarios.ScenarioSpec, "validate", counting)
+        spec = parse_scenario("qutrit:1,2,5", delta=0.1)
+        build_scenario(spec)
+        assert calls == [spec]
+        # a spec built by hand, or changed, is refused as it is built
+        for kind, delta, subset in (("qubit3", 1.0, ()), ("qutrit", 0.1, (1,)), ("qubit2", 0.0, ())):
+            with pytest.raises(InvalidSpec):
+                scenarios.ScenarioSpec(kind, delta, subset)
+        with pytest.raises(InvalidSpec):
+            dataclasses.replace(spec, delta=0.7)
 
 
 class TestBuild:

@@ -67,3 +67,41 @@ def test_same_numbers_diffs_a_dump_against_itself(tmp_path, capsys):
     assert tool["main"](["--diff", str(dump), str(moved)]) == 1
     out = capsys.readouterr().out
     assert "value: 1 rows differ" in out and f"{key} row 0" in out
+
+
+FAKE_RUN = """
+import json, os, pathlib, sys
+here = pathlib.Path.cwd()
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+with open(here.parent / "order.log", "a") as fh:
+    fh.write(f"{here.name} {seed}\\n")
+clean = os.environ.get("PYTHONDONTWRITEBYTECODE") == "1" and not any(here.rglob("__pycache__"))
+metrics = {"wall_s": (0.2 if here.name == "change" else 0.25) + seed * 1e-3,
+           "call_p50_ms": 1.0, "call_p90_ms": 2.0, "peak_rss_mb": 40.0,
+           "passed_frac": 1.0, "setup_s": 0.3 if clean else 9.0}
+print("env line")
+print(json.dumps({"failed": 0, "metrics": {k: {"value": v} for k, v in metrics.items()}}))
+"""
+
+
+def test_ab_pairs_alternates_from_a_clean_bytecode_state(tmp_path, capsys):
+    tool = runpy.run_path(os.path.join(SCRIPTS, "ab_pairs.py"))
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
+        (tmp_path / side / "src" / "__pycache__").mkdir(parents=True)
+    out = tmp_path / "runs.jsonl"
+    assert tool["main"]([str(tmp_path / "parent"), str(tmp_path / "change"),
+                         "--workload", "scan-small", "--seconds", "1", "--seeds", "1-3",
+                         "--out", str(out)]) == 0
+    order = (tmp_path / "order.log").read_text().split("\n")[:-1]
+    assert order == ["parent 1", "change 1", "change 2", "parent 2", "parent 3", "change 3"]
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 6 and all(r["setup_s"] == 0.3 for r in records)
+    assert not any(tmp_path.rglob("__pycache__"))
+    summary = capsys.readouterr().out.splitlines()[-7:]
+    assert summary[0] == "scan-small: 3 pairs"
+    assert "-19.8%  change better in 3 of 3" in summary[1] and "wall_s" in summary[1]
+    assert "change better in 0 of 3" in summary[2]  # ties count for neither
+    assert tool["main"](["--summarize", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == summary

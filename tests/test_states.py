@@ -202,6 +202,45 @@ class TestOneEigensolve:
         assert np.allclose(st_.sqrt_rho @ st_.sqrt_rho, st_.rho, atol=1e-12)
 
 
+class TestSqrtRhoOnRead:
+    """sqrt_rho is computed from the state's eigensystem on first read,
+    as it was computed when the state was built."""
+
+    @pytest.fixture
+    def sqrt_calls(self, monkeypatch):
+        calls = []
+        inner = states.linalg.sqrt_psd
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(states.linalg, "sqrt_psd", counting)
+        return calls
+
+    @pytest.mark.parametrize("preset", ["qubit3", "qutrit8", "qutrit:1,2,5"])
+    def test_first_read_computes_it_once(self, sqrt_calls, preset):
+        fam = build_scenario(parse_scenario(preset, delta=0.3))
+        st_ = evaluate(fam, np.zeros(fam.n))
+        assert sqrt_calls == []
+        root = st_.sqrt_rho
+        assert st_.sqrt_rho is root
+        assert sqrt_calls == [(fam.dim, fam.dim)]
+        # what the state was built with before it was computed on read
+        want = states.linalg.sqrt_psd(st_.rho, rank_tol=st_.rank_tol, eigen=st_.eigen)
+        assert root.tobytes() == want.tobytes()
+
+    def test_given_value_is_kept(self, sqrt_calls):
+        st_ = EvaluatedState.from_matrices(np.eye(2) / 2, [SIGMA1 / 2, SIGMA3 / 2])
+        given = np.eye(2) / np.sqrt(2.0)
+        patched = EvaluatedState(
+            rho=st_.rho, derivs=st_.derivs, eigen=st_.eigen, rank_tol=st_.rank_tol,
+            sqrt_rho=given,
+        )
+        assert patched.sqrt_rho is given
+        assert sqrt_calls == []
+
+
 class TestOneHermiticityCheck:
     @pytest.mark.parametrize("asymmetry", [1e-11, 1e-3])
     def test_callable_family_asymmetry_is_non_hermitian(self, asymmetry):

@@ -249,12 +249,16 @@ class TestSiteSum:
                 ref = _dense_aggregate(parts, expected)
                 assert np.allclose(fb.entries, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
-    def test_dimension_cap(self, qubit_state):
+    def test_dimension_cap(self, qubit_state, cold_tables, monkeypatch):
         # 2^15 computational vectors exceed the Kronecker-power cap, while
-        # the largest block (16 rows) passes the block cap.
+        # the largest block (16 rows) passes the block cap; the basis is
+        # refused before any of it is built.
         coll = build_collective(qubit_state(0.0), [SIGMA1], 15)
+        built = []
+        monkeypatch.setattr(np, "kron", lambda *args: built.append(args))
         with pytest.raises(DimensionOverflow):
             compute_fbar_im(coll, None, AlignEntry(0, 0))
+        assert built == [] and tensor._bases == {}
 
 
 def dense_pair_norms(st, ops, p, rld=False):
@@ -952,6 +956,150 @@ class TestPairSums:
         finally:
             tracemalloc.stop()
         assert peak <= 2 << 20
+
+
+def reference_law(p, values):
+    """The occupation law as it was computed before its skeleton was kept."""
+    occupations = tensor.compositions(p, len(values))
+    log_fact = np.array([math.lgamma(i + 1) for i in range(p + 1)])
+    log_w = log_fact[p] - np.sum(log_fact[occupations], axis=1) + occupations @ np.log(values)
+    return occupations.astype(float), np.exp(log_w)
+
+
+def reference_optimize_norm_signs(imags):
+    """The exhaustive sign choice as it was made before its patterns were kept."""
+    count = len(imags)
+    flat = imags.reshape(count, -1)
+    gram = flat @ flat.T
+    bits = (np.arange(2 ** (count - 1))[:, None] >> np.arange(count - 1)) & 1
+    patterns = np.ones((len(bits), count))
+    patterns[:, 1:] -= 2.0 * bits
+    squares = np.sum((patterns @ gram) * patterns, axis=1)
+    return patterns[tensor.first_best(np.sqrt(np.maximum(squares, 0.0)))]
+
+
+@pytest.fixture
+def cold_tables(monkeypatch):
+    """Empty kept tables of tensor for one test; the shared ones come back
+    afterwards."""
+    monkeypatch.setattr(tensor, "_laws", {})
+    monkeypatch.setattr(tensor, "_bases", {})
+    monkeypatch.setattr(
+        tensor, "_sign_patterns", functools.cache(tensor._sign_patterns.__wrapped__)
+    )
+
+
+@pytest.fixture
+def composition_calls(monkeypatch):
+    """Records the (total, parts) of every ``tensor.compositions`` call."""
+    calls = []
+    inner = tensor.compositions
+
+    def counting(total, parts):
+        calls.append((total, parts))
+        return inner(total, parts)
+
+    monkeypatch.setattr(tensor, "compositions", counting)
+    return calls
+
+
+class TestKeptTables:
+    """The state-independent tables of T_p and of the exhaustive F-bar are
+    built once per process, read-only, and change no number."""
+
+    def test_law_equals_the_reference_formula(self, cold_tables):
+        rng = np.random.default_rng(23)
+        cases = [(1, rank) for rank in range(1, 6)] + [(200, 3), (255, 2), (256, 2)]
+        cases += [(int(rng.integers(2, 60)), int(rng.integers(1, 6))) for _ in range(40)]
+        for p, rank in cases:
+            values = rng.dirichlet(np.ones(rank))
+            want = reference_law(p, values)
+            for _ in range(2):  # built, then read from the table
+                rows, law = tensor._occupation_law(p, values)
+                assert rows.dtype == np.float64
+                assert rows.tobytes() == want[0].tobytes()
+                assert law.tobytes() == want[1].tobytes()
+
+    def test_skeleton_is_narrow(self, cold_tables):
+        occupations, log_coef = tensor._law_skeleton(255, 2)
+        assert occupations.dtype == np.uint8 and log_coef.dtype == np.float64
+        assert tensor._law_skeleton(256, 2)[0].dtype == np.uint16
+
+    def test_kept_arrays_are_read_only(self, cold_tables):
+        for preset, delta, ps in (("qubit3", 0.3, (1, 2, 3)), ("qutrit:1,2,5", 0.2, (1, 2))):
+            fam = build_scenario(parse_scenario(preset, delta=delta))
+            st = evaluate(fam, np.zeros(fam.n))
+            _, _, tilde = sld_analysis(st)
+            for p in ps:
+                compute_tp_exact(st, tilde, p)
+                compute_tp_monte_carlo(st, tilde, p + 5, samples=1000, seed=1)
+                compute_fbar_im(build_collective(st, tilde, p), None, OptimizeNorm())
+        assert set(tensor._bases) == {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)}
+        assert len(tensor._laws) == 10  # p and p + 5 at ranks 2 and 3
+        kept = [a for skeleton in tensor._laws.values() for a in skeleton]
+        kept += list(tensor._bases.values())
+        kept += [tensor._sign_patterns(k) for k in range(2, tensor.OPTIMIZE_MAX_VECTORS + 1)]
+        for array in kept:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
+
+    def test_second_call_builds_no_compositions(self, cold_tables, composition_calls):
+        st, tilde = qutrit8_tilde(0.3)
+        first = compute_tp_exact(st, tilde, 7)
+        assert composition_calls == [(7, 3)]
+        again = compute_tp_exact(st, tilde, 7)
+        # the Monte Carlo histogram draw reads the same skeleton
+        compute_tp_monte_carlo(st, tilde, 7, samples=1000, seed=1)
+        assert composition_calls == [(7, 3)]
+        assert again.entries.tobytes() == first.entries.tobytes()
+
+    def test_skeleton_over_budget_is_not_kept(self, cold_tables, composition_calls, monkeypatch):
+        monkeypatch.setattr(tensor, "LAW_CACHE_BYTES", sum(a.nbytes for a in tensor._law_skeleton(3, 3)))
+        tensor._laws.clear()
+        tensor._law_skeleton(3, 3)  # kept: the budget now lacks its bytes
+        values = np.array([0.5, 0.3, 0.2])
+        for _ in range(2):
+            rows, law = tensor._occupation_law(40, values)
+            want = reference_law(40, values)
+            assert rows.tobytes() == want[0].tobytes() and law.tobytes() == want[1].tobytes()
+        assert list(tensor._laws) == [(3, 3)]
+        assert composition_calls.count((40, 3)) == 4  # two builds, two references
+
+    def test_enumeration_overflow_before_any_table(self, cold_tables, composition_calls):
+        st, tilde = qutrit8_tilde(0.3)
+        with pytest.raises(EnumerationOverflow):
+            compute_tp_exact(st, tilde, 40, enum_cap=100)
+        assert composition_calls == [] and tensor._laws == {}
+
+    @pytest.mark.parametrize("count", range(2, tensor.OPTIMIZE_MAX_VECTORS + 1))
+    def test_sign_patterns_give_the_reference_choice(self, cold_tables, count):
+        rng = np.random.default_rng(count)
+        units = [skew_unit(6, j, k) for j, k in itertools.combinations(range(6), 2)]
+        generic = rng.normal(size=(count, 6, 6))
+        generic -= generic.transpose(0, 2, 1)
+        disjoint = np.array([rng.uniform(0.5, 2.0) * units[q] for q in range(count)])
+        zeros = generic.copy()
+        zeros[1::2] = 0.0  # flipping a zero vector is an exact tie
+        for imags in (generic, disjoint, zeros, np.zeros((count, 6, 6))):
+            got = tensor._optimize_norm_signs(imags)
+            assert got.tobytes() == reference_optimize_norm_signs(imags).tobytes()
+
+    def test_optimize_norm_beyond_the_cap_is_refused(self, cold_tables, qubit_state):
+        st = qubit_state(0.3)
+        coll = build_collective(st, sld_analysis(st)[2], 4)
+        with pytest.raises(KindMismatch, match="limited to 12 vectors, basis has 16"):
+            compute_fbar_im(coll, None, OptimizeNorm())
+        assert tensor._sign_patterns.cache_info().currsize == 0
+
+    def test_computational_basis_kept_up_to_the_exhaustive_size(self, cold_tables, qubit_state):
+        st = qubit_state(0.3)
+        _, _, tilde = sld_analysis(st)
+        fbars = [compute_fbar_im(build_collective(st, tilde, p), None, [1] * 2**p)
+                 for p in (3, 4, 3)]
+        assert list(tensor._bases) == [(2, 3)]
+        assert fbars[2].entries.tobytes() == fbars[0].entries.tobytes()
+        assert tensor._computational_basis(2, 3) is tensor._bases[(2, 3)]
 
 
 class TestLimit:
