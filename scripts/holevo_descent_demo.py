@@ -10,10 +10,18 @@ seed s the generator default_rng(1000 + s) draws random_linear_family
 at d = 2..5 and n = 2..min(5, d^2 - 1), in that order, and every family
 is solved with W = F_Q and W = I, Holevo always and Nagaoka at n = 2
 (36 runs per seed).  It prints how many runs converged, did not converge
-or raised, the total Newton steps and the largest relative gap
-(f - h) / f among the runs that did not converge (0 if every run did):
+or raised, how many ended in the closed form, the total Newton steps and
+the largest relative gap (f - h) / f among the runs that did not
+converge (0 if every run did):
 
   python3 scripts/holevo_descent_demo.py --scan 20
+
+A run ends in the closed form, with 0 Newton steps, where the
+unbiasedness constraints leave one feasible X (n = d^2 - 1): h is then
+affine and its maximum is read off the polar factor of the dual matrix.
+Elsewhere the solver takes a Newton step on h alone wherever it lies
+well inside ||M|| < 1, which closes an optimum inside the ball in a few
+steps.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ SCAN_SEED_BASE = 1000
 
 
 def scan(seeds: int, max_iters: int) -> None:
-    converged = not_converged = raised = steps = 0
+    converged = not_converged = raised = closed = steps = 0
     worst_gap = 0.0
     for s in range(seeds):
         rng = np.random.default_rng(SCAN_SEED_BASE + s)
@@ -51,6 +59,7 @@ def scan(seeds: int, max_iters: int) -> None:
                             continue
                         converged += result.converged
                         not_converged += not result.converged
+                        closed += result.iterations == 0
                         steps += result.iterations
                         if not result.converged:
                             worst_gap = max(worst_gap, result.gap / result.value)
@@ -58,6 +67,7 @@ def scan(seeds: int, max_iters: int) -> None:
     print(f"converged       : {converged}")
     print(f"not converged   : {not_converged}")
     print(f"raised          : {raised}")
+    print(f"closed form     : {closed}")
     print(f"Newton steps    : {steps}")
     print(f"largest gap (not converged): {worst_gap:.3e}")
 

@@ -845,7 +845,10 @@ def compute_fbar_im(
     else:
         sign_arr = _resolve_signs(signs, count)
         strategy = "explicit"
+    # The np.dot that tensordot makes on the flattened stack, without its
+    # set-up: the same bits.  (The stack is a strided view, on which @
+    # can round differently.)
+    fbar_im = np.dot(sign_arr, imags.reshape(count, -1)).reshape(imags.shape[1:])
     return _fbar_matrix(
-        coll.p, np.tensordot(sign_arr, imags, axes=1), strategy=strategy,
-        signs=tuple(sign_arr.astype(int).tolist()),
+        coll.p, fbar_im, strategy=strategy, signs=tuple(sign_arr.astype(int).tolist()),
     )

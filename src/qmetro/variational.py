@@ -29,9 +29,11 @@ one eigendecomposition gives the value, both derivatives and, along a
 Newton step, the exact distance to ||M|| = 1, and the line search never
 evaluates a point outside; a trial point whose form fails to factor
 lies outside to working precision, and the step is halved as for one
-past the boundary.  Everything that does not depend on M (the
-constraint solution, the reduced quadratic form's parts, the LMI stack,
-sqrt(W)) is built once per problem.  A Newton system singular to working
+past the boundary.  Where no free coordinates are left, h is affine and
+its maximum is a closed form; elsewhere a pure Newton step on h is tried
+first inside the barrier's Dikin ellipsoid.  Everything that does not
+depend on M (the constraint solution, the reduced quadratic form's
+parts, the LMI stack, sqrt(W)) is built once per problem.  A Newton system singular to working
 precision, as it can turn near ||M|| = 1, ends the ascent with the best
 interval found.
 """
@@ -454,6 +456,10 @@ class _MinimaxProblem:
     Cholesky factorization; the system is affine in y, and its
     y-independent parts N^T K_0 N, N^T D_a N, N^T K_0 x0 and N^T D_a x0
     are built here.
+    When N has no columns (n = d^2 - 1 Holevo problems, or a kernel that
+    takes all the freedom), X*(y) = x0 for every y and h is affine in y;
+    the solver then reads its maximum off :func:`_affine_top`.  The
+    Kronecker products above are formed by broadcasting (:func:`_kron`).
     ``lmi`` is the stack F_a = [[0, E_a], [E_a^+, 0]] of the barrier's
     A(y) = I + sum_a y_a F_a = [[I, M], [M^+, I]].
     """
@@ -489,7 +495,7 @@ class _MinimaxProblem:
         self.lmi[:, :side, side:] = self.e
         self.lmi[:, side:, :side] = dagger(self.e)
         self.d = d_ab.reshape(-1, self.nd, self.nd)  # the stack of D_a
-        self.k0 = np.kron(w_mat, np.real(g))
+        self.k0 = _kron(w_mat, np.real(g))
         f_mat = np.real(np.einsum("rij,aji->ra", frame, self.basis))
         u, sv, vt = np.linalg.svd(f_mat)
         self.f_plus = (vt[: n + 1].T / sv) @ u.T
@@ -497,10 +503,10 @@ class _MinimaxProblem:
         # Only the range of W (x) A, A = N_F^T Re G N_F, is kept (see above).
         w_vals, w_vecs = _numerical_range(w_eigen.values, np.real(w_eigen.vectors))
         a_vals, a_vecs = _numerical_range(*np.linalg.eigh(null_f.T @ np.real(g) @ null_f))
-        self.null = np.kron(w_vecs, null_f @ a_vecs)
+        self.null = _kron(w_vecs, null_f @ a_vecs)
         targets = np.eye(n + 1)[1:]  # b_j = e_(j+1)
         self.x0 = self.f_plus[:, 1:].T.reshape(-1)
-        self.k_r0 = np.diag(np.kron(w_vals, a_vals))
+        self.k_r0 = np.diag(_kron(w_vals[None], a_vals[None])[0])
         self.d_r = self.null.T @ self.d @ self.null
         self.rhs0 = -(self.null.T @ (self.k0 @ self.x0))
         self.d_rx0 = (self.d @ self.x0) @ self.null
@@ -547,6 +553,14 @@ class _MinimaxProblem:
         g_mat = l_inv @ (dx @ self.null).T
         hess = -2.0 * g_mat.T @ g_mat
         return _MinimaxPoint(y, h, err, counts, f, x.reshape(self.n, -1), grad, hess)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices as one broadcast product reshaped in place:
+    the same products, so the same bits, without np.kron's set-up for
+    arrays of any rank."""
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def _numerical_range(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -600,21 +614,66 @@ def _step_to_boundary(barrier: _Barrier, step: np.ndarray) -> float:
 
 def _newton_step(
     pt: _MinimaxPoint, barrier: _Barrier, mu: float
-) -> tuple[np.ndarray, float, float]:
-    """Newton step for h + mu log det A(y), its squared decrement, and the
-    squared gradient norm in the barrier's local norm over mu.
+) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """Newton step for h + mu log det A(y), its squared decrement, the
+    squared gradient norm in the barrier's local norm over mu, and the pure
+    Newton step -(d2h)^-1 dh of h alone.
 
-    The last measures centrality: a point with barrier parameter nu and
+    The third measures centrality: a point with barrier parameter nu and
     that norm at most mu has f - h <= mu (2 nu + 2 sqrt(nu)).  The
     decrement cannot stand in for it, because it also counts the
     curvature of h, which grows without bound where K(y) turns singular
     at the optimum (the Nagaoka minimum of some d >= 3 families).
-    Raises LinAlgError when either system is singular to working precision."""
+    The pure step is None where d2h alone is singular to working
+    precision, as it is wherever h has fewer free coordinates than y (the
+    Nagaoka problem at d = 2).  Raises LinAlgError when either of the
+    other two systems is."""
     g = pt.grad + mu * barrier.grad
-    # Both systems are positive definite inside the ball: one stacked solve.
-    lhs = -np.stack([pt.hess + mu * barrier.hess, barrier.hess])
-    step, inv_g = np.linalg.solve(lhs, np.stack([g, g])[..., None])[..., 0]
-    return step, float(g @ step), float(g @ inv_g) / mu
+    # Inside the ball -d2b is positive definite, -d2h semidefinite: one stacked solve.
+    lhs = -np.stack([pt.hess + mu * barrier.hess, barrier.hess, pt.hess])
+    rhs = np.stack([g, g, pt.grad])[..., None]
+    try:
+        step, inv_g, pure = np.linalg.solve(lhs, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        (step, inv_g), pure = np.linalg.solve(lhs[:2], rhs[:2])[..., 0], None
+    return step, float(g @ step), float(g @ inv_g) / mu, pure
+
+
+def _trial(prob: _MinimaxProblem, y: np.ndarray) -> tuple[_MinimaxPoint, _Barrier] | None:
+    """The point and barrier at y; None when y lies outside, by the barrier's
+    eigensolve or by a K_r(y) that fails to factor (only where rounding puts
+    a point just inside ||M|| = 1 outside)."""
+    barrier = _log_det_barrier(prob.lmi, y)
+    if barrier is None:
+        return None
+    try:
+        return prob.point(y), barrier
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _pure_step(prob: _MinimaxProblem, pt: _MinimaxPoint, barrier: _Barrier, mu, pure):
+    """y + pure, the Newton step on h alone, when it lies in the barrier's
+    Dikin ellipsoid of radius 1/2, raises h by a quarter of its predicted
+    gain and does not lower h + mu log det A(y), each up to the rounding
+    level of h; None otherwise.  Near an optimum inside the ball it
+    converges quadratically, where the barrier steps take one decade of mu
+    each."""
+    # The ellipsoid of radius 1 lies inside ||M|| < 1; the test also turns
+    # away a step that is not finite.
+    if pure is None or not -float(pure @ barrier.hess @ pure) <= 0.25:
+        return None
+    moved = _trial(prob, pt.y + pure)
+    if moved is None:
+        return None
+    trial, trial_barrier = moved
+    slack = pt.err + trial.err
+    rise = trial.h - pt.h
+    if rise >= 0.25 * float(pt.grad @ pure) - slack and (
+        rise + mu * (trial_barrier.value - barrier.value) >= -slack
+    ):
+        return moved
+    return None
 
 
 def _line_search(
@@ -628,20 +687,35 @@ def _line_search(
     t = 1.0
     for _ in range(30):
         if t < t_max:
-            y = pt.y + t * step
-            # None, or a K_r(y) that fails to factor, only where rounding puts
-            # a step just short of t_max outside.
-            trial_barrier = _log_det_barrier(prob.lmi, y)
-            try:
-                trial = None if trial_barrier is None else prob.point(y)
-            except np.linalg.LinAlgError:
-                trial = None
-            if trial is not None:
+            moved = _trial(prob, pt.y + t * step)
+            if moved is not None:
+                trial, trial_barrier = moved
                 gain = trial.h + mu * trial_barrier.value - phi
                 if gain >= 0.25 * t * dec - (pt.err + trial.err):
-                    return trial, trial_barrier
+                    return moved
         t *= 0.5
     return None
+
+
+def _affine_top(prob: _MinimaxProblem, pt: _MinimaxPoint) -> _MinimaxPoint | None:
+    """The maximum of h when ``prob.null`` has no columns, from the point
+    ``pt`` at y = 0; None if the barrier finds it outside.
+
+    Then X*(y) = x0 for every y and h(y) = h(0) + y . grad is affine, and
+    y . grad = -<C, M> / e_norm for the dual matrix C = sum_a (-grad_a) E_a.
+    Over ||M|| <= 1 that is largest, at ||C||_1 / e_norm, at the polar
+    factor M* = -U V^+ of C = U S V^+ over its nonzero singular values
+    (M* = 0 for C = 0), whose coordinates are y*_a = <E_a, M*> / e_norm."""
+    u, sv, vh = np.linalg.svd(_combine(-pt.grad, prob.e))
+    keep = sv > len(sv) * _EPS * sv[0]
+    # Just inside ||M|| = 1, far enough for the barrier's eigensolve to see
+    # it inside; h gives up 32 eps ||C||_1 / e_norm for that.
+    m_star = -(1.0 - 32 * _EPS) * (u[:, keep] @ vh[keep])
+    flat = prob.e.reshape(len(prob.e), -1)
+    y = np.real(flat.conj() @ m_star.ravel()) / prob.e_norm
+    if _log_det_barrier(prob.lmi, y) is None:
+        return None
+    return prob.point(y)
 
 
 def _minimax_newton(
@@ -653,7 +727,14 @@ def _minimax_newton(
     """max_y h(y) by damped Newton on h + mu log det A(y), mu -> 0.
 
     Every point gives a certified h(y) below the minimum C and a feasible
-    X*(y) with f(X*(y)) >= C.  The loop stops when the best pair is within
+    X*(y) with f(X*(y)) >= C.  Two exits save Newton steps.  When the
+    reduced null space is empty, h is affine and its maximum over
+    ||M|| < 1 is read off the polar factor of the dual matrix at y = 0
+    (:func:`_affine_top`): the interval comes from that point and the start,
+    with no step.  Otherwise each step first tries the pure Newton step on
+    h, inside the barrier's Dikin ellipsoid (:func:`_pure_step`), which
+    closes an optimum inside the ball in a few steps, and else takes the
+    damped barrier step.  The loop stops when the best pair is within
     MINIMAX_RTOL, when the barrier weight has reached its floor at a
     central point or with no gain left above the rounding level of h, or
     when no step raises the barrier objective or the Newton system is
@@ -661,6 +742,10 @@ def _minimax_newton(
     """
     prob = _MinimaxProblem(state, weight, strategy)
     pt = prob.point(np.zeros(len(prob.e)))  # X*(0) is the canonical start
+    # With no free coordinates h is affine and its maximum is known: the
+    # interval is read off that point and the start, and no step is taken.
+    top = _affine_top(prob, pt) if prob.null.shape[1] == 0 else None
+    seen = (pt,) if top is None else (pt, top)
     barrier = _log_det_barrier(prob.lmi, pt.y)
     # The barrier moves h by about mu times its parameter, twice the side
     # of M; the floor keeps that far below the stopping gap.
@@ -670,30 +755,34 @@ def _minimax_newton(
     trace = []
     steps = 0
     while True:
-        if pt.counts:
-            lower = max(lower, pt.h - pt.err)
-            if pt.f < best_f:
-                best_f, best_x = pt.f, pt.x
+        for p in seen:
+            if p.counts:
+                lower = max(lower, p.h - p.err)
+                if p.f < best_f:
+                    best_f, best_x = p.f, p.x
         trace.append(best_f)
         converged = best_f - lower <= MINIMAX_RTOL * best_f
-        if converged or steps == max_steps:
+        if converged or top is not None or steps == max_steps:
             break
         steps += 1
         try:
-            step, dec, cen = _newton_step(pt, barrier, mu)
+            step, dec, cen, pure = _newton_step(pt, barrier, mu)
             # Near the central point of this mu, or no gain left above the
             # rounding level of h: lower mu.
             if cen <= mu or dec <= pt.err:
                 if mu == mu_min:
                     break
                 mu = max(0.1 * mu, mu_min)
-                step, dec, cen = _newton_step(pt, barrier, mu)
+                step, dec, cen, pure = _newton_step(pt, barrier, mu)
         except np.linalg.LinAlgError:
             break
-        moved = _line_search(prob, pt, barrier, mu, step, dec)
+        moved = _pure_step(prob, pt, barrier, mu, pure) or _line_search(
+            prob, pt, barrier, mu, step, dec
+        )
         if moved is None:
             break
         pt, barrier = moved
+        seen = (pt,)
     return MinimizeResult(
         value=best_f,
         ops=tuple(np.tensordot(best_x, prob.basis, 1)),

@@ -25,7 +25,8 @@ def test_descent_demo_prints_certified_interval(strategy, capsys):
 
 
 def test_descent_demo_scan_counts_every_run(capsys):
-    # One seed of the robustness scan: 36 runs, none raising.
+    # One seed of the robustness scan: 36 runs, none raising; the two at
+    # d = 2, n = 3 (W = F_Q and W = I) end in the closed form.
     demo = runpy.run_path(os.path.join(SCRIPTS, "holevo_descent_demo.py"))
     demo["main"](["--scan", "1"])
     out = capsys.readouterr().out
@@ -36,6 +37,7 @@ def test_descent_demo_scan_counts_every_run(capsys):
     assert counts["runs"] == 36
     assert counts["converged"] + counts["not converged"] == 36
     assert counts["raised"] == 0
+    assert counts["closed form"] == 2
     assert counts["Newton steps"] > 0
     assert math.isfinite(counts["largest gap (not converged)"])
     assert counts["largest gap (not converged)"] >= 0.0

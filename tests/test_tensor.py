@@ -1263,6 +1263,22 @@ class TestFbar:
         with pytest.raises(KindMismatch):
             compute_fbar_im(coll, None, signs)
 
+    @pytest.mark.parametrize("d, p", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
+    def test_aggregate_bytes_match_tensordot(self, d, p):
+        # The aggregate is one matrix-vector product on the flattened stack
+        # of Im F_u; on stacks of 2, 3, 4, 8 and 9 vectors it keeps the bits
+        # of the tensordot it replaced.
+        rng = np.random.default_rng(90 + 10 * d + p)
+        st = evaluate(random_linear_family(d, 3, rng), np.zeros(3))
+        _, _, tilde = sld_analysis(st)
+        coll = build_collective(st, tilde, p)
+        signs = rng.choice([-1.0, 1.0], coll.dim)
+        for basis in (None, haar_unitary(coll.dim, rng)):
+            imags = tensor._fu_imag_parts(coll, np.eye(coll.dim) if basis is None else basis)
+            ref = tensor._fbar_matrix(p, np.tensordot(signs, imags, axes=1)).entries
+            got = compute_fbar_im(coll, basis, signs).entries
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
     def test_explicit_signs_as_ints_or_floats(self, qubit_state):
         st = qubit_state(0.3)
         _, _, tilde = sld_analysis(st)

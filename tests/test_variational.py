@@ -622,20 +622,125 @@ class TestHolevoSolver:
         assert max(evaluated) < 1.0
 
     def test_singular_newton_system_ends_ascent(self, monkeypatch):
-        # d = 2, n = 3 leaves no freedom, so the Hessian of h is exactly 0;
-        # with a zero barrier Hessian the Newton system is exactly singular.
-        st = _random_state(np.random.default_rng(139), d=2, n=3)
+        # d = 3, n = 2 leaves free coordinates, so the ascent enters its
+        # loop; with the Hessians of h and of the barrier both zeroed, every
+        # Newton system is exactly singular.
+        st = _random_state(np.random.default_rng(139), d=3, n=2)
         slds, fisher, _ = sld_analysis(st)
-        barrier = variational._log_det_barrier
+        barrier, point = variational._log_det_barrier, variational._MinimaxProblem.point
         monkeypatch.setattr(
             variational,
             "_log_det_barrier",
             lambda lmi, y: barrier(lmi, y)._replace(hess=np.zeros((len(y), len(y)))),
         )
+        monkeypatch.setattr(
+            variational._MinimaxProblem,
+            "point",
+            lambda self, y: point(self, y)._replace(hess=np.zeros((len(y), len(y)))),
+        )
         res = minimize_bound(st, slds, fisher, MinimizeConfig(w=fisher.f_q))
         assert res.iterations == 1
         assert res.lower <= res.value
         assert res.converged == (res.gap <= variational.MINIMAX_RTOL * res.value)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("use_fq", [True, False])
+    def test_closed_form_when_the_unbiased_set_is_one_point(self, d, use_fq):
+        # n = d^2 - 1 leaves no free coordinates: X*(y) is the canonical X
+        # for every y, h is affine, and its maximum at the polar factor of
+        # the dual matrix closes the interval with no Newton step.
+        rng = np.random.default_rng(191 + d)
+        for _ in range(3):
+            st = _random_state(rng, d=d, n=d * d - 1)
+            slds, fisher, _ = sld_analysis(st)
+            w = fisher.f_q if use_fq else np.eye(st.n)
+            res = minimize_bound(st, slds, fisher, MinimizeConfig(w=w))
+            assert res.iterations == 0 and res.converged
+            assert res.trace == (res.value,)
+            canonical = canonical_unbiased(st, slds, fisher).ops
+            assert res.value == pytest.approx(holevo_objective(st, canonical, w), rel=1e-12)
+            assert res.lower <= res.value
+            prob = _problem(st, w, "holevo")
+            assert prob.null.shape[1] == 0
+            pt = prob.point(np.zeros(len(prob.e)))
+            top = variational._affine_top(prob, pt)
+            assert np.linalg.norm(np.tensordot(top.y, prob.e, 1), 2) < 1.0
+            # h(y*) = h(0) + ||C||_1 / 2, which is f at the one feasible X.
+            assert top.h == pytest.approx(pt.f, rel=1e-13)
+            assert top.h - top.err <= res.value
+
+    @pytest.mark.parametrize("strategy", ["holevo", "nagaoka"])
+    def test_closed_form_on_a_pure_qubit(self, strategy):
+        # Here the kernel X sqrt(rho) = 0 takes all the freedom, so both
+        # strategies end in the closed form; for Nagaoka the dual matrix is
+        # Hermitian and so is its polar factor.  C_H = C_N = 2n at W = F_Q.
+        fam = StateFamily.linear(np.diag([1.0, 0.0]).astype(complex), [SIGMA1 / 2, SIGMA2 / 2])
+        st = evaluate(fam, np.zeros(2))
+        slds, fisher, _ = sld_analysis(st)
+        res = minimize_bound(st, slds, fisher, MinimizeConfig(strategy, w=fisher.f_q))
+        assert res.iterations == 0 and res.converged
+        assert res.lower <= 4.0 * (1 + 1e-12) and res.value >= 4.0 * (1 - 1e-12)
+
+    def test_closed_form_of_a_zero_dual_matrix(self):
+        # C = 0: h is constant, and the maximum is taken at y* = 0.
+        st = _random_state(np.random.default_rng(197), d=2, n=3)
+        _, fisher, _ = sld_analysis(st)
+        prob = _problem(st, fisher.f_q, "holevo")
+        pt = prob.point(np.zeros(len(prob.e)))
+        top = variational._affine_top(prob, pt._replace(grad=np.zeros(len(prob.e))))
+        assert np.array_equal(top.y, np.zeros(len(prob.e)))
+
+    def test_pure_steps_close_interior_optima_on_panel(self, monkeypatch):
+        # Panel families whose optimum lies inside the ball (||M*|| < 1)
+        # converge in a few pure Newton steps on h, where the barrier steps
+        # take one per decade of mu; every family still closes its gap.
+        norms = []
+        point = variational._MinimaxProblem.point
+
+        def recording(self, y):
+            norms.append(np.linalg.norm(np.tensordot(y, self.e, 1), 2))
+            return point(self, y)
+
+        monkeypatch.setattr(variational._MinimaxProblem, "point", recording)
+        rng = np.random.default_rng(20240901)
+        interior = []
+        for i in range(12):
+            d, n = (2, 3, 4)[i % 3], 2 + (i // 3) % 2
+            st = evaluate(random_linear_family(d, n, rng), np.zeros(n))
+            slds, fisher, _ = sld_analysis(st)
+            norms.clear()
+            res = minimize_bound(st, slds, fisher, MinimizeConfig(w=fisher.f_q))
+            assert res.converged
+            assert res.gap <= variational.MINIMAX_RTOL * res.value
+            if norms[-1] < 0.9:
+                interior.append(i)
+                assert res.iterations <= 5
+        assert interior == [1, 7, 8]
+
+    def test_setup_products_match_kron(self, monkeypatch):
+        # K_0, the null-space basis and the diagonal of K_r0 are Kronecker
+        # products formed by broadcasting; each keeps the bits of np.kron.
+        calls = []
+        kron = variational._kron
+
+        def checked(a, b):
+            out, ref = kron(a, b), np.kron(a, b)
+            assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+            calls.append(out.shape)
+            return out
+
+        monkeypatch.setattr(variational, "_kron", checked)
+        rng = np.random.default_rng(199)
+        for strategy, d, n, singular in [("holevo", 2, 2, False), ("holevo", 3, 3, True),
+                                         ("holevo", 2, 3, False), ("nagaoka", 3, 2, False)]:
+            st = _random_state(rng, d=d, n=n)
+            _, fisher, _ = sld_analysis(st)
+            w = np.diag([1.0] + [0.0] * (n - 1)) if singular else fisher.f_q
+            calls.clear()
+            prob = _problem(st, w, strategy)
+            assert len(calls) == 3
+            assert calls[0] == prob.k0.shape and calls[1] == prob.null.shape
+            assert calls[2] == (1, len(prob.k_r0))
 
     @pytest.mark.parametrize(
         "name, strategy, use_fq",
@@ -761,7 +866,7 @@ class TestHolevoSolver:
         pt = prob.point(np.zeros(len(prob.e)))
         barrier = variational._log_det_barrier(prob.lmi, pt.y)
         mu = 0.1 * pt.h / (2 * prob.e.shape[1])
-        step, dec, _ = variational._newton_step(pt, barrier, mu)
+        step, dec, _, _ = variational._newton_step(pt, barrier, mu)
         point = prob.point
 
         def failing(y):
