@@ -21,7 +21,12 @@ unbiasedness constraints leave one feasible X (n = d^2 - 1): h is then
 affine and its maximum is read off the polar factor of the dual matrix.
 Elsewhere the solver takes a Newton step on h alone wherever it lies
 well inside ||M|| < 1, which closes an optimum inside the ball in a few
-steps.
+steps.  Once the ascent is central at ||M|| >= 1/2 it projects its point
+onto the face ||M|| = 1 and takes Newton steps for max h on that face
+while each raises the certified lower end, which closes an optimum on
+the boundary in a few points; the projection and each such step count
+as Newton steps.  Every exit keeps the certificate: every lower end is
+an h at a point with ||M|| < 1.
 """
 
 from __future__ import annotations

@@ -129,6 +129,18 @@ def rld_cp_bound(c_rld: TradeoffMatrix, fisher: FisherData, n: int) -> float:
 def gamma_inf_lower(fisher: FisherData, n: int) -> float:
     """Gamma_inf >= n^2 / (n + ||F~_Im||_1).
 
+    The derivation rests on one premise: at p = infinity, the limit of
+    collective measurements on ever more copies, the Holevo bound is
+    attainable, so that every real V >= Z(X) at a locally unbiased X,
+    Z(X)_jk = Tr(rho X_j X_k), is the limit of some nu Cov (Holevo; Kahn
+    & Guta, CMP 289, 597 (2009); Yamagata, Fujiwara & Gill, Ann. Stat.
+    41, 2197 (2013)).  This is the p = infinity end of the paper's
+    hierarchy, where its saturation condition becomes the weak
+    commutative condition.  In the tilde frame the canonical X = L~ has
+    Z = I + i F~_Im, dominated by V = I + |i F~_Im|; then
+    Gamma_inf >= Tr V^-1 >= n^2 / Tr V by Cauchy-Schwarz, and
+    Tr V = n + ||F~_Im||_1.
+
     F~_Im is real antisymmetric, so its singular values are the
     |eigenvalues| of the Hermitian i F~_Im: one ``eigvalsh``.
     """

@@ -29,11 +29,19 @@ one eigendecomposition gives the value, both derivatives and, along a
 Newton step, the exact distance to ||M|| = 1, and the line search never
 evaluates a point outside; a trial point whose form fails to factor
 lies outside to working precision, and the step is halved as for one
-past the boundary.  Where no free coordinates are left, h is affine and
-its maximum is a closed form; elsewhere a pure Newton step on h is tried
-first inside the barrier's Dikin ellipsoid.  Everything that does not
-depend on M (the constraint solution, the reduced quadratic form's
-parts, the LMI stack, sqrt(W)) is built once per problem.  A Newton system singular to working
+past the boundary.  Three exits save Newton steps.  Where no free
+coordinates are left, h is affine and its maximum is a closed form;
+elsewhere a pure Newton step on h is tried first inside the barrier's
+Dikin ellipsoid, which closes an optimum inside the ball; and once the
+ascent is central at ||M|| >= 1/2, an endgame projects its point onto
+the face ||M|| = 1 and takes Riemannian Newton steps for max h on that
+face while each raises the certified lower end, which closes an optimum
+on the boundary.  The face's gauge g = ||M|| and its derivatives come
+from the barrier's eigensystem.  Every exit keeps the certificate: every
+``lower`` is an h at a point with ||M|| < 1, every value f at a feasible
+X.  Everything that does not depend on M (the constraint solution, the
+reduced quadratic form's parts, the LMI stack, sqrt(W)) is built once
+per problem.  A Newton system singular to working
 precision, as it can turn near ||M|| = 1, ends the ascent with the best
 interval found.
 """
@@ -577,23 +585,30 @@ def _combine(y: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 
 class _Barrier(NamedTuple):
-    """log det A(y) with its gradient and Hessian in y, and the whitened
-    stack V^+ F_a V, V = Q Lambda^(-1/2) for A(y) = Q Lambda Q^+."""
+    """log det A(y) with its gradient and Hessian in y, the whitened stack
+    V^+ F_a V, V = Q Lambda^(-1/2), and the eigensystem A(y) = Q Lambda Q^+
+    (``vals`` ascending, ``vecs`` = Q) that gives them."""
 
     value: float
     grad: np.ndarray
     hess: np.ndarray
     white: np.ndarray
+    vals: np.ndarray
+    vecs: np.ndarray
 
 
 def _log_det_barrier(lmi: np.ndarray, y: np.ndarray) -> _Barrier | None:
     """log det A(y) for A(y) = I + sum_a y_a F_a = [[I, M], [M^+, I]], which
-    equals log det(I - M^+ M); None when ||M|| >= 1.
+    equals log det(I - M^+ M); None when ||M|| >= 1."""
+    return _barrier(lmi, *np.linalg.eigh(np.eye(lmi.shape[1]) + _combine(y, lmi)))
+
+
+def _barrier(lmi: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> _Barrier | None:
+    """The barrier from the eigensystem of A(y); None unless A(y) > 0.
 
     One eigendecomposition of A gives the feasibility test, the value
     sum log Lambda and, through the whitened F~_a = V^+ F_a V, the
     gradient Tr F~_a and the Hessian -Tr(F~_a F~_b)."""
-    vals, vecs = np.linalg.eigh(np.eye(lmi.shape[1]) + _combine(y, lmi))
     if float(vals[0]) <= 0.0:
         return None
     v = vecs / np.sqrt(vals)
@@ -601,7 +616,7 @@ def _log_det_barrier(lmi: np.ndarray, y: np.ndarray) -> _Barrier | None:
     flat = white.reshape(len(lmi), -1)
     hess = -np.real(flat @ dagger(flat))  # Tr(F~_a F~_b) = <F~_b, F~_a>: both Hermitian
     grad = np.real(np.trace(white, axis1=1, axis2=2))
-    return _Barrier(float(np.sum(np.log(vals))), grad, (hess + hess.T) / 2.0, white)
+    return _Barrier(float(np.sum(np.log(vals))), grad, (hess + hess.T) / 2.0, white, vals, vecs)
 
 
 def _step_to_boundary(barrier: _Barrier, step: np.ndarray) -> float:
@@ -718,6 +733,75 @@ def _affine_top(prob: _MinimaxProblem, pt: _MinimaxPoint) -> _MinimaxPoint | Non
     return prob.point(y)
 
 
+def _gauge(lmi: np.ndarray, barrier: _Barrier) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient and Hessian in y of the gauge g(y) = ||M(y)|| =
+    1 - lambda_min(A(y)), read off the barrier's eigensystem of A(y).
+
+    The eigenvalues tied with lambda_min to the eigensolve's rounding
+    level form a cluster C, whose mean lambda_C moves smoothly: an
+    antisymmetric M pairs its singular values, so for Holevo the smallest
+    eigenvalue of A is always at least double.  With u_i the eigenvectors
+    in C and v_k the others, lambda_C has the gradient mean_i u_i^+ F_a u_i
+    and the Hessian
+    (2/|C|) sum_i sum_k Re[(u_i^+ F_a v_k)(v_k^+ F_b u_i)] / (lambda_C - lambda_k);
+    g takes both with the opposite sign, so its Hessian is PSD."""
+    vals, vecs = barrier.vals, barrier.vecs
+    c = int(np.sum(vals - vals[0] <= 16 * len(vals) * _EPS * vals[-1]))
+    rows = dagger(vecs[:, :c]) @ lmi @ vecs  # u_i^+ F_a (all eigenvectors)
+    grad = -np.real(np.trace(rows[:, :, :c], axis1=1, axis2=2)) / c
+    off = (rows[:, :, c:] / np.sqrt(vals[c:] - np.mean(vals[:c]))).reshape(len(lmi), -1)
+    return grad, (2.0 / c) * np.real(off @ dagger(off))
+
+
+def _to_face(prob: _MinimaxProblem, u: np.ndarray) -> tuple[_MinimaxPoint, _Barrier] | None:
+    """The trial at the gauge projection (1 - 32 eps) u / ||M(u)|| of u != 0
+    onto ||M|| = 1, with the shrink of :func:`_affine_top`; None when its
+    form fails to factor.  A(u) - I has the eigenvalues +-sigma_i(M(u)),
+    so its one eigensolve gives ||M(u)|| and, scaled, the eigensystem of A
+    at the projection."""
+    vals, vecs = np.linalg.eigh(_combine(u, prob.lmi))
+    scale = (1.0 - 32 * _EPS) / -float(vals[0])
+    barrier = _barrier(prob.lmi, 1.0 + scale * vals, vecs)
+    if barrier is None:
+        return None
+    try:
+        return prob.point(scale * u), barrier
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _face_step(
+    prob: _MinimaxProblem, pt: _MinimaxPoint, barrier: _Barrier
+) -> tuple[_MinimaxPoint, _Barrier] | None:
+    """The Riemannian Newton step for max h on the face g(y) = ||M(y)|| = 1
+    from the point ``pt`` on it, retracted by :func:`_to_face`; None where
+    h does not press outward (the multiplier nu = dg . dh / |dg|^2 is not
+    positive) or the tangent system is singular.
+
+    With P the projector off dg, the step xi solves
+    P (d2h - nu d2g) P xi = -P dh on the tangent space, as the bordered
+    system [[d2h - nu d2g, dg], [dg^T, 0]] [xi; lam] = [-dh; 0].  Where y
+    has one coordinate (Holevo at n = 2) the face is y = +-1, xi = 0 and
+    the projection alone is the maximizer."""
+    m = len(pt.y)
+    g_grad, g_hess = _gauge(prob.lmi, barrier)
+    nu = float(g_grad @ pt.grad) / float(g_grad @ g_grad)
+    if not nu > 0.0:
+        return None
+    kkt = np.zeros((m + 1, m + 1))
+    kkt[:m, :m] = pt.hess - nu * g_hess
+    kkt[:m, m] = kkt[m, :m] = g_grad
+    try:
+        xi = np.linalg.solve(kkt, np.append(-pt.grad, 0.0))[:m]
+    except np.linalg.LinAlgError:
+        return None
+    # g is convex, so g(y + xi) >= g(y) + dg . xi = g(y) and the
+    # projection is well defined once xi is finite.
+    if not np.all(np.isfinite(xi)):
+        return None
+    return _to_face(prob, pt.y + xi)
+
+
 def _minimax_newton(
     state: EvaluatedState,
     weight: tuple[np.ndarray, linalg.EigenSystem],
@@ -727,17 +811,27 @@ def _minimax_newton(
     """max_y h(y) by damped Newton on h + mu log det A(y), mu -> 0.
 
     Every point gives a certified h(y) below the minimum C and a feasible
-    X*(y) with f(X*(y)) >= C.  Two exits save Newton steps.  When the
+    X*(y) with f(X*(y)) >= C.  Three exits save Newton steps.  When the
     reduced null space is empty, h is affine and its maximum over
     ||M|| < 1 is read off the polar factor of the dual matrix at y = 0
     (:func:`_affine_top`): the interval comes from that point and the start,
     with no step.  Otherwise each step first tries the pure Newton step on
     h, inside the barrier's Dikin ellipsoid (:func:`_pure_step`), which
     closes an optimum inside the ball in a few steps, and else takes the
-    damped barrier step.  The loop stops when the best pair is within
-    MINIMAX_RTOL, when the barrier weight has reached its floor at a
-    central point or with no gain left above the rounding level of h, or
-    when no step raises the barrier objective or the Newton system is
+    damped barrier step.  At the first central point with ||M|| >= 1/2,
+    where mu would be lowered, the endgame starts: that point's gauge
+    projection onto ||M|| = 1 (:func:`_to_face`), then Riemannian Newton
+    steps for max h on the face (:func:`_face_step`), for as long as each
+    point raises the certified lower end.  It closes an optimum on the
+    boundary in a few points, where the barrier path takes one step per
+    decade of mu; when it stops, the barrier loop goes on from its own
+    iterate.  Each endgame point counts as a step, enters ``lower`` and
+    ``value`` like any other and appends to the trace.  Every exit keeps
+    the certificate: every ``lower`` is an h at a point with ||M|| < 1,
+    every value f at a feasible X.  The loop stops when the best pair is
+    within MINIMAX_RTOL, when the barrier weight has reached its floor at
+    a central point or with no gain left above the rounding level of h,
+    or when no step raises the barrier objective or the Newton system is
     singular, as it can turn near ||M|| = 1.
     """
     prob = _MinimaxProblem(state, weight, strategy)
@@ -754,10 +848,13 @@ def _minimax_newton(
     best_f, best_x, lower = math.inf, pt.x, -math.inf
     trace = []
     steps = 0
+    face, tried = None, False  # the endgame's last point on ||M|| = 1; entered yet
     while True:
+        rose = False
         for p in seen:
             if p.counts:
-                lower = max(lower, p.h - p.err)
+                if p.h - p.err > lower:
+                    lower, rose = p.h - p.err, True
                 if p.f < best_f:
                     best_f, best_x = p.f, p.x
         trace.append(best_f)
@@ -765,6 +862,14 @@ def _minimax_newton(
         if converged or top is not None or steps == max_steps:
             break
         steps += 1
+        # The endgame steps on while each of its points raises lower; then
+        # the barrier loop goes on from its own iterate.
+        if face is not None and rose:
+            face = _face_step(prob, *face)
+            if face is not None:
+                seen = (face[0],)
+                continue
+        face = None
         try:
             step, dec, cen, pure = _newton_step(pt, barrier, mu)
             # Near the central point of this mu, or no gain left above the
@@ -772,6 +877,14 @@ def _minimax_newton(
             if cen <= mu or dec <= pt.err:
                 if mu == mu_min:
                     break
+                # The first such point at ||M|| >= 1/2 enters the endgame
+                # with its projection onto ||M|| = 1.
+                if not tried and 1.0 - float(barrier.vals[0]) >= 0.5:
+                    tried = True
+                    face = _to_face(prob, pt.y)
+                    if face is not None:
+                        seen = (face[0],)
+                        continue
                 mu = max(0.1 * mu, mu_min)
                 step, dec, cen, pure = _newton_step(pt, barrier, mu)
         except np.linalg.LinAlgError:

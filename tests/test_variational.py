@@ -717,6 +717,85 @@ class TestHolevoSolver:
                 assert res.iterations <= 5
         assert interior == [1, 7, 8]
 
+    def test_face_endgame_closes_boundary_optima_on_panel(self, monkeypatch):
+        # Panel families whose optimum lies on ||M*|| = 1 (all but the
+        # interior 1, 7, 8 and the closed forms 3, 9) converge within 8
+        # points, the projection onto the face and the Newton steps on it
+        # included, where the barrier path takes one step per decade of mu.
+        # The endgame reaches the face, and every point stays inside it.
+        norms = []
+        point = variational._MinimaxProblem.point
+
+        def recording(self, y):
+            norms.append(np.linalg.norm(np.tensordot(y, self.e, 1), 2))
+            return point(self, y)
+
+        monkeypatch.setattr(variational._MinimaxProblem, "point", recording)
+        rng = np.random.default_rng(20240901)
+        boundary = []
+        for i in range(12):
+            d, n = (2, 3, 4)[i % 3], 2 + (i // 3) % 2
+            st = evaluate(random_linear_family(d, n, rng), np.zeros(n))
+            if i in (1, 3, 7, 8, 9):
+                continue
+            slds, fisher, _ = sld_analysis(st)
+            norms.clear()
+            res = minimize_bound(st, slds, fisher, MinimizeConfig(w=fisher.f_q))
+            assert res.converged
+            assert res.gap <= variational.MINIMAX_RTOL * res.value
+            assert res.iterations <= 8
+            assert 1.0 - 1e-13 <= max(norms) < 1.0
+            boundary.append(i)
+        assert boundary == [0, 2, 4, 5, 6, 10, 11]
+
+    @pytest.mark.parametrize("strategy, d, n", [("holevo", 3, 2), ("holevo", 3, 3),
+                                                ("holevo", 3, 4), ("nagaoka", 2, 2),
+                                                ("nagaoka", 3, 2)])
+    def test_gauge_derivatives_match_finite_differences(self, strategy, d, n):
+        # The endgame reads the gradient and Hessian of g(y) = ||M(y)|| off
+        # the barrier's eigensystem of A(y); central differences of the
+        # spectral norm itself at random y inside the ball check both.
+        rng = np.random.default_rng(211)
+        st = _random_state(rng, d=d, n=n)
+        _, fisher, _ = sld_analysis(st)
+        prob = _problem(st, fisher.f_q, strategy)
+
+        def gauge(y):
+            return np.linalg.norm(np.tensordot(y, prob.e, 1), 2)
+
+        for _ in range(3):
+            _, y = _dual_at_norm(prob, rng, 0.6)
+            grad, hess = variational._gauge(prob.lmi, variational._log_det_barrier(prob.lmi, y))
+            steps = np.eye(len(y)) * 1e-5
+            fd_grad = [(gauge(y + a) - gauge(y - a)) / 2e-5 for a in steps]
+            assert np.allclose(grad, fd_grad, rtol=0.0, atol=1e-8)
+            steps = np.eye(len(y)) * 1e-4
+            fd_hess = [[(gauge(y + a + b) - gauge(y + a - b) - gauge(y - a + b)
+                         + gauge(y - a - b)) / 4e-8 for b in steps] for a in steps]
+            assert np.allclose(hess, fd_hess, rtol=0.0, atol=1e-5 * max(1.0, np.abs(hess).max()))
+
+    def test_endgame_intervals_overlap_barrier_only(self, monkeypatch):
+        # Both solves certify their interval, so the endgame's [lower,
+        # value] and the barrier-only one (the projection onto the face
+        # never taken) must overlap on every family; each lower already
+        # carries its point's error allowance.
+        rng = np.random.default_rng(227)
+        cases = []
+        for d in range(2, 6):
+            for n in range(2, min(4, d * d - 1) + 1):
+                st = _random_state(rng, d=d, n=n)
+                slds, fisher, _ = sld_analysis(st)
+                for w in (np.eye(n), fisher.f_q):
+                    for strategy in ("holevo", "nagaoka") if n == 2 else ("holevo",):
+                        cases.append((st, slds, fisher, MinimizeConfig(strategy, w=w)))
+        new = [minimize_bound(*case) for case in cases]
+        monkeypatch.setattr(variational, "_to_face", lambda prob, u: None)
+        old = [minimize_bound(*case) for case in cases]
+        for a, b in zip(new, old):
+            assert a.lower <= a.value and b.lower <= b.value
+            assert a.lower <= b.value and b.lower <= a.value
+        assert sum(a.iterations for a in new) < sum(b.iterations for b in old)
+
     def test_setup_products_match_kron(self, monkeypatch):
         # K_0, the null-space basis and the diagonal of K_r0 are Kronecker
         # products formed by broadcasting; each keeps the bits of np.kron.
