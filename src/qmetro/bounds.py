@@ -110,9 +110,7 @@ def rld_standard_bound(fisher: FisherData) -> float:
     if fisher.f_rld is None:
         raise RldUndefined("no RLD Fisher matrix available")
     s = fisher.inv_sqrt
-    term1 = float(np.trace(np.linalg.solve(fisher.f_q, fisher.f_rld_re)).real)
-    term2 = linalg.trace_norm(s @ fisher.f_rld_im @ s)
-    return term1 - term2
+    return fisher.rld_trace - linalg.trace_norm(s @ fisher.f_rld_im @ s)
 
 
 def rld_cp_bound(c_rld: TradeoffMatrix, fisher: FisherData, n: int) -> float:
@@ -121,9 +119,8 @@ def rld_cp_bound(c_rld: TradeoffMatrix, fisher: FisherData, n: int) -> float:
     _check_n(c_rld, n)
     if fisher.f_rld is None:
         raise RldUndefined("no RLD Fisher matrix available")
-    term1 = float(np.trace(np.linalg.solve(fisher.f_q, fisher.f_rld_re)).real)
     m = c_rld.per_copy
-    return term1 - pair_coefficient(n) * float(np.sum(m * m))
+    return fisher.rld_trace - pair_coefficient(n) * float(np.sum(m * m))
 
 
 def gamma_inf_lower(fisher: FisherData, n: int) -> float:

@@ -57,7 +57,7 @@ class FisherData:
     F_Q^(-1/2), comes from one eigensolve of ``f_q`` at construction (a
     singular F_Q raises) unless given, as :func:`dataclasses.replace` does.
     F~_Im is formed on first use of :func:`tilde_fisher_im` and kept,
-    read-only.
+    read-only, and Tr(F_Q^-1 F_Re^RLD) on first read of ``rld_trace``.
     """
 
     f_q: np.ndarray
@@ -94,6 +94,12 @@ class FisherData:
         if self.f_rld is None:
             raise RldUndefined("no RLD Fisher matrix attached")
         return np.imag(self.f_rld)
+
+    @functools.cached_property
+    def rld_trace(self) -> float:
+        """Tr(F_Q^-1 F_Re^RLD), the leading term of both RLD bounds: one
+        solve per ``fisher``, however many p read it."""
+        return float(np.trace(np.linalg.solve(self.f_q, self.f_rld_re)).real)
 
 
 def compute_sld(state: EvaluatedState) -> DerivativeSet:

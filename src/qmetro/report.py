@@ -38,6 +38,7 @@ from .tensor import (
     compute_tp_exact,
     compute_tp_monte_carlo,
     first_best,
+    pair_commutator_table,
 )
 from .variational import MinimizeConfig, minimize_bound
 
@@ -123,18 +124,22 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
         fbar=bool(auto_ps),
     ) if walk_ps else {}
 
+    # One commutator table serves the T_p rows of every p.
+    table = pair_commutator_table(state, tilde) if "tp" in which or "tp_mc" in which else None
+
     for p in config.p_list:
         if "cp" in which:
             entries.append(gb.BoundEntry("cp", gb.cp_bound(walks[p].cp, n), "upper", p))
         if "tp" in which:
             try:
-                tp = compute_tp_exact(state, tilde, p, enum_cap=config.enum_cap)
+                tp = compute_tp_exact(state, tilde, p, enum_cap=config.enum_cap, table=table)
                 meta = {"method": "exact"}
             except EnumerationOverflow:
                 # Monte Carlo enumerates a law of at most mc_samples vectors
                 # anyway, so such a law is summed exactly at the same cost.
                 if composition_count(p, state.support_rank) <= config.mc_samples:
-                    tp = compute_tp_exact(state, tilde, p, enum_cap=config.mc_samples)
+                    tp = compute_tp_exact(state, tilde, p, enum_cap=config.mc_samples,
+                                          table=table)
                     meta = {"method": "exact", "fallback": "enum_cap"}
                 else:
                     warnings.warn(
@@ -142,13 +147,15 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
                         stacklevel=2,
                     )
                     tp = compute_tp_monte_carlo(
-                        state, tilde, p, config.mc_samples, config.seed
+                        state, tilde, p, config.mc_samples, config.seed, table=table
                     )
                     meta = {"method": "monte_carlo", "fallback": "enum_cap",
                             "stderr_max": _stderr_max(tp)}
             entries.append(gb.BoundEntry("tp", gb.tp_bound(tp, n), "upper", p, meta=meta))
         if "tp_mc" in which:
-            tp = compute_tp_monte_carlo(state, tilde, p, config.mc_samples, config.seed)
+            tp = compute_tp_monte_carlo(
+                state, tilde, p, config.mc_samples, config.seed, table=table
+            )
             entries.append(
                 gb.BoundEntry(
                     "tp_mc",

@@ -25,19 +25,23 @@ m_lambda det(D)^k.  The scale and the largest weight of mu are combined
 in log space, so large p neither under- nor overflows.
 
 :func:`block_sweep` reads C_p, C_p^RLD and the AutoAlign F-bar_Im
-candidates of every p of a list from that one walk.  Each pair's
-commutator image H_q = S pi_mu(-i [L~_j, L~_k]) S, j < k, comes from one
-tensordot of the single-copy commutators (pi([A, B]) = [pi(A), pi(B)]),
-and one eigendecomposition of it gives the C_p share and the
-auto_align(j,k) contribution at every p where mu recurs: a qubit sweep
-over p = 1..P makes O(P) eigensolves per pair.  The block eigenbases are
-never returned, so a candidate's meta names its strategy only.  C_p^RLD
-stays per block lambda, because RLDs are not traceless; its image is the
-mu image shifted by k Tr(R) I.  A single p is the same walk over a
+candidates of every p of a list from that one walk.  The pair
+commutators -i [L~_j, L~_k], j < k, and the tilde RLDs are rotated into
+rho's eigenbasis once per sweep, and on each shape their images are one
+matrix product with its flattened generators (pi([A, B]) = [pi(A),
+pi(B)]).  One eigendecomposition of a pair's commutator image H_q =
+S pi_mu(-i [L~_j, L~_k]) S gives the C_p share and the auto_align(j,k)
+contribution at every p where mu recurs: a qubit sweep over p = 1..P
+makes O(P) eigensolves per pair.  The trivial shape mu = 0 is not
+solved, because pi_mu vanishes there.  The block eigenbases are never
+returned, so a candidate's meta names its strategy only.  C_p^RLD reads
+every block lambda, because RLDs are not traceless: its image is the mu
+image shifted by k Tr(R) I, and the products of all the blocks a shape
+serves share its eigvalsh calls.  A single p is the same walk over a
 one-element list (:func:`block_pass`).  LAPACK calls stack about
 STACK_BYTES of block matrices.  A trace norm over the m_lambda copies of
-a block is m_lambda times the block's.  Only the largest block bounds the
-memory, and the dimension cap bounds the largest block.
+a block is m_lambda times the block's.  Only the largest block bounds
+the memory, and the dimension cap bounds the largest block.
 
 :func:`compute_fbar_im`, F-bar over a supplied basis of (C^d)^(x)p (a
 (d^p, count) array of columns, or None for the computational one) with a
@@ -48,11 +52,12 @@ either.  The module also computes T_p (exact enumeration or Monte Carlo)
 and the p -> infinity limit.
 
 The state-independent tables of a call are built once per process and
-kept read-only, so a call pays only for its state: the occupation-law
-skeleton of T_p per (p, support rank), while all kept skeletons fit in
-LAW_CACHE_BYTES, and, for bases of at most OPTIMIZE_MAX_VECTORS vectors,
-the computational basis of F-bar per (d, p) and OptimizeNorm's sign
-patterns per basis size.
+kept read-only, so a call pays only for its state: log m_lambda of the
+shapes of each (p, d), one float per shape, the occupation-law skeleton
+of T_p per (p, support rank), while all kept skeletons fit in
+LAW_CACHE_BYTES, and, for bases of at most OPTIMIZE_MAX_VECTORS
+vectors, the computational basis of F-bar per (d, p) and OptimizeNorm's
+sign patterns per basis size.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -146,52 +151,72 @@ Served = tuple[int, tuple[int, ...], float]
 
 def reduced_blocks(
     state: EvaluatedState, p_list: Sequence[int]
-) -> Iterator[tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], list[Served]]]:
-    """Yield ``(s, pi, served)`` per reduced shape mu, one at a time.
+) -> Iterator[tuple[np.ndarray, np.ndarray, list[Served]]]:
+    """Yield ``(s, gens, served)`` per reduced shape mu, one at a time.
 
     The shapes mu (mu_d = 0) are those of the blocks lambda = mu + k(1,
     ..., 1) of every p in ``p_list``, each listed once.  ``s`` is the
     diagonal of Pi_mu(sqrt D) in the Gelfand–Tsetlin basis over its
-    largest entry, and pi(A) = pi_mu(U+ A U) for a single-copy operator
-    or a stack of them, with rho = U D U+.  ``served`` names the blocks
-    lambda with their ``scale`` = m_lambda det(D)^k (max Pi_mu(sqrt D))^2,
-    summed in log space, so that on lambda
+    largest entry, with rho = U D U+.  ``gens`` holds the real
+    pi_mu(E_ab) flattened to a (d^2, dim^2) array, so that one matrix
+    product maps a stack of single-copy operators A to their images:
+
+        pi(A) = pi_mu(U+ A U) = ((U+ A U).reshape(count, d^2) @ gens)
+                                .reshape(count, dim, dim).
+
+    ``served`` names the blocks lambda with their ``scale`` = m_lambda
+    det(D)^k (max Pi_mu(sqrt D))^2, summed in log space (log m_lambda from
+    :func:`_log_multiplicities`), so that on lambda
 
         sqrt(m_lambda) Pi_lambda(sqrt D) = sqrt(scale) s,
         pi_lambda(A) = pi(A) + k Tr(A) I.
 
     A block with k >= 1 of a rank-deficient rho has scale 0.
     """
-    vecs = state.eigen.vectors
     values = state.eigen.values
     sqrt_d = np.sqrt(np.where(values > state.rank_tol, values, 0.0))  # as sqrt_rho
     log_det = sum(map(math.log, sqrt_d)) if sqrt_d.all() else -math.inf  # det(sqrt D)
-    walk: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    walk: dict[tuple[int, ...], list[tuple[int, tuple[int, ...], float]]] = {}
     for p in dict.fromkeys(p_list):
-        for shape in schur.partitions(p, state.dim):
+        logs = _log_multiplicities(p, state.dim).tolist()
+        for shape, log_m in zip(schur.partitions(p, state.dim), logs):
             mu = tuple(r - shape[-1] for r in shape)
-            walk.setdefault(mu, []).append((p, shape))
+            walk.setdefault(mu, []).append((p, shape, log_m))
     for mu, blocks in walk.items():
         weights, gens = schur.gt_basis(mu)
         log_s = schur.log_diag_power(weights, sqrt_d)
         top = float(log_s.max())
         top = top if top > -math.inf else 0.0  # no support: s = 0
         served = []
-        for p, shape in blocks:
+        for p, shape, log_m in blocks:
             k = shape[-1]
-            log_scale = math.log(schur.multiplicity(shape)) + 2.0 * top
+            log_scale = log_m + 2.0 * top
             if k:  # k * -inf, never 0 * -inf
                 log_scale += 2.0 * k * log_det
             served.append((p, shape, math.exp(log_scale)))
-        # complex once per shape, so pi(A) costs no conversion per call;
-        # the real generators stay in the schur cache, or die here when
-        # they do not fit its budget
-        gens = gens.astype(np.complex128)
-        yield np.exp(log_s - top), functools.partial(_block_image, vecs, gens), served
+        yield np.exp(log_s - top), gens.reshape(state.dim**2, -1), served
 
 
-def _block_image(vecs: np.ndarray, gens: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    return np.tensordot(dagger(vecs) @ ops @ vecs, gens, 2)
+@functools.cache
+def _log_multiplicities(p: int, d: int) -> np.ndarray:
+    """log m_lambda of every shape of ``schur.partitions(p, d)``, in its
+    order: built once per (p, d), one float per shape, and read-only."""
+    logs = [math.log(schur.multiplicity(shape)) for shape in schur.partitions(p, d)]
+    return _read_only(np.array(logs))[0]
+
+
+def _images(flat: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """pi_mu of each operator of the flattened eigenbasis stack ``flat``
+    (one row per operator), as a (count, dim, dim) stack.  The product
+    casts the real generators to complex for its own length only, so a
+    shape holds no complex copy of them while its blocks are solved."""
+    dim = math.isqrt(gens.shape[1])
+    return (flat @ gens).reshape(len(flat), dim, dim)
+
+
+def _eigenbasis_rows(vecs: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """U+ A U of each operator of a stack, one flattened row per operator."""
+    return (dagger(vecs) @ ops @ vecs).reshape(len(ops), -1)
 
 
 def build_collective(
@@ -324,16 +349,43 @@ def _align_block(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return norms, shares
 
 
-def _rld_block(xs: np.ndarray, j_idx: np.ndarray, k_idx: np.ndarray) -> np.ndarray:
-    """1/2 ||P - P+||_1 per pair, P = X_j X_k+ for the weighted block
-    images ``xs`` of the RLDs."""
-    out = np.empty(len(j_idx))
-    for st in _stacks(len(j_idx), xs.shape[-1]):
-        prod = xs[j_idx[st]] @ dagger(xs[k_idx[st]])
-        prod -= dagger(prod)
-        prod *= 1j  # i (P - P+), Hermitian
-        out[st] = _half_herm_norms(prod)
-    return out
+def _rld_blocks(
+    xs: np.ndarray, s: np.ndarray, traces: np.ndarray, ks: np.ndarray,
+    j_idx: np.ndarray, k_idx: np.ndarray,
+) -> np.ndarray:
+    """1/2 ||P - P+||_1 per block and pair, P = X_j X_k+ with X_j =
+    xs_j + k Tr(R_j) S on the block lambda_d = k of each entry of ``ks``,
+    from the shape images ``xs`` of the RLDs R (weighted here, in place:
+    xs_j = S pi_mu(R_j)) and the weight S = diag(``s``).  The (block,
+    pair) products go in stacks of about STACK_BYTES, one eigvalsh each,
+    so no stack of every block is built."""
+    xs *= s[:, None]
+    ts = traces[:, None] * s  # the diagonal Tr(R_j) S that k = 1 adds
+    pairs = len(j_idx)
+    out = np.empty(len(ks) * pairs)
+    for st in _stacks(len(out), len(s)):
+        block, q = np.divmod(np.arange(st.start, min(st.stop, len(out))), pairs)
+        out[st] = _half_herm_norms(_rld_products(xs, ts, j_idx[q], k_idx[q], ks[block]))
+    return out.reshape(len(ks), pairs)
+
+
+def _rld_products(
+    xs: np.ndarray, ts: np.ndarray, j: np.ndarray, k: np.ndarray, shift: np.ndarray
+) -> np.ndarray:
+    """i (P - P+) per item, P = X_j X_k+ for the operators ``j`` and ``k``
+    and the block shift k of each item (see :func:`_rld_blocks`).  The
+    factors die on return, before the next stack is built."""
+    ops = np.concatenate((j, k))
+    shift = np.concatenate((shift, shift))[:, None]
+    x = xs[ops]  # X_j of every item, then X_k
+    diag = x.reshape(len(x), -1)[:, :: x.shape[-1] + 1]
+    np.add(diag, shift * ts[ops], out=diag, where=shift != 0)  # k = 0 keeps xs
+    left, right = x[: len(j)], x[len(j):]
+    prod = left @ np.conjugate(right, out=right).swapaxes(1, 2)
+    del x, diag, left, right
+    prod -= dagger(prod)
+    prod *= 1j  # Hermitian
+    return prod
 
 
 @dataclass(frozen=True)
@@ -362,11 +414,12 @@ def block_sweep(
     coll.p]).  C_p (``cp``) and the auto_align(j,k) candidates of every
     pair j < k (``fbar``, in :func:`_pair_indices` order) read its
     operators, and C_p^RLD reads ``rld_ops``, the n single-copy tilde
-    RLDs (DimMismatch unless there are n of shape d x d).  On a reduced
-    shape with weight s, pair q = (j, k) has the Hermitian image
-    H_q = s pi_mu(-i [L~_j, L~_k]) s, all pairs from one tensordot of the
-    single-copy commutators, and with H_q = V Lambda V+ and the scales c
-    of the blocks lambda of each p
+    RLDs (DimMismatch unless there are n of shape d x d).  The pair
+    commutators and the RLDs are rotated into rho's eigenbasis once, and
+    on a reduced shape with weight s all their images come from one
+    matrix product with the shape's generators.  Pair q = (j, k) has the
+    Hermitian image H_q = s pi_mu(-i [L~_j, L~_k]) s, and with
+    H_q = V Lambda V+ and the scales c of the blocks lambda of each p
 
         (C_p)_q = 1/2 sum_lambda c sum_i |Lambda_i|,
         auto_align(q): F-bar_Im[q'] = 1/2 sum_lambda c Re <H_q', V sgn(Lambda) V+>,
@@ -374,63 +427,81 @@ def block_sweep(
     because Im <u|S L_j L_k S|u> = 1/2 <u|H_(j,k)|u> for every vector u.
     So one eigh per pair and shape serves every p, and entry (j, k) of
     auto_align(j,k) equals the C_p entry; without ``fbar``, C_p reads
-    eigvalsh.  The signs take the tie rule on the alignment values
+    eigvalsh.  The shape mu = 0 adds nothing here (pi_mu = 0) and is not
+    solved.  The signs take the tie rule on the alignment values
     Lambda/2, which does not depend on c.  C_p^RLD takes P = X_j X_k+
     with X_j = s pi_lambda(L~^R_j) = s (pi_mu(L~^R_j) + k Tr(L~^R_j) I) on
-    each block and clips 1/2 sum_lambda c ||P - P+||_1 at 2p.  Each LAPACK
-    call stacks about STACK_BYTES of matrices; a shape's stacks die
-    before the next shape is built.
+    each block and clips 1/2 sum_lambda c ||P - P+||_1 at 2p; the
+    products of every block a shape serves, and every pair, go into
+    eigvalsh calls together.  Each LAPACK call stacks about STACK_BYTES
+    of matrices; a shape's stacks die before the next shape is built.
+    Every pair's candidate entries at one p come from one (pairs, n, n)
+    array.
     """
     n = coll.n
     ps = tuple(dict.fromkeys(p_list))
     if any(not 1 <= p <= coll.p for p in ps):
         raise KindMismatch(f"p list {ps} must lie in [1, {coll.p}]")
+    vecs = coll.state.eigen.vectors
+    j_idx, k_idx = _pair_indices(n)
+    pairs = len(j_idx)
+    if cp or fbar:
+        ops = coll.base_ops
+        comms = _eigenbasis_rows(vecs, -1j * (ops[j_idx] @ ops[k_idx] - ops[k_idx] @ ops[j_idx]))
     if rld_ops is not None:
         rld_ops = _operator_stack(rld_ops, n, coll.d, "C_p^RLD")
         rld_traces = np.trace(rld_ops, axis1=1, axis2=2)
-    j_idx, k_idx = _pair_indices(n)
-    ops = coll.base_ops
-    comms = -1j * (ops[j_idx] @ ops[k_idx] - ops[k_idx] @ ops[j_idx])
-    cp_vals = {p: np.zeros(len(j_idx)) for p in ps}
-    rld_vals = {p: np.zeros(len(j_idx)) for p in ps}
-    totals = {p: np.zeros((len(j_idx), len(j_idx))) for p in ps}
-    for s, pi, served in reduced_blocks(coll.state, ps):
-        norms, shares = 0.0, 0.0  # the C_p and F-bar shares of this shape
-        if fbar:
-            norms, shares = _align_block(_sandwich(pi(comms), s))
-        elif cp:
-            norms = np.concatenate([
-                _half_herm_norms(_sandwich(pi(comms[st]), s))
-                for st in _stacks(len(j_idx), len(s))
+        rld_rows = _eigenbasis_rows(vecs, rld_ops)
+    # One row per p of the list; within a shape every p has one block.
+    row_of = {p: i for i, p in enumerate(ps)}
+    cp_vals = np.zeros((len(ps), pairs))
+    rld_vals = np.zeros((len(ps), pairs))
+    totals = np.zeros((len(ps), pairs, pairs)) if fbar else None
+    for s, gens, served in reduced_blocks(coll.state, ps):
+        served = [block for block in served if block[2] != 0.0]  # zero blocks skipped
+        rows = [row_of[p] for p, _, _ in served]
+        scales = np.array([scale for _, _, scale in served])[:, None]
+        # pi_mu vanishes on the one-dimensional shape mu = 0, so the
+        # commutators have no share there; the RLD blocks k Tr(R) I do.
+        if served and len(s) > 1 and fbar:
+            norms, shares = _align_block(_sandwich(_images(comms, gens), s))
+            totals[rows] += scales[:, :, None] * shares
+            if cp:
+                cp_vals[rows] += scales * norms
+        elif served and len(s) > 1 and cp:
+            cp_vals[rows] += scales * np.concatenate([
+                _half_herm_norms(_sandwich(_images(comms[st], gens), s))
+                for st in _stacks(pairs, len(s))
             ])
-        if rld_ops is not None:
-            xs = pi(rld_ops)
-            xs *= s[:, None]
-        for p, shape, scale in served:
-            if scale == 0.0:  # lambda_d >= 1 of a rank-deficient rho: a zero block
-                continue
-            cp_vals[p] += scale * norms
-            totals[p] += scale * shares
-            if rld_ops is not None:
-                x = xs
-                if shape[-1]:  # s (pi_mu(R) + k Tr(R) I)
-                    x = xs.copy()
-                    diag = np.arange(len(s))
-                    x[:, diag, diag] += shape[-1] * np.outer(rld_traces, s)
-                rld_vals[p] += scale * _rld_block(x, j_idx, k_idx)
+        if served and rld_ops is not None:
+            ks = np.array([shape[-1] for _, shape, _ in served])
+            rld_vals[rows] += scales * _rld_blocks(
+                _images(rld_rows, gens), s, rld_traces, ks, j_idx, k_idx
+            )
+        del gens  # before the generator builds the next shape
+    # Every p's matrices at once: one (len(ps), n, n) array per consumer
+    # and one (len(ps), pairs, n, n) array of candidates.
+    if cp:
+        cp_mats = _pair_matrix(n, cp_vals)
+    if rld_ops is not None:
+        rld_mats = np.minimum(_pair_matrix(n, rld_vals), 2.0 * np.array(ps)[:, None, None])
+    if fbar:
+        upper = np.zeros((len(ps), pairs, n, n))
+        upper[:, :, j_idx, k_idx] = 0.5 * totals
+        skew = upper - np.swapaxes(upper, 2, 3)
+        cands = (skew - np.swapaxes(skew, 2, 3)) / 2.0  # exact skew symmetry
+        labels = [f"auto_align({j},{k})" for j, k in zip(j_idx.tolist(), k_idx.tolist())]
     out = {}
-    for p in ps:
-        candidates = []
-        for q, (j, k) in enumerate(zip(j_idx, k_idx) if fbar else ()):
-            upper = np.zeros((n, n))
-            upper[j_idx, k_idx] = 0.5 * totals[p][q]
-            candidates.append(_fbar_matrix(p, upper - upper.T, strategy=f"auto_align({j},{k})"))
+    for p, row in row_of.items():
         out[p] = BlockPass(
-            cp=TradeoffMatrix(kind="C", p=p, entries=_pair_matrix(n, cp_vals[p])) if cp else None,
+            cp=TradeoffMatrix(kind="C", p=p, entries=cp_mats[row]) if cp else None,
             cp_rld=TradeoffMatrix(
-                kind="C_RLD", p=p, entries=np.minimum(_pair_matrix(n, rld_vals[p]), 2.0 * p)
+                kind="C_RLD", p=p, entries=rld_mats[row]
             ) if rld_ops is not None else None,
-            candidates=candidates,
+            candidates=[
+                TradeoffMatrix(kind="FBAR_IM", p=p, entries=entries, meta={"strategy": label})
+                for entries, label in zip(cands[row], labels)
+            ] if fbar else [],
         )
     return out
 
@@ -459,7 +530,7 @@ def compute_cp_rld(coll: CollectiveOperators) -> TradeoffMatrix:
     return block_pass(coll, rld_ops=coll.base_ops).cp_rld
 
 
-def _pair_commutator_table(state: EvaluatedState, tilde_ops: Sequence[np.ndarray]) -> np.ndarray:
+def pair_commutator_table(state: EvaluatedState, tilde_ops: Sequence[np.ndarray]) -> np.ndarray:
     """c[i, q] = Im <Psi_i|[L~_j, L~_k]|Psi_i> on the support, for every
     pair q = (j, k), j < k, in ``itertools.combinations`` order.
 
@@ -490,10 +561,11 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _pair_matrix(n: int, values: np.ndarray) -> np.ndarray:
-    """Symmetric n x n matrix with zero diagonal from per-pair values."""
-    out = np.zeros((n, n))
-    out[_pair_indices(n)] = values
-    return out + out.T
+    """Symmetric n x n matrix with zero diagonal from per-pair values (the
+    last axis; any leading axes give a stack of such matrices)."""
+    out = np.zeros(values.shape[:-1] + (n, n))
+    out[(..., *_pair_indices(n))] = values
+    return out + np.swapaxes(out, -1, -2)
 
 
 def composition_count(total: int, parts: int) -> int:
@@ -606,17 +678,19 @@ def compute_tp_exact(
     tilde_ops: Sequence[np.ndarray],
     p: int,
     enum_cap: int = DEFAULT_ENUM_CAP,
+    *,
+    table: np.ndarray | None = None,
 ) -> TradeoffMatrix:
     """Exact T_p by enumerating eigenvector occupation vectors.
 
     (T_p)_{jk} = 1/2 sum_k multinomial(p; k) prod_i lambda_i^{k_i}
                  |sum_i k_i <Psi_i|[L~_j, L~_k]|Psi_i>|,
     exact to floating precision (no sampling).  The count is checked
-    against ``enum_cap`` before any table is built or looked up; the
-    occupation law (:func:`_occupation_law`, weights in log space, whose
-    state-independent skeleton is kept per (p, rank) for the process) and
-    one commutator table serve every pair, read by :func:`_pair_sums` a
-    stack of pairs at a time.
+    against ``enum_cap`` before any table is built or looked up.  The
+    commutator table of (state, tilde_ops) (:func:`pair_commutator_table`)
+    is built here unless the caller passes it as ``table``, as a report
+    does once for all its p; :func:`_occupation_sum` sums it against the
+    occupation law.
     """
     m = state.support_rank
     count = composition_count(p, m)
@@ -624,15 +698,25 @@ def compute_tp_exact(
         raise EnumerationOverflow(
             f"{count} occupation vectors exceed enumeration cap {enum_cap}"
         )
-    table = _pair_commutator_table(state, tilde_ops)
-    occupations, weights = _occupation_law(p, state.support_values)
-    pairs, _ = _pair_sums(occupations, weights, table)
+    if table is None:
+        table = pair_commutator_table(state, tilde_ops)
     return TradeoffMatrix(
         kind="T",
         p=p,
-        entries=_pair_matrix(len(tilde_ops), pairs),
+        entries=_pair_matrix(len(tilde_ops), _occupation_sum(table, state.support_values, p)),
         meta={"method": "exact"},
     )
+
+
+def _occupation_sum(table: np.ndarray, values: np.ndarray, p: int) -> np.ndarray:
+    """S_q = 1/2 sum_k multinomial(p; k) prod_i values_i^{k_i} |k . c_q|
+    for every column c_q of ``table``, the rows of which go with
+    ``values``: the occupation law of p draws (:func:`_occupation_law`,
+    weights in log space, whose state-independent skeleton is kept per
+    (p, rank) for the process) read by :func:`_pair_sums` a stack of
+    pairs at a time."""
+    occupations, weights = _occupation_law(p, values)
+    return _pair_sums(occupations, weights, table)[0]
 
 
 def compute_tp_monte_carlo(
@@ -641,10 +725,13 @@ def compute_tp_monte_carlo(
     p: int,
     samples: int,
     seed: int,
+    *,
+    table: np.ndarray | None = None,
 ) -> TradeoffMatrix:
     """Monte Carlo T_p: sample mean of 1/2 |sum_r c_{v_r}| over iid
     eigenvector draws v_1..v_p, with a per-entry standard error (ddof=1)
-    in ``meta["stderr"]``.
+    in ``meta["stderr"]``.  ``table`` is the commutator table of (state,
+    tilde_ops) when the caller holds it, as for :func:`compute_tp_exact`.
 
     One call makes one draw of ``samples`` occupation vectors from
     ``default_rng(seed)``, and every entry reads it, so each entry is an
@@ -666,7 +753,8 @@ def compute_tp_monte_carlo(
     else:
         rows = rng.multinomial(p, lam / float(np.sum(lam)), size=samples).astype(float)
         freq = np.ones(samples)
-    table = _pair_commutator_table(state, tilde_ops)
+    if table is None:
+        table = pair_commutator_table(state, tilde_ops)
     sums, devs = _pair_sums(rows, freq, table, spread=True)
     errs = np.zeros(len(sums))
     if samples > 1:
@@ -687,7 +775,7 @@ def limit_fim(state: EvaluatedState, tilde_ops: Sequence[np.ndarray]) -> Tradeof
     For Hermitian L~ this is |Im Tr(rho L~_j L~_k)|, the eigenvalue-weighted
     sum of the commutator table's diagonals.
     """
-    table = _pair_commutator_table(state, tilde_ops)
+    table = pair_commutator_table(state, tilde_ops)
     values = 0.5 * np.abs(state.support_values @ table)
     return TradeoffMatrix(kind="LIMIT", p=1, entries=_pair_matrix(len(tilde_ops), values))
 

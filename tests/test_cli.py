@@ -318,7 +318,9 @@ class TestBoundsRegression:
     """``bounds`` rows against values recorded from the CLI: small p at
     commit f5ec208 (per-matrix trace norms, eigensolves and pattern loop),
     and the cases with an ``id``, where the block pass serves cp, fbar and
-    rld_cp at larger p, at the ``recorded_at`` commit of each case."""
+    rld_cp at larger p, at the ``recorded_at`` commit of each case.  The
+    p = 1-10 qubit3 and p = 1-5 qutrit8 reports are sweeps in which one
+    reduced shape serves several blocks with lambda_d >= 1."""
 
     @pytest.mark.parametrize("case", _regression_cases(), ids=lambda c: c.get("id", c["args"][2]))
     def test_same_rows(self, tmp_path, case):

@@ -105,6 +105,34 @@ class TestBuildReport:
         assert vals["rld"] == pytest.approx(2.0, abs=1e-9)
         assert vals["rld_cp"] == pytest.approx(1.5, abs=1e-9)
 
+    def test_one_table_and_one_solve_per_report(self, qubit_state, monkeypatch):
+        # The T_p rows of every p read one commutator table, and both RLD
+        # rows of every p one Tr(F_Q^-1 F_Re^RLD); the values are those of
+        # a table and a solve per row.
+        import qmetro.report as report_module
+        from qmetro.logderiv import compute_rld, compute_rld_fisher
+        from qmetro.tensor import compute_tp_exact, pair_commutator_table
+
+        st = qubit_state(0.5)
+        ps = tuple(range(1, 11))
+        tables, solves = [], []
+        monkeypatch.setattr(report_module, "pair_commutator_table",
+                            lambda *a: tables.append(a) or pair_commutator_table(*a))
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a) or solve(*a))
+        report = build_report(st, ReportConfig(bounds=("tp", "rld", "rld_cp"), p_list=ps))
+        monkeypatch.undo()
+        assert len(tables) == 1 and len(solves) == 1
+        _, fisher, tilde = sld_analysis(st)
+        rf = compute_rld_fisher(st, compute_rld(st), fisher)
+        trace = float(np.trace(np.linalg.solve(rf.f_q, rf.f_rld_re)).real)
+        s = rf.inv_sqrt
+        rld = trace - float(np.sum(np.abs(np.linalg.eigvalsh(1j * (s @ rf.f_rld_im @ s)))))
+        for p in ps:
+            vals = report.upper_values(p)
+            assert vals["tp"] == gb.tp_bound(compute_tp_exact(st, tilde, p), 3)
+            assert vals["rld"] == pytest.approx(rld, rel=1e-14)
+
     def test_rld_undefined_propagates(self):
         ket = np.array([1.0, 0.0])
         fam = StateFamily.linear(np.outer(ket, ket), [SIGMA1 / 2, SIGMA2 / 2])

@@ -41,6 +41,16 @@ from qmetro.tensor import (
 )
 
 
+def shape_image(st, gens, ops):
+    """pi_mu(U+ A U) of one operator or a stack, from the flattened
+    complex generators that reduced_blocks yields per shape."""
+    ops = np.asarray(ops, dtype=complex)
+    vecs = st.eigen.vectors
+    dim = math.isqrt(gens.shape[1])
+    rows = (dagger(vecs) @ ops @ vecs).reshape(-1, st.dim**2)
+    return (rows @ gens).reshape(ops.shape[:-2] + (dim, dim))
+
+
 class TestBuildCollective:
     def test_p1_identity_embedding(self, qubit_state):
         # At p = 1 the single block is the single copy in the eigenbasis of
@@ -51,11 +61,11 @@ class TestBuildCollective:
         # one complex (n, d, d) stack, read as it is by every kernel
         assert coll.base_ops.shape == (3, 2, 2) and coll.base_ops.dtype == np.complex128
         assert np.array_equal(coll.base_ops, np.array(tilde))
-        [(s, pi, [served])] = list(tensor.reduced_blocks(st, [1]))
+        [(s, gens, [served])] = list(tensor.reduced_blocks(st, [1]))
         p, shape, scale = served
         assert (p, shape) == (1, (1, 0))
         for op in tilde:
-            block = scale * s[:, None] * pi(op) * s
+            block = scale * s[:, None] * shape_image(st, gens, op) * s
             direct = st.sqrt_rho @ op @ st.sqrt_rho
             assert np.allclose(np.linalg.eigvalsh(block), np.linalg.eigvalsh(direct), atol=1e-12)
 
@@ -65,9 +75,10 @@ class TestBuildCollective:
         # reduced shapes (2, 0) and (0, 0) (sigma_3 is traceless).
         st = qubit_state(0.0)
         spectrum = []
-        for _, pi, served in tensor.reduced_blocks(st, [2]):
+        for _, gens, served in tensor.reduced_blocks(st, [2]):
             for _, shape, _ in served:
-                spectrum += list(np.linalg.eigvalsh(pi(SIGMA3))) * schur.multiplicity(shape)
+                image = shape_image(st, gens, SIGMA3)
+                spectrum += list(np.linalg.eigvalsh(image)) * schur.multiplicity(shape)
         assert np.allclose(sorted(spectrum), [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
     def test_collective_qfim_scales(self, qubit_state):
@@ -79,9 +90,10 @@ class TestBuildCollective:
         traces = np.trace(np.array(slds.ops), axis1=1, axis2=2)
         for p in (2, 3):
             fp = np.zeros((3, 3))
-            for s, pi, served in tensor.reduced_blocks(st, [p]):
+            for s, gens, served in tensor.reduced_blocks(st, [p]):
                 for _, shape, scale in served:
-                    x = pi(slds.ops) + shape[-1] * traces[:, None, None] * np.eye(len(s))
+                    x = shape_image(st, gens, slds.ops)
+                    x = x + shape[-1] * traces[:, None, None] * np.eye(len(s))
                     fp += scale * np.real(np.einsum("i,jil,kli->jk", s**2, x, x))
             assert np.allclose(fp, p * fisher.f_q, atol=1e-10)
 
@@ -188,6 +200,27 @@ class TestBuildCollective:
         finally:
             tracemalloc.stop()
         assert peak < 45 * 16 * largest**2
+
+    def test_rld_sweep_working_set(self, qubit_state):
+        # A C_p^RLD sweep stacks the products of every block a shape
+        # serves into eigvalsh calls of about STACK_BYTES: measured 19.9
+        # largest-block matrices over p = 1..60 with one call per block,
+        # and 78.9 with one unchunked stack of the served blocks.
+        st = qubit_state(0.5)
+        _, fisher, tilde = sld_analysis(st)
+        rlds = compute_rld(st)
+        rld_ops = reparametrize(rlds, compute_rld_fisher(st, rlds, fisher))
+        top = 60
+        largest = max(schur.irrep_dim(shape) for shape in schur.partitions(top, st.dim))
+        coll = build_collective(st, tilde, top)
+        tensor.block_sweep(coll, range(1, top + 1), rld_ops)  # the kept tables
+        tracemalloc.start()
+        try:
+            tensor.block_sweep(coll, range(1, top + 1), rld_ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 16 * largest**2
 
 
 def literal_site_sum(a, w, p):
@@ -796,6 +829,28 @@ class TestComputeTp:
                     assert tp.entries[j, k] == pytest.approx(ref, rel=1e-13, abs=0.0)
                     assert tp.entries[k, j] == tp.entries[j, k]
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_exact_bits_of_one_kernel(self, d):
+        # The table / occupation-sum split, and a table passed in, leave
+        # every entry bit for bit as the one-kernel form below computes it.
+        rng = np.random.default_rng(700 + d)
+        for n in (2, 3):
+            st = evaluate(random_linear_family(d, n, rng), np.zeros(n))
+            _, _, tilde = sld_analysis(st)
+            cols = np.asarray(tilde) @ st.support_vectors
+            gram = np.einsum("jai,kai->ijk", np.conj(cols), cols)
+            j, k = np.triu_indices(n, 1)
+            table = 2.0 * np.imag(gram[:, j, k])
+            for p in (1, 3, 8):
+                rows, weights = tensor._occupation_law(p, st.support_values)
+                ref = np.zeros((n, n))
+                ref[j, k] = [0.5 * float(weights @ np.abs(rows @ c)) for c in table.T]
+                ref = ref + ref.T
+                assert np.array_equal(compute_tp_exact(st, tilde, p).entries, ref)
+                table = tensor.pair_commutator_table(st, tilde)
+                given = compute_tp_exact(st, tilde, p, table=table)
+                assert np.array_equal(given.entries, ref)
+
     def test_monte_carlo_shared_draw_within_six_stderr(self):
         fam = build_scenario(parse_scenario("qutrit8", delta=0.3))
         st = evaluate(fam, np.zeros(fam.n))
@@ -881,7 +936,7 @@ class TestMonteCarloDraw:
         (rows, freq), = pair_sums_spy
         assert len(rows) == tensor.composition_count(p, st.support_rank) <= samples
         expanded = np.repeat(rows, freq.astype(np.int64), axis=0)
-        table = tensor._pair_commutator_table(st, tilde)
+        table = tensor.pair_commutator_table(st, tilde)
         for q, (j, k) in enumerate(itertools.combinations(range(8), 2)):
             vals = 0.5 * np.abs(expanded @ table[:, q])
             stderr = np.std(vals, ddof=1) / math.sqrt(samples)
@@ -936,7 +991,7 @@ class TestPairSums:
         # Each pair is its own matrix-vector product, so the stacking of
         # pairs leaves every exact T_p entry bit for bit as it was.
         st, tilde = qutrit8_tilde(0.3)
-        table = tensor._pair_commutator_table(st, tilde)
+        table = tensor.pair_commutator_table(st, tilde)
         rows, weights = tensor._occupation_law(40, st.support_values)
         alone = [0.5 * float(weights @ np.abs(rows @ c)) for c in table.T]
         for stack_bytes in (1, 3 * 8 * len(rows), 1 << 30):
