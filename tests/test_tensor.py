@@ -43,7 +43,7 @@ from qmetro.tensor import (
 
 def shape_image(st, gens, ops):
     """pi_mu(U+ A U) of one operator or a stack, from the flattened
-    complex generators that reduced_blocks yields per shape."""
+    generators that reduced_blocks yields per shape."""
     ops = np.asarray(ops, dtype=complex)
     vecs = st.eigen.vectors
     dim = math.isqrt(gens.shape[1])
@@ -203,9 +203,9 @@ class TestBuildCollective:
 
     def test_rld_sweep_working_set(self, qubit_state):
         # A C_p^RLD sweep stacks the products of every block a shape
-        # serves into eigvalsh calls of about STACK_BYTES: measured 19.9
-        # largest-block matrices over p = 1..60 with one call per block,
-        # and 78.9 with one unchunked stack of the served blocks.
+        # serves into eigvalsh calls of about STACK_BYTES: measured 19.4
+        # largest-block matrices over p = 1..60 (19.9 with one call per
+        # block), and 49.2 with one unchunked stack per shape.
         st = qubit_state(0.5)
         _, fisher, tilde = sld_analysis(st)
         rlds = compute_rld(st)
@@ -847,8 +847,8 @@ class TestComputeTp:
                 ref[j, k] = [0.5 * float(weights @ np.abs(rows @ c)) for c in table.T]
                 ref = ref + ref.T
                 assert np.array_equal(compute_tp_exact(st, tilde, p).entries, ref)
-                table = tensor.pair_commutator_table(st, tilde)
-                given = compute_tp_exact(st, tilde, p, table=table)
+                kept = tensor.pair_commutator_table(st, tilde)
+                given = compute_tp_exact(st, tilde, p, table=kept)
                 assert np.array_equal(given.entries, ref)
 
     def test_monte_carlo_shared_draw_within_six_stderr(self):
