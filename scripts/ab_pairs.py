@@ -17,17 +17,37 @@ per end-to-end metric of BENCHMARK.json, each side's median and quartiles,
 the change of the medians, and in how many pairs the change reads better
 (ties count for neither side).  ``--summarize FILE`` prints the summary of
 runs already made.
+
+  python3 scripts/ab_pairs.py PARENT CHANGE --in-process --workload dense-ladder \
+      --rounds 40 --seeds 71-80
+
+``--in-process`` loads each checkout's ``src/qmetro`` under a package
+name of its own (``qmetro_parent``, ``qmetro_change``) into this one
+process, and times whole passes of the workload's call list through each
+side's ``cli.main``, with every call's CSV written to a temporary file.
+After one untimed warm-up pass per side, each round times one pass per
+side on the call list of the next seed; the side that goes first swaps
+every round.  It prints both sides' median pass seconds with quartiles,
+the median of the per-round change/parent ratios, and in how many rounds
+the change was faster.  A process-level pair cannot resolve a cut of 1-2 %
+(its runs spread by more); passes in one process share the machine's
+state, so their ratio can.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,6 +101,63 @@ def summarize(records: list[dict], end_to_end: list[dict]) -> list[str]:
     return lines
 
 
+def load_side(checkout: Path, side: str):
+    """``qmetro.cli`` of ``checkout``, its package loaded as ``qmetro_<side>``
+    (qmetro imports its own modules relatively, so the two sides share none)."""
+    name = f"qmetro_{side}"
+    package = checkout / "src" / "qmetro"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.cli")
+
+
+def timed_pass(cli, argvs: list[tuple], out: str) -> float:
+    """Seconds in ``cli.main`` over one pass of the call list; a call that
+    fails stops the comparison, since it would read as fast."""
+    total = 0.0
+    for argv in argvs:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            start = time.perf_counter()
+            code = cli.main([*argv, "--output", out])
+            total += time.perf_counter() - start
+        if code != 0:
+            raise RuntimeError(f"{cli.__name__} exited {code} on {' '.join(argv)}: "
+                               f"{err.getvalue().strip()}")
+    return total
+
+
+def in_process(checkouts: list[Path], workload: str, seeds: list[int], rounds: int) -> list[str]:
+    """Alternating in-process passes of both sides (see the module
+    docstring); the summary lines."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import numpy as np
+    from workloads import WORKLOADS
+
+    clis = {side: load_side(checkout.resolve(), side)
+            for side, checkout in zip(("parent", "change"), checkouts)}
+    times: dict[str, list[float]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as workdir:
+        argvs = [[call.argv for call in WORKLOADS[workload](np.random.default_rng(seed), workdir)]
+                 for seed in seeds]
+        out = os.path.join(workdir, "call.csv")
+        for cli in clis.values():
+            timed_pass(cli, argvs[0], out)
+        for r in range(rounds):
+            for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
+                times[side].append(timed_pass(clis[side], argvs[r % len(argvs)], out))
+    (o1, om, o3), (n1, nm, n3) = _quartiles(times["parent"]), _quartiles(times["change"])
+    ratios = [b / a for a, b in zip(times["parent"], times["change"])]
+    wins = sum(b < a for a, b in zip(times["parent"], times["change"]))
+    return [
+        f"{workload}: {rounds} in-process rounds",
+        f"  pass_s: parent {om:.4g} [{o1:.4g}-{o3:.4g}]  change {nm:.4g} [{n1:.4g}-{n3:.4g}]  "
+        f"median ratio {statistics.median(ratios):.3f}  change faster in {wins} of {rounds}",
+    ]
+
+
 def _seeds(text: str) -> list[int]:
     if "-" in text:
         lo, hi = text.split("-")
@@ -96,6 +173,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", default="1-10", help="a range lo-hi or a comma list")
     ap.add_argument("--out", default="ab_runs.jsonl", help="JSON lines of every run")
     ap.add_argument("--summarize", metavar="FILE", help="summarize the runs of FILE only")
+    ap.add_argument("--in-process", dest="in_process", action="store_true",
+                    help="alternate whole passes of both sides in this process")
+    ap.add_argument("--rounds", type=int, default=40, help="timed rounds of --in-process")
     args = ap.parse_args(argv)
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     if args.summarize:
@@ -104,6 +184,11 @@ def main(argv=None) -> int:
         return 0
     if len(args.checkouts) != 2 or not args.workload:
         ap.error("give PARENT and CHANGE checkouts and --workload, or --summarize FILE")
+    if args.in_process:
+        lines = in_process([Path(c) for c in args.checkouts], args.workload,
+                           _seeds(args.seeds), args.rounds)
+        print("\n".join(lines))
+        return 0
     sides = [("parent", Path(args.checkouts[0])), ("change", Path(args.checkouts[1]))]
     records = []
     for i, seed in enumerate(_seeds(args.seeds)):

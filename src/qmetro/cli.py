@@ -6,7 +6,9 @@ for plotting, with a reference line), ``check`` (the
 acceptance suite), and ``export-scenario`` (write a preset as a state
 JSON file).  Output is CSV or JSON with a fixed column order
 (scenario, delta, p, bound_name, value, tightest, meta); identical
-configuration and seed produce byte-identical files.
+configuration and seed produce byte-identical files, and ``--output``
+holds the UTF-8 bytes of the text that stdout would show.  A command's
+arguments are parsed once, by that command's own parser.
 
 Exit codes: 0 success, 1 bad configuration, 2 computation error
 (e.g. an RLD bound requested for a rank-deficient state).
@@ -97,59 +99,59 @@ def _meta_str(meta: dict) -> str:
     return _META_ENCODER.encode(clean)
 
 
-def _report_rows(scenario: str, delta: float, entries: Iterable[BoundEntry]) -> list[dict]:
-    rows = []
-    for e in entries:
-        p_str = "" if e.p is None else str(e.p)
-        rows.append(
-            {
-                "scenario": scenario,
-                "delta": _fmt_value(delta),
-                "p": p_str,
-                "bound_name": e.name,
-                "value": _fmt_value(e.value),
-                "tightest": "true" if e.tightest else "false",
-                "meta": _meta_str(dict(e.meta, kind=e.kind)),
-            }
+def _report_rows(scenario: str, delta: float, entries: Iterable[BoundEntry]) -> list[tuple]:
+    """One row per entry, a tuple of strings in CSV_COLUMNS order."""
+    delta_str = _fmt_value(delta)
+    return [
+        (
+            scenario,
+            delta_str,
+            "" if e.p is None else str(e.p),
+            e.name,
+            _fmt_value(e.value),
+            "true" if e.tightest else "false",
+            _meta_str(dict(e.meta, kind=e.kind)),
         )
-    return rows
+        for e in entries
+    ]
 
 
-def _sort_rows(rows: list[dict]) -> list[dict]:
+def _sort_rows(rows: list[tuple]) -> list[tuple]:
     def key(row):
-        p = row["p"]
+        _, delta, p, name = row[:4]
         if p == "":
             p_key = (2, 0)
         elif p == "inf":
             p_key = (1, 0)
         else:
             p_key = (0, int(p))
-        return (float(row["delta"]), p_key, row["bound_name"])
+        return (float(delta), p_key, name)
 
     return sorted(rows, key=key)
 
 
-def _write_rows(rows: list[dict], output: str | None, fmt: str) -> None:
+def _write_rows(rows: list[tuple], output: str | None, fmt: str) -> None:
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        records = [dict(zip(CSV_COLUMNS, row)) for row in rows]
+        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
     _write_text(text, output)
 
 
 def _write_text(text: str, output: str | None) -> None:
-    """Write to ``output``, or to stdout without one; a path that cannot
-    be written is a configuration error."""
+    """Write to ``output`` as UTF-8 bytes, or to stdout without one; a
+    path that cannot be written is a configuration error."""
     if not output:
         sys.stdout.write(text)
         return
     try:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(output, "wb") as fh:
+            fh.write(text.encode("utf-8"))
     except OSError as exc:
         raise _ConfigError(f"cannot write output {output}: {exc}") from exc
 
@@ -356,10 +358,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
-@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: it holds no state
     between ``parse_args`` calls and its defaults read no environment."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and the parser of each command, by name."""
     parser = _Parser(prog="qmetro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -386,7 +393,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--config")
     p_export.add_argument("--error-json", dest="error_json", action="store_true")
     p_export.set_defaults(fn=cmd_export_scenario)
-    return parser
+    return parser, sub.choices
 
 
 def _emit_error(args, code: int, exc: Exception) -> int:
@@ -398,10 +405,24 @@ def _emit_error(args, code: int, exc: Exception) -> int:
     return code
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """``make_parser().parse_args(argv)``.  When the first word names a
+    command, the rest goes straight to that command's parser, as argparse
+    would pass it on, and only the command name is added to its result;
+    anything else takes the whole parser and its errors."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except _ConfigError as exc:
         print(f"qmetro: error: {exc}", file=sys.stderr)
         return 1

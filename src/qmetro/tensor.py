@@ -25,9 +25,10 @@ m_lambda det(D)^k.  The scale and the largest weight of mu are combined
 in log space, so large p neither under- nor overflows.
 
 :func:`block_sweep` reads C_p, C_p^RLD and the AutoAlign F-bar_Im
-candidates of every p of a list from that one walk.  The pair
-commutators -i [L~_j, L~_k], j < k, and the tilde RLDs are rotated into
-rho's eigenbasis once per sweep, and on each shape their images are one
+candidates of every p of a list from that one walk.  The n tilde
+operators and the tilde RLDs are rotated into rho's eigenbasis once per
+sweep, each pair commutator -i [L~_j, L~_k], j < k, is formed there as
+-i (P - P+) with P = L~_j L~_k, and on each shape their images are one
 matrix product with its flattened generators (pi([A, B]) = [pi(A),
 pi(B)]).  One eigendecomposition of a pair's commutator image H_q =
 S pi_mu(-i [L~_j, L~_k]) S gives the C_p share and the auto_align(j,k)
@@ -414,8 +415,9 @@ def block_sweep(
     coll.p]).  C_p (``cp``) and the auto_align(j,k) candidates of every
     pair j < k (``fbar``, in :func:`_pair_indices` order) read its
     operators, and C_p^RLD reads ``rld_ops``, the n single-copy tilde
-    RLDs (DimMismatch unless there are n of shape d x d).  The pair
-    commutators and the RLDs are rotated into rho's eigenbasis once, and
+    RLDs (DimMismatch unless there are n of shape d x d).  The operators
+    and the RLDs are rotated into rho's eigenbasis once, the pair
+    commutators formed there as -i (P - P+) with P = L~_j L~_k, and
     on a reduced shape with weight s all their images come from one
     matrix product with the shape's generators.  Pair q = (j, k) has the
     Hermitian image H_q = s pi_mu(-i [L~_j, L~_k]) s, and with
@@ -446,8 +448,11 @@ def block_sweep(
     j_idx, k_idx = _pair_indices(n)
     pairs = len(j_idx)
     if cp or fbar:
-        ops = coll.base_ops
-        comms = _eigenbasis_rows(vecs, -1j * (ops[j_idx] @ ops[k_idx] - ops[k_idx] @ ops[j_idx]))
+        # -i [A_j, A_k] = -i (P - P+) with P = A_j A_k, for the Hermitian
+        # operators A rotated into rho's eigenbasis once.
+        rotated = dagger(vecs) @ coll.base_ops @ vecs
+        prods = rotated[j_idx] @ rotated[k_idx]
+        comms = (-1j * (prods - dagger(prods))).reshape(pairs, -1)
     if rld_ops is not None:
         rld_ops = _operator_stack(rld_ops, n, coll.d, "C_p^RLD")
         rld_traces = np.trace(rld_ops, axis1=1, axis2=2)
@@ -895,8 +900,8 @@ def compute_fbar_im(
 ) -> TradeoffMatrix:
     """Imaginary part of F-bar = sum_q s_q-adjusted F_{u_q} over a
     supplied basis of (C^d)^(x)p: the columns u_q of a (d^p, count) array
-    with sum_q |u_q><u_q| = I (DimMismatch, IncompleteBasis), the
-    computational basis for None.
+    with sum_q |u_q><u_q| = I (DimMismatch, IncompleteBasis), or the
+    computational basis for None, which needs no check.
 
     Transposing a Hermitian F_{u_q} flips its imaginary part, so a sign
     choice acts as s_q = +-1 on Im F_{u_q}.  ``signs`` may be the
@@ -911,16 +916,17 @@ def compute_fbar_im(
     basis (:func:`_computational_basis`) and OptimizeNorm's sign patterns
     (:func:`_sign_patterns`) are built once per process and read-only.
     """
-    if basis is None:
+    if basis is None:  # I_d^(x)p: nothing to check
         basis = _computational_basis(coll.d, coll.p)
-    basis = np.asarray(basis)
-    if basis.ndim != 2 or len(basis) != coll.dim:
-        raise DimMismatch(
-            f"basis has shape {basis.shape}, ({coll.d}^{coll.p} = {coll.dim}, count) expected"
-        )
-    dev = float(np.max(np.abs(basis @ dagger(basis) - np.eye(coll.dim))))
-    if dev > 1e-9:
-        raise IncompleteBasis(f"sum |u><u| deviates from I by {dev:.3e}")
+    else:
+        basis = np.asarray(basis)
+        if basis.ndim != 2 or len(basis) != coll.dim:
+            raise DimMismatch(
+                f"basis has shape {basis.shape}, ({coll.d}^{coll.p} = {coll.dim}, count) expected"
+            )
+        dev = float(np.max(np.abs(basis @ dagger(basis) - np.eye(coll.dim))))
+        if dev > 1e-9:
+            raise IncompleteBasis(f"sum |u><u| deviates from I by {dev:.3e}")
     count = basis.shape[1]
     imags = _fu_imag_parts(coll, basis)
     if isinstance(signs, AlignEntry):

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import qmetro
-from qmetro import scenarios, schur
+from qmetro import cli, scenarios, schur
 from qmetro.cli import main, make_parser
 from qmetro.scenarios import build_scenario, parse_scenario
 from qmetro.states import save_family
@@ -493,6 +493,68 @@ def test_unwritable_output_exit_1(tmp_path, capsys, args):
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["exit_code"] == 1 and "cannot write output" in payload["message"]
     assert not (tmp_path / "nodir").exists()
+
+
+#: argv, and what main returns or exits with for it.
+DISPATCH_CASES = {
+    "bounds": (["bounds", "--preset", "qubit3", "--p", "1", "--bounds", "cp"], 0),
+    "sweep": (["sweep", "--preset", "qubit3", "--p", "1-2", "--bounds", "cp",
+               "--format", "json"], 0),
+    "check": (["check", "--only", "nosuch"], 1),
+    "export-scenario": (["export-scenario", "--preset", "qubit3", "--delta", "0.2"], 0),
+    "negative-delta": (["bounds", "--preset", "qubit3", "--delta", "-0.5", "--p", "1",
+                        "--bounds", "cp"], 0),
+    "flag-prefix": (["bounds", "--preset", "qubit3", "--del", "0.5", "--p", "1",
+                     "--bounds", "cp"], 0),
+    "command-help": (["sweep", "--help"], "exit 0"),
+    "top-help": (["--help"], "exit 0"),
+    "unknown-flag": (["bounds", "--preset", "qubit3", "--bogus", "1"], 1),
+    "bad-value": (["bounds", "--preset", "qubit3", "--nu", "x"], 1),
+    "no-argv": ([], 1),
+    "unknown-command": (["nosuch", "--preset", "qubit3"], 1),
+}
+
+
+def _outcome(fn, argv, capsys):
+    """What ``fn(argv)`` returns, raises or exits with, and what it printed."""
+    try:
+        result = fn(list(argv))
+    except SystemExit as exc:
+        result = f"exit {exc.code}"
+    except Exception as exc:  # the parser's configuration error
+        result = (type(exc).__name__, str(exc))
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+@pytest.mark.parametrize("argv, expected", DISPATCH_CASES.values(), ids=DISPATCH_CASES.keys())
+def test_command_dispatch_matches_argparse(argv, expected, capsys, monkeypatch):
+    # main hands the words after a command name to that command's parser;
+    # the namespace, the errors, the help and the exit code are those of
+    # the whole parser.
+    assert _outcome(cli._parse_args, argv, capsys) == _outcome(
+        make_parser().parse_args, argv, capsys)
+    direct = _outcome(main, argv, capsys)
+    monkeypatch.setattr(cli, "_parse_args", lambda args: make_parser().parse_args(args))
+    assert direct == _outcome(main, argv, capsys)
+    assert direct[0] == expected
+
+
+@pytest.mark.parametrize("command", ["bounds", "sweep"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_output_file_holds_stdout_bytes(tmp_path, capsys, command, fmt):
+    # A family file with a non-ASCII name puts a non-ASCII scenario label
+    # into the CSV (JSON escapes it).
+    path = tmp_path / "fam-é.json"
+    save_family(str(path), build_scenario(parse_scenario("qubit3", delta=0.5)))
+    argv = [command, "--input", str(path), "--p", "1-2", "--bounds", "cp,tp", "--format", fmt]
+    assert run_cli(argv) == 0
+    text = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == text.encode("utf-8")
+    assert ("fam-é.json" in text) == (fmt == "csv")
 
 
 class TestCheckCommand:

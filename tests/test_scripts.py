@@ -5,7 +5,9 @@ import io
 import json
 import math
 import os
+import re
 import runpy
+import sys
 
 import pytest
 
@@ -107,3 +109,29 @@ def test_ab_pairs_alternates_from_a_clean_bytecode_state(tmp_path, capsys):
     assert "change better in 0 of 3" in summary[2]  # ties count for neither
     assert tool["main"](["--summarize", str(out)]) == 0
     assert capsys.readouterr().out.splitlines() == summary
+
+
+def _drop_side_packages():
+    for name in [m for m in sys.modules if m.split(".")[0] in ("qmetro_parent", "qmetro_change")]:
+        del sys.modules[name]
+
+
+def test_ab_pairs_in_process_a_a(monkeypatch, capsys):
+    # The same checkout on both sides: two packages of their own in this
+    # process, both timed in every round.
+    tool = runpy.run_path(os.path.join(SCRIPTS, "ab_pairs.py"))
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    _drop_side_packages()
+    try:
+        assert tool["main"]([root, root, "--in-process", "--workload", "dense-ladder",
+                             "--rounds", "3", "--seeds", "1-2"]) == 0
+        clis = [sys.modules[f"qmetro_{side}.cli"] for side in ("parent", "change")]
+        assert clis[0].main is not clis[1].main
+    finally:
+        _drop_side_packages()
+    head, line = capsys.readouterr().out.splitlines()
+    assert head == "dense-ladder: 3 in-process rounds"
+    match = re.fullmatch(r"  pass_s: parent \S+ \[\S+\]  change \S+ \[\S+\]  "
+                         r"median ratio (\S+)  change faster in (\d) of 3", line)
+    assert match and 0.5 < float(match[1]) < 2.0

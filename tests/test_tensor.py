@@ -633,6 +633,26 @@ class TestBlockEngine:
         with pytest.raises(DimMismatch):
             tensor.block_pass(coll, rld_ops[:2] + (np.eye(3),))
 
+    @pytest.mark.parametrize("preset, delta", [
+        ("qubit3", 0.5), ("qutrit8", 0.0), ("qutrit8", 0.1), ("qutrit:1,2,5", 0.3),
+    ])
+    def test_preset_pair_commutators_keep_exact_zeros(self, preset, delta):
+        # A performance guard.  In the presets every pair commutator in
+        # rho's eigenbasis is c E_ab + conj(c) E_ba, c (E_aa - E_bb) or 0,
+        # and the block images built from it keep those exact zeros, on
+        # which LAPACK deflates.
+        # Fisher or tilde operators that round differently (F_Q as a
+        # reshaped matmul instead of the einsum moves it by 2e-16) fill
+        # them in: the values agree to 1e-15 and the sweeps slow down.
+        fam = build_scenario(parse_scenario(preset, delta=delta))
+        st = evaluate(fam, np.zeros(fam.n))
+        _, _, tilde = sld_analysis(st)
+        vecs = st.eigen.vectors
+        rotated = dagger(vecs) @ np.asarray(tilde) @ vecs
+        for j, k in itertools.combinations(range(fam.n), 2):
+            prod = rotated[j] @ rotated[k]
+            assert np.count_nonzero(prod - dagger(prod)) <= 2, (j, k)
+
     def test_sign_ties_are_relative(self):
         vals = np.array([1.0, -0.5, -1e-13, 0.0, 2e-13])
         expect = np.array([1.0, -1.0, 1.0, 1.0, 1.0])
