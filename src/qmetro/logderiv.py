@@ -113,10 +113,7 @@ def compute_sld(state: EvaluatedState) -> DerivativeSet:
     d_eig = dagger(v) @ drho @ v
     l_eig = np.where(reachable, 2.0 * d_eig / np.where(reachable, denom, 1.0), 0.0)
     ops = linalg.hermitian_part(v @ l_eig @ dagger(v))
-    # The defining equation in the eigenbasis, where rho is diagonal, for
-    # the Hermitian part that ``ops`` keeps: the same Frobenius norms.
-    l_herm = linalg.hermitian_part(l_eig)
-    residual = np.linalg.norm(denom * l_herm / 2.0 - d_eig, axis=(1, 2))
+    residual = np.linalg.norm((ops @ state.rho + state.rho @ ops) / 2.0 - drho, axis=(1, 2))
     message = "SLD reconstruction residual {value:.3e} for parameter {j}"
     linalg.check_each(residual, RECON_ATOL, UnsupportedDerivative, message)
     return DerivativeSet("sld", tuple(ops), ops)
