@@ -41,9 +41,7 @@ from .report import ReportConfig, build_report
 from .scenarios import build_scenario, parse_scenario
 from .states import EvaluatedState, StateFamily, evaluate
 from .tensor import (
-    build_collective,
-    compute_cp,
-    compute_cp_rld,
+    block_sweep,
     compute_fbar_im,
     compute_tp_exact,
     compute_tp_monte_carlo,

@@ -28,7 +28,6 @@ from .scenarios import build_scenario, parse_scenario
 from .states import EvaluatedState, StateFamily, evaluate
 from .tensor import (
     block_sweep,
-    build_collective,
     compute_tp_exact,
     limit_fim,
 )
@@ -76,7 +75,7 @@ def _bounds_at(
 
 def _cp_sweep(state: EvaluatedState, tilde, p_list) -> dict[int, tensor.TradeoffMatrix]:
     """C_p at every p of ``p_list`` from one block sweep."""
-    sweep = block_sweep(build_collective(state, tilde, max(p_list)), p_list, cp=True)
+    sweep = block_sweep(state, tilde, p_list, cp=True)
     return {p: sweep[p].cp for p in p_list}
 
 

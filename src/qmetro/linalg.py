@@ -242,9 +242,3 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[a, b] = ab - ba; skew-Hermitian for Hermitian inputs."""
     a, b = _check_same_dim(a, b)
     return a @ b - b @ a
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """{a, b} = ab + ba; Hermitian for Hermitian inputs."""
-    a, b = _check_same_dim(a, b)
-    return a @ b + b @ a

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds as gb
-from .errors import EnumerationOverflow
 from .linalg import DEFAULT_DIM_CAP
 from .logderiv import (
     compute_rld,
@@ -29,11 +28,9 @@ from .tensor import (
     OPTIMIZE_MAX_VECTORS,
     OptimizeNorm,
     TradeoffMatrix,
-    block_pass,
+    _check_copies,
     block_sweep,
-    build_collective,
     composition_count,
-    compute_cp,
     compute_fbar_im,
     compute_tp_exact,
     compute_tp_monte_carlo,
@@ -78,11 +75,13 @@ def best_fbar(state, tilde_ops, p, dim_cap=DEFAULT_DIM_CAP) -> TradeoffMatrix:
     computational basis while 2^(d^p) stays enumerable, otherwise the best
     per-pair commutator eigenbasis (each candidate is still a single
     basis/sign choice, so the f(n) coefficient applies).  Norms within
-    SIGN_TIE_RTOL of the largest are ties, won by the first pair."""
-    coll = build_collective(state, tilde_ops, p, dim_cap=dim_cap)
-    if coll.dim <= OPTIMIZE_MAX_VECTORS:
-        return compute_fbar_im(coll, None, OptimizeNorm())
-    return _best_candidate(block_pass(coll, fbar=True).candidates)
+    SIGN_TIE_RTOL of the largest are ties, won by the first pair.  Both
+    refuse a p < 1 and a largest block above ``dim_cap``."""
+    if state.dim**p > OPTIMIZE_MAX_VECTORS:
+        walk = block_sweep(state, tilde_ops, [p], fbar=True, dim_cap=dim_cap)
+        return _best_candidate(walk[p].candidates)
+    _check_copies((p,), state.dim, dim_cap)
+    return compute_fbar_im(state, tilde_ops, p, None, OptimizeNorm())
 
 
 def _best_candidate(cands: list[TradeoffMatrix]) -> TradeoffMatrix:
@@ -113,16 +112,13 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
 
     # One walk over the reduced shapes serves cp and rld_cp at every p
     # and, above best_fbar's exhaustive range, the AutoAlign candidates.
-    # The collective at the largest p checks the cap before any block.
+    # It checks the cap at the largest p before any block.
     auto_ps = [p for p in config.p_list if "fbar" in which and state.dim**p > OPTIMIZE_MAX_VECTORS]
     walk_ps = config.p_list if "cp" in which or "rld_cp" in which else auto_ps
     walks = block_sweep(
-        build_collective(state, tilde, max(walk_ps), dim_cap=config.dim_cap),
-        walk_ps,
-        rld_tilde if "rld_cp" in which else None,
-        cp="cp" in which,
-        fbar=bool(auto_ps),
-    ) if walk_ps else {}
+        state, tilde, walk_ps, rld_tilde if "rld_cp" in which else None,
+        cp="cp" in which, fbar=bool(auto_ps), dim_cap=config.dim_cap,
+    )
 
     # One commutator table serves the T_p rows of every p.
     table = pair_commutator_table(state, tilde) if "tp" in which or "tp_mc" in which else None
@@ -131,26 +127,24 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
         if "cp" in which:
             entries.append(gb.BoundEntry("cp", gb.cp_bound(walks[p].cp, n), "upper", p))
         if "tp" in which:
-            try:
-                tp = compute_tp_exact(state, tilde, p, enum_cap=config.enum_cap, table=table)
+            # Monte Carlo enumerates a law of at most mc_samples vectors
+            # anyway, so such a law is summed exactly at the same cost.
+            count = composition_count(p, state.support_rank)
+            if count <= max(config.enum_cap, config.mc_samples):
+                tp = compute_tp_exact(state, tilde, p, enum_cap=count, table=table)
                 meta = {"method": "exact"}
-            except EnumerationOverflow:
-                # Monte Carlo enumerates a law of at most mc_samples vectors
-                # anyway, so such a law is summed exactly at the same cost.
-                if composition_count(p, state.support_rank) <= config.mc_samples:
-                    tp = compute_tp_exact(state, tilde, p, enum_cap=config.mc_samples,
-                                          table=table)
-                    meta = {"method": "exact", "fallback": "enum_cap"}
-                else:
-                    warnings.warn(
-                        f"exact T_{p} enumeration exceeds cap; switching to Monte Carlo",
-                        stacklevel=2,
-                    )
-                    tp = compute_tp_monte_carlo(
-                        state, tilde, p, config.mc_samples, config.seed, table=table
-                    )
-                    meta = {"method": "monte_carlo", "fallback": "enum_cap",
-                            "stderr_max": _stderr_max(tp)}
+                if count > config.enum_cap:
+                    meta["fallback"] = "enum_cap"
+            else:
+                warnings.warn(
+                    f"exact T_{p} enumeration exceeds cap; switching to Monte Carlo",
+                    stacklevel=2,
+                )
+                tp = compute_tp_monte_carlo(
+                    state, tilde, p, config.mc_samples, config.seed, table=table
+                )
+                meta = {"method": "monte_carlo", "fallback": "enum_cap",
+                        "stderr_max": _stderr_max(tp)}
             entries.append(gb.BoundEntry("tp", gb.tp_bound(tp, n), "upper", p, meta=meta))
         if "tp_mc" in which:
             tp = compute_tp_monte_carlo(
@@ -276,5 +270,5 @@ def _mark_tightest(entries, p_list):
 def saturation_flags(state: EvaluatedState, p: int = 1, dim_cap: int = DEFAULT_DIM_CAP):
     """Saturation necessary conditions at p plus the weak condition."""
     _, fisher, tilde = sld_analysis(state)
-    coll = build_collective(state, tilde, p, dim_cap=dim_cap)
-    return gb.saturation_check(compute_cp(coll), tilde_fisher_im(fisher))
+    cp = block_sweep(state, tilde, [p], cp=True, dim_cap=dim_cap)[p].cp
+    return gb.saturation_check(cp, tilde_fisher_im(fisher))

@@ -24,8 +24,9 @@ the weighted image S pi_lambda(C) S of a traceless C is that of mu times
 m_lambda det(D)^k.  The scale and the largest weight of mu are combined
 in log space, so large p neither under- nor overflows.
 
-:func:`block_sweep` reads C_p, C_p^RLD and the AutoAlign F-bar_Im
-candidates of every p of a list from that one walk.  The n tilde
+:func:`block_sweep` takes the state, the n single-copy tilde operators
+and a list of p, and reads C_p, C_p^RLD and the AutoAlign F-bar_Im
+candidates of every p of the list from that one walk.  The n tilde
 operators and the tilde RLDs are rotated into rho's eigenbasis once per
 sweep, each pair commutator -i [L~_j, L~_k], j < k, is formed there as
 -i (P - P+) with P = L~_j L~_k, and on each shape their images are one
@@ -39,12 +40,14 @@ returned, so a candidate's meta names its strategy only.  C_p^RLD reads
 every block lambda, because RLDs are not traceless: its image is the mu
 image shifted by k Tr(R) I, and the products of all the blocks a shape
 serves share its eigvalsh calls.  A single p is the same walk over a
-one-element list (:func:`block_pass`).  LAPACK calls stack about
-STACK_BYTES of block matrices.  A trace norm over the m_lambda copies of
-a block is m_lambda times the block's.  Only the largest block bounds
-the memory, and the dimension cap bounds the largest block.
+one-element list.  LAPACK calls stack about STACK_BYTES of block
+matrices.  A trace norm over the m_lambda copies of a block is m_lambda
+times the block's.  Only the largest block bounds the memory, and the
+dimension cap bounds the largest block: the walk checks it, from the
+partitions alone, before it builds any block.
 
-:func:`compute_fbar_im`, F-bar over a supplied basis of (C^d)^(x)p (a
+:func:`compute_fbar_im`, F-bar for p copies of the state and the
+single-copy operators over a supplied basis of (C^d)^(x)p (a
 (d^p, count) array of columns, or None for the computational one) with a
 transpose sign s_q = +1 or -1 per column (explicit, AlignEntry,
 OptimizeNorm), applies sqrt(rho) and each L_j to the basis one site at a
@@ -117,33 +120,7 @@ class OptimizeNorm:
 Signs = Union[Sequence[float], AlignEntry, OptimizeNorm]
 
 
-# --- collective operators ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CollectiveOperators:
-    """rho^(x)p with the collective operators L_jp = sum_r L_j^(r).
-
-    Holds the single-copy ``state`` and ``base_ops``, the n operators as
-    one complex (n, d, d) stack; the block-path tradeoff matrices read the
-    irrep blocks from :func:`reduced_blocks`.
-    """
-
-    p: int
-    state: EvaluatedState
-    base_ops: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.state.dim
-
-    @property
-    def dim(self) -> int:
-        return self.d**self.p
-
-    @property
-    def n(self) -> int:
-        return len(self.base_ops)
+# --- the block walk -----------------------------------------------------------
 
 
 #: A block lambda of one p served by a reduced shape: (p, lambda, scale).
@@ -220,31 +197,21 @@ def _eigenbasis_rows(vecs: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return (dagger(vecs) @ ops @ vecs).reshape(len(ops), -1)
 
 
-def build_collective(
-    state: EvaluatedState,
-    ops: Sequence[np.ndarray],
-    p: int,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> CollectiveOperators:
-    """Collective operators for ``p`` copies of ``state``.
-
-    ``ops`` are single-copy operators: the tilde SLDs L~ = F_Q^(-1/2) L
-    for the tradeoff matrices, in which frame every p-local bound is
-    stated.  Builds no block; raises KindMismatch for p < 1, DimMismatch
-    unless each operator is d x d, and DimensionOverflow when the
-    largest block exceeds the cap.  The
-    largest block grows with p, so the collective at the largest p of a
-    list checks the cap for a :func:`block_sweep` over all of them.
-    """
-    if p < 1:
-        raise KindMismatch(f"copies count must be >= 1, got {p}")
-    base_ops = _operator_stack(ops, len(ops), state.dim, "the collective")
-    largest = max(schur.irrep_dim(shape) for shape in schur.partitions(p, state.dim))
+def _check_copies(p_list: Sequence[int], d: int, dim_cap: int) -> None:
+    """KindMismatch for a p < 1 in ``p_list``, and DimensionOverflow when
+    the largest irrep block at its largest p has more than ``dim_cap``
+    rows.  Reads the partitions only, so it builds no block; the largest
+    block grows with p, so one check covers every p of the list."""
+    if not p_list:  # an empty walk builds nothing
+        return
+    if min(p_list) < 1:
+        raise KindMismatch(f"copies count must be >= 1, got {min(p_list)}")
+    p = max(p_list)
+    largest = max(schur.irrep_dim(shape) for shape in schur.partitions(p, d))
     if largest > dim_cap:
         raise DimensionOverflow(
             f"largest irrep block at p={p} has dimension {largest}, above cap {dim_cap}"
         )
-    return CollectiveOperators(p=p, state=state, base_ops=base_ops)
 
 
 def _operator_stack(ops: Sequence[np.ndarray], count: int, d: int, what: str) -> np.ndarray:
@@ -400,26 +367,31 @@ class BlockPass:
 
 
 def block_sweep(
-    coll: CollectiveOperators,
+    state: EvaluatedState,
+    ops: Sequence[np.ndarray],
     p_list: Sequence[int],
     rld_ops: Sequence[np.ndarray] | None = None,
     cp: bool = False,
     fbar: bool = False,
+    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> dict[int, BlockPass]:
     """C_p, C_p^RLD and the AutoAlign F-bar_Im candidates at every p of
-    ``p_list`` from one walk over the reduced shapes (:func:`reduced_blocks`),
-    so each shape is built and each pair image solved once.
+    ``p_list`` from one walk over the reduced shapes (:func:`reduced_blocks`)
+    of ``state``, so each shape is built and each pair image solved once;
+    a single p is the walk over a one-element list.
 
-    ``coll`` holds the tilde SLDs L~ at the largest p of the list, whose
-    cap check covers every block (KindMismatch for a p outside [1,
-    coll.p]).  C_p (``cp``) and the auto_align(j,k) candidates of every
-    pair j < k (``fbar``, in :func:`_pair_indices` order) read its
-    operators, and C_p^RLD reads ``rld_ops``, the n single-copy tilde
-    RLDs (DimMismatch unless there are n of shape d x d).  The operators
-    and the RLDs are rotated into rho's eigenbasis once, the pair
-    commutators formed there as -i (P - P+) with P = L~_j L~_k, and
-    on a reduced shape with weight s all their images come from one
-    matrix product with the shape's generators.  Pair q = (j, k) has the
+    Before any block or rotation it raises KindMismatch for a p < 1,
+    DimensionOverflow when the largest block at the largest p of the list
+    has more than ``dim_cap`` rows, and DimMismatch unless ``ops`` and
+    ``rld_ops`` are n operators of shape d x d each.  ``ops`` are the n
+    single-copy tilde SLDs L~ = F_Q^(-1/2) L, in which frame every p-local
+    bound is stated.  C_p (``cp``) and the auto_align(j,k) candidates of
+    every pair j < k (``fbar``, in :func:`_pair_indices` order) read them,
+    and C_p^RLD reads ``rld_ops``, the n single-copy tilde RLDs.  Both are
+    rotated into rho's eigenbasis once, the pair commutators formed there
+    as -i (P - P+) with P = L~_j L~_k, and on a reduced shape with weight
+    s all their images come from one matrix product with the shape's
+    generators.  Pair q = (j, k) has the
     Hermitian image H_q = s pi_mu(-i [L~_j, L~_k]) s, and with
     H_q = V Lambda V+ and the scales c of the blocks lambda of each p
 
@@ -440,21 +412,21 @@ def block_sweep(
     Every pair's candidate entries at one p come from one (pairs, n, n)
     array.
     """
-    n = coll.n
     ps = tuple(dict.fromkeys(p_list))
-    if any(not 1 <= p <= coll.p for p in ps):
-        raise KindMismatch(f"p list {ps} must lie in [1, {coll.p}]")
-    vecs = coll.state.eigen.vectors
+    _check_copies(ps, state.dim, dim_cap)
+    ops = _operator_stack(ops, len(ops), state.dim, "the collective")
+    n = len(ops)
+    vecs = state.eigen.vectors
     j_idx, k_idx = _pair_indices(n)
     pairs = len(j_idx)
     if cp or fbar:
         # -i [A_j, A_k] = -i (P - P+) with P = A_j A_k, for the Hermitian
         # operators A rotated into rho's eigenbasis once.
-        rotated = dagger(vecs) @ coll.base_ops @ vecs
+        rotated = dagger(vecs) @ ops @ vecs
         prods = rotated[j_idx] @ rotated[k_idx]
         comms = (-1j * (prods - dagger(prods))).reshape(pairs, -1)
     if rld_ops is not None:
-        rld_ops = _operator_stack(rld_ops, n, coll.d, "C_p^RLD")
+        rld_ops = _operator_stack(rld_ops, n, state.dim, "C_p^RLD")
         rld_traces = np.trace(rld_ops, axis1=1, axis2=2)
         rld_rows = _eigenbasis_rows(vecs, rld_ops)
     # One row per p of the list; within a shape every p has one block.
@@ -462,7 +434,7 @@ def block_sweep(
     cp_vals = np.zeros((len(ps), pairs))
     rld_vals = np.zeros((len(ps), pairs))
     totals = np.zeros((len(ps), pairs, pairs)) if fbar else None
-    for s, gens, served in reduced_blocks(coll.state, ps):
+    for s, gens, served in reduced_blocks(state, ps):
         served = [block for block in served if block[2] != 0.0]  # zero blocks skipped
         rows = [row_of[p] for p, _, _ in served]
         scales = np.array([scale for _, _, scale in served])[:, None]
@@ -511,28 +483,48 @@ def block_sweep(
     return out
 
 
-def block_pass(
-    coll: CollectiveOperators,
-    rld_ops: Sequence[np.ndarray] | None = None,
-    cp: bool = False,
-    fbar: bool = False,
-) -> BlockPass:
-    """:func:`block_sweep` at the one p of ``coll``."""
-    return block_sweep(coll, (coll.p,), rld_ops, cp, fbar)[coll.p]
+@dataclass(frozen=True)
+class CollectiveOperators:
+    """p copies of ``state`` and the n operators ``base_ops`` as one complex
+    (n, d, d) stack.  It, :func:`build_collective`, :func:`compute_cp` and
+    :func:`compute_cp_rld` stay only because the benchmark tracer
+    (``perfbench/tracing.py``) wraps them by name and reads ``p`` off the
+    collective; they go when the package records its own trace (ROADMAP.md,
+    item 1b).  The library walks with :func:`block_sweep`."""
+
+    p: int
+    state: EvaluatedState
+    base_ops: np.ndarray
+
+
+def build_collective(
+    state: EvaluatedState,
+    ops: Sequence[np.ndarray],
+    p: int,
+    dim_cap: int = DEFAULT_DIM_CAP,
+) -> CollectiveOperators:
+    """The collective of ``p`` copies of ``state`` and ``ops``, after the
+    checks of :func:`block_sweep` at p; builds no block."""
+    _check_copies((p,), state.dim, dim_cap)
+    base_ops = _operator_stack(ops, len(ops), state.dim, "the collective")
+    return CollectiveOperators(p=p, state=state, base_ops=base_ops)
 
 
 def compute_cp(coll: CollectiveOperators) -> TradeoffMatrix:
-    """(C_p)_{jk} = 1/2 ||sqrt(rho_p) [L~_jp, L~_kp] sqrt(rho_p)||_1,
-    summed over the irrep blocks with their multiplicities (see
-    :func:`block_pass`)."""
-    return block_pass(coll, cp=True).cp
+    """(C_p)_{jk} = 1/2 ||sqrt(rho_p) [L~_jp, L~_kp] sqrt(rho_p)||_1 from
+    :func:`block_sweep` at the one p of ``coll``, under the cap d^p, which
+    bounds every block: a collective built under a larger cap than the
+    default is not refused here."""
+    p = coll.p
+    return block_sweep(coll.state, coll.base_ops, [p], cp=True, dim_cap=coll.state.dim**p)[p].cp
 
 
 def compute_cp_rld(coll: CollectiveOperators) -> TradeoffMatrix:
     """(C_p^RLD)_{jk} = min{1/2 ||sqrt(rho_p)(L~_jp L~_kp+ - L~_kp L~_jp+)sqrt(rho_p)||_1, 2p}
-    for a collective of tilde RLDs, over the irrep blocks (see
-    :func:`block_pass`)."""
-    return block_pass(coll, rld_ops=coll.base_ops).cp_rld
+    for a collective of tilde RLDs, from :func:`block_sweep` at its one p
+    under the cap d^p, as for :func:`compute_cp`."""
+    p, rld = coll.p, coll.base_ops
+    return block_sweep(coll.state, rld, [p], rld, dim_cap=coll.state.dim**p)[p].cp_rld
 
 
 def pair_commutator_table(state: EvaluatedState, tilde_ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -788,9 +780,12 @@ def limit_fim(state: EvaluatedState, tilde_ops: Sequence[np.ndarray]) -> Tradeof
 # --- F-bar aggregates ----------------------------------------------------------
 
 
-def _fu_imag_parts(coll: CollectiveOperators, basis: np.ndarray) -> np.ndarray:
+def _fu_imag_parts(
+    state: EvaluatedState, ops: np.ndarray, p: int, basis: np.ndarray
+) -> np.ndarray:
     """Im (F_{u_q})_{jk} = Im <u_q| sqrt(rho_p) L_jp L_kp sqrt(rho_p) |u_q>
-    for the columns u_q of the (d^p, count) ``basis``.
+    for the (n, d, d) stack ``ops`` and the columns u_q of the (d^p,
+    count) ``basis``.
 
     Returns shape (count, n, n).  The row index of the basis runs over
     the p sites, so a single-copy operator acts on site r as one product
@@ -798,21 +793,15 @@ def _fu_imag_parts(coll: CollectiveOperators, basis: np.ndarray) -> np.ndarray:
     such products, and L_jp w = sum_r L_j^(r) w takes all n operators per
     site at once.
     """
-    d = coll.d
+    d = state.dim
     w = basis
-    for r in range(coll.p):
-        w = (coll.state.sqrt_rho @ w.reshape(d**r, d, -1)).reshape(w.shape)
-    ops = coll.base_ops[:, None]  # (n, 1, d, d), broadcast over d**r
-    cols = np.zeros((coll.n,) + w.shape, dtype=np.complex128)
-    for r in range(coll.p):
+    for r in range(p):
+        w = (state.sqrt_rho @ w.reshape(d**r, d, -1)).reshape(w.shape)
+    cols = np.zeros((len(ops),) + w.shape, dtype=np.complex128)
+    ops = ops[:, None]  # (n, 1, d, d), broadcast over d**r
+    for r in range(p):
         cols += (ops @ w.reshape(d**r, d, -1)).reshape(cols.shape)
     return np.imag(np.einsum("jaq,kaq->qjk", np.conj(cols), cols))
-
-
-def state_eigenbasis(coll: CollectiveOperators) -> np.ndarray:
-    """Eigenbasis U^(x)p of rho^(x)p as columns, rho = U D U+, the choice
-    that turns the aligned F-bar entries into the T_p diagonal surrogate."""
-    return linalg.kron_power(coll.state.eigen.vectors, coll.p)
 
 
 def _signs_from_values(values: np.ndarray) -> np.ndarray:
@@ -896,11 +885,17 @@ def _resolve_signs(signs: Sequence[float], count: int) -> np.ndarray:
 
 
 def compute_fbar_im(
-    coll: CollectiveOperators, basis: np.ndarray | None, signs: Signs
+    state: EvaluatedState,
+    ops: Sequence[np.ndarray],
+    p: int,
+    basis: np.ndarray | None,
+    signs: Signs,
 ) -> TradeoffMatrix:
     """Imaginary part of F-bar = sum_q s_q-adjusted F_{u_q} over a
-    supplied basis of (C^d)^(x)p: the columns u_q of a (d^p, count) array
-    with sum_q |u_q><u_q| = I (DimMismatch, IncompleteBasis), or the
+    supplied basis of (C^d)^(x)p for p copies of ``state`` and the n
+    single-copy operators ``ops`` (KindMismatch for p < 1, DimMismatch
+    unless each is d x d): the columns u_q of a (d^p, count) array with
+    sum_q |u_q><u_q| = I (DimMismatch, IncompleteBasis), or the
     computational basis for None, which needs no check.
 
     Transposing a Hermitian F_{u_q} flips its imaginary part, so a sign
@@ -908,29 +903,33 @@ def compute_fbar_im(
     sequence of s_q, AlignEntry(j,k) (align within ``basis``) or
     OptimizeNorm() (exhaustive Frobenius-norm maximization, small bases
     only); ``meta["signs"]`` holds the s_q taken, as ints.  With tilde
-    operators in ``coll`` the norm it maximizes is the one the F-bar bound
+    operators in ``ops`` the norm it maximizes is the one the F-bar bound
     reads.  The AutoAlign candidates, which switch to the commutator
-    eigenbasis of each irrep block, come from :func:`block_pass`.
+    eigenbasis of each irrep block, come from :func:`block_sweep`.
 
     For bases of at most OPTIMIZE_MAX_VECTORS vectors, the computational
     basis (:func:`_computational_basis`) and OptimizeNorm's sign patterns
     (:func:`_sign_patterns`) are built once per process and read-only.
     """
+    if p < 1:
+        raise KindMismatch(f"copies count must be >= 1, got {p}")
+    d = state.dim
+    ops = _operator_stack(ops, len(ops), d, "the collective")
     if basis is None:  # I_d^(x)p: nothing to check
-        basis = _computational_basis(coll.d, coll.p)
+        basis = _computational_basis(d, p)
     else:
         basis = np.asarray(basis)
-        if basis.ndim != 2 or len(basis) != coll.dim:
+        if basis.ndim != 2 or len(basis) != d**p:
             raise DimMismatch(
-                f"basis has shape {basis.shape}, ({coll.d}^{coll.p} = {coll.dim}, count) expected"
+                f"basis has shape {basis.shape}, ({d}^{p} = {d**p}, count) expected"
             )
-        dev = float(np.max(np.abs(basis @ dagger(basis) - np.eye(coll.dim))))
+        dev = float(np.max(np.abs(basis @ dagger(basis) - np.eye(d**p))))
         if dev > 1e-9:
             raise IncompleteBasis(f"sum |u><u| deviates from I by {dev:.3e}")
     count = basis.shape[1]
-    imags = _fu_imag_parts(coll, basis)
+    imags = _fu_imag_parts(state, ops, p, basis)
     if isinstance(signs, AlignEntry):
-        _check_pair(signs.j, signs.k, coll.n)
+        _check_pair(signs.j, signs.k, len(ops))
         sign_arr = _signs_from_values(imags[:, signs.j, signs.k])
         strategy = f"align_entry({signs.j},{signs.k})"
     elif isinstance(signs, OptimizeNorm):
@@ -944,5 +943,5 @@ def compute_fbar_im(
     # can round differently.)
     fbar_im = np.dot(sign_arr, imags.reshape(count, -1)).reshape(imags.shape[1:])
     return _fbar_matrix(
-        coll.p, fbar_im, strategy=strategy, signs=tuple(sign_arr.astype(int).tolist()),
+        p, fbar_im, strategy=strategy, signs=tuple(sign_arr.astype(int).tolist()),
     )

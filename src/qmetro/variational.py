@@ -67,7 +67,6 @@ from .states import EvaluatedState
 from .tensor import (
     Signs,
     _signs_from_values,
-    build_collective,
     compute_fbar_im,
 )
 
@@ -220,7 +219,11 @@ def pair_matrices(
     l_ops: Sequence[np.ndarray],
     u: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A_u, B_u, F_u) blocks of S_u = [[A, B], [B+, F]] >= 0."""
+    """(A_u, B_u, F_u) blocks of S_u = [[A, B], [B+, F]] >= 0.
+
+    Nothing in the package calls it: it is the per-vector reference that
+    ``tests/test_variational.py`` checks the positivity of S_u and the
+    sums of B_u and F_u against."""
     w = state.sqrt_rho @ np.asarray(u, dtype=np.complex128)
     x_cols = np.stack([x @ w for x in x_ops], axis=1)
     l_cols = np.stack([l @ w for l in l_ops], axis=1)
@@ -308,8 +311,7 @@ def evaluate_general_bound(
     w_mat, w_eigen = _check_weight(w, len(ops))
     if signs is None:
         signs = [1] * (state.dim if basis is None else np.shape(basis)[-1])
-    coll = build_collective(state, ops, 1)
-    a_im = compute_fbar_im(coll, basis, signs).entries
+    a_im = compute_fbar_im(state, ops, 1, basis, signs).entries
     a_re = np.real(z_matrix(state, ops))
     sqrt_w = linalg.sqrt_psd(w_mat, eigen=w_eigen)
     return float(np.sum(w_mat * a_re)) + linalg.trace_norm(sqrt_w @ a_im @ sqrt_w)
@@ -349,6 +351,10 @@ def holevo_objective(
 def nagaoka_objective(
     state: EvaluatedState, ops: Sequence[np.ndarray], w_mat: np.ndarray
 ) -> float:
+    """Tr[W Re Z(X)] + ||sqrt(W) J sqrt(W)||_1 1/2 ||sqrt(rho)[X_1, X_2]sqrt(rho)||_1
+    at a two-parameter set, J = [[0, 1], [-1, 0]].  Nothing in the package calls it: it is the direct
+    reference that ``tests/test_variational.py`` compares the Nagaoka
+    values of :func:`minimize_bound` against."""
     if len(ops) != 2:
         raise InvalidN("Nagaoka objective needs exactly two parameters")
     z = z_matrix(state, ops)

@@ -19,12 +19,20 @@ from qmetro.scenarios import SIGMA1, SIGMA2
 from qmetro.states import EvaluatedState, evaluate
 from qmetro.tensor import (
     OptimizeNorm,
-    build_collective,
-    compute_cp,
-    compute_cp_rld,
+    block_sweep,
     compute_fbar_im,
     compute_tp_exact,
 )
+
+
+def cp_at(st, ops, p):
+    """C_p alone: the block walk over the one-element list [p]."""
+    return block_sweep(st, ops, [p], cp=True)[p].cp
+
+
+def cp_rld_at(st, rld_ops, p):
+    """C_p^RLD of the tilde RLDs ``rld_ops`` alone, from the walk over [p]."""
+    return block_sweep(st, rld_ops, [p], rld_ops=rld_ops)[p].cp_rld
 
 
 class TestFofN:
@@ -88,21 +96,21 @@ class TestCpTpBounds:
     def test_qubit_c1(self, qubit_state):
         st = qubit_state(0.0)
         _, _, tilde = sld_analysis(st)
-        cp = compute_cp(build_collective(st, tilde, 1))
+        cp = cp_at(st, tilde, 1)
         assert gb.cp_bound(cp, 3) == pytest.approx(9 / 4, abs=1e-12)
 
     def test_qubit_c2_formula(self, qubit_state):
         delta = 0.7
         st = qubit_state(delta)
         _, _, tilde = sld_analysis(st)
-        cp = compute_cp(build_collective(st, tilde, 2))
+        cp = cp_at(st, tilde, 2)
         expected = 45 / 16 - delta**2 / 4 - delta**4 / 16
         assert gb.cp_bound(cp, 3) == pytest.approx(expected, abs=1e-10)
 
     def test_qutrit_full_c1(self, qutrit_state):
         st, spec = qutrit_state("qutrit8")
         _, _, tilde = sld_analysis(st)
-        cp = compute_cp(build_collective(st, tilde, 1))
+        cp = cp_at(st, tilde, 1)
         assert gb.cp_bound(cp, 8) == pytest.approx(50 / 7, abs=1e-10)
 
     def test_kind_mismatch(self, qubit_state):
@@ -111,7 +119,7 @@ class TestCpTpBounds:
         tp = compute_tp_exact(st, tilde, 1)
         with pytest.raises(KindMismatch):
             gb.cp_bound(tp, 3)
-        cp = compute_cp(build_collective(st, tilde, 1))
+        cp = cp_at(st, tilde, 1)
         with pytest.raises(KindMismatch):
             gb.tp_bound(cp, 3)
 
@@ -120,7 +128,7 @@ class TestCpTpBounds:
         _, _, tilde = sld_analysis(st)
         prev_cp = None
         for p in range(1, 7):
-            cp = gb.cp_bound(compute_cp(build_collective(st, tilde, p)), 3)
+            cp = gb.cp_bound(cp_at(st, tilde, p), 3)
             tp = gb.tp_bound(compute_tp_exact(st, tilde, p), 3)
             assert tp >= cp - 1e-9
             if prev_cp is not None:
@@ -132,16 +140,14 @@ class TestFbarBound:
     def test_qubit_p1(self, qubit_state):
         st = qubit_state(0.6)
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, 1)
-        fb = compute_fbar_im(coll, None, [1, -1])
+        fb = compute_fbar_im(st, tilde, 1, None, [1, -1])
         assert gb.fbar_bound(fb, 3) == pytest.approx(2.5, abs=1e-12)
 
     def test_qubit_p2(self, qubit_state):
         delta = 0.25
         st = qubit_state(delta)
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, 2)
-        fb = compute_fbar_im(coll, None, OptimizeNorm())
+        fb = compute_fbar_im(st, tilde, 2, None, OptimizeNorm())
         expected = 3 - (1 + delta**2) ** 2 / 8
         assert gb.fbar_bound(fb, 3) == pytest.approx(expected, abs=1e-10)
 
@@ -152,9 +158,9 @@ class TestFbarBound:
         st = qubit_state(0.5)
         slds, fisher, tilde = sld_analysis(st)
         basis = np.eye(4)
-        fb_til = compute_fbar_im(build_collective(st, tilde, 2), basis, OptimizeNorm())
+        fb_til = compute_fbar_im(st, tilde, 2, basis, OptimizeNorm())
         signs = list(fb_til.meta["signs"])
-        fb_raw = compute_fbar_im(build_collective(st, slds.ops, 2), basis, signs)
+        fb_raw = compute_fbar_im(st, slds.ops, 2, basis, signs)
         s = fisher.inv_sqrt
         assert np.allclose(s @ fb_raw.entries @ s, fb_til.entries, rtol=0, atol=1e-12)
         expected = 3 - (1 + 0.5**2) ** 2 / 8  # the qubit p = 2 value of test_qubit_p2
@@ -163,8 +169,7 @@ class TestFbarBound:
     def test_coefficient_override(self, qutrit_state):
         st, _ = qutrit_state("qutrit8")
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, 1)
-        fb = compute_fbar_im(coll, None, OptimizeNorm())
+        fb = compute_fbar_im(st, tilde, 1, None, OptimizeNorm())
         val = gb.fbar_bound(fb, 8, f_coeff=6.0 / 49.0)
         assert val == pytest.approx(8 - 24 / 49, abs=1e-10)
         # default coefficient is the (tighter) max, here 1/5
@@ -188,7 +193,7 @@ class TestRldBounds:
         rf = compute_rld_fisher(st, rlds, fisher)
         assert gb.rld_standard_bound(rf) == pytest.approx(2.0, abs=1e-10)
         rt = reparametrize(rlds, rf)
-        c1 = compute_cp_rld(build_collective(st, rt, 1))
+        c1 = cp_rld_at(st, rt, 1)
         assert gb.rld_cp_bound(c1, rf, 2) == pytest.approx(1.5, abs=1e-10)
 
     def test_rotation_family_brute_force(self):
@@ -224,7 +229,7 @@ class TestRldBounds:
         rlds = compute_rld(st)
         rf = compute_rld_fisher(st, rlds, fisher)
         rt = reparametrize(rlds, rf)
-        c1 = compute_cp_rld(build_collective(st, rt, 1))
+        c1 = cp_rld_at(st, rt, 1)
         a = 1.0 / (4 * eps * (1 - eps))
         expected = 2 * a - 0.25 * 2 * 4.0
         assert gb.rld_cp_bound(c1, rf, 2) == pytest.approx(expected, abs=1e-10)
@@ -323,7 +328,7 @@ class TestCsTransforms:
             fam = random_linear_family(3, 2, rng)
             st = evaluate(fam, np.zeros(2))
             _, fisher, tilde = sld_analysis(st)
-            cp = compute_cp(build_collective(st, tilde, 1))
+            cp = cp_at(st, tilde, 1)
             gamma = gb.cp_bound(cp, 2)
             out = gb.cs_transforms(gamma, fisher, fisher.f_q, 2)
             assert out.fq_cov_lower >= 2.0 - 1e-12
@@ -354,14 +359,14 @@ class TestSaturation:
             rho, [np.diag([0.5, -0.5, 0.0]), np.diag([0.0, 0.5, -0.5])]
         )
         _, fisher, tilde = sld_analysis(st)
-        cp = compute_cp(build_collective(st, tilde, 1))
+        cp = cp_at(st, tilde, 1)
         flags = gb.saturation_check(cp, tilde_fisher_im(fisher))
         assert flags.partial_commutative and flags.weak_commutative
 
     def test_qubit_delta_zero(self, qubit_state):
         st = qubit_state(0.0)
         _, fisher, tilde = sld_analysis(st)
-        cp = compute_cp(build_collective(st, tilde, 1))
+        cp = cp_at(st, tilde, 1)
         flags = gb.saturation_check(cp, tilde_fisher_im(fisher))
         assert not flags.partial_commutative
         assert flags.weak_commutative
@@ -369,7 +374,7 @@ class TestSaturation:
     def test_qubit_delta_half(self, qubit_state):
         st = qubit_state(0.5)
         _, fisher, tilde = sld_analysis(st)
-        cp = compute_cp(build_collective(st, tilde, 1))
+        cp = cp_at(st, tilde, 1)
         flags = gb.saturation_check(cp, tilde_fisher_im(fisher))
         assert not flags.partial_commutative
         assert not flags.weak_commutative

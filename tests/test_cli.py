@@ -429,6 +429,19 @@ class TestSweep:
         assert payload["error"] == "DimensionOverflow" and "p=40" in payload["message"]
         assert built == []
 
+    def test_exhaustive_fbar_refused_above_cap(self, capsys):
+        # qubit p = 3 (d^p = 8) takes the exhaustive F-bar over the
+        # computational basis, which walks no block; its largest block
+        # (dimension 4) is still held to --max-dim.
+        argv = ["bounds", "--preset", "qubit3", "--p", "3", "--bounds", "fbar", "--error-json"]
+        assert run_cli(argv + ["--max-dim", "3"]) == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload == {
+            "error": "DimensionOverflow", "exit_code": 2,
+            "message": "largest irrep block at p=3 has dimension 4, above cap 3",
+        }
+        assert run_cli(argv + ["--max-dim", "4"]) == 0
+
 
 class TestSharedFlags:
     """A flag that ``bounds`` and ``sweep`` both take is honoured by both

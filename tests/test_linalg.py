@@ -221,9 +221,6 @@ class TestCommutators:
     def test_self_commutator(self):
         assert np.allclose(linalg.commutator(SIGMA1, SIGMA1), np.zeros((2, 2)))
 
-    def test_anticommutator(self):
-        assert np.allclose(linalg.anticommutator(SIGMA1, SIGMA1), 2 * np.eye(2))
-
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             linalg.commutator(np.eye(2), np.eye(3))
@@ -234,5 +231,3 @@ class TestCommutators:
             return
         c = linalg.commutator(a, b)
         assert np.linalg.norm(c + c.conj().T) <= 1e-10 * max(1.0, np.linalg.norm(c))
-        ac = linalg.anticommutator(a, b)
-        assert np.linalg.norm(ac - ac.conj().T) <= 1e-10 * max(1.0, np.linalg.norm(ac))

@@ -242,13 +242,13 @@ class TestFbarStrategy:
         base = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         other = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
 
-        def tied(coll, fbar):
-            return BlockPass(None, None, [
-                TradeoffMatrix("FBAR_IM", coll.p, scale * m, {"strategy": name})
+        def tied(state, ops, p_list, fbar, dim_cap):
+            return {p: BlockPass(None, None, [
+                TradeoffMatrix("FBAR_IM", p, scale * m, {"strategy": name})
                 for m, name in ((base, "first"), ((1 + 1e-14) * other, "second"))
-            ])
+            ]) for p in p_list}
 
-        monkeypatch.setattr("qmetro.report.block_pass", tied)
+        monkeypatch.setattr("qmetro.report.block_sweep", tied)
         st = qubit_state(0.0)
         _, _, tilde = sld_analysis(st)
         assert best_fbar(st, tilde, 4).meta["strategy"] == "first"

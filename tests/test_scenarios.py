@@ -24,7 +24,7 @@ from qmetro.scenarios import (
     trinomial,
 )
 from qmetro.states import evaluate
-from qmetro.tensor import build_collective, compute_cp, compute_tp_exact
+from qmetro.tensor import block_sweep, compute_tp_exact
 
 
 class TestParsing:
@@ -191,7 +191,7 @@ class TestQubitClosedForms:
         fam = build_scenario(parse_scenario("qubit3"))
         st = evaluate(fam, np.zeros(3))
         _, _, tilde = sld_analysis(st)
-        dense = compute_cp(build_collective(st, tilde, p))
+        dense = block_sweep(st, tilde, [p], cp=True)[p].cp
         closed = qubit_cp_closed(p)
         assert np.max(np.abs(dense.entries - closed.entries)) <= 1e-8
 
@@ -279,7 +279,7 @@ class TestQutritClosedForms:
         fam = build_scenario(spec)
         st = evaluate(fam, np.zeros(fam.n))
         _, _, tilde = sld_analysis(st)
-        dense = compute_cp(build_collective(st, tilde, p))
+        dense = block_sweep(st, tilde, [p], cp=True)[p].cp
         closed = qutrit_cp_closed(spec, p)
         assert np.max(np.abs(dense.entries - closed.entries)) <= 1e-8
 
@@ -289,7 +289,7 @@ class TestQutritClosedForms:
         fam = build_scenario(spec)
         st = evaluate(fam, np.zeros(2))
         _, _, tilde = sld_analysis(st)
-        dense = compute_cp(build_collective(st, tilde, 6))
+        dense = block_sweep(st, tilde, [6], cp=True)[6].cp
         closed = qutrit_cp_closed(spec, 6)
         assert np.max(np.abs(dense.entries - closed.entries)) <= 1e-8
 

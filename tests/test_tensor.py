@@ -31,9 +31,6 @@ from qmetro.states import EvaluatedState, StateFamily, evaluate
 from qmetro.tensor import (
     AlignEntry,
     OptimizeNorm,
-    build_collective,
-    compute_cp,
-    compute_cp_rld,
     compute_fbar_im,
     compute_tp_exact,
     compute_tp_monte_carlo,
@@ -51,16 +48,26 @@ def shape_image(st, gens, ops):
     return (rows @ gens).reshape(ops.shape[:-2] + (dim, dim))
 
 
+def cp_at(st, ops, p):
+    """C_p alone: the block walk over the one-element list [p]."""
+    return tensor.block_sweep(st, ops, [p], cp=True)[p].cp
+
+
+def cp_rld_at(st, rld_ops, p):
+    """C_p^RLD of the tilde RLDs ``rld_ops`` alone, from the walk over [p]."""
+    return tensor.block_sweep(st, rld_ops, [p], rld_ops=rld_ops)[p].cp_rld
+
+
 class TestBuildCollective:
     def test_p1_identity_embedding(self, qubit_state):
         # At p = 1 the single block is the single copy in the eigenbasis of
         # rho: S pi(A) S has the spectrum of sqrt(rho) A sqrt(rho).
         st = qubit_state(0.2)
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, 1)
         # one complex (n, d, d) stack, read as it is by every kernel
-        assert coll.base_ops.shape == (3, 2, 2) and coll.base_ops.dtype == np.complex128
-        assert np.array_equal(coll.base_ops, np.array(tilde))
+        ops = tensor._operator_stack(tilde, 3, 2, "the walk")
+        assert ops.shape == (3, 2, 2) and ops.dtype == np.complex128
+        assert np.array_equal(ops, np.array(tilde))
         [(s, gens, [served])] = list(tensor.reduced_blocks(st, [1]))
         p, shape, scale = served
         assert (p, shape) == (1, (1, 0))
@@ -113,8 +120,8 @@ class TestBuildCollective:
         st = qubit_state(0.0)
         # The largest block at p = 6 is the spin-3 irrep of dimension 7.
         with pytest.raises(DimensionOverflow):
-            build_collective(st, [SIGMA1], 6, dim_cap=6)
-        build_collective(st, [SIGMA1], 6, dim_cap=7)
+            tensor.block_sweep(st, [SIGMA1], [6], dim_cap=6)
+        tensor.block_sweep(st, [SIGMA1], [6], dim_cap=7)
 
     def test_operator_shapes_checked(self, qubit_state):
         # Ragged or wrongly sized operators are refused before any block
@@ -122,15 +129,18 @@ class TestBuildCollective:
         st = qubit_state(0.2)
         for ops in ([np.eye(2), np.eye(3)], [np.eye(3), np.eye(3)]):
             with pytest.raises(DimMismatch):
-                build_collective(st, ops, 1)
+                tensor.block_sweep(st, ops, [1], cp=True)
 
     def test_builds_no_blocks(self, qutrit_state, cold_gt_cache):
-        # The irrep blocks at p = 12 would take about 16 MB if stored.
+        # The irrep blocks at p = 12 would take about 16 MB if stored; the
+        # walk's checks read the partitions only, up to the refusal.
         st, _ = qutrit_state("qutrit8")
         _, _, tilde = sld_analysis(st)
+        largest = max(schur.irrep_dim(shape) for shape in schur.partitions(12, st.dim))
         tracemalloc.start()
         try:
-            build_collective(st, tilde, 12)
+            with pytest.raises(DimensionOverflow):
+                tensor.block_sweep(st, tilde, [12], cp=True, dim_cap=largest - 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -147,7 +157,7 @@ class TestBuildCollective:
         )
         tracemalloc.start()
         try:
-            compute_cp(build_collective(st, tilde, p))
+            cp_at(st, tilde, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -162,7 +172,7 @@ class TestBuildCollective:
         largest = max(schur.irrep_dim(shape) for shape in schur.partitions(p, st.dim))
         tracemalloc.start()
         try:
-            compute_cp(build_collective(st, tilde, p))
+            cp_at(st, tilde, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -179,7 +189,7 @@ class TestBuildCollective:
         largest = max(schur.irrep_dim(shape) for shape in schur.partitions(p, st.dim))
         tracemalloc.start()
         try:
-            tensor.block_pass(build_collective(st, tilde, p), fbar=True)
+            tensor.block_sweep(st, tilde, [p], fbar=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -212,11 +222,10 @@ class TestBuildCollective:
         rld_ops = reparametrize(rlds, compute_rld_fisher(st, rlds, fisher))
         top = 60
         largest = max(schur.irrep_dim(shape) for shape in schur.partitions(top, st.dim))
-        coll = build_collective(st, tilde, top)
-        tensor.block_sweep(coll, range(1, top + 1), rld_ops)  # the kept tables
+        tensor.block_sweep(st, tilde, range(1, top + 1), rld_ops)  # the kept tables
         tracemalloc.start()
         try:
-            tensor.block_sweep(coll, range(1, top + 1), rld_ops)
+            tensor.block_sweep(st, tilde, range(1, top + 1), rld_ops)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -260,10 +269,10 @@ class TestSiteSum:
         count = basis.shape[1]
         # Raw SLDs as well: every strategy reads the operators it is given.
         for ops in (tilde, slds.ops):
-            coll = build_collective(st, ops, p)
             parts = dense_fu_imag_parts(st, ops, p, basis)
             tol = 1e-12 * float(np.max(np.abs(parts)))
-            assert np.allclose(tensor._fu_imag_parts(coll, basis), parts, rtol=0, atol=tol)
+            got = tensor._fu_imag_parts(st, np.asarray(ops), p, basis)
+            assert np.allclose(got, parts, rtol=0, atol=tol)
             explicit = rng.choice([-1.0, 1.0], size=count)
             strategies = [(list(explicit), explicit)]
             for j, k in ((0, 1), (1, 2)):
@@ -277,20 +286,20 @@ class TestSiteSum:
                 norms = [np.linalg.norm(_dense_aggregate(parts, s)) for s in patterns]
                 strategies.append((OptimizeNorm(), patterns[int(np.argmax(norms))]))
             for signs, expected in strategies:
-                fb = compute_fbar_im(coll, basis, signs)
+                fb = compute_fbar_im(st, ops, p, basis, signs)
                 assert np.array_equal(fb.meta["signs"], expected)
                 ref = _dense_aggregate(parts, expected)
                 assert np.allclose(fb.entries, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
     def test_dimension_cap(self, qubit_state, cold_tables, monkeypatch):
-        # 2^15 computational vectors exceed the Kronecker-power cap, while
-        # the largest block (16 rows) passes the block cap; the basis is
+        # 2^15 computational vectors exceed the Kronecker-power cap (the
+        # largest block, 16 rows, would pass the block cap); the basis is
         # refused before any of it is built.
-        coll = build_collective(qubit_state(0.0), [SIGMA1], 15)
+        st = qubit_state(0.0)
         built = []
         monkeypatch.setattr(np, "kron", lambda *args: built.append(args))
         with pytest.raises(DimensionOverflow):
-            compute_fbar_im(coll, None, AlignEntry(0, 0))
+            compute_fbar_im(st, [SIGMA1], 15, None, AlignEntry(0, 0))
         assert built == [] and tensor._bases == {}
 
 
@@ -350,14 +359,13 @@ def _assert_matches_dense(st, tilde, rld_ops, p):
     # Each consumer alone, against the dense oracles, and the joint pass
     # that build_report makes: its C_p comes from the AutoAlign
     # eigenvalues, everything else equals the lone consumers bit for bit.
-    coll = build_collective(st, tilde, p)
     pairs = list(itertools.combinations(range(len(tilde)), 2))
-    joint = tensor.block_pass(coll, rld_ops, cp=True, fbar=True)
+    joint = tensor.block_sweep(st, tilde, [p], rld_ops, cp=True, fbar=True)[p]
     ref = dense_pair_norms(st, tilde, p)
-    cp = compute_cp(coll).entries
+    cp = cp_at(st, tilde, p).entries
     assert np.allclose(cp, ref, rtol=0, atol=_scale_tol(ref))
     assert np.allclose(joint.cp.entries, cp, rtol=0, atol=1e-14 * np.max(np.abs(cp)))
-    alone = tensor.block_pass(coll, fbar=True).candidates
+    alone = tensor.block_sweep(st, tilde, [p], fbar=True)[p].candidates
     assert len(joint.candidates) == len(alone) == len(pairs)
     for (j, k), cand, got in zip(pairs, joint.candidates, alone):
         ref = dense_auto_align(st, tilde, p, j, k)
@@ -366,7 +374,7 @@ def _assert_matches_dense(st, tilde, rld_ops, p):
         assert np.array_equal(cand.entries, got.entries) and cand.meta == got.meta
         assert cand.entries[j, k] == pytest.approx(cp[j, k], rel=0, abs=_scale_tol(cp))
     ref = np.minimum(dense_pair_norms(st, rld_ops, p, rld=True), 2.0 * p)
-    got = compute_cp_rld(build_collective(st, rld_ops, p)).entries
+    got = cp_rld_at(st, rld_ops, p).entries
     assert np.allclose(got, ref, rtol=0, atol=_scale_tol(ref))
     assert np.array_equal(joint.cp_rld.entries, got)
 
@@ -510,13 +518,10 @@ class TestSweep:
             rld_ops = reparametrize(rlds, compute_rld_fisher(st, rlds, fisher))
         top = {2: 10, 3: 7, 4: 5}[st.dim]
         p_list = list(rng.permutation(np.arange(1, top + 1))) + [2]  # any order, repeats
-        sweep = tensor.block_sweep(
-            build_collective(st, tilde, top), p_list, rld_ops, cp=True, fbar=True
-        )
+        sweep = tensor.block_sweep(st, tilde, p_list, rld_ops, cp=True, fbar=True)
         assert sorted(sweep) == list(range(1, top + 1))
         for p in range(1, top + 1):
-            single = tensor.block_pass(build_collective(st, tilde, p), rld_ops, cp=True,
-                                       fbar=True)
+            single = tensor.block_sweep(st, tilde, [p], rld_ops, cp=True, fbar=True)[p]
             got = sweep[p]
             matrices = [(got.cp, single.cp), (got.cp_rld, single.cp_rld)]
             for a, b in matrices + list(zip(got.candidates, single.candidates)):
@@ -536,15 +541,16 @@ class TestSweep:
     def test_p_list_within_collective(self, qubit_state):
         st = qubit_state(0.5)
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, 4)
-        for bad in ([5], [0, 2]):
-            with pytest.raises(KindMismatch):
-                tensor.block_sweep(coll, bad, cp=True)
+        for bad in ([0, 2], [3, -1]):
+            with pytest.raises(KindMismatch, match="copies count must be >= 1"):
+                tensor.block_sweep(st, tilde, bad, cp=True)
+        # an empty list walks no block, so no cap refuses it
+        assert tensor.block_sweep(st, tilde, [], cp=True, dim_cap=1) == {}
 
     def test_qubit_closed_form_to_200(self, qubit_state):
         st = qubit_state(0.0)
         _, _, tilde = sld_analysis(st)
-        sweep = tensor.block_sweep(build_collective(st, tilde, 200), range(1, 201), cp=True)
+        sweep = tensor.block_sweep(st, tilde, range(1, 201), cp=True)
         for p in range(1, 201):
             closed = scenarios.qubit_cp_closed(p).entries
             assert np.allclose(sweep[p].cp.entries, closed, rtol=1e-12, atol=0)
@@ -552,7 +558,7 @@ class TestSweep:
     def test_qutrit8_closed_form(self, qutrit_state):
         st, spec = qutrit_state("qutrit8")
         _, _, tilde = sld_analysis(st)
-        sweep = tensor.block_sweep(build_collective(st, tilde, 10), range(1, 11), cp=True)
+        sweep = tensor.block_sweep(st, tilde, range(1, 11), cp=True)
         for p in range(1, 11):
             closed = scenarios.qutrit_cp_closed(spec, p).entries
             assert np.allclose(sweep[p].cp.entries, closed, rtol=0,
@@ -585,23 +591,22 @@ class TestBlockEngine:
     def test_qubit_closed_form(self, qubit_state, p):
         st = qubit_state(0.0)
         _, _, tilde = sld_analysis(st)
-        cp = compute_cp(build_collective(st, tilde, p))
+        cp = cp_at(st, tilde, p)
         assert np.allclose(cp.entries, scenarios.qubit_cp_closed(p).entries, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("p", [10, 15])
     def test_qutrit_closed_form(self, qutrit_state, p):
         st, spec = qutrit_state("qutrit:1,2,5")
         _, _, tilde = sld_analysis(st)
-        cp = compute_cp(build_collective(st, tilde, p))
+        cp = cp_at(st, tilde, p)
         closed = scenarios.qutrit_cp_closed(spec, p)
         assert np.allclose(cp.entries, closed.entries, rtol=0, atol=1e-10)
 
     def test_auto_align_reproduces_cp_entry_at_large_p(self, qubit_state):
         st = qubit_state(0.5)
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, 40)
-        cp = compute_cp(coll).entries[0, 1]
-        fb = tensor.block_pass(coll, fbar=True).candidates[0].entries[0, 1]
+        cp = cp_at(st, tilde, 40).entries[0, 1]
+        fb = tensor.block_sweep(st, tilde, [40], fbar=True)[40].candidates[0].entries[0, 1]
         assert fb == pytest.approx(cp, rel=1e-10)
 
     @pytest.mark.parametrize("name, p", [("qubit3", 5), ("qutrit8", 3), ("d4", 2), ("qutrit8", 8)])
@@ -612,26 +617,25 @@ class TestBlockEngine:
         # solved alone, in a stack of one pair.
         st = _block_case(name)
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, p)
-        cands = tensor.block_pass(coll, fbar=True).candidates
+        cands = tensor.block_sweep(st, tilde, [p], fbar=True)[p].candidates
         assert len(cands) == len(tilde) * (len(tilde) - 1) // 2
         monkeypatch.setattr(tensor, "STACK_BYTES", 1)
-        for cand, single in zip(cands, tensor.block_pass(coll, fbar=True).candidates, strict=True):
+        singles = tensor.block_sweep(st, tilde, [p], fbar=True)[p].candidates
+        for cand, single in zip(cands, singles, strict=True):
             assert np.array_equal(cand.entries, single.entries)
             assert cand.meta == single.meta
 
     def test_rld_blocks_must_match(self):
-        # The walk reads the RLD images off the SLD collective's blocks,
-        # so it needs one d x d operator per parameter.
+        # The walk reads the RLD images off the shapes it walks for the
+        # SLDs, so it needs one d x d operator per parameter.
         st = _block_case("qubit3")
         _, fisher, tilde = sld_analysis(st)
         rlds = compute_rld(st)
         rld_ops = reparametrize(rlds, compute_rld_fisher(st, rlds, fisher))
-        coll = build_collective(st, tilde, 3)
         with pytest.raises(DimMismatch):
-            tensor.block_pass(coll, rld_ops[:2])
+            tensor.block_sweep(st, tilde, [3], rld_ops[:2])
         with pytest.raises(DimMismatch):
-            tensor.block_pass(coll, rld_ops[:2] + (np.eye(3),))
+            tensor.block_sweep(st, tilde, [3], rld_ops[:2] + (np.eye(3),))
 
     @pytest.mark.parametrize("preset, delta", [
         ("qubit3", 0.5), ("qutrit8", 0.0), ("qutrit8", 0.1), ("qutrit:1,2,5", 0.3),
@@ -665,14 +669,14 @@ class TestComputeCp:
         for delta in (0.0, 0.5, 0.9):
             st = qubit_state(delta)
             _, _, tilde = sld_analysis(st)
-            cp = compute_cp(build_collective(st, tilde, 1))
+            cp = cp_at(st, tilde, 1)
             assert np.allclose(cp.entries, np.ones((3, 3)) - np.eye(3), atol=1e-10)
 
     def test_qubit_p2_entries(self, qubit_state):
         delta = 0.6
         st = qubit_state(delta)
         _, _, tilde = sld_analysis(st)
-        cp = compute_cp(build_collective(st, tilde, 2))
+        cp = cp_at(st, tilde, 2)
         assert cp.entries[0, 1] == pytest.approx(1 + delta**2, abs=1e-10)
         assert cp.entries[0, 2] == pytest.approx(np.sqrt(1 + delta**2), abs=1e-10)
         assert cp.entries[1, 2] == pytest.approx(np.sqrt(1 + delta**2), abs=1e-10)
@@ -680,7 +684,7 @@ class TestComputeCp:
     def test_qutrit_subset_c1(self, qutrit_state):
         st, _ = qutrit_state("qutrit:1,2")
         _, _, tilde = sld_analysis(st)
-        cp = compute_cp(build_collective(st, tilde, 1))
+        cp = cp_at(st, tilde, 1)
         assert np.allclose(cp.entries, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-10)
 
     def test_matches_literal_collective_route(self, qubit_state):
@@ -690,7 +694,7 @@ class TestComputeCp:
         st = qubit_state(0.35)
         _, _, tilde = sld_analysis(st)
         for p in (1, 2, 3):
-            fast = compute_cp(build_collective(st, tilde, p))
+            fast = cp_at(st, tilde, p)
             s = linalg.kron_power(st.sqrt_rho, p)
             ops = [literal_site_sum(op, np.eye(2), p) for op in tilde]
             for j in range(3):
@@ -702,7 +706,7 @@ class TestComputeCp:
     def test_structure(self, qubit_state):
         st = qubit_state(0.3)
         _, _, tilde = sld_analysis(st)
-        cp = compute_cp(build_collective(st, tilde, 2))
+        cp = cp_at(st, tilde, 2)
         cp.validate()
 
 
@@ -713,7 +717,7 @@ class TestComputeCpRld:
         rlds = compute_rld(st)
         rf = compute_rld_fisher(st, rlds, fisher)
         rt = reparametrize(rlds, rf)
-        c1 = compute_cp_rld(build_collective(st, rt, 1))
+        c1 = cp_rld_at(st, rt, 1)
         assert c1.entries[0, 1] == pytest.approx(1.0, abs=1e-10)
 
     def test_commuting_rlds_vanish(self):
@@ -725,7 +729,7 @@ class TestComputeCpRld:
         rlds = compute_rld(st)
         rf = compute_rld_fisher(st, rlds, fisher)
         rt = reparametrize(rlds, rf)
-        c1 = compute_cp_rld(build_collective(st, rt, 1))
+        c1 = cp_rld_at(st, rt, 1)
         assert np.max(np.abs(c1.entries)) <= 1e-10
 
     def test_clipping_at_2p(self):
@@ -748,10 +752,10 @@ class TestComputeCpRld:
         assert raw == pytest.approx(1.0 / (4 * eps * (1 - eps)), abs=1e-12)
         assert raw > 2.0
 
-        c1 = compute_cp_rld(build_collective(st, rt, 1))
+        c1 = cp_rld_at(st, rt, 1)
         assert c1.entries[0, 1] == pytest.approx(2.0, abs=1e-12)
 
-        c2 = compute_cp_rld(build_collective(st, rt, 2))
+        c2 = cp_rld_at(st, rt, 2)
         assert c2.entries[0, 1] <= 4.0 + 1e-12
 
 
@@ -1108,7 +1112,7 @@ class TestKeptTables:
             for p in ps:
                 compute_tp_exact(st, tilde, p)
                 compute_tp_monte_carlo(st, tilde, p + 5, samples=1000, seed=1)
-                compute_fbar_im(build_collective(st, tilde, p), None, OptimizeNorm())
+                compute_fbar_im(st, tilde, p, None, OptimizeNorm())
         assert set(tensor._bases) == {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)}
         assert len(tensor._laws) == 10  # p and p + 5 at ranks 2 and 3
         kept = [a for skeleton in tensor._laws.values() for a in skeleton]
@@ -1162,15 +1166,14 @@ class TestKeptTables:
 
     def test_optimize_norm_beyond_the_cap_is_refused(self, cold_tables, qubit_state):
         st = qubit_state(0.3)
-        coll = build_collective(st, sld_analysis(st)[2], 4)
         with pytest.raises(KindMismatch, match="limited to 12 vectors, basis has 16"):
-            compute_fbar_im(coll, None, OptimizeNorm())
+            compute_fbar_im(st, sld_analysis(st)[2], 4, None, OptimizeNorm())
         assert tensor._sign_patterns.cache_info().currsize == 0
 
     def test_computational_basis_kept_up_to_the_exhaustive_size(self, cold_tables, qubit_state):
         st = qubit_state(0.3)
         _, _, tilde = sld_analysis(st)
-        fbars = [compute_fbar_im(build_collective(st, tilde, p), None, [1] * 2**p)
+        fbars = [compute_fbar_im(st, tilde, p, None, [1] * 2**p)
                  for p in (3, 4, 3)]
         assert list(tensor._bases) == [(2, 3)]
         assert fbars[2].entries.tobytes() == fbars[0].entries.tobytes()
@@ -1217,8 +1220,7 @@ class TestFbar:
         for delta in (0.0, 0.5):
             st = qubit_state(delta)
             _, _, tilde = sld_analysis(st)
-            coll = build_collective(st, tilde, 1)
-            fb = compute_fbar_im(coll, None, [1, -1])
+            fb = compute_fbar_im(st, tilde, 1, None, [1, -1])
             expected = np.zeros((3, 3))
             expected[0, 1] = 1.0
             expected[1, 0] = -1.0
@@ -1228,58 +1230,51 @@ class TestFbar:
         delta = 0.3
         st = qubit_state(delta)
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, 2)
-        fb = compute_fbar_im(coll, None, [1, 1, 1, -1])
+        fb = compute_fbar_im(st, tilde, 2, None, [1, 1, 1, -1])
         assert fb.entries[0, 1] == pytest.approx(1 + delta**2, abs=1e-10)
 
     def test_align_entry_matches_paper(self, qubit_state):
         st = qubit_state(0.3)
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, 2)
-        fb = compute_fbar_im(coll, None, AlignEntry(0, 1))
+        fb = compute_fbar_im(st, tilde, 2, None, AlignEntry(0, 1))
         assert fb.meta["signs"] == (1, 1, 1, -1)
 
     def test_qutrit_subset_p2(self, qutrit_state):
         st, _ = qutrit_state("qutrit:1,2,5")
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, 2)
-        fb = compute_fbar_im(coll, None, OptimizeNorm())
+        fb = compute_fbar_im(st, tilde, 2, None, OptimizeNorm())
         assert fb.entries[0, 1] == pytest.approx(4.0 / 3.0, abs=1e-10)
 
     def test_auto_align_reproduces_cp_entry(self, qubit_state):
         st = qubit_state(0.45)
         _, _, tilde = sld_analysis(st)
         for p in (1, 2, 3):
-            coll = build_collective(st, tilde, p)
-            cp = compute_cp(coll)
-            cands = tensor.block_pass(coll, fbar=True).candidates
+            cp = cp_at(st, tilde, p)
+            cands = tensor.block_sweep(st, tilde, [p], fbar=True)[p].candidates
             for (j, k), fb in zip(((0, 1), (0, 2), (1, 2)), cands, strict=True):
                 assert fb.entries[j, k] == pytest.approx(cp.entries[j, k], abs=1e-9)
 
     def test_incomplete_basis(self, qubit_state):
         st = qubit_state(0.0)
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, 1)
         bad = np.array([[1.0], [0.0]])  # one column of C^2
         with pytest.raises(IncompleteBasis):
-            compute_fbar_im(coll, bad, [1])
+            compute_fbar_im(st, tilde, 1, bad, [1])
 
     def test_overcomplete_basis_allowed(self, qubit_state):
         st = qubit_state(0.2)
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, 1)
         # Two copies of the computational basis scaled by 1/sqrt(2) still
         # resolve the identity.
         vecs = np.hstack([np.eye(2), np.eye(2)]) / np.sqrt(2)
-        fb = compute_fbar_im(coll, vecs, [1] * 4)
+        fb = compute_fbar_im(st, tilde, 1, vecs, [1] * 4)
         assert fb.entries.shape == (3, 3)
 
     def test_optimize_cap(self, qubit_state):
         st = qubit_state(0.0)
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, 4)  # 16 basis vectors
         with pytest.raises(KindMismatch):
-            compute_fbar_im(coll, None, OptimizeNorm())
+            compute_fbar_im(st, tilde, 4, None, OptimizeNorm())
 
     def test_state_eigenbasis_reproduces_tp_entry(self, qubit_state):
         # Aligning the (j, k) imaginary parts in the eigenbasis of rho^(x)p
@@ -1287,11 +1282,10 @@ class TestFbar:
         st = qubit_state(0.45)
         _, _, tilde = sld_analysis(st)
         for p in (1, 2, 3):
-            coll = build_collective(st, tilde, p)
-            basis = tensor.state_eigenbasis(coll)
+            basis = linalg.kron_power(st.eigen.vectors, p)
             tp = compute_tp_exact(st, tilde, p)
             for (j, k) in ((0, 1), (0, 2), (1, 2)):
-                fb = compute_fbar_im(coll, basis, AlignEntry(j, k))
+                fb = compute_fbar_im(st, tilde, p, basis, AlignEntry(j, k))
                 assert fb.entries[j, k] == pytest.approx(tp.entries[j, k], abs=1e-9)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -1303,29 +1297,26 @@ class TestFbar:
             st = evaluate(random_linear_family(d, 3, rng), np.zeros(3))
             _, _, tilde = sld_analysis(st)
             for p in (1, 2, 3):
-                coll = build_collective(st, tilde, p)
-                basis = tensor.state_eigenbasis(coll)
+                basis = linalg.kron_power(st.eigen.vectors, p)
                 tp = compute_tp_exact(st, tilde, p).entries
                 for j, k in itertools.combinations(range(3), 2):
-                    fb = compute_fbar_im(coll, basis, AlignEntry(j, k))
+                    fb = compute_fbar_im(st, tilde, p, basis, AlignEntry(j, k))
                     assert fb.entries[j, k] == pytest.approx(tp[j, k], rel=1e-12, abs=0.0)
 
     def test_wrong_size_basis(self, qubit_state):
         # Eight vectors of C^8 at qubit p = 2: d^p = 4 entries are needed.
         st = qubit_state(0.3)
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, 2)
         with pytest.raises(DimMismatch):
-            compute_fbar_im(coll, np.eye(8), [1] * 8)
+            compute_fbar_im(st, tilde, 2, np.eye(8), [1] * 8)
 
     @pytest.mark.parametrize("basis", [np.ones(4) / 2, np.eye(4)[:3], np.eye(4)[None]])
     def test_basis_must_be_d_p_rows_of_columns(self, qubit_state, basis):
         # A 1-D vector, three rows at d^p = 4, or a 3-D stack.
         st = qubit_state(0.3)
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, 2)
         with pytest.raises(DimMismatch):
-            compute_fbar_im(coll, basis, [1] * 4)
+            compute_fbar_im(st, tilde, 2, basis, [1] * 4)
 
     @pytest.mark.parametrize("signs", [
         [1, 0], [1, 2], ["asis", "asis"], [True, False], [1], [1, -1, 1], "+-", None,
@@ -1334,9 +1325,8 @@ class TestFbar:
         # Two basis vectors at qubit p = 1: only two entries of +1 or -1.
         st = qubit_state(0.3)
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, 1)
         with pytest.raises(KindMismatch):
-            compute_fbar_im(coll, None, signs)
+            compute_fbar_im(st, tilde, 1, None, signs)
 
     @pytest.mark.parametrize("d, p", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
     def test_aggregate_bytes_match_tensordot(self, d, p):
@@ -1346,20 +1336,19 @@ class TestFbar:
         rng = np.random.default_rng(90 + 10 * d + p)
         st = evaluate(random_linear_family(d, 3, rng), np.zeros(3))
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, p)
-        signs = rng.choice([-1.0, 1.0], coll.dim)
-        for basis in (None, haar_unitary(coll.dim, rng)):
-            imags = tensor._fu_imag_parts(coll, np.eye(coll.dim) if basis is None else basis)
+        signs = rng.choice([-1.0, 1.0], d**p)
+        for basis in (None, haar_unitary(d**p, rng)):
+            full = np.eye(d**p) if basis is None else basis
+            imags = tensor._fu_imag_parts(st, np.asarray(tilde), p, full)
             ref = tensor._fbar_matrix(p, np.tensordot(signs, imags, axes=1)).entries
-            got = compute_fbar_im(coll, basis, signs).entries
+            got = compute_fbar_im(st, tilde, p, basis, signs).entries
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
     def test_explicit_signs_as_ints_or_floats(self, qubit_state):
         st = qubit_state(0.3)
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, 1)
-        ints = compute_fbar_im(coll, None, [1, -1])
-        floats = compute_fbar_im(coll, None, np.array([1.0, -1.0]))
+        ints = compute_fbar_im(st, tilde, 1, None, [1, -1])
+        floats = compute_fbar_im(st, tilde, 1, None, np.array([1.0, -1.0]))
         assert np.array_equal(ints.entries, floats.entries)
         assert ints.meta == floats.meta == {"strategy": "explicit", "signs": (1, -1)}
         assert all(type(s) is int for s in floats.meta["signs"])
@@ -1374,10 +1363,9 @@ class TestFbar:
         # index of 5 or 7 ended in a raw IndexError.
         st = qubit_state(0.5)
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, 4)
         j, k = (signs.j, signs.k) if isinstance(signs, AlignEntry) else signs
         with pytest.raises(KindMismatch):
-            compute_fbar_im(coll, None, AlignEntry(j, k))
+            compute_fbar_im(st, tilde, 4, None, AlignEntry(j, k))
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_align_entry_haar_basis_matches_per_vector_sum(self, qubit_state, p):
@@ -1385,14 +1373,13 @@ class TestFbar:
         # the materialized collective operators, s_q aligning entry (j, k).
         st = qubit_state(0.3)
         _, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde, p)
-        u = haar_unitary(coll.dim, np.random.default_rng(70 + p))
+        u = haar_unitary(2**p, np.random.default_rng(70 + p))
         s = linalg.kron_power(st.sqrt_rho, p)
         ops = [literal_site_sum(op, np.eye(2), p) for op in tilde]
         for j, k in ((0, 1), (0, 2), (1, 2)):
-            fb = compute_fbar_im(coll, u, AlignEntry(j, k))
+            fb = compute_fbar_im(st, tilde, p, u, AlignEntry(j, k))
             expected = np.zeros((3, 3))
-            for q in range(coll.dim):
+            for q in range(2**p):
                 w = s @ u[:, q]
                 im = np.imag([[np.vdot(w, ops[a] @ ops[b] @ w) for b in range(3)]
                               for a in range(3)])
@@ -1401,10 +1388,10 @@ class TestFbar:
             assert fb.entries[j, k] >= -1e-12
 
 
-def optimize_norm_loop(coll, basis):
+def optimize_norm_loop(st, ops, p, basis):
     """Oracle: one tensordot and one norm per transpose pattern, keeping
     a pattern only when it beats the best so far by 1e-15."""
-    imags = tensor._fu_imag_parts(coll, basis)
+    imags = tensor._fu_imag_parts(st, np.asarray(ops), p, basis)
     best, best_norm = None, -1.0
     count = basis.shape[1]
     flip_bits = np.arange(count - 1)
@@ -1435,11 +1422,11 @@ class TestOptimizeNorm:
         d, p = [(2, 1), (3, 1), (2, 2)][count % 3] if count >= 4 else (2, 1)
         st = evaluate(random_linear_family(d, 3, rng), np.zeros(3))
         slds, _, tilde = sld_analysis(st)
-        coll = build_collective(st, tilde if tilde_frame else slds.ops, p)
+        ops = tilde if tilde_frame else slds.ops
         basis = haar_unitary(count, rng)[:, : d**p].T
-        fb = compute_fbar_im(coll, basis, OptimizeNorm())
-        signs, norm = optimize_norm_loop(coll, basis)
-        oracle = compute_fbar_im(coll, basis, list(signs))
+        fb = compute_fbar_im(st, ops, p, basis, OptimizeNorm())
+        signs, norm = optimize_norm_loop(st, ops, p, basis)
+        oracle = compute_fbar_im(st, ops, p, basis, list(signs))
         assert np.linalg.norm(fb.entries) == pytest.approx(norm, rel=1e-12, abs=0.0)
         assert gb.fbar_bound(fb, 3) == pytest.approx(
             gb.fbar_bound(oracle, 3), rel=1e-12, abs=0.0
@@ -1474,7 +1461,7 @@ class TestProperties:
         lim = limit_fim(st, tilde).entries
         prev = None
         for p in range(1, 5):
-            cp = compute_cp(build_collective(st, tilde, p)).entries / p
+            cp = cp_at(st, tilde, p).entries / p
             tp = compute_tp_exact(st, tilde, p).entries / p
             assert np.all(lim <= tp + 1e-8)
             assert np.all(tp <= cp + 1e-8)
@@ -1486,7 +1473,7 @@ class TestProperties:
         # ||C_1||_F is invariant under nonsingular reparametrizations.
         st = qubit_state(0.4)
         _, _, tilde = sld_analysis(st)
-        base = np.linalg.norm(compute_cp(build_collective(st, tilde, 1)).entries)
+        base = np.linalg.norm(cp_at(st, tilde, 1).entries)
         fam = build_scenario(parse_scenario("qubit3", delta=0.4))
         rng = np.random.default_rng(43)
         for _ in range(3):
@@ -1495,5 +1482,5 @@ class TestProperties:
             gens = [sum(minv[j, k] * fam.generators[j] for j in range(3)) for k in range(3)]
             st2 = evaluate(StateFamily.linear(fam.rho0, gens), np.zeros(3))
             _, _, tilde2 = sld_analysis(st2)
-            norm2 = np.linalg.norm(compute_cp(build_collective(st2, tilde2, 1)).entries)
+            norm2 = np.linalg.norm(cp_at(st2, tilde2, 1).entries)
             assert norm2 == pytest.approx(base, abs=1e-7)

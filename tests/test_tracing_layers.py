@@ -48,3 +48,30 @@ def test_traced_run_reports_counts(tmp_path):
     assert metrics["tensor.compute_fbar_im.calls"] > 0
     assert metrics["tensor.compute_tp_exact.occupations"] > 0
     assert metrics["tensor.compute_tp_monte_carlo.samples"] > 0
+
+
+def test_traced_readers_report_the_top_p(qubit_state):
+    # No CLI path calls compute_cp or compute_cp_rld, yet the tracer wraps
+    # them and reads p off their first argument: a drift there must fail
+    # here, not only in a traced benchmark run.
+    from qmetro import tensor
+    from qmetro.logderiv import compute_rld, compute_rld_fisher, reparametrize, sld_analysis
+
+    st = qubit_state(0.5)
+    slds, fisher, tilde = sld_analysis(st)
+    rlds = compute_rld(st)
+    rld_tilde = reparametrize(rlds, compute_rld_fisher(st, rlds, fisher))
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for p in (1, 3):
+            tensor.compute_cp(tensor.build_collective(st, tilde, p))
+        tensor.compute_cp_rld(tensor.build_collective(st, rld_tilde, 2))
+    finally:
+        tracer.uninstall()
+    names = [span[tracing.NAME] for span in tracer.spans]
+    assert names.count("tensor.compute_cp") == 2 and "tensor.compute_cp_rld" in names
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["tensor.compute_cp.top_p_s"] > 0
+    assert metrics["tensor.compute_cp_rld.self_s"] > 0
