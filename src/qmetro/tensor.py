@@ -35,7 +35,14 @@ pi(B)]).  One eigendecomposition of a pair's commutator image H_q =
 S pi_mu(-i [L~_j, L~_k]) S gives the C_p share and the auto_align(j,k)
 contribution at every p where mu recurs: a qubit sweep over p = 1..P
 makes O(P) eigensolves per pair.  The trivial shape mu = 0 is not
-solved, because pi_mu vanishes there.  The block eigenbases are never
+solved, because pi_mu vanishes there.  Where, after entries at the
+rounding level of their product are dropped, every pair commutator is
+real diagonal or on one line c E_ab + conj(c) E_ba of rho's eigenbasis
+(the presets), a walk large enough to pay for the test takes the line
+gauge instead: per shape one real eigensolve of S (pi(E_ab) +
+pi(E_ab)^T) S per line serves every pair on it, and diagonal pairs need
+none (see :func:`block_sweep` for the rule, its error bound and the
+choice of path).  The block eigenbases are never
 returned, so a candidate's meta names its strategy only.  C_p^RLD reads
 every block lambda, because RLDs are not traceless: its image is the mu
 image shifted by k Tr(R) I, and the products of all the blocks a shape
@@ -197,13 +204,14 @@ def _eigenbasis_rows(vecs: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return (dagger(vecs) @ ops @ vecs).reshape(len(ops), -1)
 
 
-def _check_copies(p_list: Sequence[int], d: int, dim_cap: int) -> None:
+def _check_copies(p_list: Sequence[int], d: int, dim_cap: int) -> int:
     """KindMismatch for a p < 1 in ``p_list``, and DimensionOverflow when
     the largest irrep block at its largest p has more than ``dim_cap``
-    rows.  Reads the partitions only, so it builds no block; the largest
-    block grows with p, so one check covers every p of the list."""
+    rows; returns that block's dimension (0 for an empty list).  Reads the
+    partitions only, so it builds no block; the largest block grows with
+    p, so one check covers every p of the list."""
     if not p_list:  # an empty walk builds nothing
-        return
+        return 0
     if min(p_list) < 1:
         raise KindMismatch(f"copies count must be >= 1, got {min(p_list)}")
     p = max(p_list)
@@ -212,6 +220,7 @@ def _check_copies(p_list: Sequence[int], d: int, dim_cap: int) -> None:
         raise DimensionOverflow(
             f"largest irrep block at p={p} has dimension {largest}, above cap {dim_cap}"
         )
+    return largest
 
 
 def _operator_stack(ops: Sequence[np.ndarray], count: int, d: int, what: str) -> np.ndarray:
@@ -317,6 +326,111 @@ def _align_block(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return norms, shares
 
 
+#: Entries of a pair commutator -i (P - P+), P = A_j A_k, in rho's
+#: eigenbasis at or below this many units d eps max|A_j| max|A_k|, the
+#: rounding level of the product, count as zero in :func:`_pair_lines`.
+LINE_TOL_UNITS = 16
+
+#: Walks whose pair images on the largest block hold fewer entries
+#: (pairs x dim^2) take the complex path: there its eigensolves cost less
+#: than the line test and the per-shape tables of the line gauge.
+GAUGE_MIN_ENTRIES = 2048
+
+
+@dataclass(frozen=True)
+class _Lines:
+    """The pair commutators of a walk when in rho's eigenbasis each is
+    real diagonal or sits on one line, C_q = c_q E_ab + conj(c_q) E_ba
+    with a < b.  ``rows`` holds the generator row a d + b of each of the
+    L lines present.  Per pair, ``line_of`` is its line's index there (L
+    for a diagonal pair), ``on_line`` says whether it has one, ``size`` is
+    |c_q| and ``diag`` the diagonal (each 0 where it does not apply).
+    ``phase[q, q']`` = Re(c_q' e^(-i arg(c_q) kappa)), kappa = delta_aa' -
+    delta_ab', for two line pairs and 0 otherwise, and ``grid[q, q']`` =
+    line_of[q] (L + 1) + line_of[q'] indexes a flattened (L + 1, L + 1)
+    table of the lines."""
+
+    rows: np.ndarray
+    line_of: np.ndarray
+    on_line: np.ndarray
+    size: np.ndarray
+    diag: np.ndarray
+    phase: np.ndarray
+    grid: np.ndarray
+
+
+def _pair_lines(
+    rotated: np.ndarray, comms: np.ndarray, j_idx: np.ndarray, k_idx: np.ndarray
+) -> _Lines | None:
+    """The line structure of the (pairs, d, d) commutators ``comms`` of
+    the eigenbasis operators ``rotated``, or None unless every pair is
+    diagonal or on one line.  Entries at or below LINE_TOL_UNITS d eps
+    max|A_j| max|A_k| are dropped first: a change E of C_q moves (C_p)_q
+    by at most 1/2 ||sqrt(rho)^(x)p pi(E) sqrt(rho)^(x)p||_1 <= p ||E|| / 2
+    <= p d max|E_ab| / 2, which is the product's own rounding error."""
+    count, d = len(comms), rotated.shape[-1]
+    flat = comms.reshape(count, d * d)
+    top = np.max(np.abs(rotated).reshape(len(rotated), d * d), axis=1)
+    tol = LINE_TOL_UNITS * d * np.finfo(float).eps * (top[j_idx] * top[k_idx])
+    kept = np.abs(flat) > tol[:, None]
+    upper = np.triu(kept.reshape(count, d, d), 1).reshape(count, d * d)
+    on_line = np.sum(upper, axis=1)
+    diag = np.where(kept[:, :: d + 1], flat[:, :: d + 1].real, 0.0)
+    if on_line.max() > 1 or np.any(diag[on_line == 1]):
+        return None
+    on_line = on_line == 1
+    at = np.argmax(upper, axis=1)  # a d + b of a line pair's entry
+    coef = np.where(on_line, flat[np.arange(count), at], 0.0)
+    rows = sorted(set(at[on_line].tolist()))
+    line_of = np.full(d * d, len(rows))
+    line_of[rows] = range(len(rows))
+    line_of = np.where(on_line, line_of[at], len(rows))
+    a, b = np.divmod(at, d)
+    kappa = (a[:, None] == a).astype(float) - (a[:, None] == b)
+    phase = np.real(coef * np.exp(-1j * np.angle(coef)[:, None] * kappa))
+    phase[~on_line] = 0.0
+    grid = line_of[:, None] * (len(rows) + 1) + line_of
+    return _Lines(np.array(rows, dtype=int), line_of, on_line, np.abs(coef), diag, phase, grid)
+
+
+def _line_block(
+    lines: _Lines, s: np.ndarray, gens: np.ndarray, fbar: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """What :func:`_align_block` gives (without ``fbar``, the norms
+    alone) for pair commutators with ``lines`` structure, from one real
+    eigh per line (a, b) of R_ab = S (G_ab + G_ab^T) S, G_ab = pi_mu(E_ab).
+
+    With D = exp(i arg(c_q) W_a) for the GT weight W_a, D G_ab D+ =
+    e^(i arg c_q) G_ab, so H_q = |c_q| D R_ab D+: 1/2 ||H_q||_1 = |c_q|
+    1/2 ||R_ab||_1 and V sgn V+ = D P_ab D+ with P_ab = V_R sgn V_R^T.
+    Against a line pair q' the phases leave Re <H_q', D P_ab D+> = 2
+    ``phase[q, q']`` Tr(S G_a'b' S P_ab), against a diagonal one
+    sum_r (H_q')_rr (P_ab)_rr.  A diagonal H_q needs no solve: V sgn V+ =
+    sgn(H_q), +1 throughout (the tie rule) where H_q = 0.
+    """
+    dim, count = len(s), len(lines.rows)
+    d = math.isqrt(len(gens))
+    h = lines.diag @ gens[:: d + 1, :: dim + 1]  # pi_mu(E_aa) = diag(W_a)
+    h *= s * s  # S pi_mu(C_q) S of each diagonal pair
+    g = _sandwich(gens[lines.rows].reshape(count, dim, dim), s)
+    r = g + g.swapaxes(1, 2)
+    norms = np.zeros(count + 1)  # 1/2 ||R_ab||_1, and 0 at index L
+    shares = None
+    if not fbar:
+        norms[:count] = _half_herm_norms(r)
+    else:
+        vals, vecs = np.linalg.eigh(r)
+        proj = (vecs * _signs_from_values(vals)[:, None, :]) @ vecs.swapaxes(1, 2)
+        norms[:count] = 0.5 * np.sum(np.abs(vals), axis=-1)
+        traces = np.zeros((count + 1, count + 1))  # Tr(S G_l' S P_l)
+        traces[:count, :count] = proj.reshape(count, dim * dim) @ g.reshape(count, dim * dim).T
+        ys = np.ones((count + 1, dim))  # the diagonal of V sgn V+ per line
+        ys[:count] = proj.diagonal(axis1=1, axis2=2)
+        ys = np.where(lines.on_line[:, None], ys[lines.line_of], _signs_from_values(h))
+        shares = 2.0 * lines.phase * traces.ravel()[lines.grid] + ys @ h.T
+    return lines.size * norms[lines.line_of] + 0.5 * np.sum(np.abs(h), axis=1), shares
+
+
 def _rld_blocks(
     xs: np.ndarray, s: np.ndarray, traces: np.ndarray, ks: np.ndarray,
     j_idx: np.ndarray, k_idx: np.ndarray,
@@ -403,7 +517,27 @@ def block_sweep(
     auto_align(j,k) equals the C_p entry; without ``fbar``, C_p reads
     eigvalsh.  The shape mu = 0 adds nothing here (pi_mu = 0) and is not
     solved.  The signs take the tie rule on the alignment values
-    Lambda/2, which does not depend on c.  C_p^RLD takes P = X_j X_k+
+    Lambda/2, which does not depend on c.
+
+    The line gauge.  When the pair images of the largest block hold at
+    least GAUGE_MIN_ENTRIES entries (pairs x dim^2), the walk first drops
+    the entries of each rotated commutator at or below LINE_TOL_UNITS d
+    eps max|L~_j| max|L~_k|, the rounding level of the product that formed
+    them; that moves (C_p)_q by at most p d / 2 times the largest entry
+    dropped.  If every pair is then real diagonal or sits on one line,
+    c_q E_ab + conj(c_q) E_ba, a diagonal phase makes each line image real
+    and the same up to |c_q| for every pair on that line, so each shape
+    takes one real eigh per line present and none for a diagonal pair
+    (:func:`_line_block`): 3 in place of 28 complex ones for qutrit8.  Any
+    other family, random ones among them, and any smaller walk take the
+    complex path above, which stays the reference; the two agree to
+    rounding.  On the gauged path a pair that commutes to working
+    precision has C_p entry 0 and its candidate takes every sign +1, the
+    tie rule for H_q = 0, rather than signs of rounding noise.  A walk
+    with one operator has no pair: C_p and C_p^RLD are 1 x 1 zeros and
+    there is no candidate.
+
+    C_p^RLD takes P = X_j X_k+
     with X_j = s pi_lambda(L~^R_j) = s (pi_mu(L~^R_j) + k Tr(L~^R_j) I) on
     each block and clips 1/2 sum_lambda c ||P - P+||_1 at 2p; the
     products of every block a shape serves, and every pair, go into
@@ -413,18 +547,23 @@ def block_sweep(
     array.
     """
     ps = tuple(dict.fromkeys(p_list))
-    _check_copies(ps, state.dim, dim_cap)
+    largest = _check_copies(ps, state.dim, dim_cap)
     ops = _operator_stack(ops, len(ops), state.dim, "the collective")
     n = len(ops)
     vecs = state.eigen.vectors
     j_idx, k_idx = _pair_indices(n)
     pairs = len(j_idx)
-    if cp or fbar:
+    solve = (cp or fbar) and pairs > 0  # n = 1 has no pair
+    lines = None
+    if solve:
         # -i [A_j, A_k] = -i (P - P+) with P = A_j A_k, for the Hermitian
         # operators A rotated into rho's eigenbasis once.
         rotated = dagger(vecs) @ ops @ vecs
         prods = rotated[j_idx] @ rotated[k_idx]
-        comms = (-1j * (prods - dagger(prods))).reshape(pairs, -1)
+        comms = -1j * (prods - dagger(prods))
+        if pairs * largest**2 >= GAUGE_MIN_ENTRIES:
+            lines = _pair_lines(rotated, comms, j_idx, k_idx)
+        comms = comms.reshape(pairs, -1)
     if rld_ops is not None:
         rld_ops = _operator_stack(rld_ops, n, state.dim, "C_p^RLD")
         rld_traces = np.trace(rld_ops, axis1=1, axis2=2)
@@ -440,16 +579,20 @@ def block_sweep(
         scales = np.array([scale for _, _, scale in served])[:, None]
         # pi_mu vanishes on the one-dimensional shape mu = 0, so the
         # commutators have no share there; the RLD blocks k Tr(R) I do.
-        if served and len(s) > 1 and fbar:
-            norms, shares = _align_block(_sandwich(_images(comms, gens), s))
-            totals[rows] += scales[:, :, None] * shares
+        if served and len(s) > 1 and solve:
+            if lines is not None:
+                norms, shares = _line_block(lines, s, gens, fbar)
+            elif fbar:
+                norms, shares = _align_block(_sandwich(_images(comms, gens), s))
+            else:
+                norms = np.concatenate([
+                    _half_herm_norms(_sandwich(_images(comms[st], gens), s))
+                    for st in _stacks(pairs, len(s))
+                ])
+            if fbar:
+                totals[rows] += scales[:, :, None] * shares
             if cp:
                 cp_vals[rows] += scales * norms
-        elif served and len(s) > 1 and cp:
-            cp_vals[rows] += scales * np.concatenate([
-                _half_herm_norms(_sandwich(_images(comms[st], gens), s))
-                for st in _stacks(pairs, len(s))
-            ])
         if served and rld_ops is not None:
             ks = np.array([shape[-1] for _, shape, _ in served])
             rld_vals[rows] += scales * _rld_blocks(

@@ -663,6 +663,185 @@ class TestBlockEngine:
         for scale in (1.0, 1e-15, 1e15):
             assert np.array_equal(tensor._signs_from_values(scale * vals), expect)
 
+    @pytest.mark.parametrize("entries", [0, 1 << 60])
+    def test_one_operator_walk(self, qubit_state, monkeypatch, entries):
+        # n = 1 has no pair: zero 1 x 1 matrices and no candidates on
+        # either path, and C_p^RLD has no pair either.
+        monkeypatch.setattr(tensor, "GAUGE_MIN_ENTRIES", entries)
+        st = qubit_state(0.5)
+        walk = tensor.block_sweep(st, [SIGMA1], [1, 3, 8], [SIGMA2], cp=True, fbar=True)
+        for p, got in walk.items():
+            assert got.cp.entries.tolist() == [[0.0]] and got.cp.p == p
+            assert got.cp_rld.entries.tolist() == [[0.0]]
+            assert got.candidates == []
+        coll = tensor.build_collective(st, [SIGMA1], 3)
+        assert tensor.compute_cp(coll).entries.tolist() == [[0.0]]
+
+
+def planted_line_family(d, n, rng):
+    """A random family whose pair commutators each sit on one line of
+    rho's eigenbasis or on its diagonal: rho is diagonal with distinct
+    eigenvalues in shuffled order, and each generator is c E_ab + conj(c)
+    E_ba, at most two per line, or traceless diagonal, at most d - 1."""
+    lam = rng.permutation(np.sort(rng.random(d)) + np.arange(d))
+    rho0 = np.diag(lam / lam.sum()).astype(complex)
+    pool = [pair for pair in itertools.combinations(range(d), 2) for _ in range(2)]
+    pool += [None] * (d - 1)
+    gens = []
+    for i in rng.choice(len(pool), size=n, replace=False):
+        if pool[i] is None:
+            v = rng.standard_normal(d)
+            gen = np.diag(v - v.mean()).astype(complex)
+        else:
+            a, b = pool[i]
+            gen = np.zeros((d, d), dtype=complex)
+            gen[a, b] = complex(*rng.standard_normal(2))
+            gen[b, a] = np.conj(gen[a, b])
+        gens.append(gen)
+    return StateFamily.linear(rho0, gens)
+
+
+def _line_structure(st, tilde, coefficients=False):
+    """What the walk's line test finds for the tilde operators ``tilde``,
+    and with ``coefficients`` also the c_q of the line pairs."""
+    vecs = st.eigen.vectors
+    rotated = dagger(vecs) @ np.asarray(tilde, dtype=complex) @ vecs
+    j, k = tensor._pair_indices(len(tilde))
+    prods = rotated[j] @ rotated[k]
+    comms = -1j * (prods - dagger(prods))
+    lines = tensor._pair_lines(rotated, comms, j, k)
+    if not coefficients:
+        return lines
+    flat = comms.reshape(len(comms), -1)
+    return lines, [flat[q, lines.rows[lines.line_of[q]]] for q in np.flatnonzero(lines.on_line)]
+
+
+def _both_paths(monkeypatch, st, tilde, ps):
+    """The cp and fbar walk over ``ps`` on the line gauge and on the
+    complex path, which is the reference."""
+    walks = []
+    for entries in (0, 1 << 60):
+        monkeypatch.setattr(tensor, "GAUGE_MIN_ENTRIES", entries)
+        walks.append(tensor.block_sweep(st, tilde, ps, cp=True, fbar=True))
+    return walks
+
+
+def _assert_paths_agree(gauged, complex_, lines):
+    for p, ref in complex_.items():
+        got = gauged[p]
+        scale = np.max(np.abs(ref.cp.entries))
+        assert np.allclose(got.cp.entries, ref.cp.entries, rtol=1e-13, atol=1e-13 * scale), p
+        for q, (cand, ref_cand) in enumerate(zip(got.candidates, ref.candidates, strict=True)):
+            assert cand.meta == ref_cand.meta
+            if lines.on_line[q] or np.any(lines.diag[q]):  # a non-commuting pair
+                scale = np.max(np.abs(ref_cand.entries))
+                assert np.allclose(cand.entries, ref_cand.entries, rtol=1e-13,
+                                   atol=1e-13 * scale), (p, cand.meta)
+
+
+class TestLineGauge:
+    """The gauged path of the walk, for pair commutators that in rho's
+    eigenbasis are each diagonal or on one line, against the complex
+    path."""
+
+    @pytest.mark.parametrize("delta, exact_fails", [(0.05, 27), (0.15, 27), (0.175, 22)])
+    def test_line_rule_finds_the_preset_structure(self, delta, exact_fails):
+        # There the exact-zero pattern of the rotated commutators is no
+        # guide: rounding residues fill most of them in, and the rule
+        # drops them.  ``exact_fails`` was counted with OpenBLAS; the
+        # residues depend on the BLAS, so half of it must still fail.
+        st, tilde = qutrit8_tilde(delta)
+        lines = _line_structure(st, tilde)
+        assert lines is not None
+        assert np.sum(lines.on_line) == 24 and len(lines.rows) == 3
+        vecs = st.eigen.vectors
+        rotated = dagger(vecs) @ np.asarray(tilde) @ vecs
+        fails = 0
+        for j, k in itertools.combinations(range(8), 2):
+            prod = rotated[j] @ rotated[k]
+            nonzero = (prod - dagger(prod)) != 0
+            off = np.count_nonzero(np.triu(nonzero, 1))
+            fails += off > 1 or (off == 1 and np.any(np.diag(nonzero)))
+        assert fails >= exact_fails // 2
+
+    @pytest.mark.parametrize("preset, deltas, top", [
+        ("qubit3", (0.0, 0.2, 0.5, 0.9), 8),
+        ("qutrit:1,2,5", (0.0, 0.1, 0.3), 8),
+        ("qutrit8", (0.0, 0.05, 0.1, 0.15, 0.3, 0.5), 8),
+    ])
+    def test_presets_match_the_complex_path(self, monkeypatch, preset, deltas, top):
+        for delta in deltas:
+            fam = build_scenario(parse_scenario(preset, delta=delta))
+            st = evaluate(fam, np.zeros(fam.n))
+            _, _, tilde = sld_analysis(st)
+            lines = _line_structure(st, tilde)
+            assert lines is not None
+            for ps in (range(1, top + 1), [3]):
+                _assert_paths_agree(*_both_paths(monkeypatch, st, tilde, ps), lines)
+
+    @pytest.mark.parametrize("d, n, seed", [(3, 3, 1), (3, 4, 2), (3, 5, 3), (4, 5, 4), (4, 6, 5)])
+    def test_planted_lines_match_the_complex_path(self, monkeypatch, d, n, seed):
+        # Complex c_q on lines that share an index give kappa = +-1, so the
+        # phase table is exercised.
+        st = evaluate(planted_line_family(d, n, np.random.default_rng(seed)), np.zeros(n))
+        _, _, tilde = sld_analysis(st)
+        lines, coefs = _line_structure(st, tilde, coefficients=True)
+        assert np.all(np.abs(np.sin(2 * np.angle(coefs))) > 1e-3)  # no c_q real or imaginary
+        top = 6 if d == 3 else 4
+        _assert_paths_agree(*_both_paths(monkeypatch, st, tilde, range(1, top + 1)), lines)
+
+    def test_random_families_take_the_complex_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tensor, "_line_block", lambda *a: calls.append(a))
+        for d in (2, 3, 4):
+            st = _block_case(f"d{d}")
+            _, _, tilde = sld_analysis(st)
+            assert _line_structure(st, tilde) is None
+            p = {2: 30, 3: 6, 4: 4}[d]  # above GAUGE_MIN_ENTRIES
+            assert 3 * max(schur.irrep_dim(s) for s in schur.partitions(p, d)) ** 2 >= 2048
+            tensor.block_sweep(st, tilde, [p], cp=True, fbar=True)
+        assert calls == []
+
+    @pytest.mark.parametrize("preset, ps", [
+        ("qubit3", (1, 2, 3)), ("qutrit:1,2,5", (1, 2, 3)), ("qutrit8", (1, 2)),
+        ("qubit3", range(1, 11)),
+    ])
+    def test_small_walks_skip_the_line_test(self, monkeypatch, preset, ps):
+        # Below GAUGE_MIN_ENTRIES the complex path costs less than the
+        # line test, so the walk does not run it.
+        def refuse(*args):
+            raise AssertionError("line test on a small walk")
+
+        monkeypatch.setattr(tensor, "_pair_lines", refuse)
+        fam = build_scenario(parse_scenario(preset, delta=0.3))
+        st = evaluate(fam, np.zeros(fam.n))
+        _, _, tilde = sld_analysis(st)
+        for p in ps:
+            tensor.block_sweep(st, tilde, [p], cp=True, fbar=True)
+        tensor.block_sweep(st, tilde, ps, cp=True, fbar=True)
+
+    @pytest.mark.parametrize("delta, commuting", [
+        (0.0, [(0, 7), (1, 7), (2, 7)]), (0.15, [(2, 7)]), (0.3, [(2, 7)]),
+    ])
+    def test_commuting_pairs_take_every_sign_plus(self, delta, commuting):
+        # A pair whose commutator is zero to working precision has C_p
+        # entry 0 and the all-plus candidate: V sgn V+ = I on every block,
+        # so F-bar_Im is sum_u Im F_u over any basis with every sign +1.
+        st, tilde = qutrit8_tilde(delta)
+        lines = _line_structure(st, tilde)
+        pairs = list(itertools.combinations(range(8), 2))
+        zero = [pairs[q] for q in range(len(pairs))
+                if not lines.on_line[q] and not np.any(lines.diag[q])]
+        assert zero == commuting
+        walk = tensor.block_sweep(st, tilde, range(1, 6), cp=True, fbar=True)
+        for p in range(1, 6):
+            plus = compute_fbar_im(st, tilde, p, None, np.ones(3**p)).entries
+            for j, k in commuting:
+                assert walk[p].cp.entries[j, k] == 0.0
+                cand = walk[p].candidates[pairs.index((j, k))]
+                assert cand.meta == {"strategy": f"auto_align({j},{k})"}
+                assert np.allclose(cand.entries, plus, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(plus))))
+
 
 class TestComputeCp:
     def test_qubit_p1_all_ones(self, qubit_state):
