@@ -118,13 +118,17 @@ def load_side(checkout: Path, side: str):
 
 def timed_pass(cli, argvs: list[tuple], out: str) -> float:
     """Seconds in ``cli.main`` over one pass of the call list; a call that
-    fails stops the comparison, since it would read as fast."""
+    fails stops the comparison, since it would read as fast.  Each call
+    writes a new file, removed untimed after it, as in the benchmark:
+    truncating an existing file can cost more than the call itself."""
     total = 0.0
     for argv in argvs:
         with contextlib.redirect_stderr(io.StringIO()) as err:
             start = time.perf_counter()
             code = cli.main([*argv, "--output", out])
             total += time.perf_counter() - start
+        if os.path.exists(out):
+            os.remove(out)
         if code != 0:
             raise RuntimeError(f"{cli.__name__} exited {code} on {' '.join(argv)}: "
                                f"{err.getvalue().strip()}")

@@ -162,12 +162,13 @@ def log_diag_power(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
 
     Computed in log space so large p neither under- nor overflows; a zero
     value raised to a positive power gives -inf (a zero entry), never
-    0 * log 0.
+    0 * log 0.  The weights lie along the last axis of ``weights``, any
+    leading axes giving a stack of diagonals.
     """
     values = np.asarray(values, dtype=float)
     zero = values <= 0.0
     if not zero.any():
         return weights @ np.log(values)
     out = weights @ np.log(np.where(zero, 1.0, values))
-    out[np.any(weights[:, zero] > 0, axis=1)] = -np.inf
+    out[np.any(weights[..., zero] > 0, axis=-1)] = -np.inf
     return out

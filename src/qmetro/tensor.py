@@ -22,7 +22,16 @@ Pi_lambda(sqrt D) = det(sqrt D)^k Pi_mu(sqrt D).  So
 p of a list, each once, and on every block lambda = mu + k(1, ..., 1)
 the weighted image S pi_lambda(C) S of a traceless C is that of mu times
 m_lambda det(D)^k.  The scale and the largest weight of mu are combined
-in log space, so large p neither under- nor overflows.
+in log space, so large p neither under- nor overflows.  The walk is
+planned once per call from the partitions alone (:func:`_walk_plan`):
+shapes sorted by dimension, the small ones (at most GROUP_MAX_DIM rows)
+in groups zero-padded to their largest dimension, each larger shape
+alone and unpadded.  Every consumer solves a group in stacked LAPACK
+calls, not a shape at a time.  Padding is exact: a padded row has
+weight 0, so the pair images and the RLD shift k Tr(R) S vanish there;
+the extra eigenvalues are exact zeros, which add nothing to a trace
+norm, take +1 under the tie rule and meet only zero entries of the
+images in the AutoAlign shares.
 
 :func:`block_sweep` takes the state, the n single-copy tilde operators
 and a list of p, and reads C_p, C_p^RLD and the AutoAlign F-bar_Im
@@ -48,7 +57,7 @@ every block lambda, because RLDs are not traceless: its image is the mu
 image shifted by k Tr(R) I, and the products of all the blocks a shape
 serves share its eigvalsh calls.  A single p is the same walk over a
 one-element list.  LAPACK calls stack about STACK_BYTES of block
-matrices.  A trace norm over the m_lambda copies of a block is m_lambda
+matrices of a group.  A trace norm over the m_lambda copies of a block is m_lambda
 times the block's.  Only the largest block bounds the memory, and the
 dimension cap bounds the largest block: the walk checks it, from the
 partitions alone, before it builds any block.
@@ -64,7 +73,8 @@ and the p -> infinity limit.
 
 The state-independent tables of a call are built once per process and
 kept read-only, so a call pays only for its state: log m_lambda of the
-shapes of each (p, d), one float per shape, the occupation-law skeleton
+shapes of each (p, d), one float per shape, the walk plans while all
+kept plans fit in PLAN_CACHE_BYTES, the occupation-law skeleton
 of T_p per (p, support rank), while all kept skeletons fit in
 LAW_CACHE_BYTES, and, for bases of at most OPTIMIZE_MAX_VECTORS
 vectors, the computational basis of F-bar per (d, p) and OptimizeNorm's
@@ -130,56 +140,113 @@ Signs = Union[Sequence[float], AlignEntry, OptimizeNorm]
 # --- the block walk -----------------------------------------------------------
 
 
-#: A block lambda of one p served by a reduced shape: (p, lambda, scale).
-Served = tuple[int, tuple[int, ...], float]
+#: Shapes of at most this dimension are solved in groups, zero-padded to
+#: the largest dimension of their group; each larger shape is a group of
+#: its own, unpadded, where LAPACK's flops outweigh the cost of a call
+#: (the rule and its measurements: :func:`_walk_plan`).
+GROUP_MAX_DIM = 24
+
+#: Bytes of a group's padded real generators (shapes x d^2 x D^2 floats):
+#: a group's arrays stay within a few stacks of STACK_BYTES.
+GROUP_BYTES = 256 << 10
+
+#: Bytes of walk plans kept for the rest of the process, first come,
+#: first kept, as in :data:`schur.CACHE_BYTES`.
+PLAN_CACHE_BYTES = 256 << 10
 
 
-def reduced_blocks(
-    state: EvaluatedState, p_list: Sequence[int]
-) -> Iterator[tuple[np.ndarray, np.ndarray, list[Served]]]:
-    """Yield ``(s, gens, served)`` per reduced shape mu, one at a time.
+@dataclass(frozen=True)
+class _GroupPlan:
+    """One group of reduced shapes mu, by increasing dimension ``dims``,
+    with ``pad`` true on the rows past each shape's own dimension, and
+    per block lambda = mu + k(1, ..., 1) it serves: the index of its
+    shape in the group, its p, the row of p in the walk's p list, k and
+    log m_lambda."""
 
-    The shapes mu (mu_d = 0) are those of the blocks lambda = mu + k(1,
-    ..., 1) of every p in ``p_list``, each listed once.  ``s`` is the
-    diagonal of Pi_mu(sqrt D) in the Gelfand–Tsetlin basis over its
-    largest entry, with rho = U D U+.  ``gens`` holds the real
-    pi_mu(E_ab) flattened to a (d^2, dim^2) array, so that one matrix
-    product maps a stack of single-copy operators A to their images:
+    shapes: tuple[tuple[int, ...], ...]
+    dims: np.ndarray
+    pad: np.ndarray
+    shape_of: np.ndarray
+    p: np.ndarray
+    row: np.ndarray
+    k: np.ndarray
+    log_m: np.ndarray
 
-        pi(A) = pi_mu(U+ A U) = ((U+ A U).reshape(count, d^2) @ gens)
-                                .reshape(count, dim, dim).
 
-    ``served`` names the blocks lambda with their ``scale`` = m_lambda
-    det(D)^k (max Pi_mu(sqrt D))^2, summed in log space (log m_lambda from
-    :func:`_log_multiplicities`), so that on lambda
+@dataclass(frozen=True)
+class _Plan:
+    """The groups of a walk and its largest block dimension (0 for none)."""
 
-        sqrt(m_lambda) Pi_lambda(sqrt D) = sqrt(scale) s,
-        pi_lambda(A) = pi(A) + k Tr(A) I.
+    largest: int
+    groups: tuple[_GroupPlan, ...]
+    nbytes: int
 
-    A block with k >= 1 of a rank-deficient rho has scale 0.
+
+_plans: dict[tuple, _Plan] = {}
+
+
+def _walk_plan(ps: tuple[int, ...], d: int) -> _Plan:
+    """The plan of the walk over the distinct p of ``ps`` (in that order)
+    at local dimension d, from the partitions alone: no matrix is
+    allocated.
+
+    The reduced shapes are sorted by dimension.  Those of dimension at
+    most GROUP_MAX_DIM fill groups in that order, a new group starting
+    where the padded generators of the next shape would pass GROUP_BYTES;
+    each larger shape is a group of its own.  The rule reads dimensions
+    only, so a shape's padding, and with it every number it gives, does
+    not depend on the state, the operators or STACK_BYTES.  It was set on
+    2 vCPUs with one OpenBLAS thread.  A complex eigvalsh costs about 1 us
+    per matrix at dimension 4, 19 us at 24 and 147 us at 64, against some
+    30 us of Python and call cost per group, so padding pays at small
+    dimensions and not at large ones: padding every shape of a random
+    d = 4, p <= 5 walk to its largest dimension doubled its time (8.9 ->
+    18.6 ms).  The four dense-ladder walks (qubit3 cp and rld_cp over p =
+    1..10, fbar over 4..9; qutrit8 cp over 1..5, fbar over 3..4) took
+    1996 us one shape at a time, 1327 us with groups whose dimensions lie
+    within a factor 2, and 1154 us with this rule; a limit of 32 in place
+    of 24 read the same, 16 or 12 more.
+
+    A plan depends on ``ps``, d and the grouping constants alone, so
+    every call in the process shares it: it is read-only and kept while
+    all kept plans fit in PLAN_CACHE_BYTES.
     """
-    values = state.eigen.values
-    sqrt_d = np.sqrt(np.where(values > state.rank_tol, values, 0.0))  # as sqrt_rho
-    log_det = sum(map(math.log, sqrt_d)) if sqrt_d.all() else -math.inf  # det(sqrt D)
-    walk: dict[tuple[int, ...], list[tuple[int, tuple[int, ...], float]]] = {}
-    for p in dict.fromkeys(p_list):
-        logs = _log_multiplicities(p, state.dim).tolist()
-        for shape, log_m in zip(schur.partitions(p, state.dim), logs):
-            mu = tuple(r - shape[-1] for r in shape)
-            walk.setdefault(mu, []).append((p, shape, log_m))
-    for mu, blocks in walk.items():
-        weights, gens = schur.gt_basis(mu)
-        log_s = schur.log_diag_power(weights, sqrt_d)
-        top = float(log_s.max())
-        top = top if top > -math.inf else 0.0  # no support: s = 0
-        served = []
-        for p, shape, log_m in blocks:
+    key = (ps, d, GROUP_MAX_DIM, GROUP_BYTES)
+    plan = _plans.get(key)
+    if plan is None:
+        plan = _build_plan(ps, d)
+        if sum(kept.nbytes for kept in _plans.values()) + plan.nbytes <= PLAN_CACHE_BYTES:
+            _plans[key] = plan
+    return plan
+
+
+def _build_plan(ps: tuple[int, ...], d: int) -> _Plan:
+    walk: dict[tuple[int, ...], list[tuple[int, int, float]]] = {}
+    for row, p in enumerate(ps):
+        for shape, log_m in zip(schur.partitions(p, d), _log_multiplicities(p, d).tolist()):
             k = shape[-1]
-            log_scale = log_m + 2.0 * top
-            if k:  # k * -inf, never 0 * -inf
-                log_scale += 2.0 * k * log_det
-            served.append((p, shape, math.exp(log_scale)))
-        yield np.exp(log_s - top), gens.reshape(state.dim**2, -1), served
+            walk.setdefault(tuple(r - k for r in shape), []).append((row, k, log_m))
+    dim_of = {mu: schur.irrep_dim(mu) for mu in walk}
+    order = sorted(walk, key=dim_of.__getitem__)
+    runs: list[list[tuple[int, ...]]] = []
+    for mu in order:
+        dim = dim_of[mu]
+        if not runs or dim > GROUP_MAX_DIM or 8 * d * d * dim**2 * (len(runs[-1]) + 1) > GROUP_BYTES:
+            runs.append([])  # a new group
+        runs[-1].append(mu)
+    groups, nbytes = [], 0
+    for run in runs:
+        blocks = [(i, *block) for i, mu in enumerate(run) for block in walk[mu]]
+        shape_of, row, k = np.array([b[:3] for b in blocks], dtype=np.intp).T
+        dims = np.array([dim_of[mu] for mu in run])
+        arrays = _read_only(
+            dims, np.arange(dims[-1]) >= dims[:, None], shape_of,
+            np.array(ps)[row], row, k, np.array([b[3] for b in blocks]),
+        )
+        groups.append(_GroupPlan(tuple(run), *arrays))
+        nbytes += sum(a.nbytes for a in arrays) + 8 * d * len(run)
+    largest = dim_of[order[-1]] if order else 0
+    return _Plan(largest, tuple(groups), nbytes)
 
 
 @functools.cache
@@ -190,13 +257,100 @@ def _log_multiplicities(p: int, d: int) -> np.ndarray:
     return _read_only(np.array(logs))[0]
 
 
+@dataclass(frozen=True)
+class ShapeGroup:
+    """Reduced shapes mu (mu_d = 0) solved together, with the blocks
+    lambda = mu + k(1, ..., 1) they serve.
+
+    The G shapes, of dimensions ``dims`` (increasing), are zero-padded to
+    the largest, D.  ``s[i]`` is the diagonal of Pi_mu(sqrt D) of shape i
+    in the Gelfand–Tsetlin basis over its largest entry, with rho = U D U+,
+    and 0 on the padded rows; ``gens[i]`` holds its real pi_mu(E_ab)
+    flattened to a (d^2, D^2) array, so that one matrix product maps a
+    stack of single-copy operators A to their images:
+
+        pi(A) = pi_mu(U+ A U) = (U+ A U).reshape(count, d^2) @ gens[i].
+
+    Per served block, ``shape_of`` is the index of its shape, ``p`` its
+    number of copies, ``row`` the index of p in the walk's list of
+    distinct p, ``k`` = lambda_d and ``scale`` = m_lambda det(D)^k
+    (max Pi_mu(sqrt D))^2, summed in log space, so that on lambda
+
+        sqrt(m_lambda) Pi_lambda(sqrt D) = sqrt(scale) s,
+        pi_lambda(A) = pi(A) + k Tr(A) I.
+
+    A block with k >= 1 of a rank-deficient rho has scale 0.
+    """
+
+    shapes: tuple[tuple[int, ...], ...]
+    dims: np.ndarray
+    s: np.ndarray
+    gens: np.ndarray
+    shape_of: np.ndarray
+    p: np.ndarray
+    row: np.ndarray
+    k: np.ndarray
+    scale: np.ndarray
+
+
+def reduced_blocks(state: EvaluatedState, p_list: Sequence[int]) -> Iterator[ShapeGroup]:
+    """Yield the groups of reduced shapes of the walk over ``p_list``,
+    one at a time.
+
+    The shapes mu are those of the blocks lambda = mu + k(1, ..., 1) of
+    every p in ``p_list``, each listed once (:func:`_walk_plan` groups
+    them).  A group's padding is exact for every quantity of the walk: a
+    padded row has weight 0, so it is a zero row and column of every
+    weighted image S pi(A) S and of S pi_lambda(A), and an eigensolve
+    adds exact zero eigenvalues there, which add nothing to a trace norm.
+    """
+    plan = _walk_plan(tuple(dict.fromkeys(p_list)), state.dim)
+    return _shape_groups(state, plan.groups)
+
+
+def _shape_groups(
+    state: EvaluatedState, groups: Sequence[_GroupPlan]
+) -> Iterator[ShapeGroup]:
+    """The planned ``groups`` for ``state``, one at a time."""
+    d = state.dim
+    values = state.eigen.values
+    sqrt_d = np.sqrt(np.where(values > state.rank_tol, values, 0.0))  # as sqrt_rho
+    log_det = sum(map(math.log, sqrt_d)) if sqrt_d.all() else -math.inf  # det(sqrt D)
+    for group in groups:
+        count, dim = len(group.shapes), int(group.dims[-1])
+        if count == 1:
+            weights, gens = schur.gt_basis(group.shapes[0])
+            weights, gens = weights[None], gens.reshape(1, d * d, dim * dim)
+        else:
+            weights = np.zeros((count, dim, d))
+            gens = np.zeros((count, d, d, dim, dim))
+            for i, (mu, size) in enumerate(zip(group.shapes, group.dims.tolist())):
+                weights[i, :size], gens[i, :, :, :size, :size] = schur.gt_basis(mu)
+            gens = gens.reshape(count, d * d, dim * dim)
+        log_s = schur.log_diag_power(weights, sqrt_d)
+        log_s[group.pad] = -np.inf  # padded rows weigh 0
+        top = np.max(log_s, axis=1)
+        top[np.isneginf(top)] = 0.0  # no support: s = 0
+        log_scale = group.log_m + 2.0 * top[group.shape_of]
+        if log_det > -math.inf:
+            log_scale += 2.0 * log_det * group.k
+        else:  # k * -inf, never 0 * -inf
+            log_scale[group.k > 0] = -np.inf
+        yield ShapeGroup(
+            group.shapes, group.dims, np.exp(log_s - top[:, None]), gens,
+            group.shape_of, group.p, group.row, group.k, np.exp(log_scale),
+        )
+        del weights, gens  # before the next group is built
+
+
 def _images(flat: np.ndarray, gens: np.ndarray) -> np.ndarray:
     """pi_mu of each operator of the flattened eigenbasis stack ``flat``
-    (one row per operator), as a (count, dim, dim) stack.  The product
-    casts the real generators to complex for its own length only, so a
-    shape holds no complex copy of them while its blocks are solved."""
-    dim = math.isqrt(gens.shape[1])
-    return (flat @ gens).reshape(len(flat), dim, dim)
+    (one row per operator) on each shape of the (count, d^2, D^2)
+    generators ``gens``, as a (count, operators, D, D) stack.  The
+    product casts the real generators to complex for its own length
+    only, so a group holds no complex copy of them while it is solved."""
+    dim = math.isqrt(gens.shape[-1])
+    return (flat @ gens).reshape(len(gens), len(flat), dim, dim)
 
 
 def _eigenbasis_rows(vecs: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -204,23 +358,21 @@ def _eigenbasis_rows(vecs: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return (dagger(vecs) @ ops @ vecs).reshape(len(ops), -1)
 
 
-def _check_copies(p_list: Sequence[int], d: int, dim_cap: int) -> int:
+def _check_copies(p_list: Sequence[int], d: int, dim_cap: int) -> _Plan:
     """KindMismatch for a p < 1 in ``p_list``, and DimensionOverflow when
     the largest irrep block at its largest p has more than ``dim_cap``
-    rows; returns that block's dimension (0 for an empty list).  Reads the
-    partitions only, so it builds no block; the largest block grows with
-    p, so one check covers every p of the list."""
-    if not p_list:  # an empty walk builds nothing
-        return 0
-    if min(p_list) < 1:
+    rows; returns the walk's plan (:func:`_walk_plan`), whose ``largest``
+    is that block's dimension (0 for an empty list).  The plan reads the
+    partitions only, so no block is built before the refusal."""
+    if p_list and min(p_list) < 1:
         raise KindMismatch(f"copies count must be >= 1, got {min(p_list)}")
-    p = max(p_list)
-    largest = max(schur.irrep_dim(shape) for shape in schur.partitions(p, d))
-    if largest > dim_cap:
+    plan = _walk_plan(tuple(dict.fromkeys(p_list)), d)
+    if plan.largest > dim_cap:
         raise DimensionOverflow(
-            f"largest irrep block at p={p} has dimension {largest}, above cap {dim_cap}"
+            f"largest irrep block at p={max(p_list)} has dimension {plan.largest}, "
+            f"above cap {dim_cap}"
         )
-    return largest
+    return plan
 
 
 def _operator_stack(ops: Sequence[np.ndarray], count: int, d: int, what: str) -> np.ndarray:
@@ -276,8 +428,9 @@ class TradeoffMatrix:
             raise KindMismatch(f"unknown tradeoff kind {self.kind!r}")
 
 
-#: Bytes of block matrices per stacked LAPACK call: a small block takes
-#: every pair in one call, the largest blocks one or a few pairs at a time.
+#: Bytes of block matrices per stacked LAPACK call: a group of small
+#: shapes takes every pair in one call, the largest shapes one or a few
+#: pairs at a time.
 STACK_BYTES = 256 << 10
 
 
@@ -288,15 +441,30 @@ def _stacks(count: int, dim: int) -> list[slice]:
     return [slice(start, start + size) for start in range(0, count, size)]
 
 
+def _group_stacks(count: int, per: int, dim: int) -> list[tuple[slice, slice]]:
+    """(shapes, items) slices covering ``count`` shapes of ``per`` dim x dim
+    matrices each, a stack of about STACK_BYTES (at least one matrix) per
+    entry: whole shapes while a shape's items fit in a stack, otherwise
+    one shape's items in several stacks.  So every item of a shape meets
+    the items of the same shapes (the items slice starts at 0) or of its
+    own shape only."""
+    size = max(1, STACK_BYTES // (16 * dim * dim))
+    if per <= size:
+        step = size // per
+        return [(slice(g, g + step), slice(0, per)) for g in range(0, count, step)]
+    return [(slice(g, g + 1), st) for g in range(count) for st in _stacks(per, dim)]
+
+
 def _check_pair(j: int, k: int, n: int) -> None:
     if not (0 <= j < n and 0 <= k < n) or j == k:
         raise KindMismatch(f"pair ({j}, {k}) needs two distinct indices in [0, {n})")
 
 
 def _sandwich(img: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """S img S in place for the block weight diagonal S."""
-    img *= s[:, None]
-    img *= s
+    """S img S in place, for a (shapes, items, D, D) stack and the
+    (shapes, D) weight diagonals S."""
+    img *= s[:, None, :, None]
+    img *= s[:, None, None, :]
     return img
 
 
@@ -306,25 +474,45 @@ def _half_herm_norms(herm: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
 
 
-def _align_block(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked eigensolves of the pair images ``h``; returns per pair q
-    1/2 ||H_q||_1 and Re <H_q', V sgn V+> for every pair q'.  The locals
-    die on return, before the next block is built."""
-    flat = h.reshape(len(h), -1).view(np.float64)
-    norms = np.empty(len(h))
-    shares = np.empty((len(h), len(h)))
-    for st in _stacks(len(h), h.shape[-1]):
-        vals, vecs = np.linalg.eigh(h[st])
+def _norm_group(comms: np.ndarray, s: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """1/2 ||H_q||_1 per shape and pair of the flattened commutators
+    ``comms``, H_q = S pi_mu(C_q) S, one eigvalsh per stack; each stack's
+    images are formed for it alone."""
+    norms = np.empty((len(s), len(comms)))
+    for gs, qs in _group_stacks(len(s), len(comms), s.shape[1]):
+        norms[gs, qs] = _half_herm_norms(_sandwich(_images(comms[qs], gens[gs]), s[gs]))
+    return norms
+
+
+def _align_group(
+    comms: np.ndarray, s: np.ndarray, gens: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked eigensolves of the pair images H_q = S pi_mu(C_q) S; returns
+    per shape and pair q 1/2 ||H_q||_1 and Re <H_q', V sgn V+> for every
+    pair q' of the same shape.  A shape's images are formed with those of
+    the shapes of its stack (or alone, when its pairs take several
+    stacks) and die with them."""
+    count, dim, pairs = len(s), s.shape[1], len(comms)
+    norms = np.empty((count, pairs))
+    shares = np.empty((count, pairs, pairs))
+    for gs, qs in _group_stacks(count, pairs, dim):
+        if qs.start == 0:  # the images of the shapes gs, every pair
+            h = _sandwich(_images(comms, gens[gs]), s[gs])
+            flat = h.reshape(len(h), 1, pairs, -1).view(np.float64).swapaxes(2, 3)
+        vals, vecs = np.linalg.eigh(h[:, qs])
         sgn = _signs_from_values(vals / 2.0)
-        rows = (vecs * sgn[:, None, :]) @ dagger(vecs)  # V sgn V+ per pair
+        rows = (vecs * sgn[..., None, :]) @ dagger(vecs)  # V sgn V+ per pair
         del vecs
-        # One matrix-vector product per pair in one call: a product of
-        # the whole stack would round each row by the stack's size.
-        rows = rows.reshape(len(rows), 1, -1).view(np.float64)
-        shares[st] = (rows @ flat.T)[:, 0]
-        norms[st] = 0.5 * np.sum(np.abs(vals), axis=-1)
+        # One matrix-vector product per pair, against its own shape's
+        # images: a product of the whole stack would round each row by
+        # the stack's size.
+        rows = rows.reshape(rows.shape[:2] + (1, -1)).view(np.float64)
+        shares[gs, qs] = (rows @ flat)[:, :, 0]
+        norms[gs, qs] = 0.5 * np.sum(np.abs(vals), axis=-1)
     return norms, shares
 
+
+_EPS = float(np.finfo(float).eps)
 
 #: Entries of a pair commutator -i (P - P+), P = A_j A_k, in rho's
 #: eigenbasis at or below this many units d eps max|A_j| max|A_k|, the
@@ -333,7 +521,13 @@ LINE_TOL_UNITS = 16
 
 #: Walks whose pair images on the largest block hold fewer entries
 #: (pairs x dim^2) take the complex path: there its eigensolves cost less
-#: than the line test and the per-shape tables of the line gauge.
+#: than the line test and the per-group tables of the line gauge.  On the
+#: grouped walk (2 vCPUs, one OpenBLAS thread) the paths cross near 1000
+#: entries for C_p: complex against gauge 97 vs 103 us at 1008 (qutrit8,
+#: p = 1..2), 117 vs 117 us at 363 (qubit3, p = 1..10) and 291 vs 143 us
+#: at 1323 (qubit3, p = 20); for the candidates lower, near 300.  The
+#: value stays at 2048 until a lower one is checked against every value,
+#: tightest flag and F-bar strategy of the benchmark calls.
 GAUGE_MIN_ENTRIES = 2048
 
 
@@ -371,9 +565,10 @@ def _pair_lines(
     count, d = len(comms), rotated.shape[-1]
     flat = comms.reshape(count, d * d)
     top = np.max(np.abs(rotated).reshape(len(rotated), d * d), axis=1)
-    tol = LINE_TOL_UNITS * d * np.finfo(float).eps * (top[j_idx] * top[k_idx])
+    tol = LINE_TOL_UNITS * d * _EPS * (top[j_idx] * top[k_idx])
     kept = np.abs(flat) > tol[:, None]
-    upper = np.triu(kept.reshape(count, d, d), 1).reshape(count, d * d)
+    a, b = np.divmod(np.arange(d * d), d)
+    upper = kept & (b > a)  # the entries a d + b above the diagonal
     on_line = np.sum(upper, axis=1)
     diag = np.where(kept[:, :: d + 1], flat[:, :: d + 1].real, 0.0)
     if on_line.max() > 1 or np.any(diag[on_line == 1]):
@@ -385,20 +580,22 @@ def _pair_lines(
     line_of = np.full(d * d, len(rows))
     line_of[rows] = range(len(rows))
     line_of = np.where(on_line, line_of[at], len(rows))
-    a, b = np.divmod(at, d)
+    a, b = a[at], b[at]
     kappa = (a[:, None] == a).astype(float) - (a[:, None] == b)
-    phase = np.real(coef * np.exp(-1j * np.angle(coef)[:, None] * kappa))
+    angle = np.angle(coef)
+    phase = np.abs(coef) * np.cos(angle - angle[:, None] * kappa)  # Re(c' e^(-i arg(c) kappa))
     phase[~on_line] = 0.0
     grid = line_of[:, None] * (len(rows) + 1) + line_of
     return _Lines(np.array(rows, dtype=int), line_of, on_line, np.abs(coef), diag, phase, grid)
 
 
-def _line_block(
+def _line_group(
     lines: _Lines, s: np.ndarray, gens: np.ndarray, fbar: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """What :func:`_align_block` gives (without ``fbar``, the norms
+    """What :func:`_align_group` gives (without ``fbar``, the norms
     alone) for pair commutators with ``lines`` structure, from one real
-    eigh per line (a, b) of R_ab = S (G_ab + G_ab^T) S, G_ab = pi_mu(E_ab).
+    eigh per shape and line (a, b) of R_ab = S (G_ab + G_ab^T) S, G_ab =
+    pi_mu(E_ab), in stacks of about STACK_BYTES.
 
     With D = exp(i arg(c_q) W_a) for the GT weight W_a, D G_ab D+ =
     e^(i arg c_q) G_ab, so H_q = |c_q| D R_ab D+: 1/2 ||H_q||_1 = |c_q|
@@ -408,46 +605,65 @@ def _line_block(
     sum_r (H_q')_rr (P_ab)_rr.  A diagonal H_q needs no solve: V sgn V+ =
     sgn(H_q), +1 throughout (the tie rule) where H_q = 0.
     """
-    dim, count = len(s), len(lines.rows)
-    d = math.isqrt(len(gens))
-    h = lines.diag @ gens[:: d + 1, :: dim + 1]  # pi_mu(E_aa) = diag(W_a)
-    h *= s * s  # S pi_mu(C_q) S of each diagonal pair
-    g = _sandwich(gens[lines.rows].reshape(count, dim, dim), s)
-    r = g + g.swapaxes(1, 2)
-    norms = np.zeros(count + 1)  # 1/2 ||R_ab||_1, and 0 at index L
+    (count, dim), lined = s.shape, len(lines.rows)
+    d = math.isqrt(gens.shape[1])
+    h = lines.diag @ gens[:, :: d + 1, :: dim + 1]  # pi_mu(E_aa) = diag(W_a)
+    h *= (s * s)[:, None]  # S pi_mu(C_q) S of each diagonal pair
+    g = _sandwich(gens[:, lines.rows].reshape(count, lined, dim, dim), s)
+    r = g + g.swapaxes(2, 3)
+    norms = np.zeros((count, lined + 1))  # 1/2 ||R_ab||_1, and 0 at index L
     shares = None
     if not fbar:
-        norms[:count] = _half_herm_norms(r)
+        for gs, qs in _group_stacks(count, lined, dim):
+            norms[gs, qs] = _half_herm_norms(r[gs, qs])
     else:
-        vals, vecs = np.linalg.eigh(r)
-        proj = (vecs * _signs_from_values(vals)[:, None, :]) @ vecs.swapaxes(1, 2)
-        norms[:count] = 0.5 * np.sum(np.abs(vals), axis=-1)
-        traces = np.zeros((count + 1, count + 1))  # Tr(S G_l' S P_l)
-        traces[:count, :count] = proj.reshape(count, dim * dim) @ g.reshape(count, dim * dim).T
-        ys = np.ones((count + 1, dim))  # the diagonal of V sgn V+ per line
-        ys[:count] = proj.diagonal(axis1=1, axis2=2)
-        ys = np.where(lines.on_line[:, None], ys[lines.line_of], _signs_from_values(h))
-        shares = 2.0 * lines.phase * traces.ravel()[lines.grid] + ys @ h.T
-    return lines.size * norms[lines.line_of] + 0.5 * np.sum(np.abs(h), axis=1), shares
+        traces = np.zeros((count, lined + 1, lined + 1))  # Tr(S G_l' S P_l)
+        ys = np.ones((count, lined + 1, dim))  # the diagonal of V sgn V+ per line
+        flat = g.reshape(count, 1, lined, dim * dim).swapaxes(2, 3)
+        for gs, qs in _group_stacks(count, lined, dim):
+            vals, vecs = np.linalg.eigh(r[gs, qs])
+            proj = (vecs * _signs_from_values(vals)[..., None, :]) @ vecs.swapaxes(2, 3)
+            norms[gs, qs] = 0.5 * np.sum(np.abs(vals), axis=-1)
+            # one product per line, as in _align_group
+            rows = proj.reshape(proj.shape[:2] + (1, -1))
+            traces[gs, qs, :lined] = (rows @ flat[gs])[:, :, 0]
+            ys[gs, qs] = proj.diagonal(axis1=2, axis2=3)
+        ys = np.where(lines.on_line[:, None], ys[:, lines.line_of], _signs_from_values(h))
+        shares = (2.0 * lines.phase * traces.reshape(count, -1)[:, lines.grid]
+                  + ys @ h.swapaxes(1, 2))
+    return lines.size * norms[:, lines.line_of] + 0.5 * np.sum(np.abs(h), axis=2), shares
 
 
-def _rld_blocks(
-    xs: np.ndarray, s: np.ndarray, traces: np.ndarray, ks: np.ndarray,
-    j_idx: np.ndarray, k_idx: np.ndarray,
+def _rld_group(
+    rld_rows: np.ndarray, s: np.ndarray, gens: np.ndarray, traces: np.ndarray,
+    shape_of: np.ndarray, ks: np.ndarray, j_idx: np.ndarray, k_idx: np.ndarray,
 ) -> np.ndarray:
-    """1/2 ||P - P+||_1 per block and pair, P = X_j X_k+ with X_j =
-    xs_j + k Tr(R_j) S on the block lambda_d = k of each entry of ``ks``,
-    from the shape images ``xs`` of the RLDs R (weighted here, in place:
-    xs_j = S pi_mu(R_j)) and the weight S = diag(``s``).  The (block,
+    """1/2 ||P - P+||_1 per served block and pair, P = X_j X_k+ with X_j =
+    S pi_mu(R_j) + k Tr(R_j) S on the block lambda_d = k of each entry of
+    ``ks``, whose shape is entry ``shape_of`` (nondecreasing) of the group
+    (weights ``s``, generators ``gens``), for the RLDs R with flattened
+    eigenbasis rows ``rld_rows`` and traces ``traces``.  The images X of
+    about STACK_BYTES of shapes are formed at a time, and their (block,
     pair) products go in stacks of about STACK_BYTES, one eigvalsh each,
     so no stack of every block is built."""
-    xs *= s[:, None]
-    ts = traces[:, None] * s  # the diagonal Tr(R_j) S that k = 1 adds
-    pairs = len(j_idx)
+    (count, dim), n, pairs = s.shape, len(rld_rows), len(j_idx)
     out = np.empty(len(ks) * pairs)
-    for st in _stacks(len(out), len(s)):
-        block, q = np.divmod(np.arange(st.start, min(st.stop, len(out))), pairs)
-        out[st] = _half_herm_norms(_rld_products(xs, ts, j_idx[q], k_idx[q], ks[block]))
+    step = max(1, STACK_BYTES // (16 * n * dim * dim))
+    for g0 in range(0, count, step):
+        gs = slice(g0, g0 + step)
+        xs = _images(rld_rows, gens[gs])
+        xs *= s[gs, None, :, None]  # S pi_mu(R_j), rows weighted
+        ts = traces[:, None] * s[gs, None, :]  # the diagonal Tr(R_j) S that k = 1 adds
+        xs, ts = xs.reshape(-1, dim, dim), ts.reshape(-1, dim)
+        start, stop = 0, len(out)  # the items of the blocks of the shapes gs
+        if step < count:
+            start, stop = pairs * np.searchsorted(shape_of, [g0, g0 + step])
+        for st in _stacks(stop - start, dim):
+            block, q = np.divmod(np.arange(start + st.start, min(start + st.stop, stop)), pairs)
+            base = n * (shape_of[block] - g0)
+            out[block * pairs + q] = _half_herm_norms(
+                _rld_products(xs, ts, base + j_idx[q], base + k_idx[q], ks[block])
+            )
     return out.reshape(len(ks), pairs)
 
 
@@ -455,7 +671,7 @@ def _rld_products(
     xs: np.ndarray, ts: np.ndarray, j: np.ndarray, k: np.ndarray, shift: np.ndarray
 ) -> np.ndarray:
     """i (P - P+) per item, P = X_j X_k+ for the operators ``j`` and ``k``
-    and the block shift k of each item (see :func:`_rld_blocks`).  The
+    and the block shift k of each item (see :func:`_rld_group`).  The
     factors die on return, before the next stack is built."""
     ops = np.concatenate((j, k))
     shift = np.concatenate((shift, shift))[:, None]
@@ -528,7 +744,7 @@ def block_sweep(
     c_q E_ab + conj(c_q) E_ba, a diagonal phase makes each line image real
     and the same up to |c_q| for every pair on that line, so each shape
     takes one real eigh per line present and none for a diagonal pair
-    (:func:`_line_block`): 3 in place of 28 complex ones for qutrit8.  Any
+    (:func:`_line_group`): 3 in place of 28 complex ones for qutrit8.  Any
     other family, random ones among them, and any smaller walk take the
     complex path above, which stays the reference; the two agree to
     rounding.  On the gauged path a pair that commutes to working
@@ -542,12 +758,19 @@ def block_sweep(
     each block and clips 1/2 sum_lambda c ||P - P+||_1 at 2p; the
     products of every block a shape serves, and every pair, go into
     eigvalsh calls together.  Each LAPACK call stacks about STACK_BYTES
-    of matrices; a shape's stacks die before the next shape is built.
+    of matrices; a group's stacks die before the next group is built.
     Every pair's candidate entries at one p come from one (pairs, n, n)
     array.
+
+    The shapes are walked in the groups of :func:`_walk_plan`: every
+    consumer takes one stacked call per group (split by STACK_BYTES over
+    its (shape, pair) matrices), and each shape's results reach the rows
+    of its p through a (p, shape) table of scales.  A shape's results do
+    not depend on STACK_BYTES; padded solves can differ from unpadded
+    ones in the last bits.
     """
     ps = tuple(dict.fromkeys(p_list))
-    largest = _check_copies(ps, state.dim, dim_cap)
+    plan = _check_copies(ps, state.dim, dim_cap)
     ops = _operator_stack(ops, len(ops), state.dim, "the collective")
     n = len(ops)
     vecs = state.eigen.vectors
@@ -561,44 +784,47 @@ def block_sweep(
         rotated = dagger(vecs) @ ops @ vecs
         prods = rotated[j_idx] @ rotated[k_idx]
         comms = -1j * (prods - dagger(prods))
-        if pairs * largest**2 >= GAUGE_MIN_ENTRIES:
+        if pairs * plan.largest**2 >= GAUGE_MIN_ENTRIES:
             lines = _pair_lines(rotated, comms, j_idx, k_idx)
         comms = comms.reshape(pairs, -1)
     if rld_ops is not None:
         rld_ops = _operator_stack(rld_ops, n, state.dim, "C_p^RLD")
         rld_traces = np.trace(rld_ops, axis1=1, axis2=2)
         rld_rows = _eigenbasis_rows(vecs, rld_ops)
-    # One row per p of the list; within a shape every p has one block.
-    row_of = {p: i for i, p in enumerate(ps)}
+    # One row per p of the list.  A shape serves at most one block of each
+    # p, so a (p, shape) table of the scales sums a group's shares into
+    # the rows in one product; the RLD blocks of one shape differ in k.
     cp_vals = np.zeros((len(ps), pairs))
     rld_vals = np.zeros((len(ps), pairs))
-    totals = np.zeros((len(ps), pairs, pairs)) if fbar else None
-    for s, gens, served in reduced_blocks(state, ps):
-        served = [block for block in served if block[2] != 0.0]  # zero blocks skipped
-        rows = [row_of[p] for p, _, _ in served]
-        scales = np.array([scale for _, _, scale in served])[:, None]
-        # pi_mu vanishes on the one-dimensional shape mu = 0, so the
-        # commutators have no share there; the RLD blocks k Tr(R) I do.
-        if served and len(s) > 1 and solve:
+    totals = np.zeros((len(ps), pairs * pairs)) if fbar else None
+    # pi_mu vanishes on the one-dimensional shape mu = 0, so the
+    # commutators have no share there; the RLD blocks k Tr(R) I do.
+    groups = [g for g in plan.groups if rld_ops is not None or (solve and g.dims[-1] > 1)]
+    for group in _shape_groups(state, groups):
+        if not group.scale.any():  # zero blocks skipped
+            continue
+        if solve and group.s.shape[1] > 1:
             if lines is not None:
-                norms, shares = _line_block(lines, s, gens, fbar)
+                norms, shares = _line_group(lines, group.s, group.gens, fbar)
             elif fbar:
-                norms, shares = _align_block(_sandwich(_images(comms, gens), s))
+                norms, shares = _align_group(comms, group.s, group.gens)
             else:
-                norms = np.concatenate([
-                    _half_herm_norms(_sandwich(_images(comms[st], gens), s))
-                    for st in _stacks(pairs, len(s))
-                ])
+                norms = _norm_group(comms, group.s, group.gens)
+            weight = np.zeros((len(ps), len(group.s)))
+            weight[group.row, group.shape_of] = group.scale
             if fbar:
-                totals[rows] += scales[:, :, None] * shares
+                totals += weight @ shares.reshape(len(shares), -1)
             if cp:
-                cp_vals[rows] += scales * norms
-        if served and rld_ops is not None:
-            ks = np.array([shape[-1] for _, shape, _ in served])
-            rld_vals[rows] += scales * _rld_blocks(
-                _images(rld_rows, gens), s, rld_traces, ks, j_idx, k_idx
-            )
-        del gens  # before the generator builds the next shape
+                cp_vals += weight @ norms
+        if rld_ops is not None:
+            row, at, k, scale = group.row, group.shape_of, group.k, group.scale
+            if not scale.all():
+                live = scale != 0.0
+                row, at, k, scale = row[live], at[live], k[live], scale[live]
+            np.add.at(rld_vals, row, scale[:, None] * _rld_group(
+                rld_rows, group.s, group.gens, rld_traces, at, k, j_idx, k_idx
+            ))
+        del group  # before the generator builds the next group
     # Every p's matrices at once: one (len(ps), n, n) array per consumer
     # and one (len(ps), pairs, n, n) array of candidates.
     if cp:
@@ -607,12 +833,12 @@ def block_sweep(
         rld_mats = np.minimum(_pair_matrix(n, rld_vals), 2.0 * np.array(ps)[:, None, None])
     if fbar:
         upper = np.zeros((len(ps), pairs, n, n))
-        upper[:, :, j_idx, k_idx] = 0.5 * totals
+        upper[:, :, j_idx, k_idx] = 0.5 * totals.reshape(len(ps), pairs, pairs)
         skew = upper - np.swapaxes(upper, 2, 3)
         cands = (skew - np.swapaxes(skew, 2, 3)) / 2.0  # exact skew symmetry
         labels = [f"auto_align({j},{k})" for j, k in zip(j_idx.tolist(), k_idx.tolist())]
     out = {}
-    for p, row in row_of.items():
+    for row, p in enumerate(ps):
         out[p] = BlockPass(
             cp=TradeoffMatrix(kind="C", p=p, entries=cp_mats[row]) if cp else None,
             cp_rld=TradeoffMatrix(

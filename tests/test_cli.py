@@ -320,12 +320,17 @@ class TestBoundsRegression:
     and the cases with an ``id``, where the block pass serves cp, fbar and
     rld_cp at larger p, at the ``recorded_at`` commit of each case.  The
     p = 1-10 qubit3 and p = 1-5 qutrit8 reports are sweeps in which one
-    reduced shape serves several blocks with lambda_d >= 1."""
+    reduced shape serves several blocks with lambda_d >= 1.  An ``--input``
+    names a family file beside the cases."""
 
     @pytest.mark.parametrize("case", _regression_cases(), ids=lambda c: c.get("id", c["args"][2]))
     def test_same_rows(self, tmp_path, case):
         out = tmp_path / "r.json"
-        assert run_cli(case["args"] + ["--format", "json", "--output", str(out)]) == 0
+        args = list(case["args"])
+        if "--input" in args:
+            at = args.index("--input") + 1
+            args[at] = os.path.join(os.path.dirname(REGRESSION), args[at])
+        assert run_cli(args + ["--format", "json", "--output", str(out)]) == 0
         rows = json.loads(out.read_text())
         assert len(rows) == len(case["rows"])
         for got, want in zip(rows, case["rows"]):

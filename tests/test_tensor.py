@@ -38,9 +38,26 @@ from qmetro.tensor import (
 )
 
 
+def reduced_shapes(st, p_list):
+    """``(s, gens, served)`` per reduced shape, read off the groups that
+    reduced_blocks yields: the shape's weights and flattened generators
+    cut to its own dimension, and its blocks as (p, lambda, scale)."""
+    for group in tensor.reduced_blocks(st, p_list):
+        top = group.s.shape[1]
+        for i, (mu, dim) in enumerate(zip(group.shapes, group.dims.tolist())):
+            gens = group.gens[i].reshape(-1, top, top)[:, :dim, :dim]
+            at = group.shape_of == i
+            served = [
+                (p, tuple(r + k for r in mu), scale)
+                for p, k, scale in zip(group.p[at].tolist(), group.k[at].tolist(),
+                                       group.scale[at].tolist())
+            ]
+            yield group.s[i, :dim], gens.reshape(len(gens), -1), served
+
+
 def shape_image(st, gens, ops):
     """pi_mu(U+ A U) of one operator or a stack, from the flattened
-    generators that reduced_blocks yields per shape."""
+    generators of one shape (reduced_shapes)."""
     ops = np.asarray(ops, dtype=complex)
     vecs = st.eigen.vectors
     dim = math.isqrt(gens.shape[1])
@@ -68,7 +85,7 @@ class TestBuildCollective:
         ops = tensor._operator_stack(tilde, 3, 2, "the walk")
         assert ops.shape == (3, 2, 2) and ops.dtype == np.complex128
         assert np.array_equal(ops, np.array(tilde))
-        [(s, gens, [served])] = list(tensor.reduced_blocks(st, [1]))
+        [(s, gens, [served])] = list(reduced_shapes(st, [1]))
         p, shape, scale = served
         assert (p, shape) == (1, (1, 0))
         for op in tilde:
@@ -82,7 +99,7 @@ class TestBuildCollective:
         # reduced shapes (2, 0) and (0, 0) (sigma_3 is traceless).
         st = qubit_state(0.0)
         spectrum = []
-        for _, gens, served in tensor.reduced_blocks(st, [2]):
+        for _, gens, served in reduced_shapes(st, [2]):
             for _, shape, _ in served:
                 image = shape_image(st, gens, SIGMA3)
                 spectrum += list(np.linalg.eigvalsh(image)) * schur.multiplicity(shape)
@@ -97,7 +114,7 @@ class TestBuildCollective:
         traces = np.trace(np.array(slds.ops), axis1=1, axis2=2)
         for p in (2, 3):
             fp = np.zeros((3, 3))
-            for s, gens, served in tensor.reduced_blocks(st, [p]):
+            for s, gens, served in reduced_shapes(st, [p]):
                 for _, shape, scale in served:
                     x = shape_image(st, gens, slds.ops)
                     x = x + shape[-1] * traces[:, None, None] * np.eye(len(s))
@@ -109,7 +126,7 @@ class TestBuildCollective:
         # counted m_lambda times, they are the products of p eigenvalues.
         st = qubit_state(0.4)
         squares = []
-        for s, _, served in tensor.reduced_blocks(st, [3]):
+        for s, _, served in reduced_shapes(st, [3]):
             for _, shape, scale in served:
                 m = schur.multiplicity(shape)
                 squares += list(scale * s**2 / m) * m
@@ -792,7 +809,7 @@ class TestLineGauge:
 
     def test_random_families_take_the_complex_path(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(tensor, "_line_block", lambda *a: calls.append(a))
+        monkeypatch.setattr(tensor, "_line_group", lambda *a: calls.append(a))
         for d in (2, 3, 4):
             st = _block_case(f"d{d}")
             _, _, tilde = sld_analysis(st)
@@ -1663,3 +1680,58 @@ class TestProperties:
             _, _, tilde2 = sld_analysis(st2)
             norm2 = np.linalg.norm(cp_at(st2, tilde2, 1).entries)
             assert norm2 == pytest.approx(base, abs=1e-7)
+
+
+class TestShapeGroups:
+    """Grouped walks against walks with one shape per group."""
+
+    @pytest.mark.parametrize("case", ["qubit3-0", "qubit3-0.5", "qutrit8-0", "qutrit8-0.1",
+                                      "d2", "d3", "d4"])
+    def test_grouped_matches_one_shape_per_group(self, monkeypatch, case):
+        if case.startswith("d"):
+            d = int(case[1:])
+            fam = random_linear_family(d, 3, np.random.default_rng(70 + d))
+            top = {2: 10, 3: 6, 4: 4}[d]
+        else:
+            preset, delta = case.rsplit("-", 1)
+            fam = build_scenario(parse_scenario(preset, delta=float(delta)))
+            top = 10 if preset == "qubit3" else 5
+        st = evaluate(fam, np.zeros(fam.n))
+        _, fisher, tilde = sld_analysis(st)
+        rng = np.random.default_rng(5)
+        rld_ops = [rng.standard_normal((st.dim,) * 2) + 1j * rng.standard_normal((st.dim,) * 2)
+                   for _ in range(fam.n)]
+        ps = range(1, top + 1)
+        grouped = tensor.block_sweep(st, tilde, ps, rld_ops, cp=True, fbar=True)
+        assert any(len(g.shapes) > 1 for g in tensor._walk_plan(tuple(ps), st.dim).groups)
+        monkeypatch.setattr(tensor, "GROUP_MAX_DIM", 0)
+        assert all(len(g.shapes) == 1 for g in tensor._walk_plan(tuple(ps), st.dim).groups)
+        single = tensor.block_sweep(st, tilde, ps, rld_ops, cp=True, fbar=True)
+        for p in ps:
+            pairs = [(grouped[p].cp, single[p].cp), (grouped[p].cp_rld, single[p].cp_rld)]
+            for a, b in pairs + list(zip(grouped[p].candidates, single[p].candidates)):
+                assert a.meta == b.meta
+                scale = float(np.max(np.abs(b.entries)))
+                assert np.allclose(a.entries, b.entries, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("preset, ps, rld", [
+        ("qubit3", range(1, 11), True), ("qutrit8", range(1, 6), False),
+    ])
+    def test_eigensolves_per_group(self, monkeypatch, preset, ps, rld):
+        # One stacked eigensolve per group and consumer, not one per shape.
+        fam = build_scenario(parse_scenario(preset, delta=0.3))
+        st = evaluate(fam, np.zeros(fam.n))
+        _, fisher, tilde = sld_analysis(st)
+        rld_ops = None
+        if rld:
+            rlds = compute_rld(st)
+            rld_ops = reparametrize(rlds, compute_rld_fisher(st, rlds, fisher))
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(tensor.np.linalg, name,
+                                lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+        tensor.block_sweep(st, tilde, ps, rld_ops, cp=True)
+        plan = tensor._walk_plan(tuple(ps), st.dim)
+        shapes = sum(len(g.shapes) for g in plan.groups)
+        assert len(calls) <= (2 if rld else 1) * len(plan.groups) < shapes
