@@ -73,8 +73,7 @@ and the p -> infinity limit.
 
 The state-independent tables of a call are built once per process and
 kept read-only, so a call pays only for its state: log m_lambda of the
-shapes of each (p, d), one float per shape, the walk plans while all
-kept plans fit in PLAN_CACHE_BYTES, the occupation-law skeleton
+shapes of each (p, d), one float per shape, the occupation-law skeleton
 of T_p per (p, support rank), while all kept skeletons fit in
 LAW_CACHE_BYTES, and, for bases of at most OPTIMIZE_MAX_VECTORS
 vectors, the computational basis of F-bar per (d, p) and OptimizeNorm's
@@ -150,10 +149,6 @@ GROUP_MAX_DIM = 24
 #: a group's arrays stay within a few stacks of STACK_BYTES.
 GROUP_BYTES = 256 << 10
 
-#: Bytes of walk plans kept for the rest of the process, first come,
-#: first kept, as in :data:`schur.CACHE_BYTES`.
-PLAN_CACHE_BYTES = 256 << 10
-
 
 @dataclass(frozen=True)
 class _GroupPlan:
@@ -173,21 +168,9 @@ class _GroupPlan:
     log_m: np.ndarray
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """The groups of a walk and its largest block dimension (0 for none)."""
-
-    largest: int
-    groups: tuple[_GroupPlan, ...]
-    nbytes: int
-
-
-_plans: dict[tuple, _Plan] = {}
-
-
-def _walk_plan(ps: tuple[int, ...], d: int) -> _Plan:
-    """The plan of the walk over the distinct p of ``ps`` (in that order)
-    at local dimension d, from the partitions alone: no matrix is
+def _walk_plan(ps: tuple[int, ...], d: int) -> list[_GroupPlan]:
+    """The groups of the walk over the distinct p of ``ps`` (in that
+    order) at local dimension d, from the partitions alone: no matrix is
     allocated.
 
     The reduced shapes are sorted by dimension.  Those of dimension at
@@ -207,46 +190,32 @@ def _walk_plan(ps: tuple[int, ...], d: int) -> _Plan:
     within a factor 2, and 1154 us with this rule; a limit of 32 in place
     of 24 read the same, 16 or 12 more.
 
-    A plan depends on ``ps``, d and the grouping constants alone, so
-    every call in the process shares it: it is read-only and kept while
-    all kept plans fit in PLAN_CACHE_BYTES.
+    A plan is built on every call (20 to 45 us for those walks, 8 us for a
+    single p = 1): only a process that walks the same p list again could
+    reuse one.
     """
-    key = (ps, d, GROUP_MAX_DIM, GROUP_BYTES)
-    plan = _plans.get(key)
-    if plan is None:
-        plan = _build_plan(ps, d)
-        if sum(kept.nbytes for kept in _plans.values()) + plan.nbytes <= PLAN_CACHE_BYTES:
-            _plans[key] = plan
-    return plan
-
-
-def _build_plan(ps: tuple[int, ...], d: int) -> _Plan:
     walk: dict[tuple[int, ...], list[tuple[int, int, float]]] = {}
     for row, p in enumerate(ps):
         for shape, log_m in zip(schur.partitions(p, d), _log_multiplicities(p, d).tolist()):
             k = shape[-1]
             walk.setdefault(tuple(r - k for r in shape), []).append((row, k, log_m))
     dim_of = {mu: schur.irrep_dim(mu) for mu in walk}
-    order = sorted(walk, key=dim_of.__getitem__)
     runs: list[list[tuple[int, ...]]] = []
-    for mu in order:
+    for mu in sorted(walk, key=dim_of.__getitem__):
         dim = dim_of[mu]
         if not runs or dim > GROUP_MAX_DIM or 8 * d * d * dim**2 * (len(runs[-1]) + 1) > GROUP_BYTES:
             runs.append([])  # a new group
         runs[-1].append(mu)
-    groups, nbytes = [], 0
+    groups = []
     for run in runs:
         blocks = [(i, *block) for i, mu in enumerate(run) for block in walk[mu]]
         shape_of, row, k = np.array([b[:3] for b in blocks], dtype=np.intp).T
         dims = np.array([dim_of[mu] for mu in run])
-        arrays = _read_only(
-            dims, np.arange(dims[-1]) >= dims[:, None], shape_of,
+        groups.append(_GroupPlan(
+            tuple(run), dims, np.arange(dims[-1]) >= dims[:, None], shape_of,
             np.array(ps)[row], row, k, np.array([b[3] for b in blocks]),
-        )
-        groups.append(_GroupPlan(tuple(run), *arrays))
-        nbytes += sum(a.nbytes for a in arrays) + 8 * d * len(run)
-    largest = dim_of[order[-1]] if order else 0
-    return _Plan(largest, tuple(groups), nbytes)
+        ))
+    return groups
 
 
 @functools.cache
@@ -304,8 +273,7 @@ def reduced_blocks(state: EvaluatedState, p_list: Sequence[int]) -> Iterator[Sha
     weighted image S pi(A) S and of S pi_lambda(A), and an eigensolve
     adds exact zero eigenvalues there, which add nothing to a trace norm.
     """
-    plan = _walk_plan(tuple(dict.fromkeys(p_list)), state.dim)
-    return _shape_groups(state, plan.groups)
+    return _shape_groups(state, _walk_plan(tuple(dict.fromkeys(p_list)), state.dim))
 
 
 def _shape_groups(
@@ -358,21 +326,24 @@ def _eigenbasis_rows(vecs: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return (dagger(vecs) @ ops @ vecs).reshape(len(ops), -1)
 
 
-def _check_copies(p_list: Sequence[int], d: int, dim_cap: int) -> _Plan:
+def _check_copies(p_list: Sequence[int], d: int, dim_cap: int) -> int:
     """KindMismatch for a p < 1 in ``p_list``, and DimensionOverflow when
     the largest irrep block at its largest p has more than ``dim_cap``
-    rows; returns the walk's plan (:func:`_walk_plan`), whose ``largest``
-    is that block's dimension (0 for an empty list).  The plan reads the
-    partitions only, so no block is built before the refusal."""
-    if p_list and min(p_list) < 1:
+    rows; returns that block's dimension (0 for an empty list).  Reads the
+    partitions of the largest p only, so it builds no block and no walk
+    plan; the largest block grows with p, so one check covers every p of
+    the list."""
+    if not p_list:  # an empty walk builds nothing
+        return 0
+    if min(p_list) < 1:
         raise KindMismatch(f"copies count must be >= 1, got {min(p_list)}")
-    plan = _walk_plan(tuple(dict.fromkeys(p_list)), d)
-    if plan.largest > dim_cap:
+    p = max(p_list)
+    largest = max(schur.irrep_dim(shape) for shape in schur.partitions(p, d))
+    if largest > dim_cap:
         raise DimensionOverflow(
-            f"largest irrep block at p={max(p_list)} has dimension {plan.largest}, "
-            f"above cap {dim_cap}"
+            f"largest irrep block at p={p} has dimension {largest}, above cap {dim_cap}"
         )
-    return plan
+    return largest
 
 
 def _operator_stack(ops: Sequence[np.ndarray], count: int, d: int, what: str) -> np.ndarray:
@@ -770,7 +741,7 @@ def block_sweep(
     ones in the last bits.
     """
     ps = tuple(dict.fromkeys(p_list))
-    plan = _check_copies(ps, state.dim, dim_cap)
+    largest = _check_copies(ps, state.dim, dim_cap)
     ops = _operator_stack(ops, len(ops), state.dim, "the collective")
     n = len(ops)
     vecs = state.eigen.vectors
@@ -784,7 +755,7 @@ def block_sweep(
         rotated = dagger(vecs) @ ops @ vecs
         prods = rotated[j_idx] @ rotated[k_idx]
         comms = -1j * (prods - dagger(prods))
-        if pairs * plan.largest**2 >= GAUGE_MIN_ENTRIES:
+        if pairs * largest**2 >= GAUGE_MIN_ENTRIES:
             lines = _pair_lines(rotated, comms, j_idx, k_idx)
         comms = comms.reshape(pairs, -1)
     if rld_ops is not None:
@@ -799,7 +770,9 @@ def block_sweep(
     totals = np.zeros((len(ps), pairs * pairs)) if fbar else None
     # pi_mu vanishes on the one-dimensional shape mu = 0, so the
     # commutators have no share there; the RLD blocks k Tr(R) I do.
-    groups = [g for g in plan.groups if rld_ops is not None or (solve and g.dims[-1] > 1)]
+    groups = [
+        g for g in _walk_plan(ps, state.dim) if rld_ops is not None or (solve and g.dims[-1] > 1)
+    ]
     for group in _shape_groups(state, groups):
         if not group.scale.any():  # zero blocks skipped
             continue

@@ -135,3 +135,55 @@ def test_ab_pairs_in_process_a_a(monkeypatch, capsys):
     match = re.fullmatch(r"  pass_s: parent \S+ \[\S+\]  change \S+ \[\S+\]  "
                          r"median ratio (\S+)  change faster in (\d) of 3", line)
     assert match and 0.5 < float(match[1]) < 2.0
+
+
+def test_large_p_times_two_small_commands(capsys):
+    # The same checkout on both sides: every run of a command gives the
+    # same rows, and each side is timed once per round.
+    tool = runpy.run_path(os.path.join(SCRIPTS, "large_p.py"))
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    commands = ["bounds --preset qubit3 --delta 0.5 --p 2 --bounds cp",
+                "sweep --preset qutrit8 --delta 0.1 --p 1-2 --bounds cp,rld_cp"]
+    argv = [root, root, "--runs", "2"]
+    for command in commands:
+        argv += ["--command", command]
+    assert tool["main"](argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [lines[0], lines[2]] == commands
+    assert "values agree (1 rows)" in lines[1] and "values agree (6 rows)" in lines[3]
+    for line in (lines[1], lines[3]):
+        assert re.match(r"  parent \d+\.\d{3} s \[[\d.]+-[\d.]+\]  change \d+\.\d{3} s", line)
+
+
+FAKE_CLI = """
+import os, pathlib, sys
+here = pathlib.Path.cwd()
+with open(here.parent / "order.log", "a") as fh:
+    fh.write(here.name + "\\n")
+clean = os.environ.get("PYTHONDONTWRITEBYTECODE") == "1" and not any(here.rglob("__pycache__"))
+if not clean or os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+    sys.exit(3)
+value = 2.5 * (1 + (1e-9 if here.name == "change" else 1e-13))
+out = sys.argv[sys.argv.index("--output") + 1]
+with open(out, "w") as fh:
+    fh.write("scenario,delta,p,bound_name,value,tightest,meta\\n")
+    fh.write(f"qubit3,0.5,2,cp,{value!r},true,{{}}\\n")
+"""
+
+
+def test_large_p_alternates_and_catches_a_moved_value(tmp_path, capsys):
+    tool = runpy.run_path(os.path.join(SCRIPTS, "large_p.py"))
+    for side in ("parent", "change"):
+        package = tmp_path / side / "src" / "qmetro"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "__main__.py").write_text(FAKE_CLI)
+        (package / "__pycache__").mkdir()
+    assert tool["main"]([str(tmp_path / "parent"), str(tmp_path / "change"), "--runs", "3",
+                         "--command", "bounds --p 2"]) == 1
+    order = (tmp_path / "order.log").read_text().split()
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    out = capsys.readouterr().out
+    # every run was clean and on one thread (the fake exits 3 otherwise),
+    # and every change run is 1e-9 away from the parent's first
+    assert "3 disagree" in out and out.count("change run") == 3 and "parent run" not in out

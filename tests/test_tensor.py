@@ -163,6 +163,17 @@ class TestBuildCollective:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_refusal_plans_nothing(self, qutrit_state, monkeypatch):
+        # A refused sweep reads the partitions of its largest p alone: it
+        # plans no walk, so no multiplicity of a smaller p is computed.
+        st, _ = qutrit_state("qutrit8")
+        _, _, tilde = sld_analysis(st)
+        seen = []
+        monkeypatch.setattr(tensor, "_log_multiplicities", lambda p, d: seen.append(p))
+        with pytest.raises(DimensionOverflow):
+            tensor.block_sweep(st, tilde, range(1, 201), cp=True)
+        assert seen == []
+
     def test_cp_streams_blocks(self, qubit_state, cold_gt_cache):
         # Storing every block costs 16 n sum_lambda dim_lambda^2 bytes
         # (about 63 MiB here); streaming keeps one block alive at a time.
@@ -1703,9 +1714,9 @@ class TestShapeGroups:
                    for _ in range(fam.n)]
         ps = range(1, top + 1)
         grouped = tensor.block_sweep(st, tilde, ps, rld_ops, cp=True, fbar=True)
-        assert any(len(g.shapes) > 1 for g in tensor._walk_plan(tuple(ps), st.dim).groups)
+        assert any(len(g.shapes) > 1 for g in tensor._walk_plan(tuple(ps), st.dim))
         monkeypatch.setattr(tensor, "GROUP_MAX_DIM", 0)
-        assert all(len(g.shapes) == 1 for g in tensor._walk_plan(tuple(ps), st.dim).groups)
+        assert all(len(g.shapes) == 1 for g in tensor._walk_plan(tuple(ps), st.dim))
         single = tensor.block_sweep(st, tilde, ps, rld_ops, cp=True, fbar=True)
         for p in ps:
             pairs = [(grouped[p].cp, single[p].cp), (grouped[p].cp_rld, single[p].cp_rld)]
@@ -1732,6 +1743,6 @@ class TestShapeGroups:
             monkeypatch.setattr(tensor.np.linalg, name,
                                 lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
         tensor.block_sweep(st, tilde, ps, rld_ops, cp=True)
-        plan = tensor._walk_plan(tuple(ps), st.dim)
-        shapes = sum(len(g.shapes) for g in plan.groups)
-        assert len(calls) <= (2 if rld else 1) * len(plan.groups) < shapes
+        groups = tensor._walk_plan(tuple(ps), st.dim)
+        shapes = sum(len(g.shapes) for g in groups)
+        assert len(calls) <= (2 if rld else 1) * len(groups) < shapes
