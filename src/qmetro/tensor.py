@@ -190,6 +190,11 @@ def _walk_plan(ps: tuple[int, ...], d: int) -> list[_GroupPlan]:
     within a factor 2, and 1154 us with this rule; a limit of 32 in place
     of 24 read the same, 16 or 12 more.
 
+    The groups come largest first, so the memory freed by a group serves
+    the next, smaller one.  In increasing order every larger array took
+    fresh pages: qubit3 cp at p = 400 made 63 580 minor page faults
+    against 3 267, and took 10 % longer.
+
     A plan is built on every call (20 to 45 us for those walks, 8 us for a
     single p = 1): only a process that walks the same p list again could
     reuse one.
@@ -215,7 +220,7 @@ def _walk_plan(ps: tuple[int, ...], d: int) -> list[_GroupPlan]:
             tuple(run), dims, np.arange(dims[-1]) >= dims[:, None], shape_of,
             np.array(ps)[row], row, k, np.array([b[3] for b in blocks]),
         ))
-    return groups
+    return groups[::-1]
 
 
 @functools.cache
