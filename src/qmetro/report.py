@@ -29,12 +29,12 @@ from .tensor import (
     OptimizeNorm,
     TradeoffMatrix,
     _check_copies,
+    best_auto_align,
     block_sweep,
     composition_count,
     compute_fbar_im,
     compute_tp_exact,
     compute_tp_monte_carlo,
-    first_best,
     pair_commutator_table,
 )
 from .variational import MinimizeConfig, minimize_bound
@@ -79,13 +79,9 @@ def best_fbar(state, tilde_ops, p, dim_cap=DEFAULT_DIM_CAP) -> TradeoffMatrix:
     refuse a p < 1 and a largest block above ``dim_cap``."""
     if state.dim**p > OPTIMIZE_MAX_VECTORS:
         walk = block_sweep(state, tilde_ops, [p], fbar=True, dim_cap=dim_cap)
-        return _best_candidate(walk[p].candidates)
+        return best_auto_align(p, walk[p].candidates)
     _check_copies((p,), state.dim, dim_cap)
     return compute_fbar_im(state, tilde_ops, p, None, OptimizeNorm())
-
-
-def _best_candidate(cands: list[TradeoffMatrix]) -> TradeoffMatrix:
-    return cands[first_best([np.linalg.norm(c.entries) for c in cands])]
 
 
 def _stderr_max(tp: TradeoffMatrix) -> float:
@@ -162,7 +158,7 @@ def build_report(state: EvaluatedState, config: ReportConfig) -> gb.BoundReport:
             )
         if "fbar" in which:
             if p in auto_ps:
-                fbar = _best_candidate(walks[p].candidates)
+                fbar = best_auto_align(p, walks[p].candidates)
             else:
                 fbar = best_fbar(state, tilde, p, dim_cap=config.dim_cap)
             entries.append(

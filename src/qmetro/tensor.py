@@ -17,50 +17,14 @@ In the eigenbasis of rho = U D U+, sqrt(rho)^(x)p is the diagonal
 Pi_lambda(sqrt D) on each block.  A block lambda with lambda_d = k is
 the reduced shape mu = lambda - k(1, ..., 1) (mu_d = 0) times det^k: in
 the Gelfand–Tsetlin basis pi_lambda(A) = pi_mu(A) + k Tr(A) I and
-Pi_lambda(sqrt D) = det(sqrt D)^k Pi_mu(sqrt D).  So
-:func:`reduced_blocks` walks the reduced shapes of the blocks of every
-p of a list, each once, and on every block lambda = mu + k(1, ..., 1)
-the weighted image S pi_lambda(C) S of a traceless C is that of mu times
-m_lambda det(D)^k.  The scale and the largest weight of mu are combined
-in log space, so large p neither under- nor overflows.  The walk is
-planned once per call from the partitions alone (:func:`_walk_plan`):
-shapes sorted by dimension, the small ones (at most GROUP_MAX_DIM rows)
-in groups zero-padded to their largest dimension, each larger shape
-alone and unpadded.  Every consumer solves a group in stacked LAPACK
-calls, not a shape at a time.  Padding is exact: a padded row has
-weight 0, so the pair images and the RLD shift k Tr(R) S vanish there;
-the extra eigenvalues are exact zeros, which add nothing to a trace
-norm, take +1 under the tie rule and meet only zero entries of the
-images in the AutoAlign shares.
-
-:func:`block_sweep` takes the state, the n single-copy tilde operators
-and a list of p, and reads C_p, C_p^RLD and the AutoAlign F-bar_Im
-candidates of every p of the list from that one walk.  The n tilde
-operators and the tilde RLDs are rotated into rho's eigenbasis once per
-sweep, each pair commutator -i [L~_j, L~_k], j < k, is formed there as
--i (P - P+) with P = L~_j L~_k, and on each shape their images are one
-matrix product with its flattened generators (pi([A, B]) = [pi(A),
-pi(B)]).  One eigendecomposition of a pair's commutator image H_q =
-S pi_mu(-i [L~_j, L~_k]) S gives the C_p share and the auto_align(j,k)
-contribution at every p where mu recurs: a qubit sweep over p = 1..P
-makes O(P) eigensolves per pair.  The trivial shape mu = 0 is not
-solved, because pi_mu vanishes there.  Where, after entries at the
-rounding level of their product are dropped, every pair commutator is
-real diagonal or on one line c E_ab + conj(c) E_ba of rho's eigenbasis
-(the presets), a walk large enough to pay for the test takes the line
-gauge instead: per shape one real eigensolve of S (pi(E_ab) +
-pi(E_ab)^T) S per line serves every pair on it, and diagonal pairs need
-none (see :func:`block_sweep` for the rule, its error bound and the
-choice of path).  The block eigenbases are never
-returned, so a candidate's meta names its strategy only.  C_p^RLD reads
-every block lambda, because RLDs are not traceless: its image is the mu
-image shifted by k Tr(R) I, and the products of all the blocks a shape
-serves share its eigvalsh calls.  A single p is the same walk over a
-one-element list.  LAPACK calls stack about STACK_BYTES of block
-matrices of a group.  A trace norm over the m_lambda copies of a block is m_lambda
-times the block's.  Only the largest block bounds the memory, and the
-dimension cap bounds the largest block: the walk checks it, from the
-partitions alone, before it builds any block.
+Pi_lambda(sqrt D) = det(sqrt D)^k Pi_mu(sqrt D).  So on every block
+lambda = mu + k(1, ..., 1) the weighted image S pi_lambda(C) S of a
+traceless C is that of mu times m_lambda det(D)^k, and a trace norm over
+the m_lambda copies of a block is m_lambda times the block's.
+:func:`block_sweep` reads C_p, C_p^RLD and the AutoAlign F-bar_Im
+candidates of every p of a list from one walk over the reduced shapes
+(:func:`reduced_blocks`), each shape built once.  Only the largest block
+bounds the memory, and the dimension cap bounds the largest block.
 
 :func:`compute_fbar_im`, F-bar for p copies of the state and the
 single-copy operators over a supplied basis of (C^d)^(x)p (a
@@ -153,16 +117,13 @@ GROUP_BYTES = 256 << 10
 @dataclass(frozen=True)
 class _GroupPlan:
     """One group of reduced shapes mu, by increasing dimension ``dims``,
-    with ``pad`` true on the rows past each shape's own dimension, and
-    per block lambda = mu + k(1, ..., 1) it serves: the index of its
-    shape in the group, its p, the row of p in the walk's p list, k and
+    and per block lambda = mu + k(1, ..., 1) it serves: the index of its
+    shape in the group, the row of its p in the walk's p list, k and
     log m_lambda."""
 
     shapes: tuple[tuple[int, ...], ...]
     dims: np.ndarray
-    pad: np.ndarray
     shape_of: np.ndarray
-    p: np.ndarray
     row: np.ndarray
     k: np.ndarray
     log_m: np.ndarray
@@ -215,10 +176,9 @@ def _walk_plan(ps: tuple[int, ...], d: int) -> list[_GroupPlan]:
     for run in runs:
         blocks = [(i, *block) for i, mu in enumerate(run) for block in walk[mu]]
         shape_of, row, k = np.array([b[:3] for b in blocks], dtype=np.intp).T
-        dims = np.array([dim_of[mu] for mu in run])
         groups.append(_GroupPlan(
-            tuple(run), dims, np.arange(dims[-1]) >= dims[:, None], shape_of,
-            np.array(ps)[row], row, k, np.array([b[3] for b in blocks]),
+            tuple(run), np.array([dim_of[mu] for mu in run]), shape_of, row, k,
+            np.array([b[3] for b in blocks]),
         ))
     return groups[::-1]
 
@@ -233,22 +193,22 @@ def _log_multiplicities(p: int, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShapeGroup:
-    """Reduced shapes mu (mu_d = 0) solved together, with the blocks
-    lambda = mu + k(1, ..., 1) they serve.
+    """The reduced shapes mu (mu_d = 0) of a planned group ``plan``,
+    solved together, built for one state.
 
-    The G shapes, of dimensions ``dims`` (increasing), are zero-padded to
-    the largest, D.  ``s[i]`` is the diagonal of Pi_mu(sqrt D) of shape i
-    in the Gelfand–Tsetlin basis over its largest entry, with rho = U D U+,
-    and 0 on the padded rows; ``gens[i]`` holds its real pi_mu(E_ab)
-    flattened to a (d^2, D^2) array, so that one matrix product maps a
-    stack of single-copy operators A to their images:
+    The G shapes, of dimensions ``plan.dims`` (increasing), are
+    zero-padded to the largest, D.  ``s[i]`` is the diagonal of
+    Pi_mu(sqrt D) of shape i in the Gelfand–Tsetlin basis over its
+    largest entry, with rho = U D U+, and 0 on the padded rows; ``gens[i]``
+    holds its real pi_mu(E_ab) flattened to a (d^2, D^2) array, so that
+    one matrix product maps a stack of single-copy operators A to their
+    images:
 
         pi(A) = pi_mu(U+ A U) = (U+ A U).reshape(count, d^2) @ gens[i].
 
-    Per served block, ``shape_of`` is the index of its shape, ``p`` its
-    number of copies, ``row`` the index of p in the walk's list of
-    distinct p, ``k`` = lambda_d and ``scale`` = m_lambda det(D)^k
-    (max Pi_mu(sqrt D))^2, summed in log space, so that on lambda
+    Per served block of the plan, ``scale`` = m_lambda det(D)^k
+    (max Pi_mu(sqrt D))^2, summed in log space so that large p neither
+    under- nor overflows, so that on lambda
 
         sqrt(m_lambda) Pi_lambda(sqrt D) = sqrt(scale) s,
         pi_lambda(A) = pi(A) + k Tr(A) I.
@@ -256,63 +216,49 @@ class ShapeGroup:
     A block with k >= 1 of a rank-deficient rho has scale 0.
     """
 
-    shapes: tuple[tuple[int, ...], ...]
-    dims: np.ndarray
+    plan: _GroupPlan
     s: np.ndarray
     gens: np.ndarray
-    shape_of: np.ndarray
-    p: np.ndarray
-    row: np.ndarray
-    k: np.ndarray
     scale: np.ndarray
 
 
 def reduced_blocks(state: EvaluatedState, p_list: Sequence[int]) -> Iterator[ShapeGroup]:
     """Yield the groups of reduced shapes of the walk over ``p_list``,
-    one at a time.
-
-    The shapes mu are those of the blocks lambda = mu + k(1, ..., 1) of
-    every p in ``p_list``, each listed once (:func:`_walk_plan` groups
-    them).  A group's padding is exact for every quantity of the walk: a
-    padded row has weight 0, so it is a zero row and column of every
-    weighted image S pi(A) S and of S pi_lambda(A), and an eigensolve
-    adds exact zero eigenvalues there, which add nothing to a trace norm.
-    """
+    one at a time: the shapes mu of the blocks lambda = mu + k(1, ..., 1)
+    of every p in ``p_list``, each listed once, as :func:`_walk_plan`
+    groups them."""
     return _shape_groups(state, _walk_plan(tuple(dict.fromkeys(p_list)), state.dim))
 
 
 def _shape_groups(
-    state: EvaluatedState, groups: Sequence[_GroupPlan]
+    state: EvaluatedState, plans: Sequence[_GroupPlan]
 ) -> Iterator[ShapeGroup]:
-    """The planned ``groups`` for ``state``, one at a time."""
+    """The planned groups ``plans`` for ``state``, one at a time."""
     d = state.dim
     values = state.eigen.values
     sqrt_d = np.sqrt(np.where(values > state.rank_tol, values, 0.0))  # as sqrt_rho
     log_det = sum(map(math.log, sqrt_d)) if sqrt_d.all() else -math.inf  # det(sqrt D)
-    for group in groups:
-        count, dim = len(group.shapes), int(group.dims[-1])
+    for plan in plans:
+        count, dim = len(plan.shapes), int(plan.dims[-1])
         if count == 1:
-            weights, gens = schur.gt_basis(group.shapes[0])
+            weights, gens = schur.gt_basis(plan.shapes[0])
             weights, gens = weights[None], gens.reshape(1, d * d, dim * dim)
         else:
             weights = np.zeros((count, dim, d))
             gens = np.zeros((count, d, d, dim, dim))
-            for i, (mu, size) in enumerate(zip(group.shapes, group.dims.tolist())):
+            for i, (mu, size) in enumerate(zip(plan.shapes, plan.dims.tolist())):
                 weights[i, :size], gens[i, :, :, :size, :size] = schur.gt_basis(mu)
             gens = gens.reshape(count, d * d, dim * dim)
         log_s = schur.log_diag_power(weights, sqrt_d)
-        log_s[group.pad] = -np.inf  # padded rows weigh 0
+        log_s[np.arange(dim) >= plan.dims[:, None]] = -np.inf  # padded rows weigh 0
         top = np.max(log_s, axis=1)
         top[np.isneginf(top)] = 0.0  # no support: s = 0
-        log_scale = group.log_m + 2.0 * top[group.shape_of]
+        log_scale = plan.log_m + 2.0 * top[plan.shape_of]
         if log_det > -math.inf:
-            log_scale += 2.0 * log_det * group.k
+            log_scale += 2.0 * log_det * plan.k
         else:  # k * -inf, never 0 * -inf
-            log_scale[group.k > 0] = -np.inf
-        yield ShapeGroup(
-            group.shapes, group.dims, np.exp(log_s - top[:, None]), gens,
-            group.shape_of, group.p, group.row, group.k, np.exp(log_scale),
-        )
+            log_scale[plan.k > 0] = -np.inf
+        yield ShapeGroup(plan, np.exp(log_s - top[:, None]), gens, np.exp(log_scale))
         del weights, gens  # before the next group is built
 
 
@@ -388,21 +334,6 @@ class TradeoffMatrix:
             return self.entries
         return self.entries / self.p
 
-    def validate(self, atol: float = 1e-9) -> None:
-        e = self.entries
-        if self.kind in ("C", "T", "C_RLD", "LIMIT"):
-            if np.max(np.abs(np.diag(e))) > atol:
-                raise KindMismatch(f"{self.kind} matrix has nonzero diagonal")
-            if np.max(np.abs(e - e.T)) > atol:
-                raise KindMismatch(f"{self.kind} matrix is not symmetric")
-            if np.min(e) < -atol:
-                raise KindMismatch(f"{self.kind} matrix has negative entries")
-        elif self.kind == "FBAR_IM":
-            if np.max(np.abs(e + e.T)) > atol:
-                raise KindMismatch("FBAR_IM matrix is not skew-symmetric")
-        else:
-            raise KindMismatch(f"unknown tradeoff kind {self.kind!r}")
-
 
 #: Bytes of block matrices per stacked LAPACK call: a group of small
 #: shapes takes every pair in one call, the largest shapes one or a few
@@ -450,28 +381,23 @@ def _half_herm_norms(herm: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
 
 
-def _norm_group(comms: np.ndarray, s: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """1/2 ||H_q||_1 per shape and pair of the flattened commutators
-    ``comms``, H_q = S pi_mu(C_q) S, one eigvalsh per stack; each stack's
-    images are formed for it alone."""
-    norms = np.empty((len(s), len(comms)))
-    for gs, qs in _group_stacks(len(s), len(comms), s.shape[1]):
-        norms[gs, qs] = _half_herm_norms(_sandwich(_images(comms[qs], gens[gs]), s[gs]))
-    return norms
-
-
 def _align_group(
-    comms: np.ndarray, s: np.ndarray, gens: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked eigensolves of the pair images H_q = S pi_mu(C_q) S; returns
-    per shape and pair q 1/2 ||H_q||_1 and Re <H_q', V sgn V+> for every
-    pair q' of the same shape.  A shape's images are formed with those of
-    the shapes of its stack (or alone, when its pairs take several
-    stacks) and die with them."""
+    comms: np.ndarray, s: np.ndarray, gens: np.ndarray, fbar: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Stacked eigensolves of the pair images H_q = S pi_mu(C_q) S of the
+    flattened commutators ``comms``; returns per shape and pair q 1/2
+    ||H_q||_1 and, with ``fbar``, Re <H_q', V sgn V+> for every pair q' of
+    the same shape (else None).  Without ``fbar`` each stack's images are
+    formed for it alone and read by eigvalsh.  With it, a shape's images
+    are formed with those of the shapes of its stack (or alone, when its
+    pairs take several stacks) and die with them."""
     count, dim, pairs = len(s), s.shape[1], len(comms)
     norms = np.empty((count, pairs))
-    shares = np.empty((count, pairs, pairs))
+    shares = np.empty((count, pairs, pairs)) if fbar else None
     for gs, qs in _group_stacks(count, pairs, dim):
+        if not fbar:
+            norms[gs, qs] = _half_herm_norms(_sandwich(_images(comms[qs], gens[gs]), s[gs]))
+            continue
         if qs.start == 0:  # the images of the shapes gs, every pair
             h = _sandwich(_images(comms, gens[gs]), s[gs])
             flat = h.reshape(len(h), 1, pairs, -1).view(np.float64).swapaxes(2, 3)
@@ -513,20 +439,16 @@ class _Lines:
     real diagonal or sits on one line, C_q = c_q E_ab + conj(c_q) E_ba
     with a < b.  ``rows`` holds the generator row a d + b of each of the
     L lines present.  Per pair, ``line_of`` is its line's index there (L
-    for a diagonal pair), ``on_line`` says whether it has one, ``size`` is
-    |c_q| and ``diag`` the diagonal (each 0 where it does not apply).
-    ``phase[q, q']`` = Re(c_q' e^(-i arg(c_q) kappa)), kappa = delta_aa' -
-    delta_ab', for two line pairs and 0 otherwise, and ``grid[q, q']`` =
-    line_of[q] (L + 1) + line_of[q'] indexes a flattened (L + 1, L + 1)
-    table of the lines."""
+    for a diagonal pair), ``size`` is |c_q| and ``diag`` the diagonal
+    (each 0 where it does not apply).  ``phase[q, q']`` = Re(c_q'
+    e^(-i arg(c_q) kappa)), kappa = delta_aa' - delta_ab', for two line
+    pairs and 0 otherwise."""
 
     rows: np.ndarray
     line_of: np.ndarray
-    on_line: np.ndarray
     size: np.ndarray
     diag: np.ndarray
     phase: np.ndarray
-    grid: np.ndarray
 
 
 def _pair_lines(
@@ -561,17 +483,16 @@ def _pair_lines(
     angle = np.angle(coef)
     phase = np.abs(coef) * np.cos(angle - angle[:, None] * kappa)  # Re(c' e^(-i arg(c) kappa))
     phase[~on_line] = 0.0
-    grid = line_of[:, None] * (len(rows) + 1) + line_of
-    return _Lines(np.array(rows, dtype=int), line_of, on_line, np.abs(coef), diag, phase, grid)
+    return _Lines(np.array(rows, dtype=int), line_of, np.abs(coef), diag, phase)
 
 
 def _line_group(
     lines: _Lines, s: np.ndarray, gens: np.ndarray, fbar: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """What :func:`_align_group` gives (without ``fbar``, the norms
-    alone) for pair commutators with ``lines`` structure, from one real
-    eigh per shape and line (a, b) of R_ab = S (G_ab + G_ab^T) S, G_ab =
-    pi_mu(E_ab), in stacks of about STACK_BYTES.
+    """What :func:`_align_group` gives for pair commutators with ``lines``
+    structure, from one real eigh per shape and line (a, b) of R_ab =
+    S (G_ab + G_ab^T) S, G_ab = pi_mu(E_ab), in stacks of about
+    STACK_BYTES.
 
     With D = exp(i arg(c_q) W_a) for the GT weight W_a, D G_ab D+ =
     e^(i arg c_q) G_ab, so H_q = |c_q| D R_ab D+: 1/2 ||H_q||_1 = |c_q|
@@ -604,8 +525,9 @@ def _line_group(
             rows = proj.reshape(proj.shape[:2] + (1, -1))
             traces[gs, qs, :lined] = (rows @ flat[gs])[:, :, 0]
             ys[gs, qs] = proj.diagonal(axis1=2, axis2=3)
-        ys = np.where(lines.on_line[:, None], ys[:, lines.line_of], _signs_from_values(h))
-        shares = (2.0 * lines.phase * traces.reshape(count, -1)[:, lines.grid]
+        on_line = (lines.line_of < lined)[:, None]
+        ys = np.where(on_line, ys[:, lines.line_of], _signs_from_values(h))
+        shares = (2.0 * lines.phase * traces[:, lines.line_of[:, None], lines.line_of]
                   + ys @ h.swapaxes(1, 2))
     return lines.size * norms[:, lines.line_of] + 0.5 * np.sum(np.abs(h), axis=2), shares
 
@@ -665,11 +587,14 @@ def _rld_products(
 @dataclass(frozen=True)
 class BlockPass:
     """What the walk over the irrep blocks gives at one p; a consumer
-    that was not asked for is None (no candidates)."""
+    that was not asked for is None.  ``candidates`` holds the
+    auto_align(j,k) F-bar_Im matrices of every pair j < k as one (pairs,
+    n, n) array, in :func:`_pair_indices` order; :func:`best_auto_align`
+    picks one."""
 
     cp: TradeoffMatrix | None
     cp_rld: TradeoffMatrix | None
-    candidates: list[TradeoffMatrix]
+    candidates: np.ndarray | None
 
 
 def block_sweep(
@@ -692,24 +617,26 @@ def block_sweep(
     ``rld_ops`` are n operators of shape d x d each.  ``ops`` are the n
     single-copy tilde SLDs L~ = F_Q^(-1/2) L, in which frame every p-local
     bound is stated.  C_p (``cp``) and the auto_align(j,k) candidates of
-    every pair j < k (``fbar``, in :func:`_pair_indices` order) read them,
-    and C_p^RLD reads ``rld_ops``, the n single-copy tilde RLDs.  Both are
-    rotated into rho's eigenbasis once, the pair commutators formed there
-    as -i (P - P+) with P = L~_j L~_k, and on a reduced shape with weight
-    s all their images come from one matrix product with the shape's
-    generators.  Pair q = (j, k) has the
-    Hermitian image H_q = s pi_mu(-i [L~_j, L~_k]) s, and with
-    H_q = V Lambda V+ and the scales c of the blocks lambda of each p
+    every pair j < k (``fbar``) read them, and C_p^RLD reads ``rld_ops``,
+    the n single-copy tilde RLDs.  Both are rotated into rho's eigenbasis
+    once, the pair commutators formed there as -i (P - P+) with P =
+    L~_j L~_k, and on a reduced shape with weight s all their images come
+    from one matrix product with the shape's generators (pi([A, B]) =
+    [pi(A), pi(B)]).  Pair q = (j, k) has the Hermitian image H_q =
+    s pi_mu(-i [L~_j, L~_k]) s, and with H_q = V Lambda V+ and the scales
+    c of the blocks lambda of each p
 
         (C_p)_q = 1/2 sum_lambda c sum_i |Lambda_i|,
         auto_align(q): F-bar_Im[q'] = 1/2 sum_lambda c Re <H_q', V sgn(Lambda) V+>,
 
     because Im <u|S L_j L_k S|u> = 1/2 <u|H_(j,k)|u> for every vector u.
-    So one eigh per pair and shape serves every p, and entry (j, k) of
-    auto_align(j,k) equals the C_p entry; without ``fbar``, C_p reads
-    eigvalsh.  The shape mu = 0 adds nothing here (pi_mu = 0) and is not
-    solved.  The signs take the tie rule on the alignment values
-    Lambda/2, which does not depend on c.
+    So one eigh per pair and shape serves every p where the shape recurs
+    (a qubit sweep over p = 1..P makes O(P) eigensolves per pair), and
+    entry (j, k) of auto_align(j,k) equals the C_p entry; without
+    ``fbar``, C_p reads eigvalsh.  The signs take the tie rule on the
+    alignment values Lambda/2, which does not depend on c.  A walk with
+    one operator has no pair: C_p and C_p^RLD are 1 x 1 zeros and there
+    are no candidates.
 
     The line gauge.  When the pair images of the largest block hold at
     least GAUGE_MIN_ENTRIES entries (pairs x dim^2), the walk first drops
@@ -722,28 +649,30 @@ def block_sweep(
     takes one real eigh per line present and none for a diagonal pair
     (:func:`_line_group`): 3 in place of 28 complex ones for qutrit8.  Any
     other family, random ones among them, and any smaller walk take the
-    complex path above, which stays the reference; the two agree to
-    rounding.  On the gauged path a pair that commutes to working
-    precision has C_p entry 0 and its candidate takes every sign +1, the
-    tie rule for H_q = 0, rather than signs of rounding noise.  A walk
-    with one operator has no pair: C_p and C_p^RLD are 1 x 1 zeros and
-    there is no candidate.
+    complex path above (:func:`_align_group`), which stays the reference;
+    the two agree to rounding.  On the gauged path a pair that commutes to
+    working precision has C_p entry 0 and its candidate takes every sign
+    +1, the tie rule for H_q = 0, rather than signs of rounding noise.
 
-    C_p^RLD takes P = X_j X_k+
-    with X_j = s pi_lambda(L~^R_j) = s (pi_mu(L~^R_j) + k Tr(L~^R_j) I) on
-    each block and clips 1/2 sum_lambda c ||P - P+||_1 at 2p; the
-    products of every block a shape serves, and every pair, go into
-    eigvalsh calls together.  Each LAPACK call stacks about STACK_BYTES
-    of matrices; a group's stacks die before the next group is built.
-    Every pair's candidate entries at one p come from one (pairs, n, n)
-    array.
+    C_p^RLD takes P = X_j X_k+ with X_j = s pi_lambda(L~^R_j) = s
+    (pi_mu(L~^R_j) + k Tr(L~^R_j) I) on each block and clips 1/2
+    sum_lambda c ||P - P+||_1 at 2p; the products of every block a shape
+    serves, and every pair, go into eigvalsh calls together.
 
-    The shapes are walked in the groups of :func:`_walk_plan`: every
-    consumer takes one stacked call per group (split by STACK_BYTES over
-    its (shape, pair) matrices), and each shape's results reach the rows
-    of its p through a (p, shape) table of scales.  A shape's results do
-    not depend on STACK_BYTES; padded solves can differ from unpadded
-    ones in the last bits.
+    The shapes are walked in the groups of :func:`_walk_plan`, planned
+    after the checks; a walk with no consumer plans none.  Every consumer
+    takes one stacked call per group, split by STACK_BYTES over its
+    (shape, pair) matrices, and a group's stacks die before the next
+    group is built.  Each shape's results reach the rows of its p through
+    a (p, shape) table of scales.  Padding is exact: a padded row has
+    weight 0, so the pair images and the RLD shift k Tr(R) s vanish there;
+    the extra eigenvalues are exact zeros, which add nothing to a trace
+    norm, take +1 under the tie rule and meet only zero entries of the
+    images in the AutoAlign shares.  The one-dimensional trivial shape
+    mu = 0 is solved with the rest of its group: pi_mu vanishes there, so
+    its pair images are zero and only the RLD shift gives it a share.  A
+    shape's results do not depend on STACK_BYTES; padded solves can
+    differ from unpadded ones in the last bits.
     """
     ps = tuple(dict.fromkeys(p_list))
     largest = _check_copies(ps, state.dim, dim_cap)
@@ -773,29 +702,24 @@ def block_sweep(
     cp_vals = np.zeros((len(ps), pairs))
     rld_vals = np.zeros((len(ps), pairs))
     totals = np.zeros((len(ps), pairs * pairs)) if fbar else None
-    # pi_mu vanishes on the one-dimensional shape mu = 0, so the
-    # commutators have no share there; the RLD blocks k Tr(R) I do.
-    groups = [
-        g for g in _walk_plan(ps, state.dim) if rld_ops is not None or (solve and g.dims[-1] > 1)
-    ]
-    for group in _shape_groups(state, groups):
+    plans = _walk_plan(ps, state.dim) if solve or rld_ops is not None else []
+    for group in _shape_groups(state, plans):
         if not group.scale.any():  # zero blocks skipped
             continue
-        if solve and group.s.shape[1] > 1:
+        plan = group.plan
+        if solve:
             if lines is not None:
                 norms, shares = _line_group(lines, group.s, group.gens, fbar)
-            elif fbar:
-                norms, shares = _align_group(comms, group.s, group.gens)
             else:
-                norms = _norm_group(comms, group.s, group.gens)
+                norms, shares = _align_group(comms, group.s, group.gens, fbar)
             weight = np.zeros((len(ps), len(group.s)))
-            weight[group.row, group.shape_of] = group.scale
+            weight[plan.row, plan.shape_of] = group.scale
             if fbar:
                 totals += weight @ shares.reshape(len(shares), -1)
             if cp:
                 cp_vals += weight @ norms
         if rld_ops is not None:
-            row, at, k, scale = group.row, group.shape_of, group.k, group.scale
+            row, at, k, scale = plan.row, plan.shape_of, plan.k, group.scale
             if not scale.all():
                 live = scale != 0.0
                 row, at, k, scale = row[live], at[live], k[live], scale[live]
@@ -814,20 +738,14 @@ def block_sweep(
         upper[:, :, j_idx, k_idx] = 0.5 * totals.reshape(len(ps), pairs, pairs)
         skew = upper - np.swapaxes(upper, 2, 3)
         cands = (skew - np.swapaxes(skew, 2, 3)) / 2.0  # exact skew symmetry
-        labels = [f"auto_align({j},{k})" for j, k in zip(j_idx.tolist(), k_idx.tolist())]
-    out = {}
-    for row, p in enumerate(ps):
-        out[p] = BlockPass(
-            cp=TradeoffMatrix(kind="C", p=p, entries=cp_mats[row]) if cp else None,
-            cp_rld=TradeoffMatrix(
-                kind="C_RLD", p=p, entries=rld_mats[row]
-            ) if rld_ops is not None else None,
-            candidates=[
-                TradeoffMatrix(kind="FBAR_IM", p=p, entries=entries, meta={"strategy": label})
-                for entries, label in zip(cands[row], labels)
-            ] if fbar else [],
+    return {
+        p: BlockPass(
+            TradeoffMatrix("C", p, cp_mats[row]) if cp else None,
+            TradeoffMatrix("C_RLD", p, rld_mats[row]) if rld_ops is not None else None,
+            cands[row] if fbar else None,
         )
-    return out
+        for row, p in enumerate(ps)
+    }
 
 
 @dataclass(frozen=True)
@@ -1168,6 +1086,15 @@ def first_best(values: np.ndarray) -> int:
     exact ties go to the earliest candidate whatever the overall scale."""
     values = np.asarray(values, dtype=float)
     return int(np.argmax(values >= (1.0 - SIGN_TIE_RTOL) * np.max(values)))
+
+
+def best_auto_align(p: int, candidates: np.ndarray) -> TradeoffMatrix:
+    """The candidate of largest Frobenius norm among the (pairs, n, n)
+    AutoAlign ``candidates`` of :func:`block_sweep` at p, ties going to
+    the first pair (:func:`first_best`), labelled auto_align(j,k)."""
+    q = first_best(np.linalg.norm(candidates, axis=(1, 2)))
+    j, k = (int(idx[q]) for idx in _pair_indices(candidates.shape[-1]))
+    return TradeoffMatrix("FBAR_IM", p, candidates[q], {"strategy": f"auto_align({j},{k})"})
 
 
 def _optimize_norm_signs(imags: np.ndarray) -> np.ndarray:

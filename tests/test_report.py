@@ -19,7 +19,7 @@ from qmetro.report import (
 from qmetro.scenarios import SIGMA1, SIGMA2
 from qmetro.schur import gt_basis
 from qmetro.states import StateFamily, evaluate
-from qmetro.tensor import BlockPass, TradeoffMatrix
+from qmetro.tensor import BlockPass
 
 
 class TestBuildReport:
@@ -243,15 +243,13 @@ class TestFbarStrategy:
         other = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
 
         def tied(state, ops, p_list, fbar, dim_cap):
-            return {p: BlockPass(None, None, [
-                TradeoffMatrix("FBAR_IM", p, scale * m, {"strategy": name})
-                for m, name in ((base, "first"), ((1 + 1e-14) * other, "second"))
-            ]) for p in p_list}
+            cands = scale * np.array([base, (1 + 1e-14) * other, np.zeros((3, 3))])
+            return {p: BlockPass(None, None, cands) for p in p_list}
 
         monkeypatch.setattr("qmetro.report.block_sweep", tied)
         st = qubit_state(0.0)
         _, _, tilde = sld_analysis(st)
-        assert best_fbar(st, tilde, 4).meta["strategy"] == "first"
+        assert best_fbar(st, tilde, 4).meta["strategy"] == "auto_align(0,1)"
 
 
 class TestSaturationFlags:

@@ -42,15 +42,16 @@ def reduced_shapes(st, p_list):
     """``(s, gens, served)`` per reduced shape, read off the groups that
     reduced_blocks yields: the shape's weights and flattened generators
     cut to its own dimension, and its blocks as (p, lambda, scale)."""
+    ps = tuple(dict.fromkeys(p_list))
     for group in tensor.reduced_blocks(st, p_list):
-        top = group.s.shape[1]
-        for i, (mu, dim) in enumerate(zip(group.shapes, group.dims.tolist())):
+        plan, top = group.plan, group.s.shape[1]
+        for i, (mu, dim) in enumerate(zip(plan.shapes, plan.dims.tolist())):
             gens = group.gens[i].reshape(-1, top, top)[:, :dim, :dim]
-            at = group.shape_of == i
+            at = plan.shape_of == i
             served = [
-                (p, tuple(r + k for r in mu), scale)
-                for p, k, scale in zip(group.p[at].tolist(), group.k[at].tolist(),
-                                       group.scale[at].tolist())
+                (ps[row], tuple(r + k for r in mu), scale)
+                for row, k, scale in zip(plan.row[at].tolist(), plan.k[at].tolist(),
+                                         group.scale[at].tolist())
             ]
             yield group.s[i, :dim], gens.reshape(len(gens), -1), served
 
@@ -394,13 +395,12 @@ def _assert_matches_dense(st, tilde, rld_ops, p):
     assert np.allclose(cp, ref, rtol=0, atol=_scale_tol(ref))
     assert np.allclose(joint.cp.entries, cp, rtol=0, atol=1e-14 * np.max(np.abs(cp)))
     alone = tensor.block_sweep(st, tilde, [p], fbar=True)[p].candidates
-    assert len(joint.candidates) == len(alone) == len(pairs)
-    for (j, k), cand, got in zip(pairs, joint.candidates, alone):
+    assert alone.shape == joint.candidates.shape == (len(pairs),) + cp.shape
+    assert np.array_equal(joint.candidates, alone)
+    for (j, k), got in zip(pairs, alone):
         ref = dense_auto_align(st, tilde, p, j, k)
-        assert got.meta == {"strategy": f"auto_align({j},{k})"}
-        assert np.allclose(got.entries, ref, rtol=0, atol=_scale_tol(ref))
-        assert np.array_equal(cand.entries, got.entries) and cand.meta == got.meta
-        assert cand.entries[j, k] == pytest.approx(cp[j, k], rel=0, abs=_scale_tol(cp))
+        assert np.allclose(got, ref, rtol=0, atol=_scale_tol(ref))
+        assert got[j, k] == pytest.approx(cp[j, k], rel=0, abs=_scale_tol(cp))
     ref = np.minimum(dense_pair_norms(st, rld_ops, p, rld=True), 2.0 * p)
     got = cp_rld_at(st, rld_ops, p).entries
     assert np.allclose(got, ref, rtol=0, atol=_scale_tol(ref))
@@ -552,10 +552,13 @@ class TestSweep:
             single = tensor.block_sweep(st, tilde, [p], rld_ops, cp=True, fbar=True)[p]
             got = sweep[p]
             matrices = [(got.cp, single.cp), (got.cp_rld, single.cp_rld)]
-            for a, b in matrices + list(zip(got.candidates, single.candidates)):
+            for a, b in matrices:
                 assert a.p == b.p == p and a.meta == b.meta
-                scale = float(np.max(np.abs(b.entries)))
-                assert np.allclose(a.entries, b.entries, rtol=0, atol=1e-13 * scale)
+            for a, b in [(a.entries, b.entries) for a, b in matrices] + list(
+                zip(got.candidates, single.candidates, strict=True)
+            ):
+                scale = float(np.max(np.abs(b)))
+                assert np.allclose(a, b, rtol=0, atol=1e-13 * scale)
             ref = per_block_cp(st, tilde, p)
             assert np.allclose(got.cp.entries, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
             if st.support_rank < st.dim and st.dim**p <= 81:
@@ -564,7 +567,7 @@ class TestSweep:
                 pairs = itertools.combinations(range(n), 2)
                 for (j, k), cand in zip(pairs, got.candidates):
                     ref = dense_auto_align(st, tilde, p, j, k)
-                    assert np.allclose(cand.entries, ref, rtol=0, atol=_scale_tol(ref))
+                    assert np.allclose(cand, ref, rtol=0, atol=_scale_tol(ref))
 
     def test_p_list_within_collective(self, qubit_state):
         st = qubit_state(0.5)
@@ -634,7 +637,7 @@ class TestBlockEngine:
         st = qubit_state(0.5)
         _, _, tilde = sld_analysis(st)
         cp = cp_at(st, tilde, 40).entries[0, 1]
-        fb = tensor.block_sweep(st, tilde, [40], fbar=True)[40].candidates[0].entries[0, 1]
+        fb = tensor.block_sweep(st, tilde, [40], fbar=True)[40].candidates[0, 0, 1]
         assert fb == pytest.approx(cp, rel=1e-10)
 
     @pytest.mark.parametrize("name, p", [("qubit3", 5), ("qutrit8", 3), ("d4", 2), ("qutrit8", 8)])
@@ -649,9 +652,7 @@ class TestBlockEngine:
         assert len(cands) == len(tilde) * (len(tilde) - 1) // 2
         monkeypatch.setattr(tensor, "STACK_BYTES", 1)
         singles = tensor.block_sweep(st, tilde, [p], fbar=True)[p].candidates
-        for cand, single in zip(cands, singles, strict=True):
-            assert np.array_equal(cand.entries, single.entries)
-            assert cand.meta == single.meta
+        assert np.array_equal(cands, singles)
 
     def test_rld_blocks_must_match(self):
         # The walk reads the RLD images off the shapes it walks for the
@@ -701,7 +702,7 @@ class TestBlockEngine:
         for p, got in walk.items():
             assert got.cp.entries.tolist() == [[0.0]] and got.cp.p == p
             assert got.cp_rld.entries.tolist() == [[0.0]]
-            assert got.candidates == []
+            assert got.candidates.shape == (0, 1, 1)
         coll = tensor.build_collective(st, [SIGMA1], 3)
         assert tensor.compute_cp(coll).entries.tolist() == [[0.0]]
 
@@ -741,7 +742,8 @@ def _line_structure(st, tilde, coefficients=False):
     if not coefficients:
         return lines
     flat = comms.reshape(len(comms), -1)
-    return lines, [flat[q, lines.rows[lines.line_of[q]]] for q in np.flatnonzero(lines.on_line)]
+    on_line = np.flatnonzero(lines.line_of < len(lines.rows))
+    return lines, [flat[q, lines.rows[lines.line_of[q]]] for q in on_line]
 
 
 def _both_paths(monkeypatch, st, tilde, ps):
@@ -759,12 +761,11 @@ def _assert_paths_agree(gauged, complex_, lines):
         got = gauged[p]
         scale = np.max(np.abs(ref.cp.entries))
         assert np.allclose(got.cp.entries, ref.cp.entries, rtol=1e-13, atol=1e-13 * scale), p
+        on_line = lines.line_of < len(lines.rows)
         for q, (cand, ref_cand) in enumerate(zip(got.candidates, ref.candidates, strict=True)):
-            assert cand.meta == ref_cand.meta
-            if lines.on_line[q] or np.any(lines.diag[q]):  # a non-commuting pair
-                scale = np.max(np.abs(ref_cand.entries))
-                assert np.allclose(cand.entries, ref_cand.entries, rtol=1e-13,
-                                   atol=1e-13 * scale), (p, cand.meta)
+            if on_line[q] or np.any(lines.diag[q]):  # a non-commuting pair
+                scale = np.max(np.abs(ref_cand))
+                assert np.allclose(cand, ref_cand, rtol=1e-13, atol=1e-13 * scale), (p, q)
 
 
 class TestLineGauge:
@@ -781,7 +782,7 @@ class TestLineGauge:
         st, tilde = qutrit8_tilde(delta)
         lines = _line_structure(st, tilde)
         assert lines is not None
-        assert np.sum(lines.on_line) == 24 and len(lines.rows) == 3
+        assert np.sum(lines.line_of < len(lines.rows)) == 24 and len(lines.rows) == 3
         vecs = st.eigen.vectors
         rotated = dagger(vecs) @ np.asarray(tilde) @ vecs
         fails = 0
@@ -859,7 +860,7 @@ class TestLineGauge:
         lines = _line_structure(st, tilde)
         pairs = list(itertools.combinations(range(8), 2))
         zero = [pairs[q] for q in range(len(pairs))
-                if not lines.on_line[q] and not np.any(lines.diag[q])]
+                if lines.line_of[q] == len(lines.rows) and not np.any(lines.diag[q])]
         assert zero == commuting
         walk = tensor.block_sweep(st, tilde, range(1, 6), cp=True, fbar=True)
         for p in range(1, 6):
@@ -867,8 +868,7 @@ class TestLineGauge:
             for j, k in commuting:
                 assert walk[p].cp.entries[j, k] == 0.0
                 cand = walk[p].candidates[pairs.index((j, k))]
-                assert cand.meta == {"strategy": f"auto_align({j},{k})"}
-                assert np.allclose(cand.entries, plus, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(plus))))
+                assert np.allclose(cand, plus, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(plus))))
 
 
 class TestComputeCp:
@@ -913,8 +913,9 @@ class TestComputeCp:
     def test_structure(self, qubit_state):
         st = qubit_state(0.3)
         _, _, tilde = sld_analysis(st)
-        cp = cp_at(st, tilde, 2)
-        cp.validate()
+        cp = cp_at(st, tilde, 2).entries
+        assert np.all(np.diag(cp) == 0.0) and np.array_equal(cp, cp.T)
+        assert np.min(cp) >= 0.0
 
 
 class TestComputeCpRld:
@@ -1459,7 +1460,7 @@ class TestFbar:
             cp = cp_at(st, tilde, p)
             cands = tensor.block_sweep(st, tilde, [p], fbar=True)[p].candidates
             for (j, k), fb in zip(((0, 1), (0, 2), (1, 2)), cands, strict=True):
-                assert fb.entries[j, k] == pytest.approx(cp.entries[j, k], abs=1e-9)
+                assert fb[j, k] == pytest.approx(cp.entries[j, k], abs=1e-9)
 
     def test_incomplete_basis(self, qubit_state):
         st = qubit_state(0.0)
@@ -1659,6 +1660,61 @@ class TestOptimizeNorm:
         assert tensor.first_best(np.zeros(3)) == 0
 
 
+class TestBestAutoAlign:
+    """The pick among a walk's AutoAlign candidates and its label."""
+
+    def test_labels_follow_pair_order(self):
+        # n = 4: the q-th candidate is labelled by the q-th pair of
+        # _pair_indices, whichever pair wins.
+        pairs = list(zip(*(idx.tolist() for idx in tensor._pair_indices(4))))
+        assert pairs == list(itertools.combinations(range(4), 2))
+        for q, (j, k) in enumerate(pairs):
+            cands = np.zeros((len(pairs), 4, 4))
+            cands[:, j, k], cands[:, k, j] = 1.0, -1.0
+            cands[q] *= 2.0
+            best = tensor.best_auto_align(5, cands)
+            assert best.meta == {"strategy": f"auto_align({j},{k})"}
+            assert (best.kind, best.p) == ("FBAR_IM", 5)
+            assert np.array_equal(best.entries, cands[q])
+
+    def test_winner_after_the_first_pair(self, qubit_state):
+        # qubit3 at delta = 0.5, p = 8: the walk's best candidate is
+        # auto_align(0,1) of norm N; scaling the others puts (1, 2) ahead.
+        st = qubit_state(0.5)
+        _, _, tilde = sld_analysis(st)
+        cands = tensor.block_sweep(st, tilde, [8], fbar=True)[8].candidates.copy()
+        cands[2] *= 2.0
+        best = tensor.best_auto_align(8, cands)
+        assert best.meta == {"strategy": "auto_align(1,2)"}
+        assert np.array_equal(best.entries, cands[2])
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_ties_are_relative(self, scale):
+        # The second candidate's norm is 1e-14 relative above the first: a
+        # tie at both scales, so the first is kept (an absolute 1e-15
+        # margin would keep the second at 1e6 only).
+        cands = scale * np.array([skew_unit(3, 0, 1), (1 + 1e-14) * skew_unit(3, 0, 2),
+                                  np.zeros((3, 3))])
+        assert tensor.best_auto_align(4, cands).meta == {"strategy": "auto_align(0,1)"}
+        cands[1] *= 1 + 1e-9  # a real gap is not a tie
+        assert tensor.best_auto_align(4, cands).meta == {"strategy": "auto_align(0,2)"}
+
+    @pytest.mark.parametrize("rld, cp", [(False, False), (False, True), (True, False), (True, True)])
+    def test_walk_builds_matrices_for_requested_consumers(self, monkeypatch, rld, cp):
+        # A performance guard: the candidates stay one array, so an fbar
+        # walk builds no TradeoffMatrix, and C_p and C_p^RLD one per p each.
+        fam = build_scenario(parse_scenario("qutrit8", delta=0.1))
+        st = evaluate(fam, np.zeros(fam.n))
+        _, _, tilde = sld_analysis(st)
+        built = []
+        init = tensor.TradeoffMatrix.__init__
+        monkeypatch.setattr(tensor.TradeoffMatrix, "__init__",
+                            lambda self, *a, **k: init(self, *a, **k) or built.append(self.kind))
+        walk = tensor.block_sweep(st, tilde, [3, 4], tilde if rld else None, cp=cp, fbar=True)
+        assert [got.candidates.shape for got in walk.values()] == [(28, 8, 8)] * 2
+        assert sorted(built) == ["C"] * 2 * cp + ["C_RLD"] * 2 * rld
+
+
 class TestProperties:
     def test_monotonic_and_sandwich_small(self):
         rng = np.random.default_rng(41)
@@ -1719,11 +1775,11 @@ class TestShapeGroups:
         assert all(len(g.shapes) == 1 for g in tensor._walk_plan(tuple(ps), st.dim))
         single = tensor.block_sweep(st, tilde, ps, rld_ops, cp=True, fbar=True)
         for p in ps:
-            pairs = [(grouped[p].cp, single[p].cp), (grouped[p].cp_rld, single[p].cp_rld)]
-            for a, b in pairs + list(zip(grouped[p].candidates, single[p].candidates)):
-                assert a.meta == b.meta
-                scale = float(np.max(np.abs(b.entries)))
-                assert np.allclose(a.entries, b.entries, rtol=0, atol=1e-13 * scale)
+            pairs = [(grouped[p].cp.entries, single[p].cp.entries),
+                     (grouped[p].cp_rld.entries, single[p].cp_rld.entries)]
+            for a, b in pairs + list(zip(grouped[p].candidates, single[p].candidates, strict=True)):
+                scale = float(np.max(np.abs(b)))
+                assert np.allclose(a, b, rtol=0, atol=1e-13 * scale)
 
     @pytest.mark.parametrize("preset, ps, rld", [
         ("qubit3", range(1, 11), True), ("qutrit8", range(1, 6), False),
