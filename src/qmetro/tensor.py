@@ -23,8 +23,8 @@ traceless C is that of mu times m_lambda det(D)^k, and a trace norm over
 the m_lambda copies of a block is m_lambda times the block's.
 :func:`block_sweep` reads C_p, C_p^RLD and the AutoAlign F-bar_Im
 candidates of every p of a list from one walk over the reduced shapes
-(:func:`reduced_blocks`), each shape built once.  Only the largest block
-bounds the memory, and the dimension cap bounds the largest block.
+(:func:`reduced_blocks`).  Only the largest block bounds the memory, and
+the dimension cap bounds the largest block.
 
 :func:`compute_fbar_im`, F-bar for p copies of the state and the
 single-copy operators over a supplied basis of (C^d)^(x)p (a
