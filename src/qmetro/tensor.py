@@ -525,8 +525,8 @@ def _line_group(
             rows = proj.reshape(proj.shape[:2] + (1, -1))
             traces[gs, qs, :lined] = (rows @ flat[gs])[:, :, 0]
             ys[gs, qs] = proj.diagonal(axis1=2, axis2=3)
-        on_line = (lines.line_of < lined)[:, None]
-        ys = np.where(on_line, ys[:, lines.line_of], _signs_from_values(h))
+        on_line = lines.line_of < lined  # else a diagonal pair: sgn(H_q)
+        ys = np.where(on_line[:, None], ys[:, lines.line_of], _signs_from_values(h))
         shares = (2.0 * lines.phase * traces[:, lines.line_of[:, None], lines.line_of]
                   + ys @ h.swapaxes(1, 2))
     return lines.size * norms[:, lines.line_of] + 0.5 * np.sum(np.abs(h), axis=2), shares
